@@ -29,12 +29,10 @@ from .mpc import (
     CLIENT_ID,
     CLIENT_TO_NODE,
     CostReport,
-    LockstepTransport,
     Mpc3Session,
     SecurityMode,
     SharedTensor,
 )
-from .ring import FixedPointCodec
 
 RECIPROCAL_ONCE = "reciprocal-once"
 PER_ELEMENT = "per-element"
@@ -139,7 +137,6 @@ def execute_scenario(
     seed: int = 0,
     features: Optional[np.ndarray] = None,
     weights: Optional[np.ndarray] = None,
-    transport: Optional[LockstepTransport] = None,
 ):
     """Run the actual protocol for scenarios 0, 1, 2, 4, 5.
 
@@ -160,16 +157,11 @@ def execute_scenario(
     if features.shape != (n, d) or weights.shape != (n,):
         raise ValueError("features must be (n, d) and weights (n,)")
 
-    codec = FixedPointCodec(k=cfg.k, fraction_bits=cfg.fraction_bits)
     mode = SecurityMode.ACTIVE if scenario in _ACTIVE_OF else SecurityMode.PASSIVE
     session = Mpc3Session(
-        k=cfg.k,
-        fraction_bits=cfg.fraction_bits,
-        theta=cfg.theta,
-        mode=mode,
-        seed=seed,
-        transport=transport,
+        k=cfg.k, fraction_bits=cfg.fraction_bits, theta=cfg.theta, mode=mode, seed=seed
     )
+    codec = session.codec
 
     if scenario == 0:
         # plaintext: each client ships its d latents and weight as k-bit words
@@ -181,12 +173,12 @@ def execute_scenario(
         return x, session.report()
 
     base = 1 if scenario in (1, 4) else 2
-    f_shares = [session.share_encoded(features[i], codec) for i in range(n)]
-    w_shares = [session.share_encoded(np.array([weights[i]]), codec) for i in range(n)]
+    f_shares = [session.share_encoded(features[i]) for i in range(n)]
+    w_shares = [session.share_encoded(np.array([weights[i]])) for i in range(n)]
 
     wf = None
     for i in range(n):
-        term = session.fixed_mul(f_shares[i], _broadcast(w_shares[i], d, cfg.k), codec)
+        term = session.fixed_mul(f_shares[i], _broadcast(w_shares[i], d, cfg.k))
         wf = term if wf is None else session.add(wf, term)
     w_total = w_shares[0]
     for i in range(1, n):
@@ -200,10 +192,10 @@ def execute_scenario(
     den = session.add_public(w_total, codec.encode(cfg.epsilon).value)
     if cfg.division_strategy == RECIPROCAL_ONCE:
         one = session.share_public(np.array([codec.encode(1.0).value], dtype=np.uint64))
-        recip = session.divide(one, den, codec)
-        x_sh = session.fixed_mul(wf, _broadcast(recip, d, cfg.k), codec)
+        recip = session.divide(one, den)
+        x_sh = session.fixed_mul(wf, _broadcast(recip, d, cfg.k))
     else:
-        x_sh = session.divide(wf, _broadcast(den, d, cfg.k), codec)
+        x_sh = session.divide(wf, _broadcast(den, d, cfg.k))
     x = codec.decode_array(session.open(x_sh))
     return x, session.report()
 

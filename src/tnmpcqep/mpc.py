@@ -1,9 +1,12 @@
 """Three-party replicated secret sharing over Z_{2^k} with metered communication.
 
-A secret v is split as v = v_0 + v_1 + v_2 (mod 2^k); party i holds the pair
-(v_i, v_{i+1 mod 3}).  Sessions execute all three logical parties in lockstep
-inside one process; every message goes through a Transport, and the transport
-is the only place the cost meter is mutated.
+A secret v is split as v = v_0 + v_1 + v_2 (mod 2^k) with v_0, v_1 uniform
+from the session's seeded stream; party i holds the pair (v_i, v_{i+1 mod 3}).
+A SharedTensor keeps the three components of a vector of secrets, and an
+Mpc3Session runs all three logical parties in lockstep inside one process.
+Every message goes through the session's LockstepTransport, an in-process
+FIFO per (sender, receiver) channel, which is the only place the cost meter
+is mutated.
 
 Costs follow a bit-exact model rather than observed wire traffic: operations
 whose in-process realization sends fewer bits than the modeled protocol
@@ -14,10 +17,9 @@ unchanged.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -26,7 +28,6 @@ import numpy as np
 from .ring import (
     MAX_K,
     FixedPointCodec,
-    RingValue,
     as_ring_array,
     from_signed,
     radd,
@@ -37,7 +38,7 @@ from .ring import (
     to_signed,
 )
 
-CLIENT_ID = 0xFF  # party-from byte used for client-originated frames
+CLIENT_ID = 0xFF  # sender id of client-originated messages
 
 
 class SecurityMode(Enum):
@@ -122,56 +123,14 @@ class CostMeter:
         return CostReport(self.client_to_node_bits, self.node_to_node_bits, self.reconstruction_bits)
 
 
-# --- transports ---
-
-OPCODES = {CLIENT_TO_NODE: 1, NODE_TO_NODE: 2, RECONSTRUCTION: 3}
-_OPCODE_NAMES = {v: c for c, v in OPCODES.items()}
-
-
-def pack_frame(category: str, src: int, dst: int, elements: np.ndarray, k: int) -> bytes:
-    """[u32 BE payload length][u8 opcode][u8 from][u8 to][payload].
-
-    Payload is the elements as k-bit little-endian integers; k must be
-    byte-aligned.  Metering counts payload bits only (len * k).
-    """
-    if k % 8 != 0:
-        raise ProtocolError(f"wire framing requires byte-aligned k, got k={k}")
-    if category not in OPCODES:
-        raise ProtocolError(f"unknown frame category {category!r}")
-    width = k // 8
-    elems = as_ring_array(elements, k).ravel()
-    payload = b"".join(int(v).to_bytes(width, "little") for v in elems)
-    return struct.pack(">IBBB", len(payload), OPCODES[category], src, dst) + payload
-
-
-def unpack_frame(buf: bytes, k: int):
-    """Inverse of pack_frame; returns (category, src, dst, elements, remainder)."""
-    if k % 8 != 0:
-        raise ProtocolError(f"wire framing requires byte-aligned k, got k={k}")
-    if len(buf) < 7:
-        raise ProtocolError("truncated frame header")
-    length, opcode, src, dst = struct.unpack(">IBBB", buf[:7])
-    if opcode not in _OPCODE_NAMES:
-        raise ProtocolError(f"unknown opcode {opcode}")
-    end = 7 + length
-    if len(buf) < end:
-        raise ProtocolError("truncated frame payload")
-    width = k // 8
-    if length % width != 0:
-        raise ProtocolError("payload length not a multiple of the element width")
-    payload = buf[7:end]
-    elems = np.array(
-        [int.from_bytes(payload[i : i + width], "little") for i in range(0, length, width)],
-        dtype=np.uint64,
-    )
-    return _OPCODE_NAMES[opcode], src, dst, elems, buf[end:]
+# --- transport ---
 
 
 class LockstepTransport:
     """In-process FIFO channels between (src, dst) pairs; meters on send."""
 
-    def __init__(self, meter: Optional[CostMeter] = None, k: int = MAX_K):
-        self.meter = meter if meter is not None else CostMeter()
+    def __init__(self, k: int = MAX_K):
+        self.meter = CostMeter()
         self.k = k
         self._queues: dict = {}
         self._mute_depth = 0
@@ -206,112 +165,7 @@ class LockstepTransport:
         return q.popleft()
 
 
-class SocketTransport(LockstepTransport):
-    """Same lockstep scheduling, but every message crosses a real OS socket
-    using the public frame format.  Useful to exercise the wire encoding."""
-
-    def __init__(self, meter: Optional[CostMeter] = None, k: int = MAX_K):
-        super().__init__(meter, k)
-        import socket
-
-        self._socket_mod = socket
-        self._pairs: dict = {}
-
-    def _pair(self, src: int, dst: int):
-        key = (src, dst)
-        if key not in self._pairs:
-            self._pairs[key] = self._socket_mod.socketpair()
-        return self._pairs[key]
-
-    def send(self, src: int, dst: int, elements: np.ndarray, category: str) -> None:
-        elems = np.atleast_1d(as_ring_array(elements, self.k))
-        self.charge(category, elems.size)
-        tx, _ = self._pair(src, dst)
-        tx.sendall(pack_frame(category, src, dst, elems, self.k))
-
-    def recv(self, src: int, dst: int) -> np.ndarray:
-        _, rx = self._pair(src, dst)
-        header = self._read_exact(rx, 7)
-        (length,) = struct.unpack(">I", header[:4])
-        frame = header + self._read_exact(rx, length)
-        _, fsrc, fdst, elems, rest = unpack_frame(frame, self.k)
-        if (fsrc, fdst) != (src, dst) or rest:
-            raise ProtocolError("frame routing mismatch")
-        return elems
-
-    def _read_exact(self, sock, n: int) -> bytes:
-        out = b""
-        while len(out) < n:
-            chunk = sock.recv(n - len(out))
-            if not chunk:
-                raise ProtocolError("socket closed mid-frame")
-            out += chunk
-        return out
-
-    def close(self) -> None:
-        for tx, rx in self._pairs.values():
-            tx.close()
-            rx.close()
-
-
 # --- shares ---
-
-
-@dataclass(frozen=True)
-class ReplicatedShare:
-    """Party i's view: the component pair (v_i, v_{i+1 mod 3})."""
-
-    party: int
-    pair: tuple
-    k: int = MAX_K
-
-    def __post_init__(self):
-        if self.party not in (0, 1, 2):
-            raise ProtocolError(f"party must be 0, 1, or 2, got {self.party}")
-
-
-def share(value, k: int = MAX_K, rng: Optional[np.random.Generator] = None):
-    """Split value into three replicated shares; v_0, v_1 uniform, v_2 the residual."""
-    if rng is None:
-        rng = np.random.default_rng()
-    if isinstance(value, RingValue):
-        if value.k != k:
-            raise ValueError(f"RingValue width {value.k} does not match k={k}")
-        value = value.value
-    v = np.atleast_1d(as_ring_array(value, k))
-    v0 = _uniform_ring(rng, v.shape, k)
-    v1 = _uniform_ring(rng, v.shape, k)
-    v2 = rsub(rsub(v, v0, k), v1, k)
-    comps = (v0, v1, v2)
-    return tuple(
-        ReplicatedShare(party=i, pair=(comps[i].copy(), comps[(i + 1) % 3].copy()), k=k)
-        for i in range(3)
-    )
-
-
-def reconstruct(shares: Sequence[ReplicatedShare]):
-    """Rebuild the secret from all three shares, checking replicated overlap."""
-    if len(shares) != 3:
-        raise IntegrityError(f"need exactly 3 shares, got {len(shares)}")
-    by_party = {s.party: s for s in shares}
-    if set(by_party) != {0, 1, 2}:
-        raise IntegrityError("shares must come from parties 0, 1, and 2")
-    k = shares[0].k
-    if any(s.k != k for s in shares):
-        raise IntegrityError("mixed ring widths across shares")
-    for i in range(3):
-        mine = np.atleast_1d(as_ring_array(by_party[i].pair[1], k))
-        theirs = np.atleast_1d(as_ring_array(by_party[(i + 1) % 3].pair[0], k))
-        if mine.shape != theirs.shape or not np.array_equal(mine, theirs):
-            raise IntegrityError(
-                f"component v_{(i + 1) % 3} differs between party {i} and party {(i + 1) % 3}"
-            )
-    total = as_ring_array(np.zeros(np.atleast_1d(np.asarray(by_party[0].pair[0])).shape, np.uint64), k)
-    for i in range(3):
-        total = radd(total, np.atleast_1d(as_ring_array(by_party[i].pair[0], k)), k)
-    if total.size == 1:
-        return RingValue(int(total[0]), k)
-    return total
 
 
 def _uniform_ring(rng, shape, k: int) -> np.ndarray:
@@ -320,11 +174,8 @@ def _uniform_ring(rng, shape, k: int) -> np.ndarray:
     return full & np.uint64(ring_mask(k)) if k < MAX_K else full
 
 
-# --- shared tensors bound to a session ---
-
-
 class SharedTensor:
-    """Vector of secrets under replicated sharing, tracked by canonical components."""
+    """Vector of secrets as its components (v_0, v_1, v_2); party i holds (v_i, v_{i+1 mod 3})."""
 
     __slots__ = ("components", "k")
 
@@ -345,27 +196,12 @@ class SharedTensor:
     def size(self) -> int:
         return self.components[0].size
 
-    def shares(self):
-        c = self.components
-        return tuple(
-            ReplicatedShare(party=i, pair=(c[i].copy(), c[(i + 1) % 3].copy()), k=self.k)
-            for i in range(3)
-        )
-
-    @classmethod
-    def from_shares(cls, shares: Sequence[ReplicatedShare], k: int) -> "SharedTensor":
-        secret = reconstruct(shares)  # validates overlap
-        by_party = {s.party: s for s in shares}
-        comps = [np.atleast_1d(as_ring_array(by_party[i].pair[0], k)) for i in range(3)]
-        del secret
-        return cls(comps, k)
-
 
 class Mpc3Session:
     """Lockstep three-party session: all secure ops, one meter, one seed.
 
-    fraction_bits and theta are defaults for the fixed-point ops; individual
-    calls may override the codec.
+    fraction_bits and theta fix the codec and the division refinement count
+    for every fixed-point op of the session.
     """
 
     def __init__(
@@ -375,7 +211,6 @@ class Mpc3Session:
         theta: int = 5,
         mode: SecurityMode = SecurityMode.PASSIVE,
         seed: int = 0,
-        transport: Optional[LockstepTransport] = None,
     ):
         if theta < 1:
             raise ValueError(f"theta must be >= 1, got {theta}")
@@ -384,9 +219,7 @@ class Mpc3Session:
         self.theta = theta
         self.mode = mode if isinstance(mode, SecurityMode) else SecurityMode(mode)
         self.rng = np.random.default_rng(seed)
-        self.transport = transport if transport is not None else LockstepTransport(k=k)
-        if self.transport.k != k:
-            raise ProtocolError("transport ring width differs from session ring width")
+        self.transport = LockstepTransport(k=k)
         self.transport.meter.multiplier = 2 if self.mode is SecurityMode.ACTIVE else 1
 
     @property
@@ -398,23 +231,18 @@ class Mpc3Session:
 
     # -- sharing / opening --
 
-    def share(self, values, rng: Optional[np.random.Generator] = None) -> SharedTensor:
-        """Client-side split; each node receives its component pair (6k bits/element)."""
-        v = np.atleast_1d(as_ring_array(values, self.k))
-        r = rng if rng is not None else self.rng
-        v0 = _uniform_ring(r, v.shape, self.k)
-        v1 = _uniform_ring(r, v.shape, self.k)
-        v2 = rsub(rsub(v, v0, self.k), v1, self.k)
-        comps = (v0, v1, v2)
+    def share(self, values) -> SharedTensor:
+        """Client-side split; party i receives the pair (v_i, v_{i+1}) (6k bits/element)."""
+        x = self._split(np.atleast_1d(as_ring_array(values, self.k)))
+        comps = x.components
         for i in range(3):
             pair = np.concatenate([comps[i], comps[(i + 1) % 3]])
             self.transport.send(CLIENT_ID, i, pair, CLIENT_TO_NODE)
             self.transport.recv(CLIENT_ID, i)
-        return SharedTensor(comps, self.k)
+        return x
 
-    def share_encoded(self, real_values, codec: Optional[FixedPointCodec] = None) -> SharedTensor:
-        codec = codec or self.codec
-        return self.share(codec.encode_array(np.asarray(real_values, dtype=np.float64)))
+    def share_encoded(self, real_values) -> SharedTensor:
+        return self.share(self.codec.encode_array(np.asarray(real_values, dtype=np.float64)))
 
     def share_public(self, values) -> SharedTensor:
         """Trivial sharing (v, 0, 0) of a publicly known value; no traffic."""
@@ -434,9 +262,8 @@ class Mpc3Session:
         total = radd(radd(c[0], c[1], self.k), c[2], self.k)
         return total
 
-    def open_decoded(self, x: SharedTensor, codec: Optional[FixedPointCodec] = None) -> np.ndarray:
-        codec = codec or self.codec
-        return codec.decode_array(self.open(x))
+    def open_decoded(self, x: SharedTensor) -> np.ndarray:
+        return self.codec.decode_array(self.open(x))
 
     # -- linear ops (local) --
 
@@ -496,44 +323,27 @@ class Mpc3Session:
             self.transport.recv((i + 1) % 3, i)
         return SharedTensor(tuple(z), self.k)
 
-    def truncate(
-        self,
-        x: SharedTensor,
-        codec: Optional[FixedPointCodec] = None,
-        shift: Optional[int] = None,
-        rounding: str = "floor",
-        _charge: bool = True,
-    ) -> SharedTensor:
+    def truncate(self, x: SharedTensor, rounding: str = "floor") -> SharedTensor:
         """Divide by 2^F with floor semantics, staying shared; meters 6k bits/element.
 
         Realized as an exact reshare of the arithmetic shift (deterministic,
         error-free at the integer level); the 6k charge is the protocol model
         cost of the interactive variant this stands in for.
         """
-        codec = codec or self.codec
-        f = codec.fraction_bits if shift is None else shift
+        f = self.codec.fraction_bits
         signed = to_signed(self._combine(x), self.k)
         if rounding == "nearest":
             signed = signed + (np.int64(1) << np.int64(f - 1)) if f > 0 else signed
         shifted = signed >> np.int64(f)
-        out = self._reshare_internal(from_signed(shifted, self.k))
-        if _charge:
-            self.transport.charge_model(NODE_TO_NODE, 6 * self.k * x.size)
+        out = self._split(from_signed(shifted, self.k))
+        self.transport.charge_model(NODE_TO_NODE, 6 * self.k * x.size)
         return out
 
-    def fixed_mul(
-        self, x: SharedTensor, y: SharedTensor, codec: Optional[FixedPointCodec] = None
-    ) -> SharedTensor:
+    def fixed_mul(self, x: SharedTensor, y: SharedTensor) -> SharedTensor:
         """Scale-preserving product: secure mul (3k) then truncation (6k)."""
-        return self.truncate(self.mul(x, y), codec)
+        return self.truncate(self.mul(x, y))
 
-    def divide(
-        self,
-        num: SharedTensor,
-        den: SharedTensor,
-        codec: Optional[FixedPointCodec] = None,
-        theta: Optional[int] = None,
-    ) -> SharedTensor:
+    def divide(self, num: SharedTensor, den: SharedTensor) -> SharedTensor:
         """Fixed-point quotient num/den via reciprocal refinement.
 
         The denominator's bit width is published as a power-of-two
@@ -543,13 +353,9 @@ class Mpc3Session:
         3k(k + 4*theta + 2) node-to-node bits per element, independent of the
         operands; internal message traffic is not metered separately.
         """
-        codec = codec or self.codec
-        theta = self.theta if theta is None else theta
-        if theta < 1:
-            raise ValueError(f"theta must be >= 1, got {theta}")
         self._same_ring(num, den)
+        codec, theta, k = self.codec, self.theta, self.k
         f = codec.fraction_bits
-        k = self.k
 
         den_signed = to_signed(self._combine(den), k)
         if np.any(den_signed <= 0):
@@ -566,10 +372,10 @@ class Mpc3Session:
             r = self.add_public(self.neg(self.mul_public(b0, 2)), init)
             two = codec.encode(2.0).value
             for _ in range(theta):
-                t = self.truncate(self.mul(b0, r), codec, rounding="nearest", _charge=False)
+                t = self.truncate(self.mul(b0, r), rounding="nearest")
                 u = self.add_public(self.neg(t), two)
-                r = self.truncate(self.mul(r, u), codec, rounding="nearest", _charge=False)
-            q = self.truncate(self.mul(n0, r), codec, rounding="nearest", _charge=False)
+                r = self.truncate(self.mul(r, u), rounding="nearest")
+            q = self.truncate(self.mul(n0, r), rounding="nearest")
 
         self.transport.charge_model(NODE_TO_NODE, 3 * k * (k + 4 * theta + 2) * num.size)
         return q
@@ -586,7 +392,8 @@ class Mpc3Session:
         c = x.components
         return radd(radd(c[0], c[1], self.k), c[2], self.k)
 
-    def _reshare_internal(self, values: np.ndarray) -> SharedTensor:
+    def _split(self, values: np.ndarray) -> SharedTensor:
+        """Fresh sharing from the session stream: v_0, v_1 uniform, v_2 the residual."""
         v0 = _uniform_ring(self.rng, values.shape, self.k)
         v1 = _uniform_ring(self.rng, values.shape, self.k)
         v2 = rsub(rsub(values, v0, self.k), v1, self.k)
@@ -606,7 +413,7 @@ class Mpc3Session:
             bias = np.where(down > 0, np.int64(1) << np.int64(np.maximum(down - 1, 0)), 0)
             s2 = s2 + bias * (down > 0)
         s2 = s2 >> down.astype(np.int64)
-        return self._reshare_internal(from_signed(s2, self.k))
+        return self._split(from_signed(s2, self.k))
 
 
 # --- straight-line programs and the plaintext oracle ---
@@ -677,17 +484,13 @@ def run_protocol(
     mode: SecurityMode = SecurityMode.PASSIVE,
     seed: int = 0,
     outputs: Optional[Sequence[str]] = None,
-    transport: Optional[LockstepTransport] = None,
 ):
     """Execute a straight-line program under the session; returns (decoded outputs, CostReport).
 
     Only inputs actually referenced are shared; outputs default to the last
     destination.  An empty program therefore costs nothing.
     """
-    session = Mpc3Session(
-        k=k, fraction_bits=fraction_bits, theta=theta, mode=mode, seed=seed, transport=transport
-    )
-    codec = session.codec
+    session = Mpc3Session(k=k, fraction_bits=fraction_bits, theta=theta, mode=mode, seed=seed)
     if not program:
         return {}, session.report()
     scales = _program_scales(program, inputs.keys())

@@ -44,7 +44,6 @@ class AggregationConfig:
     """Client count plus the numeric knobs of the (secure) weighted mean."""
 
     n: int = 16
-    weights: Optional[tuple] = None
     epsilon: float = 1e-6
     fraction_bits: int = 20
     k: int = 64
@@ -55,12 +54,6 @@ class AggregationConfig:
             raise ValueError(f"need at least one client, got n={self.n}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != (self.n,):
-                raise ValueError(f"need {self.n} weights, got shape {w.shape}")
-            _check_weights(w)
-            object.__setattr__(self, "weights", tuple(float(v) for v in w))
 
 
 def aggregate_plain(features, weights, epsilon: float = 1e-6) -> np.ndarray:
@@ -81,7 +74,8 @@ def aggregate_secure(features, weights, cfg: AggregationConfig, seed: int = 0):
     """Weighted mean under the 3-party protocol; returns (x_agg, CostReport).
 
     The domain checks run before any protocol message, so an all-zero
-    weight vector cannot leak a round of traffic.
+    weight vector cannot leak a round of traffic.  seed is anything
+    np.random.default_rng accepts; the session draws its share masks from it.
     """
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -523,15 +517,19 @@ def _owners(labels, n_clients: int) -> np.ndarray:
 
 
 def _per_sample_aggregate(feats, owners, weights, acfg: AggregationConfig,
-                          secure: bool, seed: int):
-    """One aggregation event per sample; returns (x_agg rows, total cost)."""
+                          secure: bool, seed: int, split: int):
+    """One aggregation event per sample; returns (x_agg rows, total cost).
+
+    Secure event s of a split draws its share masks from the stream
+    [seed, split, s], so no two events reuse a mask.
+    """
     out = np.empty_like(feats)
     total = CostReport()
     for s in range(feats.shape[0]):
         event = np.zeros((acfg.n, feats.shape[1]))
         event[owners[s]] = feats[s]
         if secure:
-            x, rep = aggregate_secure(event, weights, acfg, seed=seed)
+            x, rep = aggregate_secure(event, weights, acfg, seed=[seed, split, s])
             total = total + rep
         else:
             x = aggregate_plain(event, weights, acfg.epsilon)
@@ -563,9 +561,9 @@ def run_demo(cfg: DemoConfig, data: Optional[LabeledBatch] = None,
     acfg = AggregationConfig(n=cfg.n_clients, epsilon=cfg.epsilon,
                              fraction_bits=cfg.fraction_bits, k=cfg.k, theta=cfg.theta)
     x_train, cost_tr = _per_sample_aggregate(
-        feats_train, _owners(train.labels, cfg.n_clients), weights, acfg, cfg.secure, cfg.seed)
+        feats_train, _owners(train.labels, cfg.n_clients), weights, acfg, cfg.secure, cfg.seed, 0)
     x_test, cost_te = _per_sample_aggregate(
-        feats_test, _owners(test.labels, cfg.n_clients), weights, acfg, cfg.secure, cfg.seed)
+        feats_test, _owners(test.labels, cfg.n_clients), weights, acfg, cfg.secure, cfg.seed, 1)
     cost = cost_tr + cost_te
 
     if gate is not None:

@@ -243,21 +243,28 @@ def encode_angles(x_agg, params: QepParams):
     return e, theta
 
 
-def _readout(theta, terms, noise: NoiseSpec):
-    if noise.is_noiseless:
-        state = run_circuit(theta)
-        return np.array([expectation(state, t) for t in terms])
-    return run_noisy(theta, noise).expectations(terms)
+def _quantum_branch(params: QepParams, noise: NoiseSpec | None):
+    """Check the noise model once; return the map latent -> (e, q_raw)."""
+    noise = NOISELESS if noise is None else noise
+    if not noise.is_noiseless and params.n_q > 10:
+        raise ValueError("noisy evaluation is limited to 10 qubits")
+    terms = observable_set(params.n_q, params.mode)
+
+    def branch(x):
+        e, theta = encode_angles(x, params)
+        if noise.is_noiseless:
+            state = run_circuit(theta)
+            q_raw = np.array([expectation(state, t) for t in terms])
+        else:
+            q_raw = run_noisy(theta, noise).expectations(terms)
+        return e, _ensure_finite(q_raw, "readout")
+
+    return branch
 
 
 def quantum_features(x_agg, params: QepParams, noise: NoiseSpec | None = None) -> np.ndarray:
     """The raw observable vector q_raw in [-1, 1]^{d_q} for one latent."""
-    noise = NOISELESS if noise is None else noise
-    if not noise.is_noiseless and params.n_q > 10:
-        raise ValueError("noisy evaluation is limited to 10 qubits")
-    _, theta = encode_angles(x_agg, params)
-    terms = observable_set(params.n_q, params.mode)
-    return _ensure_finite(_readout(theta, terms, noise), "readout")
+    return _quantum_branch(params, noise)(x_agg)[1]
 
 
 def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
@@ -266,9 +273,7 @@ def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
     Noiseless specs run on the statevector simulator; any other NoiseSpec
     switches to density-matrix evolution (n_q <= 10).
     """
-    noise = NOISELESS if noise is None else noise
-    if not noise.is_noiseless and params.n_q > 10:
-        raise ValueError("noisy evaluation is limited to 10 qubits")
+    branch = _quantum_branch(params, noise)
     xs = np.asarray(x_agg, dtype=np.float64)
     single = xs.ndim == 1
     xs = np.atleast_2d(xs)
@@ -276,14 +281,12 @@ def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
         raise ValueError(f"expected (m, {params.d}) latents, got {np.asarray(x_agg).shape}")
     _ensure_finite(xs, "input")
 
-    terms = observable_set(params.n_q, params.mode)
     outs = np.empty_like(xs)
     alphas = np.empty(xs.shape[0])
     qs = np.empty((xs.shape[0], params.d))
     for i in range(xs.shape[0]):
         x = xs[i]
-        e, theta = encode_angles(x, params)
-        q_raw = _ensure_finite(_readout(theta, terms, noise), "readout")
+        e, q_raw = branch(x)
         hidden = np.maximum(_layer_norm(params.dec_w1 @ q_raw + params.dec_b1), 0.0)
         q_dec = _ensure_finite(params.dec_w2 @ hidden + params.dec_b2, "decoder")
         q_bp = _ensure_finite(params.bp_w @ e + params.bp_b, "bypass")

@@ -15,7 +15,7 @@ Conventions:
     level, parent = Q^dagger [left; right], each parent normalized.
   * MERA applies one shared unitary per level to even pairs then odd
     pairs (no wrap-around) before the merge; identity disentanglers make
-    it coincide with the TTN exactly.
+    it coincide with the TTN exactly, so tree_encode serves both kinds.
   * realify(psi) = [Re(psi); Im(psi)], then a fixed seeded projection.
 """
 
@@ -38,8 +38,7 @@ __all__ = [
     "unpatchify",
     "realify",
     "mps_encode",
-    "ttn_encode",
-    "mera_encode",
+    "tree_encode",
     "encode",
     "encode_batch",
     "mps_state",
@@ -355,23 +354,14 @@ def tree_levels(x, params: TreeParams) -> list:
     return levels
 
 
-def _tree_root(x, params: TreeParams) -> np.ndarray:
-    return tree_levels(x, params)[-1][0]
+def tree_encode(x, params: TreeParams) -> np.ndarray:
+    """TTN or MERA latent: the projected, realified root of tree_levels."""
+    if params.config.kind not in ("ttn", "mera"):
+        raise ValueError("params are not a tree (ttn or mera) frontend")
+    return params.proj @ realify(tree_levels(x, params)[-1][0])
 
 
-def ttn_encode(x, params: TreeParams) -> np.ndarray:
-    if params.config.kind != "ttn":
-        raise ValueError("params are not a ttn frontend")
-    return params.proj @ realify(_tree_root(x, params))
-
-
-def mera_encode(x, params: TreeParams) -> np.ndarray:
-    if params.config.kind != "mera":
-        raise ValueError("params are not a mera frontend")
-    return params.proj @ realify(_tree_root(x, params))
-
-
-_ENCODERS = {"mps": mps_encode, "ttn": ttn_encode, "mera": mera_encode}
+_ENCODERS = {"mps": mps_encode, "ttn": tree_encode, "mera": tree_encode}
 
 
 def encode(x, params) -> np.ndarray:

@@ -74,16 +74,16 @@ def _passfail(name: str, ok: bool, detail: str):
 
 
 def check_ring():
-    from .mpc import FixedPointCodec, reconstruct, share
+    from .mpc import FixedPointCodec, Mpc3Session
 
     checks = []
     rng = np.random.default_rng(0xA11CE)
+    session = Mpc3Session(k=64)
+    session.rng = rng  # masks come from the check's own stream
     ok = True
     for _ in range(20):
         v = rng.integers(0, 1 << 63, size=int(rng.integers(1, 9)), dtype=np.uint64)
-        back = reconstruct(share(v, rng=rng))
-        back = np.atleast_1d(getattr(back, "value", back)).astype(np.uint64)
-        if not np.array_equal(back, v):
+        if not np.array_equal(session.open(session.share(v)), v):
             ok = False
     checks.append(_passfail("share_reconstruct_roundtrip", ok, "20 random uint64 tensors"))
 
@@ -160,8 +160,7 @@ def check_bench():
 def check_tn(params_path=None):
     import dataclasses
 
-    from .tn import (FrontendConfig, isometry_check, load_params, make_frontend,
-                     mera_encode, ttn_encode)
+    from .tn import FrontendConfig, encode, isometry_check, load_params, make_frontend
 
     checks = []
     for kind in ("mps", "ttn", "mera"):
@@ -178,7 +177,7 @@ def check_tn(params_path=None):
     worst = 0.0
     for _ in range(10):
         x = rng.uniform(0.0, 1.0, size=784)
-        worst = max(worst, float(np.abs(mera_encode(x, mera_id) - ttn_encode(x, ttn_params)).max()))
+        worst = max(worst, float(np.abs(encode(x, mera_id) - encode(x, ttn_params)).max()))
     checks.append(_passfail("identity_disentanglers_match_ttn", worst <= 1e-12,
                             f"max deviation {worst:.3e}"))
 

@@ -251,7 +251,10 @@ def test_criterion_09_end_to_end_desk_scale():
     assert report.metrics.accuracy >= 0.90
     assert elapsed < 60.0
     secure = run_demo(dataclasses.replace(cfg, secure=True))
-    assert abs(secure.metrics.accuracy - report.metrics.accuracy) <= 0.01
+    # compare counts of correct samples (tn + tp): in floats 0.97 - 0.96 > 0.01
+    correct_plain = report.metrics.confusion[0] + report.metrics.confusion[3]
+    correct_secure = secure.metrics.confusion[0] + secure.metrics.confusion[3]
+    assert abs(correct_secure - correct_plain) <= 0.01 * report.metrics.n
     assert secure.cost.total_bits > 0
     print(f"criterion 9: PASS (accuracy {report.metrics.accuracy:.3f} in {elapsed:.1f}s, "
           f"secure delta {abs(secure.metrics.accuracy - report.metrics.accuracy):.4f})")

@@ -1,29 +1,20 @@
 """Replicated-sharing protocol checks: correctness vs a plain-integer oracle,
-bit-exact metering, determinism, share-distribution sanity, wire framing."""
+bit-exact metering, determinism, share-distribution sanity."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from tnmpcqep.mpc import (
-    CLIENT_ID,
     CostMeter,
     CostReport,
     DomainError,
     Instr,
-    IntegrityError,
-    LockstepTransport,
     Mpc3Session,
     ProtocolError,
-    ReplicatedShare,
     SecurityMode,
-    SocketTransport,
     eval_plaintext,
-    pack_frame,
-    reconstruct,
     run_protocol,
-    share,
-    unpack_frame,
 )
 from tnmpcqep.ring import FixedPointCodec, RingValue
 
@@ -39,47 +30,46 @@ class _ForcedRng:
         return np.full(size if size else 1, v, dtype=np.uint64)
 
 
-# --- share / reconstruct ---
+# --- share / open ---
 
 
 def test_share_forced_randomness_example():
-    shares = share(7, k=64, rng=_ForcedRng([3, 5]))
-    pairs = [tuple(int(x[0]) for x in s.pair) for s in shares]
+    s = Mpc3Session(k=64)
+    s.rng = _ForcedRng([3, 5])
+    received = {}
+    recv = s.transport.recv
+
+    def spy(src, dst):
+        elems = recv(src, dst)
+        received[dst] = tuple(int(v) for v in elems)
+        return elems
+
+    s.transport.recv = spy
+    x = s.share(7)
     v2 = (7 - 3 - 5) % 2**64
     assert v2 == 2**64 - 1
-    assert pairs == [(3, 5), (5, v2), (v2, 3)]
-    assert reconstruct(shares).value == 7
+    assert [int(c[0]) for c in x.components] == [3, 5, v2]
+    # party i receives the pair (v_i, v_{i+1 mod 3})
+    assert received == {0: (3, 5), 1: (5, v2), 2: (v2, 3)}
+    assert int(s.open(x)[0]) == 7
 
 
 def test_share_reconstruct_roundtrip_random():
     rng = np.random.default_rng(2)
     for k in (32, 64):
+        s = Mpc3Session(k=k)
+        s.rng = rng
         for _ in range(50):
             v = int(rng.integers(0, 1 << k, dtype=np.uint64))
-            assert reconstruct(share(v, k=k, rng=rng)).value == v
+            assert int(s.open(s.share(v))[0]) == v
 
 
 def test_share_vector_roundtrip():
     rng = np.random.default_rng(3)
     v = rng.integers(0, 2**63, size=17, dtype=np.int64).view(np.uint64)
-    out = reconstruct(share(v, k=64, rng=rng))
-    assert np.array_equal(out, v)
-
-
-def test_reconstruct_detects_tampering():
-    shares = list(share(1234, rng=np.random.default_rng(0)))
-    bad = shares[1]
-    tampered = ReplicatedShare(party=1, pair=(bad.pair[0] + np.uint64(1), bad.pair[1]), k=bad.k)
-    with pytest.raises(IntegrityError):
-        reconstruct([shares[0], tampered, shares[2]])
-
-
-def test_reconstruct_requires_three_distinct_parties():
-    shares = share(5, rng=np.random.default_rng(0))
-    with pytest.raises(IntegrityError):
-        reconstruct(shares[:2])
-    with pytest.raises(IntegrityError):
-        reconstruct([shares[0], shares[0], shares[2]])
+    s = Mpc3Session(k=64)
+    s.rng = rng
+    assert np.array_equal(s.open(s.share(v)), v)
 
 
 def test_share_components_look_uniform_regardless_of_secret():
@@ -87,12 +77,11 @@ def test_share_components_look_uniform_regardless_of_secret():
     n, bins = 6000, 16
     tables = []
     for secret, seed in ((0, 101), (42, 202)):
-        rng = np.random.default_rng(seed)
-        session = Mpc3Session(seed=seed + 1)
+        session = Mpc3Session(seed=seed)
         vals = []
         for _ in range(n):
-            sh = share(secret, rng=rng)
-            vals.append(int(sh[2].pair[0][0]) >> 60)  # party 2 sees the residual v_2
+            sh = session.share(secret)
+            vals.append(int(sh.components[2][0]) >> 60)  # party 2 sees the residual v_2
         tables.append(np.bincount(vals, minlength=bins))
     chi2, p, _, _ = stats.chi2_contingency(np.array(tables))
     assert p > 0.01
@@ -383,46 +372,3 @@ def test_meter_reset_and_categories():
 def test_session_rejects_bad_theta():
     with pytest.raises(ValueError):
         Mpc3Session(theta=0)
-
-
-# --- wire format ---
-
-
-def test_frame_roundtrip():
-    elems = np.array([1, 2**64 - 1, 12345], dtype=np.uint64)
-    buf = pack_frame("node_to_node", 1, 0, elems, 64)
-    cat, src, dst, out, rest = unpack_frame(buf, 64)
-    assert (cat, src, dst) == ("node_to_node", 1, 0)
-    assert np.array_equal(out, elems)
-    assert rest == b""
-    # header is 7 bytes; payload counts only element bytes
-    assert len(buf) == 7 + 3 * 8
-
-
-def test_frame_errors():
-    elems = np.array([1], dtype=np.uint64)
-    with pytest.raises(ProtocolError):
-        pack_frame("node_to_node", 0, 1, elems, 30)  # not byte-aligned
-    buf = pack_frame("client_to_node", CLIENT_ID, 2, elems, 64)
-    with pytest.raises(ProtocolError):
-        unpack_frame(buf[:10], 64)  # truncated payload
-    with pytest.raises(ProtocolError):
-        unpack_frame(b"\x00\x00\x00\x00\x09\x00\x00", 64)  # unknown opcode
-
-
-def test_socket_transport_matches_lockstep():
-    def run(transport_cls):
-        transport = transport_cls(k=64)
-        s = Mpc3Session(k=64, seed=21, transport=transport)
-        x = s.share_encoded(2.5)
-        y = s.share_encoded(-1.5)
-        z = s.open(s.fixed_mul(x, y))
-        rep = s.report()
-        if hasattr(transport, "close"):
-            transport.close()
-        return int(z[0]), rep
-
-    lock_val, lock_rep = run(LockstepTransport)
-    sock_val, sock_rep = run(SocketTransport)
-    assert lock_val == sock_val
-    assert lock_rep == sock_rep

@@ -19,7 +19,6 @@ from tnmpcqep.tn import (
     isometry_check,
     load_params,
     make_frontend,
-    mera_encode,
     mps_encode,
     mps_site_vectors,
     mps_state,
@@ -27,8 +26,8 @@ from tnmpcqep.tn import (
     qr_isometry,
     realify,
     save_params,
+    tree_encode,
     tree_levels,
-    ttn_encode,
     unpatchify,
 )
 
@@ -229,17 +228,17 @@ def test_ttn_order_sensitivity():
     params = make_frontend(FrontendConfig(kind="ttn", seed=13))
     rng = np.random.default_rng(50)
     img = rng.uniform(0.0, 1.0, size=(28, 28))
-    base = ttn_encode(img.reshape(-1), params)
+    base = tree_encode(img.reshape(-1), params)
 
     patches = patchify(img)
     siblings = patches.copy()
     siblings[[0, 1]] = siblings[[1, 0]]
-    out_sib = ttn_encode(unpatchify(siblings).reshape(-1), params)
+    out_sib = tree_encode(unpatchify(siblings).reshape(-1), params)
     assert np.abs(out_sib - base).max() > 1e-6
 
     crossed = patches.copy()  # 0 and 5 sit in different level-2 subtrees
     crossed[[0, 5]] = crossed[[5, 0]]
-    out_cross = ttn_encode(unpatchify(crossed).reshape(-1), params)
+    out_cross = tree_encode(unpatchify(crossed).reshape(-1), params)
     assert np.abs(out_cross - base).max() > 1e-6
 
 
@@ -260,7 +259,7 @@ def test_mera_identity_disentanglers_match_ttn():
     rng = np.random.default_rng(51)
     for _ in range(100):
         x = rng.uniform(0.0, 1.0, size=784)
-        diff = np.abs(mera_encode(x, mera_id) - ttn_encode(x, ttn_params)).max()
+        diff = np.abs(tree_encode(x, mera_id) - tree_encode(x, ttn_params)).max()
         assert diff <= 1e-12
 
 
@@ -291,7 +290,7 @@ def test_mera_differs_from_ttn_with_real_disentanglers():
     mera_params = make_frontend(FrontendConfig(kind="mera", seed=seed))
     rng = np.random.default_rng(53)
     x = rng.uniform(0.0, 1.0, size=784)
-    assert np.abs(mera_encode(x, mera_params) - ttn_encode(x, ttn_params)).max() > 1e-6
+    assert np.abs(tree_encode(x, mera_params) - tree_encode(x, ttn_params)).max() > 1e-6
 
 
 # ------------------------------------------------------------------ dispatch
@@ -312,9 +311,7 @@ def test_encode_kind_mismatch_raises():
     ttn_params = make_frontend(FrontendConfig(kind="ttn", seed=19))
     x = np.zeros(784)
     with pytest.raises(ValueError):
-        ttn_encode(x, mps_params)
-    with pytest.raises(ValueError):
-        mera_encode(x, ttn_params)
+        tree_encode(x, mps_params)
     with pytest.raises(ValueError):
         mps_encode(x, ttn_params)
 
