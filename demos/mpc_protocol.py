@@ -15,7 +15,7 @@ def main():
     print(f"3.25 * -1.5 opened from shares: {s.open_decoded(z)[0]:+.6f}")
     q = s.divide(s.share_encoded(7.0), s.share_encoded(4.0))
     print(f"7 / 4 via Goldschmidt         : {s.open_decoded(q)[0]:+.6f}")
-    m = s.meter
+    m = s.report()
     print(f"meter so far: client->node {m.client_to_node_bits} bits, "
           f"node<->node {m.node_to_node_bits}, reconstruction {m.reconstruction_bits}")
 

@@ -5,4 +5,4 @@ tying them together."""
 __version__ = "0.1.0"
 
 from . import bench, mpc, pipeline, qep, qsim, tn, verify  # noqa: F401
-from .ring import FixedPointCodec, RingValue, ring_add, ring_mul  # noqa: F401
+from .ring import FixedPointCodec  # noqa: F401

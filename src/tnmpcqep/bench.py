@@ -67,7 +67,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Grid point for the cost model; fraction_bits only matters to executions."""
+    """Grid point for the cost model; fraction_bits and epsilon only matter to executions."""
 
     n: int = 16
     d: int = 64
@@ -92,6 +92,8 @@ class BenchConfig:
             )
         if not 0 < self.fraction_bits < self.k:
             raise ValueError("fraction_bits must satisfy 0 < F < k")
+        if not self.epsilon > 0.0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
 def division_cost_bits(cfg: BenchConfig) -> int:
@@ -128,7 +130,7 @@ def run_scenario(cfg: BenchConfig, scenario: int) -> CostReport:
 
 
 def _broadcast(sh: SharedTensor, size: int, k: int) -> SharedTensor:
-    return SharedTensor(tuple(np.broadcast_to(c, (size,)).copy() for c in sh.components), k)
+    return SharedTensor(np.broadcast_to(sh.components, (3, size)), k)
 
 
 def execute_scenario(
@@ -189,9 +191,9 @@ def execute_scenario(
         w_open = codec.decode_array(session.open(w_total))
         return np.concatenate([wf_open, w_open]), session.report()
 
-    den = session.add_public(w_total, codec.encode(cfg.epsilon).value)
+    den = session.add_public(w_total, codec.encode_array(cfg.epsilon))
     if cfg.division_strategy == RECIPROCAL_ONCE:
-        one = session.share_public(np.array([codec.encode(1.0).value], dtype=np.uint64))
+        one = session.share_public(codec.encode_array([1.0]))
         recip = session.divide(one, den)
         x_sh = session.fixed_mul(wf, _broadcast(recip, d, cfg.k))
     else:

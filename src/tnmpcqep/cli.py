@@ -147,14 +147,13 @@ def _cmd_qubit_sweep(args, parser) -> int:
         parser.error("noisy sweeps are capped at 10 qubits")
     master = _master_seed(args)
     base = pipeline.DemoConfig(kind=args.frontend, n_train=args.n_train,
-                               n_test=args.n_test, seed=master)
+                               n_test=args.n_test, seed=master, noise=noise)
     header = ["mode", "n_q", "d_q", "seed", "accuracy", "f1", "alpha_mean", "q_std"]
     rows = []
     for i in range(args.seeds):
         seed = master + i  # per-point seeds derive from the master by index
         batch = pipeline.synth_data(args.n_train + args.n_test, seed=seed)
-        records = qep.qubit_sweep(batch, args.nq, noise=noise, seed=seed,
-                                  config=replace(base, seed=seed))
+        records = qep.qubit_sweep(batch, args.nq, config=replace(base, seed=seed))
         for rec in records:
             rows.append({"mode": "quantum", "n_q": rec["n_q"], "d_q": rec["d_q"],
                          "seed": rec["seed"], "accuracy": rec["accuracy"], "f1": rec["f1"],

@@ -2,17 +2,17 @@
 
 A secret v is split as v = v_0 + v_1 + v_2 (mod 2^k) with v_0, v_1 uniform
 from the session's seeded stream; party i holds the pair (v_i, v_{i+1 mod 3}).
-A SharedTensor keeps the three components of a vector of secrets, and an
-Mpc3Session runs all three logical parties in lockstep inside one process.
+A SharedTensor keeps the three components of a tensor of secrets as one
+(3, *shape) uint64 array, so every local op is one ring op over that array.
+An Mpc3Session runs all three logical parties in lockstep inside one process.
 Every message goes through the session's LockstepTransport, an in-process
-FIFO per (sender, receiver) channel, which is the only place the cost meter
-is mutated.
+FIFO per (sender, receiver) channel, whose CostReport is the only cost
+counter and changes only through LockstepTransport.charge.
 
 Costs follow a bit-exact model rather than observed wire traffic: operations
 whose in-process realization sends fewer bits than the modeled protocol
-(truncation, division) charge the meter their model cost explicitly.  Active
-security is a cost model only: every charge is doubled, the dataflow is
-unchanged.
+(truncation, division) charge their model cost explicitly.  Active security
+is a cost model only: every charge is doubled, the dataflow is unchanged.
 """
 
 from __future__ import annotations
@@ -94,43 +94,18 @@ RECONSTRUCTION = "reconstruction"
 _CATEGORIES = (CLIENT_TO_NODE, NODE_TO_NODE, RECONSTRUCTION)
 
 
-@dataclass
-class CostMeter:
-    """Mutable bit counters; ``multiplier`` models active security (x2)."""
-
-    client_to_node_bits: int = 0
-    node_to_node_bits: int = 0
-    reconstruction_bits: int = 0
-    multiplier: int = 1
-
-    def charge(self, category: str, bits: int) -> None:
-        if category not in _CATEGORIES:
-            raise ProtocolError(f"unknown meter category {category!r}")
-        if bits < 0:
-            raise ProtocolError("cannot charge negative bits")
-        setattr(self, category + "_bits", getattr(self, category + "_bits") + bits * self.multiplier)
-
-    def reset(self) -> None:
-        self.client_to_node_bits = 0
-        self.node_to_node_bits = 0
-        self.reconstruction_bits = 0
-
-    @property
-    def total_bits(self) -> int:
-        return self.client_to_node_bits + self.node_to_node_bits + self.reconstruction_bits
-
-    def report(self) -> CostReport:
-        return CostReport(self.client_to_node_bits, self.node_to_node_bits, self.reconstruction_bits)
-
-
 # --- transport ---
 
 
 class LockstepTransport:
-    """In-process FIFO channels between (src, dst) pairs; meters on send."""
+    """In-process FIFO channels between (src, dst) pairs; meters on send.
 
-    def __init__(self, k: int = MAX_K):
-        self.meter = CostMeter()
+    cost accumulates every charge; multiplier models active security (x2).
+    """
+
+    def __init__(self, k: int = MAX_K, multiplier: int = 1):
+        self.cost = CostReport()
+        self.multiplier = multiplier
         self.k = k
         self._queues: dict = {}
         self._mute_depth = 0
@@ -144,18 +119,18 @@ class LockstepTransport:
         finally:
             self._mute_depth -= 1
 
-    def charge(self, category: str, n_elements: int) -> None:
+    def charge(self, category: str, bits: int) -> None:
+        """Add bits (times the multiplier) to one link's counter unless muted."""
+        if category not in _CATEGORIES:
+            raise ProtocolError(f"unknown meter category {category!r}")
+        if bits < 0:
+            raise ProtocolError("cannot charge negative bits")
         if self._mute_depth == 0:
-            self.meter.charge(category, n_elements * self.k)
-
-    def charge_model(self, category: str, bits: int) -> None:
-        """Charge a modeled cost that exceeds (or replaces) observed traffic."""
-        if self._mute_depth == 0:
-            self.meter.charge(category, bits)
+            self.cost += CostReport(**{category + "_bits": bits * self.multiplier})
 
     def send(self, src: int, dst: int, elements: np.ndarray, category: str) -> None:
         elems = np.atleast_1d(as_ring_array(elements, self.k))
-        self.charge(category, elems.size)
+        self.charge(category, elems.size * self.k)
         self._queues.setdefault((src, dst), deque()).append(elems)
 
     def recv(self, src: int, dst: int) -> np.ndarray:
@@ -175,22 +150,20 @@ def _uniform_ring(rng, shape, k: int) -> np.ndarray:
 
 
 class SharedTensor:
-    """Vector of secrets as its components (v_0, v_1, v_2); party i holds (v_i, v_{i+1 mod 3})."""
+    """Tensor of secrets as one (3, *shape) array of components v_0, v_1, v_2;
+    party i holds rows i and i+1 mod 3."""
 
     __slots__ = ("components", "k")
 
     def __init__(self, components, k: int):
-        self.components = tuple(np.atleast_1d(as_ring_array(c, k)) for c in components)
-        if len(self.components) != 3:
-            raise ProtocolError("a SharedTensor needs exactly 3 components")
-        shapes = {c.shape for c in self.components}
-        if len(shapes) != 1:
-            raise ProtocolError("component shapes disagree")
+        self.components = as_ring_array(components, k)
+        if self.components.ndim < 2 or self.components.shape[0] != 3:
+            raise ProtocolError("a SharedTensor needs a (3, *shape) component array")
         self.k = k
 
     @property
     def shape(self):
-        return self.components[0].shape
+        return self.components.shape[1:]
 
     @property
     def size(self) -> int:
@@ -198,7 +171,7 @@ class SharedTensor:
 
 
 class Mpc3Session:
-    """Lockstep three-party session: all secure ops, one meter, one seed.
+    """Lockstep three-party session: all secure ops, one cost counter, one seed.
 
     fraction_bits and theta fix the codec and the division refinement count
     for every fixed-point op of the session.
@@ -219,15 +192,11 @@ class Mpc3Session:
         self.theta = theta
         self.mode = mode if isinstance(mode, SecurityMode) else SecurityMode(mode)
         self.rng = np.random.default_rng(seed)
-        self.transport = LockstepTransport(k=k)
-        self.transport.meter.multiplier = 2 if self.mode is SecurityMode.ACTIVE else 1
-
-    @property
-    def meter(self) -> CostMeter:
-        return self.transport.meter
+        active = self.mode is SecurityMode.ACTIVE
+        self.transport = LockstepTransport(k=k, multiplier=2 if active else 1)
 
     def report(self) -> CostReport:
-        return self.meter.report()
+        return self.transport.cost
 
     # -- sharing / opening --
 
@@ -247,8 +216,9 @@ class Mpc3Session:
     def share_public(self, values) -> SharedTensor:
         """Trivial sharing (v, 0, 0) of a publicly known value; no traffic."""
         v = np.atleast_1d(as_ring_array(values, self.k))
-        zero = np.zeros_like(v)
-        return SharedTensor((v, zero.copy(), zero.copy()), self.k)
+        comps = np.zeros((3,) + v.shape, dtype=np.uint64)
+        comps[0] = v
+        return SharedTensor(comps, self.k)
 
     def open(self, x: SharedTensor) -> np.ndarray:
         """Reveal to all parties: each party forwards one missing component (3k bits/element)."""
@@ -259,8 +229,7 @@ class Mpc3Session:
         for i in range(3):
             if not np.array_equal(received[i], c[(i + 2) % 3]):
                 raise IntegrityError("opened component mismatch")
-        total = radd(radd(c[0], c[1], self.k), c[2], self.k)
-        return total
+        return self._combine(x)
 
     def open_decoded(self, x: SharedTensor) -> np.ndarray:
         return self.codec.decode_array(self.open(x))
@@ -269,37 +238,29 @@ class Mpc3Session:
 
     def add(self, x: SharedTensor, y: SharedTensor) -> SharedTensor:
         self._same_ring(x, y)
-        return SharedTensor(
-            tuple(radd(a, b, self.k) for a, b in zip(x.components, y.components)), self.k
-        )
+        return SharedTensor(radd(x.components, y.components, self.k), self.k)
 
     def sub(self, x: SharedTensor, y: SharedTensor) -> SharedTensor:
         self._same_ring(x, y)
-        return SharedTensor(
-            tuple(rsub(a, b, self.k) for a, b in zip(x.components, y.components)), self.k
-        )
+        return SharedTensor(rsub(x.components, y.components, self.k), self.k)
 
     def neg(self, x: SharedTensor) -> SharedTensor:
-        return SharedTensor(tuple(rneg(c, self.k) for c in x.components), self.k)
+        return SharedTensor(rneg(x.components, self.k), self.k)
 
     def add_public(self, x: SharedTensor, const) -> SharedTensor:
-        c = np.broadcast_to(np.atleast_1d(as_ring_array(const, self.k)), x.shape)
-        comps = (radd(x.components[0], c, self.k), x.components[1].copy(), x.components[2].copy())
+        comps = x.components.copy()
+        comps[0] = radd(comps[0], as_ring_array(const, self.k), self.k)
         return SharedTensor(comps, self.k)
 
     def mul_public(self, x: SharedTensor, const) -> SharedTensor:
         c = np.broadcast_to(np.atleast_1d(as_ring_array(const, self.k)), x.shape)
-        return SharedTensor(tuple(rmul(comp, c, self.k) for comp in x.components), self.k)
+        return SharedTensor(rmul(x.components, c, self.k), self.k)
 
     def sum(self, x: SharedTensor) -> SharedTensor:
         """Sum all elements into a length-1 shared tensor (local)."""
-        comps = []
-        for comp in x.components:
-            acc = np.uint64(0)
-            with np.errstate(over="ignore"):
-                acc = np.add.reduce(comp, dtype=np.uint64)
-            comps.append(np.atleast_1d(acc))
-        return SharedTensor(tuple(as_ring_array(c, self.k) for c in comps), self.k)
+        with np.errstate(over="ignore"):
+            total = np.add.reduce(x.components.reshape(3, -1), axis=1, dtype=np.uint64)
+        return SharedTensor(total[:, None], self.k)
 
     # -- interactive ops --
 
@@ -308,20 +269,13 @@ class Mpc3Session:
         sends z_i to party i-1 (3k bits/element)."""
         self._same_ring(x, y)
         xc, yc = x.components, y.components
-        z = []
-        for i in range(3):
-            j = (i + 1) % 3
-            t = radd(
-                radd(rmul(xc[i], yc[i], self.k), rmul(xc[j], yc[i], self.k), self.k),
-                rmul(xc[i], yc[j], self.k),
-                self.k,
-            )
-            z.append(t)
+        x_next, y_next = np.roll(xc, -1, axis=0), np.roll(yc, -1, axis=0)
+        z = radd(rmul(xc, radd(yc, y_next, self.k), self.k), rmul(x_next, yc, self.k), self.k)
         for i in range(3):
             self.transport.send(i, (i - 1) % 3, z[i], NODE_TO_NODE)
         for i in range(3):
             self.transport.recv((i + 1) % 3, i)
-        return SharedTensor(tuple(z), self.k)
+        return SharedTensor(z, self.k)
 
     def truncate(self, x: SharedTensor, rounding: str = "floor") -> SharedTensor:
         """Divide by 2^F with floor semantics, staying shared; meters 6k bits/element.
@@ -336,7 +290,7 @@ class Mpc3Session:
             signed = signed + (np.int64(1) << np.int64(f - 1)) if f > 0 else signed
         shifted = signed >> np.int64(f)
         out = self._split(from_signed(shifted, self.k))
-        self.transport.charge_model(NODE_TO_NODE, 6 * self.k * x.size)
+        self.transport.charge(NODE_TO_NODE, 6 * self.k * x.size)
         return out
 
     def fixed_mul(self, x: SharedTensor, y: SharedTensor) -> SharedTensor:
@@ -368,16 +322,16 @@ class Mpc3Session:
             n0 = self._scale_pow2(num, f - widths, rounding="nearest")
 
             # linear initial estimate of 1/b0 on [0.5, 1): r = 2.9142 - 2 b0
-            init = codec.encode(2.9142).value
+            init = codec.encode_array(2.9142)
             r = self.add_public(self.neg(self.mul_public(b0, 2)), init)
-            two = codec.encode(2.0).value
+            two = codec.encode_array(2.0)
             for _ in range(theta):
                 t = self.truncate(self.mul(b0, r), rounding="nearest")
                 u = self.add_public(self.neg(t), two)
                 r = self.truncate(self.mul(r, u), rounding="nearest")
             q = self.truncate(self.mul(n0, r), rounding="nearest")
 
-        self.transport.charge_model(NODE_TO_NODE, 3 * k * (k + 4 * theta + 2) * num.size)
+        self.transport.charge(NODE_TO_NODE, 3 * k * (k + 4 * theta + 2) * num.size)
         return q
 
     # -- internals --
@@ -397,7 +351,7 @@ class Mpc3Session:
         v0 = _uniform_ring(self.rng, values.shape, self.k)
         v1 = _uniform_ring(self.rng, values.shape, self.k)
         v2 = rsub(rsub(values, v0, self.k), v1, self.k)
-        return SharedTensor((v0, v1, v2), self.k)
+        return SharedTensor(np.stack([v0, v1, v2]), self.k)
 
     def _scale_pow2(self, x: SharedTensor, exps: np.ndarray, rounding: str = "floor") -> SharedTensor:
         """Multiply element j by 2^exps[j]; negative exponents truncate exactly."""

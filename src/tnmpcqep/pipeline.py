@@ -39,23 +39,6 @@ def _check_weights(w: np.ndarray) -> None:
         raise ValueError("weights must have a positive sum")
 
 
-@dataclass(frozen=True)
-class AggregationConfig:
-    """Client count plus the numeric knobs of the (secure) weighted mean."""
-
-    n: int = 16
-    epsilon: float = 1e-6
-    fraction_bits: int = 20
-    k: int = 64
-    theta: int = 5
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one client, got n={self.n}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-
 def aggregate_plain(features, weights, epsilon: float = 1e-6) -> np.ndarray:
     """x = (sum_i w_i f_i) / (sum_i w_i + epsilon), elementwise over d."""
     features = np.asarray(features, dtype=np.float64)
@@ -70,29 +53,16 @@ def aggregate_plain(features, weights, epsilon: float = 1e-6) -> np.ndarray:
     return (weights @ features) / (weights.sum() + epsilon)
 
 
-def aggregate_secure(features, weights, cfg: AggregationConfig, seed: int = 0):
-    """Weighted mean under the 3-party protocol; returns (x_agg, CostReport).
+def aggregate_secure(features, weights, cfg: bench.BenchConfig, seed: int = 0):
+    """Weighted mean of the (cfg.n, cfg.d) features under the 3-party protocol
+    (cost scenario 2); returns (x_agg, CostReport).
 
     The domain checks run before any protocol message, so an all-zero
     weight vector cannot leak a round of traffic.  seed is anything
     np.random.default_rng accepts; the session draws its share masks from it.
     """
-    features = np.asarray(features, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != cfg.n:
-        raise ValueError(f"features must be ({cfg.n}, d), got {features.shape}")
-    if weights.shape != (cfg.n,):
-        raise ValueError(f"need {cfg.n} weights, got shape {weights.shape}")
-    _check_weights(weights)
-    bcfg = bench.BenchConfig(
-        n=cfg.n,
-        d=features.shape[1],
-        k=cfg.k,
-        theta=cfg.theta,
-        fraction_bits=cfg.fraction_bits,
-        epsilon=cfg.epsilon,
-    )
-    return bench.execute_scenario(bcfg, 2, seed=seed, features=features, weights=weights)
+    _check_weights(np.asarray(weights, dtype=np.float64))
+    return bench.execute_scenario(cfg, 2, seed=seed, features=features, weights=weights)
 
 
 # ----------------------------------------------------------------------- data
@@ -516,7 +486,7 @@ def _owners(labels, n_clients: int) -> np.ndarray:
     return owners
 
 
-def _per_sample_aggregate(feats, owners, weights, acfg: AggregationConfig,
+def _per_sample_aggregate(feats, owners, weights, acfg: bench.BenchConfig,
                           secure: bool, seed: int, split: int):
     """One aggregation event per sample; returns (x_agg rows, total cost).
 
@@ -558,8 +528,8 @@ def run_demo(cfg: DemoConfig, data: Optional[LabeledBatch] = None,
     # client weights are train sample counts; test events reuse them
     parts = partition_stratified(train.labels, cfg.n_clients)
     weights = np.array([len(p) for p in parts], dtype=np.float64)
-    acfg = AggregationConfig(n=cfg.n_clients, epsilon=cfg.epsilon,
-                             fraction_bits=cfg.fraction_bits, k=cfg.k, theta=cfg.theta)
+    acfg = bench.BenchConfig(n=cfg.n_clients, d=cfg.d, k=cfg.k, theta=cfg.theta,
+                             fraction_bits=cfg.fraction_bits, epsilon=cfg.epsilon)
     x_train, cost_tr = _per_sample_aggregate(
         feats_train, _owners(train.labels, cfg.n_clients), weights, acfg, cfg.secure, cfg.seed, 0)
     x_test, cost_te = _per_sample_aggregate(

@@ -301,13 +301,14 @@ def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
     return (outs[0] if single else outs), diag
 
 
-def qubit_sweep(batch, n_q_list, *, kind: str = "ttn", mode: str = "nearest_neighbor",
-                noise: NoiseSpec | None = None, seed: int = 0, config=None):
+def qubit_sweep(batch, n_q_list, *, config=None):
     """Run the demo pipeline once per qubit count; one record per N_q.
 
-    batch is a LabeledBatch (see pipeline module); records carry the qubit
-    count, feature width d_q, seed, wall-clock runtime, downstream accuracy,
-    and the processor diagnostics.
+    batch is a LabeledBatch (see pipeline module); config is the base
+    DemoConfig (default DemoConfig()), of which each run replaces only n_q
+    and sets mode="quantum".  Records carry the qubit count, feature width
+    d_q, seed, wall-clock runtime, downstream accuracy, and the processor
+    diagnostics.
     """
     from . import pipeline  # deferred, pipeline depends on this module
 
@@ -316,17 +317,16 @@ def qubit_sweep(batch, n_q_list, *, kind: str = "ttn", mode: str = "nearest_neig
     n_q_list = list(n_q_list)
     if not n_q_list:
         raise ValueError("need at least one qubit count")
-    base = config if config is not None else pipeline.DemoConfig(
-        kind=kind, observables=mode, seed=seed)
+    base = config if config is not None else pipeline.DemoConfig()
     records = []
     for n_q in n_q_list:
-        cfg = replace(base, n_q=int(n_q), mode="quantum", noise=noise)
+        cfg = replace(base, n_q=int(n_q), mode="quantum")
         t0 = time.perf_counter()
         report = pipeline.run_demo(cfg, data=batch)
         runtime = time.perf_counter() - t0
         records.append({
             "n_q": int(n_q),
-            "d_q": observable_count(int(n_q), mode),
+            "d_q": observable_count(int(n_q), cfg.observables),
             "seed": cfg.seed,
             "runtime_s": runtime,
             "accuracy": report.metrics.accuracy,

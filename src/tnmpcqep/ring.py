@@ -1,9 +1,9 @@
 """Exact arithmetic in Z_{2^k} and the fixed-point encoding layered on it.
 
 Values live in the unsigned residue ring modulo 2^k (k <= 64) and are
-interpreted as two's-complement signed integers when decoding.  Vector
-operations use numpy uint64 arrays, whose wraparound is exact modular
-arithmetic; scalars are wrapped in RingValue for a typed public surface.
+interpreted as two's-complement signed integers when decoding.  Every value,
+scalar or vector, is a numpy uint64 array (0-d for a scalar), whose
+wraparound is exact modular arithmetic; radd/rsub/rmul/rneg reduce mod 2^k.
 """
 
 from __future__ import annotations
@@ -92,59 +92,6 @@ def from_signed(a: np.ndarray, k: int = MAX_K) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RingValue:
-    """One element of Z_{2^k}; ``value`` is the canonical residue in [0, 2^k)."""
-
-    value: int
-    k: int = MAX_K
-
-    def __post_init__(self):
-        _check_k(self.k)
-        object.__setattr__(self, "value", int(self.value) & ring_mask(self.k))
-
-    @property
-    def signed(self) -> int:
-        v = self.value
-        return v - (1 << self.k) if v >= (1 << (self.k - 1)) else v
-
-    def _coerced(self, other) -> "RingValue":
-        if isinstance(other, RingValue):
-            if other.k != self.k:
-                raise ValueError(f"mixed ring widths: {self.k} vs {other.k}")
-            return other
-        return RingValue(int(other), self.k)
-
-    def __add__(self, other):
-        return ring_add(self, self._coerced(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerced(other)
-        return RingValue(self.value - o.value, self.k)
-
-    def __neg__(self):
-        return RingValue(-self.value, self.k)
-
-    def __mul__(self, other):
-        return ring_mul(self, self._coerced(other))
-
-    __rmul__ = __mul__
-
-
-def ring_add(a: RingValue, b: RingValue) -> RingValue:
-    if a.k != b.k:
-        raise ValueError(f"mixed ring widths: {a.k} vs {b.k}")
-    return RingValue(a.value + b.value, a.k)
-
-
-def ring_mul(a: RingValue, b: RingValue) -> RingValue:
-    if a.k != b.k:
-        raise ValueError(f"mixed ring widths: {a.k} vs {b.k}")
-    return RingValue(a.value * b.value, a.k)
-
-
-@dataclass(frozen=True)
 class FixedPointCodec:
     """Scale-2^F two's-complement encoding of reals into Z_{2^k}.
 
@@ -196,13 +143,3 @@ class FixedPointCodec:
     def decode_array(self, residues: np.ndarray) -> np.ndarray:
         arr = as_ring_array(residues, self.k)
         return to_signed(arr, self.k).astype(np.float64) / float(self.scale)
-
-    def encode(self, value: float) -> RingValue:
-        return RingValue(int(self.encode_array(np.asarray(value, dtype=np.float64))[()]), self.k)
-
-    def decode(self, residue) -> float:
-        if isinstance(residue, RingValue):
-            if residue.k != self.k:
-                raise ValueError(f"codec k={self.k} cannot decode RingValue with k={residue.k}")
-            residue = residue.value
-        return float(self.decode_array(np.asarray(residue))[()])

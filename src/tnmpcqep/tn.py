@@ -132,7 +132,7 @@ class MpsParams:
 @dataclass(frozen=True)
 class TreeParams:
     config: FrontendConfig
-    stem_w: np.ndarray  # (d_p, 49) real, shared across patches
+    stem_w: np.ndarray  # (d_p, patch * patch) real, shared across patches
     stem_b: np.ndarray  # (d_p,)
     embed_re: np.ndarray  # (d_loc, d_p)
     embed_im: np.ndarray
@@ -178,14 +178,14 @@ def qr_isometry(m: np.ndarray) -> np.ndarray:
     return q
 
 
-def patchify(image: np.ndarray) -> np.ndarray:
-    """Cut a 28x28 image into 16 row-major 7x7 patches, each flattened row-major."""
+def patchify(image: np.ndarray, patch: int = 7) -> np.ndarray:
+    """Cut a 28x28 image into row-major patch x patch tiles, each flattened row-major."""
     image = np.asarray(image, dtype=np.float64)
     if image.shape != (IMAGE_SIDE, IMAGE_SIDE):
         raise ValueError(f"expected shape (28, 28), got {image.shape}")
-    g = IMAGE_SIDE // 7
-    tiles = image.reshape(g, 7, g, 7).transpose(0, 2, 1, 3)
-    return tiles.reshape(g * g, 49)
+    g = IMAGE_SIDE // patch
+    tiles = image.reshape(g, patch, g, patch).transpose(0, 2, 1, 3)
+    return tiles.reshape(g * g, patch * patch)
 
 
 def unpatchify(patches: np.ndarray) -> np.ndarray:
@@ -309,7 +309,7 @@ def mps_encode(x, params: MpsParams) -> np.ndarray:
 def _tree_leaves(x, params: TreeParams) -> np.ndarray:
     cfg = params.config
     x = _check_input(x)
-    patches = patchify(x.reshape(IMAGE_SIDE, IMAGE_SIDE))
+    patches = patchify(x.reshape(IMAGE_SIDE, IMAGE_SIDE), cfg.patch)
     stems = np.empty((cfg.n_patches, cfg.d_p))
     for p in range(cfg.n_patches):
         stems[p] = _relu(_layer_norm(params.stem_w @ patches[p] + params.stem_b))

@@ -88,10 +88,8 @@ def check_ring():
     checks.append(_passfail("share_reconstruct_roundtrip", ok, "20 random uint64 tensors"))
 
     codec = FixedPointCodec(k=64, fraction_bits=20)
-    worst = 0.0
-    for _ in range(200):
-        v = float(rng.uniform(-1e3, 1e3))
-        worst = max(worst, abs(codec.decode(codec.encode(v)) - v))
+    v = rng.uniform(-1e3, 1e3, size=200)
+    worst = float(np.max(np.abs(codec.decode_array(codec.encode_array(v)) - v)))
     checks.append(_passfail("fixed_point_roundtrip", worst <= 2.0**-20,
                             f"max quantization {worst:.3e}"))
     return checks

@@ -42,18 +42,18 @@ def test_criterion_01_primitive_meter_deltas_exact():
     t0 = time.perf_counter()
     s = Mpc3Session(k=64, fraction_bits=20, theta=5, seed=0)
     x, y = s.share_encoded(2.5), s.share_encoded(-1.5)
-    before = s.meter.node_to_node_bits
+    before = s.report().node_to_node_bits
     p = s.mul(x, y)
-    assert s.meter.node_to_node_bits - before == 192  # 3k
-    before = s.meter.node_to_node_bits
+    assert s.report().node_to_node_bits - before == 192  # 3k
+    before = s.report().node_to_node_bits
     s.truncate(p)
-    assert s.meter.node_to_node_bits - before == 384  # 6k
-    before = s.meter.node_to_node_bits
+    assert s.report().node_to_node_bits - before == 384  # 6k
+    before = s.report().node_to_node_bits
     s.fixed_mul(x, y)
-    assert s.meter.node_to_node_bits - before == 576  # 9k
-    before = s.meter.node_to_node_bits
+    assert s.report().node_to_node_bits - before == 576  # 9k
+    before = s.report().node_to_node_bits
     s.divide(x, s.share_encoded(2.0))
-    assert s.meter.node_to_node_bits - before == 3 * 64 * (64 + 4 * 5 + 2) == 16512
+    assert s.report().node_to_node_bits - before == 3 * 64 * (64 + 4 * 5 + 2) == 16512
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     print(f"criterion 1: PASS (192/384/576/16512 bits, {elapsed:.3f}s)")

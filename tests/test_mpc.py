@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from tnmpcqep.mpc import (
-    CostMeter,
     CostReport,
     DomainError,
     Instr,
@@ -16,7 +15,6 @@ from tnmpcqep.mpc import (
     eval_plaintext,
     run_protocol,
 )
-from tnmpcqep.ring import FixedPointCodec, RingValue
 
 
 class _ForcedRng:
@@ -122,34 +120,34 @@ def test_secure_mul_random_vectors_match_oracle():
 def test_mul_meters_3k_per_element():
     s = Mpc3Session(k=64, seed=0)
     x, y = s.share(3), s.share(5)
-    before = s.meter.node_to_node_bits
+    before = s.report().node_to_node_bits
     s.mul(x, y)
-    assert s.meter.node_to_node_bits - before == 192
+    assert s.report().node_to_node_bits - before == 192
     x7 = s.share(np.arange(7, dtype=np.uint64))
     y7 = s.share(np.arange(7, dtype=np.uint64))
-    before = s.meter.node_to_node_bits
+    before = s.report().node_to_node_bits
     s.mul(x7, y7)
-    assert s.meter.node_to_node_bits - before == 192 * 7
+    assert s.report().node_to_node_bits - before == 192 * 7
 
 
 def test_share_and_open_metering():
     s = Mpc3Session(k=64, seed=0)
     x = s.share(9)
-    assert s.meter.client_to_node_bits == 384  # 6k per element
+    assert s.report().client_to_node_bits == 384  # 6k per element
     s.open(x)
-    assert s.meter.reconstruction_bits == 192  # 3k per element
+    assert s.report().reconstruction_bits == 192  # 3k per element
 
 
 def test_truncate_value_and_meter():
     s = Mpc3Session(k=64, fraction_bits=20, seed=4)
     codec = s.codec
     v = 3.25
-    raw = codec.encode(v * 1.0).value  # scale F
+    raw = int(codec.encode_array(v))  # scale F
     scaled = (raw * codec.scale) % 2**64  # lift to scale 2F
     x = s.share(scaled)
-    before = s.meter.node_to_node_bits
+    before = s.report().node_to_node_bits
     t = s.truncate(x)
-    assert s.meter.node_to_node_bits - before == 384  # 6k
+    assert s.report().node_to_node_bits - before == 384  # 6k
     out = codec.decode_array(s.open(t))[0]
     assert abs(out - v) <= 2 * codec.ulp
 
@@ -158,9 +156,9 @@ def test_fixed_mul_value_and_meter():
     s = Mpc3Session(k=64, fraction_bits=20, seed=5)
     x = s.share_encoded(2.5)
     y = s.share_encoded(-1.5)
-    before = s.meter.node_to_node_bits
+    before = s.report().node_to_node_bits
     z = s.fixed_mul(x, y)
-    assert s.meter.node_to_node_bits - before == 576  # 9k
+    assert s.report().node_to_node_bits - before == 576  # 9k
     assert abs(s.open_decoded(z)[0] - (-3.75)) <= 2 * s.codec.ulp
 
 
@@ -206,13 +204,13 @@ def test_divide_meter_exact_regardless_of_operands():
         s = Mpc3Session(k=64, theta=5, seed=12)
         s.divide(s.share_encoded(num), s.share_encoded(den))
         # charges only the closed form on node_to_node: 3k(k + 4*theta + 2)
-        assert s.meter.node_to_node_bits == 3 * 64 * (64 + 4 * 5 + 2) == 16512
+        assert s.report().node_to_node_bits == 3 * 64 * (64 + 4 * 5 + 2) == 16512
     s = Mpc3Session(k=64, theta=5, seed=13)
     vec = s.share_encoded(np.array([1.0, 2.0, 3.0]))
     den = s.share_encoded(np.array([2.0, 4.0, 8.0]))
-    before = s.meter.node_to_node_bits
+    before = s.report().node_to_node_bits
     s.divide(vec, den)
-    assert s.meter.node_to_node_bits - before == 16512 * 3
+    assert s.report().node_to_node_bits - before == 16512 * 3
 
 
 def test_divide_rejects_nonpositive_denominator():
@@ -358,15 +356,16 @@ def test_program_validation_errors():
 # --- meter plumbing ---
 
 
-def test_meter_reset_and_categories():
-    m = CostMeter()
-    m.charge("node_to_node", 10)
-    m.charge("client_to_node", 5)
-    assert m.total_bits == 15
-    m.reset()
-    assert m.total_bits == 0
+def test_transport_charge_rejects_unknown_category_and_negative_bits():
+    s = Mpc3Session(mode=SecurityMode.ACTIVE)
+    s.transport.charge("node_to_node", 10)
+    s.transport.charge("client_to_node", 5)
+    assert s.report() == CostReport(client_to_node_bits=10, node_to_node_bits=20)
     with pytest.raises(ProtocolError):
-        m.charge("sideways", 1)
+        s.transport.charge("sideways", 1)
+    with pytest.raises(ProtocolError):
+        s.transport.charge("node_to_node", -1)
+    assert s.report().total_bits == 30
 
 
 def test_session_rejects_bad_theta():

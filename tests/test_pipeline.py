@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from tnmpcqep import bench, pipeline, qep
+from tnmpcqep.bench import BenchConfig
 from tnmpcqep.mpc import Mpc3Session
 from tnmpcqep.pipeline import (
-    AggregationConfig,
     DemoConfig,
     EvalReport,
     LabeledBatch,
@@ -69,14 +69,14 @@ def test_aggregate_plain_domain_errors():
 
 def test_aggregation_config_validation():
     with pytest.raises(ValueError, match="at least one client"):
-        AggregationConfig(n=0)
+        BenchConfig(n=0)
     with pytest.raises(ValueError, match="epsilon"):
-        AggregationConfig(epsilon=0.0)
+        BenchConfig(epsilon=0.0)
 
 
 def test_aggregate_secure_small_matches_plain():
     rng = np.random.default_rng(12)
-    cfg = AggregationConfig(n=2, fraction_bits=20)
+    cfg = BenchConfig(n=2, d=4, fraction_bits=20)
     f = rng.uniform(0.0, 1.0, size=(2, 4))
     w = rng.uniform(0.5, 2.0, size=2)
     x, _ = aggregate_secure(f, w, cfg)
@@ -84,7 +84,7 @@ def test_aggregate_secure_small_matches_plain():
 
 
 def test_aggregate_secure_zero_weights_rejected_before_protocol():
-    cfg = AggregationConfig(n=2)
+    cfg = BenchConfig(n=2, d=3)
     # the feature values would overflow the codec, so reaching the protocol
     # would raise a range error instead of the weight error asserted here
     huge = np.full((2, 3), 1e14)
@@ -93,7 +93,7 @@ def test_aggregate_secure_zero_weights_rejected_before_protocol():
 
 
 def test_aggregate_secure_range_overflow_propagates():
-    cfg = AggregationConfig(n=1)
+    cfg = BenchConfig(n=1, d=2)
     with pytest.raises(ValueError, match="outside representable range"):
         aggregate_secure(np.full((1, 2), 1e14), [1.0], cfg)
 
@@ -101,13 +101,11 @@ def test_aggregate_secure_range_overflow_propagates():
 def test_aggregate_secure_cost_equals_closed_form():
     rng = np.random.default_rng(13)
     for n, d in ((1, 1), (2, 4), (4, 7), (16, 64)):
-        cfg = AggregationConfig(n=n)
+        cfg = BenchConfig(n=n, d=d)
         f = rng.uniform(0.0, 1.0, size=(n, d))
         w = rng.uniform(0.5, 2.0, size=n)
         _, rep = aggregate_secure(f, w, cfg)
-        bcfg = bench.BenchConfig(n=n, d=d, k=cfg.k, theta=cfg.theta,
-                                 fraction_bits=cfg.fraction_bits, epsilon=cfg.epsilon)
-        assert rep == bench.run_scenario(bcfg, 2)
+        assert rep == bench.run_scenario(cfg, 2)
 
 
 def test_aggregate_secure_tracks_plain_on_random_instances():
@@ -116,7 +114,7 @@ def test_aggregate_secure_tracks_plain_on_random_instances():
     for _ in range(100):
         n = int(rng.integers(1, 5))
         d = int(rng.integers(1, 9))
-        cfg = AggregationConfig(n=n, fraction_bits=20)
+        cfg = BenchConfig(n=n, d=d, fraction_bits=20)
         f = rng.uniform(-1.0, 1.0, size=(n, d))
         w = rng.uniform(0.1, 4.0, size=n)
         x, _ = aggregate_secure(f, w, cfg, seed=int(rng.integers(1 << 30)))
@@ -480,9 +478,18 @@ def test_run_demo_alpha_zero_equals_classical():
 
 
 def test_run_demo_secure_matches_plain_within_a_point():
+    """Secure and plain runs classify within one point of the test set alike.
+
+    Counts of correctly classified samples (tn + tp) are compared against
+    0.01 * n, as acceptance criterion 9 does, because a float accuracy
+    difference of exactly one point can compute above 0.01.  At n_test=20
+    one sample is 5 points, so this admits no flipped sample.
+    """
     plain = pipeline.run_demo(DemoConfig(**SMALL))
     secure = pipeline.run_demo(DemoConfig(secure=True, **SMALL))
-    assert abs(secure.metrics.accuracy - plain.metrics.accuracy) <= 0.01
+    correct_plain = plain.metrics.confusion[0] + plain.metrics.confusion[3]
+    correct_secure = secure.metrics.confusion[0] + secure.metrics.confusion[3]
+    assert abs(correct_secure - correct_plain) <= 0.01 * plain.metrics.n
     assert plain.cost.total_bits == 0
     # 80 aggregation events, each billed exactly at the closed form
     one = bench.run_scenario(bench.BenchConfig(n=16, d=64), 2)

@@ -385,6 +385,18 @@ def test_qubit_sweep_default_count_matches_suggestion():
     assert records[0]["d_q"] == 23
 
 
+def test_qubit_sweep_reads_observables_and_noise_from_config():
+    from tnmpcqep import pipeline
+
+    batch = pipeline.synth_data(24, seed=5)
+    base = pipeline.DemoConfig(n_train=16, n_test=8, observables="all_pairs")
+    clean = qubit_sweep(batch, [4], config=base)[0]
+    assert clean["d_q"] == make_qep(d=64, n_q=4, mode="all_pairs").d_q == 14
+    noisy_cfg = dataclasses.replace(base, noise=NoiseSpec(kind="depolarizing", p=0.3))
+    noisy = qubit_sweep(batch, [4], config=noisy_cfg)[0]
+    assert noisy["q_std"] != clean["q_std"]
+
+
 def test_qubit_sweep_rejects_empty_inputs():
     from tnmpcqep import pipeline
 

@@ -5,12 +5,9 @@ import pytest
 
 from tnmpcqep.ring import (
     FixedPointCodec,
-    RingValue,
     as_ring_array,
     radd,
-    ring_add,
     ring_mask,
-    ring_mul,
     rmul,
     rneg,
     rsub,
@@ -27,46 +24,37 @@ def oracle_mul(a, b, k):
 
 
 def test_add_wraps_at_full_width():
-    a = RingValue(2**64 - 1)
-    b = RingValue(1)
-    assert ring_add(a, b).value == 0
+    assert int(radd(as_ring_array(2**64 - 1), as_ring_array(1))) == 0
 
 
 def test_mul_wraps_at_full_width():
-    assert ring_mul(RingValue(2**63), RingValue(2)).value == 0
+    assert int(rmul(as_ring_array(2**63), as_ring_array(2))) == 0
 
 
 def test_narrow_width_add():
-    assert ring_add(RingValue(200, k=8), RingValue(100, k=8)).value == 44
+    assert int(radd(as_ring_array(200, k=8), as_ring_array(100, k=8), k=8)) == 44
 
 
 def test_rejects_bad_width():
     with pytest.raises(ValueError):
-        RingValue(1, k=65)
+        as_ring_array(1, k=65)
     with pytest.raises(ValueError):
-        RingValue(1, k=0)
+        as_ring_array(1, k=0)
     with pytest.raises(ValueError):
         ring_mask(65)
 
 
-def test_mixed_widths_rejected():
-    with pytest.raises(ValueError):
-        ring_add(RingValue(1, k=32), RingValue(1, k=64))
-    with pytest.raises(ValueError):
-        ring_mul(RingValue(1, k=8), RingValue(1, k=16))
-
-
 def test_negative_canonicalized():
-    assert RingValue(-1).value == 2**64 - 1
-    assert RingValue(-1, k=8).value == 255
-    assert (-RingValue(5, k=8)).value == 251
+    assert int(as_ring_array(-1)) == 2**64 - 1
+    assert int(as_ring_array(-1, k=8)) == 255
+    assert int(rneg(as_ring_array(5, k=8), k=8)) == 251
 
 
 def test_signed_interpretation():
-    assert RingValue(2**64 - 1).signed == -1
-    assert RingValue(2**63 - 1).signed == 2**63 - 1
-    assert RingValue(2**63).signed == -(2**63)
-    assert RingValue(200, k=8).signed == -56
+    assert int(to_signed(as_ring_array(2**64 - 1))) == -1
+    assert int(to_signed(as_ring_array(2**63 - 1))) == 2**63 - 1
+    assert int(to_signed(as_ring_array(2**63))) == -(2**63)
+    assert int(to_signed(as_ring_array(200, k=8), k=8)) == -56
 
 
 @pytest.mark.parametrize("k", [8, 32, 64])
@@ -77,9 +65,10 @@ def test_random_ops_match_oracle(k):
         a, b = int(rng.integers(0, mod, dtype=np.uint64) if k == 64 else rng.integers(0, mod)), int(
             rng.integers(0, mod, dtype=np.uint64) if k == 64 else rng.integers(0, mod)
         )
-        assert ring_add(RingValue(a, k), RingValue(b, k)).value == oracle_add(a, b, k)
-        assert ring_mul(RingValue(a, k), RingValue(b, k)).value == oracle_mul(a, b, k)
-        assert (RingValue(a, k) - RingValue(b, k)).value == (a - b) % mod
+        av, bv = as_ring_array(a, k), as_ring_array(b, k)
+        assert int(radd(av, bv, k)) == oracle_add(a, b, k)
+        assert int(rmul(av, bv, k)) == oracle_mul(a, b, k)
+        assert int(rsub(av, bv, k)) == (a - b) % mod
 
 
 @pytest.mark.parametrize("k", [8, 32, 64])
@@ -98,12 +87,12 @@ def test_vector_ops_match_oracle(k):
 def test_algebraic_laws_random():
     rng = np.random.default_rng(99)
     for _ in range(200):
-        a, b, c = (RingValue(int(x)) for x in rng.integers(0, 2**63, size=3))
-        assert ring_add(a, b).value == ring_add(b, a).value
-        assert ring_mul(a, b).value == ring_mul(b, a).value
-        lhs = ring_mul(a, ring_add(b, c))
-        rhs = ring_add(ring_mul(a, b), ring_mul(a, c))
-        assert lhs.value == rhs.value
+        a, b, c = (as_ring_array(int(x)) for x in rng.integers(0, 2**63, size=3))
+        assert int(radd(a, b)) == int(radd(b, a))
+        assert int(rmul(a, b)) == int(rmul(b, a))
+        lhs = rmul(a, radd(b, c))
+        rhs = radd(rmul(a, b), rmul(a, c))
+        assert int(lhs) == int(rhs)
 
 
 def test_to_signed_roundtrip():
@@ -128,16 +117,16 @@ def test_codec_rejects_bad_fraction_bits():
 
 def test_encode_known_values():
     c2 = FixedPointCodec(k=64, fraction_bits=2)
-    assert c2.encode(-0.25).value == 2**64 - 1  # -1 in two's complement
-    assert c2.encode(0.3).value == 1  # 1.2 rounds down
-    assert c2.encode(0.375).value == 2  # 1.5 ties away from zero
-    assert c2.encode(-0.375).value == 2**64 - 2
-    assert c2.decode(RingValue(2**64 - 1)) == -0.25
+    assert int(c2.encode_array(-0.25)) == 2**64 - 1  # -1 in two's complement
+    assert int(c2.encode_array(0.3)) == 1  # 1.2 rounds down
+    assert int(c2.encode_array(0.375)) == 2  # 1.5 ties away from zero
+    assert int(c2.encode_array(-0.375)) == 2**64 - 2
+    assert float(c2.decode_array(2**64 - 1)) == -0.25
 
 
 def test_encode_decode_roundtrip_exact_on_grid():
     codec = FixedPointCodec(k=64, fraction_bits=20)
-    assert codec.decode(codec.encode(1.5)) == 1.5
+    assert float(codec.decode_array(codec.encode_array(1.5))) == 1.5
     rng = np.random.default_rng(11)
     grid = rng.integers(-(2**30), 2**30, size=500) / codec.scale
     enc = codec.encode_array(grid)
@@ -155,27 +144,27 @@ def test_encode_rounding_error_bound():
 def test_encode_range_error():
     codec = FixedPointCodec(k=64, fraction_bits=20)
     with pytest.raises(ValueError):
-        codec.encode(float(2**43))
+        codec.encode_array(float(2**43))
     with pytest.raises(ValueError):
-        codec.encode(-float(2**43) - 1.0)
+        codec.encode_array(-float(2**43) - 1.0)
     # just inside the bound is fine
-    codec.encode(float(2**43) - 1.0)
+    codec.encode_array(float(2**43) - 1.0)
 
 
 def test_encode_rejects_non_finite():
     codec = FixedPointCodec()
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
-            codec.encode(bad)
+            codec.encode_array(bad)
 
 
 def test_round_half_away_from_zero_on_ties():
     codec = FixedPointCodec(k=64, fraction_bits=4)
     # .5 ulp ties: 0.03125 * 16 = 0.5
-    assert codec.encode(0.03125).value == 1
-    assert codec.encode(-0.03125).signed == -1
-    assert codec.encode(0.09375).value == 2  # 1.5 -> 2
-    assert codec.encode(-0.09375).signed == -2
+    assert int(codec.encode_array(0.03125)) == 1
+    assert int(to_signed(codec.encode_array(-0.03125))) == -1
+    assert int(codec.encode_array(0.09375)) == 2  # 1.5 -> 2
+    assert int(to_signed(codec.encode_array(-0.09375))) == -2
 
 
 def test_decode_array_handles_width_32():

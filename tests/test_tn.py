@@ -224,6 +224,22 @@ def test_ttn_identical_patches_identical_parents():
         assert np.abs(parents[p] - parents[0]).max() <= 1e-12
 
 
+def test_tree_leaves_cut_tiles_of_config_patch():
+    params = make_frontend(FrontendConfig(kind="ttn", n_patches=4, patch=14, seed=14))
+    img = np.random.default_rng(53).uniform(0.0, 1.0, size=(28, 28))
+    tiles = [img[r:r + 14, c:c + 14].reshape(-1) for r in (0, 14) for c in (0, 14)]
+    want = []
+    for tile in tiles:
+        h = params.stem_w @ tile + params.stem_b
+        stem = np.maximum((h - h.mean()) / np.sqrt(h.var() + 1e-5), 0.0)
+        want.append(params.embed_re @ stem + 1j * (params.embed_im @ stem))
+    leaves = tree_levels(img.reshape(-1), params)[0]
+    assert leaves.shape == (4, params.config.d_loc)
+    assert np.abs(leaves - np.array(want)).max() <= 1e-12
+    single = make_frontend(FrontendConfig(kind="ttn", n_patches=1, patch=28, seed=14))
+    assert encode(img.reshape(-1), single).shape == (64,)
+
+
 def test_ttn_order_sensitivity():
     params = make_frontend(FrontendConfig(kind="ttn", seed=13))
     rng = np.random.default_rng(50)
