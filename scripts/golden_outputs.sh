@@ -1,0 +1,46 @@
+#!/bin/sh
+# Write the deterministic outputs of the command line and the demos into OUTDIR,
+# using the package source of the checkout this script lives in.
+#
+# To show that a change keeps every output byte for byte, run the script in a
+# checkout of the parent commit and in the changed tree, then compare:
+#
+#   scripts/golden_outputs.sh /tmp/before   # in the parent checkout
+#   scripts/golden_outputs.sh /tmp/after    # in the changed checkout
+#   diff -r /tmp/before /tmp/after
+#
+# Wall-clock figures printed by demos/pipeline_end_to_end.py are replaced by
+# "(T s)", since they are the only non-deterministic part of that output.
+set -eu
+
+if [ $# -ne 1 ]; then
+    echo "usage: $0 OUTDIR" >&2
+    exit 2
+fi
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+OUT=$1
+mkdir -p "$OUT"
+OUT=$(cd "$OUT" && pwd)
+export PYTHONPATH="$ROOT/src"
+cd "$ROOT"
+
+cli() {
+    python3 -m tnmpcqep "$@"
+}
+
+cli pipeline-demo --out "$OUT/pipeline_demo.json" >/dev/null
+cli pipeline-demo --secure --out "$OUT/pipeline_demo_secure.json" >/dev/null
+cli pipeline-demo --noise depolarizing --n-train 64 --n-test 32 \
+    --out "$OUT/pipeline_demo_depolarizing.json" >/dev/null
+cli qubit-sweep --nq 4,8,12 --seeds 1 --n-train 64 --n-test 32 \
+    --out "$OUT/qubit_sweep.csv" >/dev/null
+cli noise-sweep --seeds 1 --n-train 64 --n-test 32 --out "$OUT/noise_sweep.csv" >/dev/null
+cli qep-run --noise mixed --out "$OUT/qep_run_mixed.csv" >/dev/null
+cli qep-run --nq 16 --n 4 --out "$OUT/qep_run_nq16.csv" >/dev/null
+cli verify >"$OUT/verify.txt"
+
+python3 demos/qsim_noise.py >"$OUT/demo_qsim_noise.txt"
+python3 demos/qep_processor.py >"$OUT/demo_qep_processor.txt"
+python3 demos/pipeline_end_to_end.py | sed -E 's/\([0-9]+\.[0-9]+s\)/(T s)/g' \
+    >"$OUT/demo_pipeline_end_to_end.txt"
+echo "wrote $(ls "$OUT" | wc -l) outputs to $OUT"

@@ -15,9 +15,10 @@ import sys
 from dataclasses import replace
 
 from . import bench, pipeline, qep, tn, verify
-from .qsim import NOISE_KINDS, NoiseSpec
+from .qsim import MAX_DENSITY_QUBITS, NOISE_KINDS, NoiseSpec
 
 _FRONTENDS = ("mps", "ttn", "mera")
+_MAX_QUBITS = 16
 
 
 def _master_seed(args) -> int:
@@ -44,6 +45,13 @@ def _write_csv(path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(row[h]) for h in header])
+
+
+def _check_nq(parser, counts, noise: bool) -> None:
+    """Flag error unless every qubit count lies in [2, 16], or [2, 10] for noisy runs."""
+    top = MAX_DENSITY_QUBITS if noise else _MAX_QUBITS
+    if not counts or any(n < 2 or n > top for n in counts):
+        parser.error(f"--nq entries must lie in [2, {top}], got {counts}")
 
 
 def _noise_from(kind: str, p: float, gamma: float):
@@ -113,12 +121,12 @@ def _cmd_encode(args, parser) -> int:
 def _cmd_qep_run(args, parser) -> int:
     seed = _master_seed(args)
     noise = _noise_from(args.noise, args.p, args.gamma)
-    if noise is not None and args.nq > 10:
-        parser.error(f"noisy runs are capped at 10 qubits, got --nq {args.nq}")
+    _check_nq(parser, [args.nq], noise is not None)
     data = _load_or_synth(args, parser, seed)
     frontend = tn.make_frontend(tn.FrontendConfig(kind=args.kind, seed=seed))
     feats = tn.encode_batch(data.images.reshape(len(data), -1), frontend)
     params = qep.make_qep(d=feats.shape[1], n_q=args.nq, mode=args.observables, seed=seed)
+    header = ["batch_id", "n_q", "d_q", "alpha_mean", "q_std", "noise_kind", "seed"]
     rows = []
     for start in range(0, feats.shape[0], args.batch_size):
         chunk = feats[start:start + args.batch_size]
@@ -132,19 +140,14 @@ def _cmd_qep_run(args, parser) -> int:
             "noise_kind": "noiseless" if noise is None else noise.kind,
             "seed": seed,
         })
-    qep.write_diagnostics_csv(rows, args.out)
+    _write_csv(args.out, header, rows)
     print(f"processed {feats.shape[0]} latents in {len(rows)} batches -> {args.out}")
     return 0
 
 
 def _cmd_qubit_sweep(args, parser) -> int:
-    if not args.nq:
-        parser.error("--nq needs at least one qubit count")
-    if any(n < 1 or n > 16 for n in args.nq):
-        parser.error(f"--nq entries must lie in [1, 16], got {args.nq}")
     noise = _noise_from(args.noise, args.p, args.gamma)
-    if noise is not None and max(args.nq) > 10:
-        parser.error("noisy sweeps are capped at 10 qubits")
+    _check_nq(parser, args.nq, noise is not None)
     master = _master_seed(args)
     base = pipeline.DemoConfig(kind=args.frontend, n_train=args.n_train,
                                n_test=args.n_test, seed=master, noise=noise)
@@ -173,10 +176,7 @@ def _cmd_noise_sweep(args, parser) -> int:
     for kind in args.noise:
         if kind not in NOISE_KINDS:
             parser.error(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
-    if args.nq < 1:
-        parser.error(f"--nq must be positive, got {args.nq}")
-    if args.nq > 10 and any(kind != "noiseless" for kind in args.noise):
-        parser.error(f"noisy runs are capped at 10 qubits, got --nq {args.nq}")
+    _check_nq(parser, [args.nq], any(kind != "noiseless" for kind in args.noise))
     master = _master_seed(args)
     seeds = [master + i for i in range(args.seeds)]
     cfg = pipeline.DemoConfig(kind=args.frontend, n_train=args.n_train, n_test=args.n_test)
@@ -191,8 +191,7 @@ def _cmd_noise_sweep(args, parser) -> int:
 
 def _cmd_pipeline_demo(args, parser) -> int:
     noise = _noise_from(args.noise, args.p, args.gamma)
-    if noise is not None and args.nq > 10:
-        parser.error(f"noisy runs are capped at 10 qubits, got --nq {args.nq}")
+    _check_nq(parser, [args.nq], noise is not None)
     cfg = pipeline.DemoConfig(kind=args.kind, mode=args.mode, secure=args.secure,
                               n_q=args.nq, noise=noise, seed=_master_seed(args),
                               n_train=args.n_train, n_test=args.n_test)

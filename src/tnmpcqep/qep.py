@@ -43,12 +43,9 @@ __all__ = [
     "qubit_sweep",
     "save_qep_params",
     "load_qep_params",
-    "write_diagnostics_csv",
 ]
 
 OBSERVABLE_MODES = ("nearest_neighbor", "all_pairs")
-
-DIAGNOSTICS_HEADER = ["batch_id", "n_q", "d_q", "alpha_mean", "q_std", "noise_kind", "seed"]
 
 _LN_EPS = 1e-5
 
@@ -86,12 +83,7 @@ def observable_set(n_q: int, mode: str = "nearest_neighbor"):
 
 
 def observable_count(n_q: int, mode: str = "nearest_neighbor") -> int:
-    if n_q < 2:
-        raise ValueError("need at least 2 qubits for two-body observables")
-    if mode not in OBSERVABLE_MODES:
-        raise ValueError(f"mode must be one of {OBSERVABLE_MODES}, got {mode!r}")
-    two_body = n_q - 1 if mode == "nearest_neighbor" else n_q * (n_q - 1) // 2
-    return 2 * n_q + two_body
+    return len(observable_set(n_q, mode))
 
 
 @dataclass(frozen=True)
@@ -378,13 +370,3 @@ def load_qep_params(path) -> QepParams:
         alpha_w=arrays["alpha_w"], alpha_b=float(arrays["alpha_b"][0]),
     )
 
-
-def write_diagnostics_csv(rows, path) -> None:
-    """Rows of dicts with the fixed diagnostics header."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DIAGNOSTICS_HEADER)
-        for row in rows:
-            writer.writerow([row[key] for key in DIAGNOSTICS_HEADER])

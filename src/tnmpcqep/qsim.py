@@ -2,7 +2,9 @@
 matrix for noisy ones.
 
 Bit convention (frozen): qubit 0 is the most significant bit of the basis
-index, so reshaping amplitudes to [2]*n puts qubit q on axis q.  Gates are
+index, so reshaping amplitudes to [2]*n puts qubit q on axis q.  A density
+matrix is the same buffer on 2n axes (rows 0..n-1, columns n..2n-1), and both
+apply every gate in place on their one buffer.  Gates are
 Ry(t) = exp(-i t Y / 2), Rz(t) = exp(-i t Z / 2), and nearest-neighbor
 CNOT(q, q+1).  One hardware-efficient layer applies Ry then Rz on every qubit
 followed by the CNOT chain q = 0 .. n-2.
@@ -15,7 +17,6 @@ evolution is exact and limited to 10 qubits.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -61,12 +62,6 @@ class StateVector:
                 f"got {self.amplitudes.size}"
             )
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
 
 def zero_state(n_qubits: int) -> StateVector:
     if n_qubits < 1:
@@ -81,37 +76,44 @@ def _check_qubit(n: int, q: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {n} qubits")
 
 
-def _mix_axis(arr: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """2x2 linear combination along the middle axis of a (lead, 2, trail) view."""
-    out = np.empty_like(arr)
-    out[:, 0, :] = m[0, 0] * arr[:, 0, :] + m[0, 1] * arr[:, 1, :]
-    out[:, 1, :] = m[1, 0] * arr[:, 0, :] + m[1, 1] * arr[:, 1, :]
-    return out
+def _mix_axis(amps: np.ndarray, m: np.ndarray, axis: int) -> None:
+    """In place: apply the 2x2 matrix m along one axis of a C-contiguous [2]*N buffer."""
+    v = amps.reshape(1 << axis, 2, amps.size >> (axis + 1))
+    a0, a1 = v[:, 0, :], v[:, 1, :]
+    new0 = m[0, 0] * a0 + m[0, 1] * a1
+    a1[...] = m[1, 0] * a0 + m[1, 1] * a1
+    a0[...] = new0
 
 
-def apply_single(state: StateVector, gate: np.ndarray, q: int) -> StateVector:
-    """Apply a 2x2 gate to qubit q (axis q of the [2]*n reshape)."""
-    n = state.n_qubits
-    _check_qubit(n, q)
-    lead, trail = 1 << q, 1 << (n - q - 1)
-    out = _mix_axis(state.amplitudes.reshape(lead, 2, trail), gate)
-    return StateVector(n, out.ravel())
+def _flip_cnot(amps: np.ndarray, control: int, scratch: np.ndarray) -> None:
+    """In place: swap the halves of axis control+1 on the control=1 slice via scratch."""
+    one = amps.reshape(1 << control, 2, 2, amps.size >> (control + 2))[:, 1]
+    staged = scratch.reshape(-1)[: one.size].reshape(one.shape)  # half of amps' size
+    np.copyto(staged, one[:, ::-1])
+    one[...] = staged
 
 
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """Nearest-neighbor CNOT; target must be control + 1."""
-    n = state.n_qubits
+def _check_cnot(n: int, control: int, target: int) -> None:
     _check_qubit(n, control)
     _check_qubit(n, target)
     if target != control + 1:
         raise ValueError("CNOT is restricted to the chain pattern target = control + 1")
-    psi = state.amplitudes.reshape([2] * n).copy()
-    # swap target amplitudes on the control=1 slice; target axis shifts down
-    # by one once the control axis is fixed
-    index = [slice(None)] * n
-    index[control] = 1
-    psi[tuple(index)] = np.flip(psi[tuple(index)], axis=target - 1)
-    return StateVector(n, psi.ravel())
+
+
+def apply_single(state: StateVector, gate: np.ndarray, q: int) -> StateVector:
+    """Apply a 2x2 gate to qubit q (axis q of the [2]*n reshape)."""
+    _check_qubit(state.n_qubits, q)
+    amps = state.amplitudes.copy()
+    _mix_axis(amps, gate, q)
+    return StateVector(state.n_qubits, amps)
+
+
+def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
+    """Nearest-neighbor CNOT; target must be control + 1."""
+    _check_cnot(state.n_qubits, control, target)
+    amps = state.amplitudes.copy()
+    _flip_cnot(amps, control, np.empty_like(amps))
+    return StateVector(state.n_qubits, amps)
 
 
 def run_circuit(angles: np.ndarray, n_qubits: Optional[int] = None) -> StateVector:
@@ -124,13 +126,14 @@ def run_circuit(angles: np.ndarray, n_qubits: Optional[int] = None) -> StateVect
     if n != angles.shape[1]:
         raise ValueError("n_qubits disagrees with the angle tensor")
     state = zero_state(n)
+    scratch = np.empty(state.amplitudes.size // 2, dtype=complex)
     for layer in range(angles.shape[0]):
         for q in range(n):
             # Ry then Rz on the same qubit: one fused 2x2 product
             fused = rz_matrix(angles[layer, q, 1]) @ ry_matrix(angles[layer, q, 0])
-            state = apply_single(state, fused, q)
+            _mix_axis(state.amplitudes, fused, q)
         for q in range(n - 1):
-            state = apply_cnot(state, q, q + 1)
+            _flip_cnot(state.amplitudes, q, scratch)
     return state
 
 
@@ -157,10 +160,11 @@ class PauliTerm:
 
 
 def expectation(state: StateVector, term: PauliTerm) -> float:
-    phi = state.copy()
+    phi = state.amplitudes.copy()
     for q, p in term.factors:
-        phi = apply_single(phi, PAULI[p], q)
-    val = np.vdot(state.amplitudes, phi.amplitudes)
+        _check_qubit(state.n_qubits, q)
+        _mix_axis(phi, PAULI[p], q)
+    val = np.vdot(state.amplitudes, phi)
     if abs(val.imag) > 1e-9:
         raise ValueError(f"non-real Pauli expectation ({val}); state is inconsistent")
     return float(np.clip(val.real, -1.0, 1.0))
@@ -244,7 +248,7 @@ def compose_superoperators(superops) -> Optional[np.ndarray]:
 
 
 class DensityMatrix:
-    """rho stored as a [2]*n x [2]*n tensor (row axes first)."""
+    """rho as a C-contiguous (2^n, 2^n) array, i.e. a [2]*2n tensor, row axes first."""
 
     def __init__(self, n_qubits: int, rho: Optional[np.ndarray] = None):
         if n_qubits > MAX_DENSITY_QUBITS:
@@ -257,52 +261,42 @@ class DensityMatrix:
         if rho is None:
             rho = np.zeros((dim, dim), dtype=complex)
             rho[0, 0] = 1.0
-        self.rho = np.asarray(rho, dtype=complex).reshape(dim, dim)
-
-    def _conjugate_single(self, gate: np.ndarray, q: int) -> np.ndarray:
-        # gate . rho . gate^dagger via one axis mix per side; rows first
-        n = self.n_qubits
-        dim = 2**n
-        lead, trail = 1 << q, dim >> (q + 1)
-        t = _mix_axis(self.rho.reshape(lead, 2, trail * dim), gate)
-        t = _mix_axis(t.reshape(dim * lead, 2, trail), gate.conj())
-        return t.reshape(dim, dim)
+        # a private C-ordered copy: in-place gates never write into the caller's array
+        self.rho = np.array(rho, dtype=complex, order="C").reshape(dim, dim)
+        # channels and CNOTs stage through it, so evolution allocates no rho-sized array
+        self._scratch = np.empty_like(self.rho)
 
     def apply_single(self, gate: np.ndarray, q: int) -> None:
+        """gate . rho . gate^dagger: mix row axis q, then column axis n+q."""
         _check_qubit(self.n_qubits, q)
-        self.rho = self._conjugate_single(gate, q)
+        _mix_axis(self.rho, gate, q)
+        _mix_axis(self.rho, gate.conj(), self.n_qubits + q)
 
-    def apply_two(self, gate4: np.ndarray, qa: int, qb: int) -> None:
-        n = self.n_qubits
-        g = gate4.reshape(2, 2, 2, 2)
-        t = self.rho.reshape([2] * (2 * n))
-        t = np.tensordot(g, t, axes=([2, 3], [qa, qb]))
-        t = np.moveaxis(t, [0, 1], [qa, qb])
-        t = np.tensordot(g.conj(), t, axes=([2, 3], [n + qa, n + qb]))
-        t = np.moveaxis(t, [0, 1], [n + qa, n + qb])
-        self.rho = t.reshape(2**n, 2**n)
+    def apply_cnot(self, control: int, target: int) -> None:
+        """Nearest-neighbor CNOT on rows and columns; target must be control + 1."""
+        _check_cnot(self.n_qubits, control, target)
+        _flip_cnot(self.rho, control, self._scratch)
+        _flip_cnot(self.rho, self.n_qubits + control, self._scratch)
 
     def apply_channel(self, superop: np.ndarray, q: int) -> None:
         """One-qubit channel given as a (2,2,2,2) superoperator S[r,s,u,v]."""
         n = self.n_qubits
         _check_qubit(n, q)
-        dim = 2**n
-        lead, trail = 1 << q, dim >> (q + 1)
-        # expose the row and column bit of qubit q, contract both against S at once
-        t = self.rho.reshape(lead, 2, trail * lead, 2, trail)
-        t = t.transpose(1, 3, 0, 2, 4).reshape(4, -1)
-        out = superop.reshape(4, 4) @ t
-        out = out.reshape(2, 2, lead, trail * lead, trail).transpose(2, 0, 3, 1, 4)
-        self.rho = out.reshape(dim, dim)
+        lead, trail = 1 << q, 1 << (n - q - 1)
+        split = (lead, 2, trail * lead, 2, trail)  # the row and column bit of qubit q
+        grouped = (2, 2, lead, trail * lead, trail)  # both bits first, as (4, rest)
+        # gather into the scratch, contract against S into rho, scatter back, swap
+        rho, scratch = self.rho, self._scratch
+        np.copyto(scratch.reshape(grouped), rho.reshape(split).transpose(1, 3, 0, 2, 4))
+        np.matmul(superop.reshape(4, 4), scratch.reshape(4, -1), out=rho.reshape(4, -1))
+        np.copyto(scratch.reshape(split), rho.reshape(grouped).transpose(2, 0, 3, 1, 4))
+        self.rho, self._scratch = scratch, rho
 
     def apply_kraus(self, kraus, q: int) -> None:
         self.apply_channel(kraus_superoperator(kraus), q)
 
     def trace(self) -> float:
         return float(np.trace(self.rho).real)
-
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
 
     def validate(self, atol: float = 1e-10) -> None:
         if abs(np.trace(self.rho) - 1.0) > 1e-9:
@@ -314,14 +308,14 @@ class DensityMatrix:
             raise ValueError(f"negative eigenvalue {eigs.min()}")
 
     def expectation(self, term: PauliTerm) -> float:
-        # tr(O rho): left-multiply the Pauli factors onto the row axes
-        n = self.n_qubits
-        dim = 2**n
-        t = self.rho
+        # tr(P rho) = sum_i P[i, i ^ flip] rho[i ^ flip, i]; P times all-ones is that phase
+        n, flip, phase = self.n_qubits, 0, np.ones(len(self.rho), dtype=complex)
         for q, p in term.factors:
-            lead, trail = 1 << q, dim >> (q + 1)
-            t = _mix_axis(t.reshape(lead, 2, trail * dim), PAULI[p]).reshape(dim, dim)
-        val = np.trace(t)
+            _check_qubit(n, q)
+            _mix_axis(phase, PAULI[p], q)
+            flip |= (p != "Z") << (n - 1 - q)  # X and Y flip the bit of qubit q
+        rows = np.arange(len(self.rho))
+        val = np.sum(phase * self.rho[rows ^ flip, rows])
         if abs(val.imag) > 1e-9:
             raise ValueError("non-real expectation from density matrix")
         return float(np.clip(val.real, -1.0, 1.0))
@@ -350,35 +344,18 @@ def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
     dm = DensityMatrix(n)
     # the same channel stack lands after every gate, so fuse it once up front
     hit_map = compose_superoperators(kraus_superoperator(k) for k in _channel_sequences(noise))
-    cnot = cnot_matrix()
+    hits = [] if hit_map is None else [hit_map]
 
     for layer in range(angles.shape[0]):
         for q in range(n):
             # Ry, noise, Rz, noise on one qubit compose into a single map
-            seq = [kraus_superoperator([ry_matrix(angles[layer, q, 0])])]
-            if hit_map is not None:
-                seq.append(hit_map)
-            seq.append(kraus_superoperator([rz_matrix(angles[layer, q, 1])]))
-            if hit_map is not None:
-                seq.append(hit_map)
-            dm.apply_channel(compose_superoperators(seq), q)
+            ry = kraus_superoperator([ry_matrix(angles[layer, q, 0])])
+            rz = kraus_superoperator([rz_matrix(angles[layer, q, 1])])
+            dm.apply_channel(compose_superoperators([ry, *hits, rz, *hits]), q)
         for q in range(n - 1):
-            dm.apply_two(cnot, q, q + 1)
+            dm.apply_cnot(q, q + 1)
             if hit_map is not None:
                 dm.apply_channel(hit_map, q)
                 dm.apply_channel(hit_map, q + 1)
     return NoisyResult(density=dm, noise=noise)
 
-
-def state_to_density(state: StateVector) -> DensityMatrix:
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(state.n_qubits, rho)
-
-
-def amplitudes_csv(state: StateVector, path) -> None:
-    """Dump amplitudes as (index, re, im) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "re", "im"])
-        for i, a in enumerate(state.amplitudes):
-            writer.writerow([i, repr(float(a.real)), repr(float(a.imag))])

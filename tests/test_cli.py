@@ -102,6 +102,8 @@ def test_qep_run_writes_diagnostics_rows(tmp_path):
     out = tmp_path / "diag.csv"
     assert run_cli(["qep-run", "--n", "6", "--nq", "4", "--batch-size", "4",
                     "--noise", "depolarizing", "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0]
+    assert header == "batch_id,n_q,d_q,alpha_mean,q_std,noise_kind,seed"
     rows = read_csv(out)
     assert [r["batch_id"] for r in rows] == ["0", "1"]
     for row in rows:
@@ -116,6 +118,16 @@ def test_qep_run_rejects_noisy_eleven_qubits(tmp_path):
     with pytest.raises(SystemExit) as err:
         run_cli(["qep-run", "--nq", "11", "--noise", "mixed",
                  "--out", str(tmp_path / "x.csv")])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("nq", ["1", "17"])
+@pytest.mark.parametrize("command", ["qubit-sweep", "noise-sweep", "pipeline-demo", "qep-run"])
+def test_nq_outside_two_to_sixteen_is_a_flag_error(tmp_path, command, nq):
+    # argparse exits before any simulation, so nothing of size 2^nq is allocated
+    with pytest.raises(SystemExit) as err:
+        run_cli([command, "--nq", nq, "--noise", "noiseless",
+                 "--out", str(tmp_path / "x.out")])
     assert err.value.code == 2
 
 

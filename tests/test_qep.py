@@ -26,7 +26,6 @@ from tnmpcqep.qep import (
     qubit_sweep,
     save_qep_params,
     suggest_qubits,
-    write_diagnostics_csv,
 )
 from tnmpcqep.qsim import NoiseSpec
 
@@ -338,21 +337,6 @@ def test_qep_bundle_rejects_wrong_kind(tmp_path):
     save_params(make_frontend(FrontendConfig(kind="mps", seed=19)), path)
     with pytest.raises(ValueError):
         load_qep_params(path)
-
-
-def test_diagnostics_csv(tmp_path):
-    rows = [
-        {"batch_id": 0, "n_q": 8, "d_q": 23, "alpha_mean": 0.5,
-         "q_std": 0.25, "noise_kind": "noiseless", "seed": 1},
-        {"batch_id": 1, "n_q": 8, "d_q": 23, "alpha_mean": 0.4,
-         "q_std": 0.21, "noise_kind": "depolarizing", "seed": 1},
-    ]
-    path = tmp_path / "diag.csv"
-    write_diagnostics_csv(rows, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "batch_id,n_q,d_q,alpha_mean,q_std,noise_kind,seed"
-    assert len(lines) == 3
-    assert lines[1].startswith("0,8,23,0.5,0.25,noiseless,1")
 
 
 # ---------------------------------------------------------------- qubit sweep

@@ -1,6 +1,7 @@
 """Simulator checks against dense-Kronecker oracles and closed forms."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,23 +9,28 @@ import pytest
 from tnmpcqep.qsim import (
     MAX_DENSITY_QUBITS,
     NOISELESS,
+    PAULI,
     DensityMatrix,
     NoiseSpec,
     PauliTerm,
     StateVector,
-    amplitudes_csv,
     apply_cnot,
     apply_single,
     depolarizing_kraus,
     expectation,
+    kraus_superoperator,
     run_circuit,
     run_noisy,
     ry_matrix,
     rz_matrix,
-    state_to_density,
     zero_state,
 )
-from tnmpcqep.verify import dense_circuit_state, dense_pauli_expectation
+from tnmpcqep.verify import (
+    dense_circuit_state,
+    dense_cnot_unitary,
+    dense_pauli_expectation,
+    dense_single_qubit_unitary,
+)
 
 
 def test_ry_pi_flips_zero_to_one():
@@ -89,7 +95,7 @@ def test_sixteen_qubit_depth_two_norm_and_speed():
     t0 = time.perf_counter()
     state = run_circuit(angles)
     elapsed = time.perf_counter() - t0
-    assert abs(state.norm() - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
     assert elapsed < 0.05, f"16-qubit depth-2 took {elapsed * 1e3:.1f} ms"
 
 
@@ -140,21 +146,25 @@ def test_depolarizing_single_gate_closed_form():
 def test_noiseless_density_equals_statevector():
     rng = np.random.default_rng(5)
     angles = rng.uniform(-np.pi, np.pi, size=(2, 3, 2))
-    pure = state_to_density(run_circuit(angles))
+    amps = run_circuit(angles).amplitudes
+    pure = np.outer(amps, amps.conj())
     noisy = run_noisy(angles, NOISELESS)
-    assert np.max(np.abs(pure.rho - noisy.density.rho)) <= 1e-12
+    assert np.max(np.abs(pure - noisy.density.rho)) <= 1e-12
 
 
 def test_noise_preserves_trace_and_reduces_purity():
+    def purity(rho):
+        return float(np.trace(rho @ rho).real)
+
     rng = np.random.default_rng(6)
     angles = rng.uniform(-np.pi, np.pi, size=(2, 4, 2))
+    pure = purity(run_noisy(angles, NOISELESS).density.rho)
     for kind in ("depolarizing", "thermal", "mixed"):
         result = run_noisy(angles, NoiseSpec(kind=kind, p=0.05, gamma_amp=0.05, gamma_phase=0.05))
         result.density.validate()
         assert abs(result.density.trace() - 1.0) <= 1e-9
-        assert result.density.purity() <= 1.0 + 1e-12
-        pure = run_noisy(angles, NOISELESS)
-        assert result.density.purity() < pure.density.purity() + 1e-12
+        assert purity(result.density.rho) <= 1.0 + 1e-12
+        assert purity(result.density.rho) < pure + 1e-12
 
 
 def test_density_qubit_cap():
@@ -194,12 +204,77 @@ def test_run_circuit_validates_shape():
         run_circuit(np.zeros((2, 3, 2)), n_qubits=4)
 
 
-def test_amplitudes_csv_roundtrip(tmp_path):
-    state = run_circuit(np.random.default_rng(1).uniform(size=(1, 2, 2)))
-    path = tmp_path / "amps.csv"
-    amplitudes_csv(state, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "index,re,im"
-    assert len(rows) == 1 + 4
-    re0, im0 = map(float, rows[1].split(",")[1:])
-    assert abs(complex(re0, im0) - state.amplitudes[0]) <= 1e-15
+
+# --- in-place kernels ---
+
+
+def test_statevector_ops_leave_their_input_unchanged():
+    state = run_circuit(np.random.default_rng(8).uniform(-np.pi, np.pi, size=(2, 3, 2)))
+    before = state.amplitudes.copy()
+    apply_single(state, ry_matrix(0.3), 1)
+    apply_cnot(state, 1, 2)
+    expectation(state, PauliTerm(((0, "X"), (2, "Z"))))
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_density_matrix_never_writes_into_the_callers_rho():
+    amps = run_circuit(np.random.default_rng(9).uniform(-np.pi, np.pi, size=(1, 3, 2))).amplitudes
+    rho = np.outer(amps, amps.conj())
+    before = rho.copy()
+    dm = DensityMatrix(3, rho)
+    dm.apply_single(ry_matrix(0.7), 0)
+    dm.apply_cnot(1, 2)
+    dm.apply_kraus(depolarizing_kraus(0.1), 2)
+    dm.expectation(PauliTerm(((1, "Z"),)))
+    assert np.array_equal(rho, before)
+    assert not np.array_equal(dm.rho, before)
+
+
+def test_density_cnot_matches_dense_conjugation():
+    n = 4
+    rng = np.random.default_rng(10)
+    for control in range(n - 1):  # every chain pair, the last one included
+        amps = run_circuit(rng.uniform(-np.pi, np.pi, size=(2, n, 2))).amplitudes
+        rho = np.outer(amps, amps.conj())
+        dm = DensityMatrix(n, rho)
+        dm.apply_cnot(control, control + 1)
+        c = dense_cnot_unitary(control, n)
+        assert np.max(np.abs(dm.rho - c @ rho @ c.conj().T)) <= 1e-15
+    with pytest.raises(ValueError):
+        DensityMatrix(n).apply_cnot(n - 1, n)
+    with pytest.raises(ValueError):
+        DensityMatrix(n).apply_cnot(0, 2)
+
+
+def test_density_expectation_matches_dense_trace_for_every_term():
+    n = 3
+    angles = np.random.default_rng(11).uniform(-np.pi, np.pi, size=(2, n, 2))
+    spec = NoiseSpec(kind="mixed", p=0.1, gamma_amp=0.05, gamma_phase=0.05)
+    rho = run_noisy(angles, spec).density.rho
+    singles = [((q, p),) for q in range(n) for p in "XYZ"]
+    pairs = [((a, pa), (b, pb)) for a in range(n) for b in range(a + 1, n)
+             for pa in "XYZ" for pb in "XYZ"]
+    for factors in singles + pairs:
+        op = np.eye(2**n, dtype=complex)
+        for q, p in factors:
+            op = op @ dense_single_qubit_unitary(PAULI[p], q, n)
+        got = DensityMatrix(n, rho).expectation(PauliTerm(factors))
+        assert abs(got - np.trace(op @ rho).real) <= 1e-12
+
+
+def test_density_evolution_allocates_no_full_size_array():
+    n = 6
+    dm = DensityMatrix(n)
+    hit = kraus_superoperator(depolarizing_kraus(0.05))
+    terms = [PauliTerm(((0, "X"), (1, "Y"))), PauliTerm(((n - 1, "Z"),))]
+    tracemalloc.start()
+    try:
+        for q in range(n - 1):
+            dm.apply_channel(hit, q)
+            dm.apply_cnot(q, q + 1)
+        for t in terms:
+            dm.expectation(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dm.rho.nbytes // 4
