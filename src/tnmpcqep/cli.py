@@ -131,15 +131,9 @@ def _cmd_qep_run(args, parser) -> int:
     for start in range(0, feats.shape[0], args.batch_size):
         chunk = feats[start:start + args.batch_size]
         _, diag = qep.qep_forward(chunk, params, noise=noise)
-        rows.append({
-            "batch_id": len(rows),
-            "n_q": args.nq,
-            "d_q": params.d_q,
-            "alpha_mean": diag.alpha_mean,
-            "q_std": diag.q_std,
-            "noise_kind": "noiseless" if noise is None else noise.kind,
-            "seed": seed,
-        })
+        rows.append({"batch_id": len(rows), "n_q": args.nq, "d_q": params.d_q,
+                     "alpha_mean": diag.alpha_mean, "q_std": diag.q_std,
+                     "noise_kind": "noiseless" if noise is None else noise.kind, "seed": seed})
     _write_csv(args.out, header, rows)
     print(f"processed {feats.shape[0]} latents in {len(rows)} batches -> {args.out}")
     return 0
@@ -157,10 +151,7 @@ def _cmd_qubit_sweep(args, parser) -> int:
         seed = master + i  # per-point seeds derive from the master by index
         batch = pipeline.synth_data(args.n_train + args.n_test, seed=seed)
         records = qep.qubit_sweep(batch, args.nq, config=replace(base, seed=seed))
-        for rec in records:
-            rows.append({"mode": "quantum", "n_q": rec["n_q"], "d_q": rec["d_q"],
-                         "seed": rec["seed"], "accuracy": rec["accuracy"], "f1": rec["f1"],
-                         "alpha_mean": rec["alpha_mean"], "q_std": rec["q_std"]})
+        rows += [{"mode": "quantum", **{h: rec[h] for h in header[1:]}} for rec in records]
     baseline = pipeline.run_demo(
         replace(base, mode="classical"),
         data=pipeline.synth_data(args.n_train + args.n_test, seed=master))

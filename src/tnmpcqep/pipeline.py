@@ -179,17 +179,6 @@ def load_idx(images_path, labels_path) -> LabeledBatch:
     return LabeledBatch(images.astype(np.float64) / 255.0, labels.astype(np.int64))
 
 
-def write_idx(batch: LabeledBatch, images_path, labels_path) -> None:
-    """Inverse of load_idx; pixels quantize to the u8 grid."""
-    m = len(batch)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, m, IMAGE_SIDE, IMAGE_SIDE))
-        fh.write(np.rint(batch.images * 255.0).astype(np.uint8).tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, m))
-        fh.write(batch.labels.astype(np.uint8).tobytes())
-
-
 # -------------------------------------------------------------------- readout
 
 

@@ -342,10 +342,8 @@ def save_qep_params(params: QepParams, path) -> None:
         "scale": params.scale, "beta": params.beta, "mode": params.mode,
         "seed": params.seed,
     }
-    entries = []
-    for name in _QEP_ENTRIES:
-        value = getattr(params, name)
-        entries.append((name, np.atleast_1d(np.asarray(value, dtype=np.float64))))
+    entries = [(name, np.atleast_1d(np.asarray(getattr(params, name), dtype=np.float64)))
+               for name in _QEP_ENTRIES]
     write_container(path, "qep", config, entries, extra={"seed": params.seed})
 
 
@@ -359,14 +357,7 @@ def load_qep_params(path) -> QepParams:
     return QepParams(
         d=int(cfg["d"]), n_q=int(cfg["n_q"]), layers=int(cfg["layers"]),
         scale=float(cfg["scale"]), beta=float(cfg["beta"]), mode=cfg["mode"],
-        seed=int(cfg["seed"]),
-        delta=arrays["delta"],
-        enc_w1=arrays["enc_w1"], enc_b1=arrays["enc_b1"],
-        enc_w2=arrays["enc_w2"], enc_b2=arrays["enc_b2"],
-        dec_w1=arrays["dec_w1"], dec_b1=arrays["dec_b1"],
-        dec_w2=arrays["dec_w2"], dec_b2=arrays["dec_b2"],
-        bp_w=arrays["bp_w"], bp_b=arrays["bp_b"],
-        fus_w=arrays["fus_w"], fus_b=arrays["fus_b"],
-        alpha_w=arrays["alpha_w"], alpha_b=float(arrays["alpha_b"][0]),
+        seed=int(cfg["seed"]), alpha_b=float(arrays["alpha_b"][0]),
+        **{name: arrays[name] for name in _QEP_ENTRIES if name != "alpha_b"},
     )
 

@@ -7,16 +7,20 @@ matrix is the same buffer on 2n axes (rows 0..n-1, columns n..2n-1), and both
 apply every gate in place on their one buffer.  Gates are
 Ry(t) = exp(-i t Y / 2), Rz(t) = exp(-i t Z / 2), and nearest-neighbor
 CNOT(q, q+1).  One hardware-efficient layer applies Ry then Rz on every qubit
-followed by the CNOT chain q = 0 .. n-2.
+followed by the CNOT chain q = 0 .. n-2.  Readouts are exact Pauli permutations:
+X and Y swap the halves of their axis, Y and Z scale a half by -i, +i or -1, and
+the statevector writes P|psi> into one buffer (beside -|psi>) reused by every term.
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
 phase damping; "mixed" = depolarizing followed by thermal.  Density-matrix
-evolution is exact and limited to 10 qubits.
+evolution is exact, limited to 10 qubits, and every noisy run ends with a check
+that |tr rho - 1| <= 1e-9.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -53,6 +57,8 @@ class StateVector:
 
     n_qubits: int
     amplitudes: np.ndarray
+    # rows P|psi> and -|psi> of the term being read out, allocated by the first readout
+    _readout: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
@@ -91,6 +97,32 @@ def _flip_cnot(amps: np.ndarray, control: int, scratch: np.ndarray) -> None:
     staged = scratch.reshape(-1)[: one.size].reshape(one.shape)  # half of amps' size
     np.copyto(staged, one[:, ::-1])
     one[...] = staged
+
+
+# the factor each Pauli puts on half 0 and half 1 of its axis; X and Y swap the halves
+_PAULI_PHASE = {"X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
+
+
+def _pauli_into(out: np.ndarray, src: np.ndarray, neg: np.ndarray, factors) -> None:
+    """out = P src on flat [2]*n buffers, factors on ascending qubits, by copies alone:
+    each block of out is a block of src or of neg = -src, or their parts for +-i."""
+    if any(p != "X" for _, p in factors):
+        np.negative(src.view(np.float64), out=neg.view(np.float64))  # contiguous, exact
+    shape, start = [], 0
+    for q, _ in factors:
+        shape, start = shape + [1 << (q - start), 2], q + 1
+    dst, src, neg = (a.reshape(*shape, -1) for a in (out, src, neg))
+    for bits in itertools.product((0, 1), repeat=len(factors)):
+        phase, to, fro = 1, (), ()
+        for (_, p), b in zip(factors, bits):
+            phase *= _PAULI_PHASE[p][b]
+            to, fro = to + (slice(None), b), fro + (slice(None), b ^ (p != "Z"))
+        o, s, m = dst[to], src[fro], neg[fro]
+        if phase in (1, -1):
+            np.copyto(o, s if phase == 1 else m)
+        else:  # (x + iy)(-i) = y - ix and (x + iy)(+i) = -y + ix
+            np.copyto(o.real, s.imag if phase == -1j else m.imag)
+            np.copyto(o.imag, m.real if phase == -1j else s.real)
 
 
 def _check_cnot(n: int, control: int, target: int) -> None:
@@ -160,11 +192,12 @@ class PauliTerm:
 
 
 def expectation(state: StateVector, term: PauliTerm) -> float:
-    phi = state.amplitudes.copy()
-    for q, p in term.factors:
+    for q, _ in term.factors:
         _check_qubit(state.n_qubits, q)
-        _mix_axis(phi, PAULI[p], q)
-    val = np.vdot(state.amplitudes, phi)
+    if state._readout is None:
+        state._readout = np.empty((2, state.amplitudes.size), dtype=complex)
+    _pauli_into(state._readout[0], state.amplitudes, state._readout[1], term.factors)
+    val = np.vdot(state.amplitudes, state._readout[0])
     if abs(val.imag) > 1e-9:
         raise ValueError(f"non-real Pauli expectation ({val}); state is inconsistent")
     return float(np.clip(val.real, -1.0, 1.0))
@@ -298,9 +331,13 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.rho).real)
 
-    def validate(self, atol: float = 1e-10) -> None:
+    def check_trace(self) -> None:
+        """O(2^n), cheap enough for every run, unlike validate's eigenvalues."""
         if abs(np.trace(self.rho) - 1.0) > 1e-9:
             raise ValueError(f"trace drifted to {np.trace(self.rho)}")
+
+    def validate(self, atol: float = 1e-10) -> None:
+        self.check_trace()
         if np.max(np.abs(self.rho - self.rho.conj().T)) > 1e-9:
             raise ValueError("density matrix lost hermiticity")
         eigs = np.linalg.eigvalsh(self.rho)
@@ -309,11 +346,11 @@ class DensityMatrix:
 
     def expectation(self, term: PauliTerm) -> float:
         # tr(P rho) = sum_i P[i, i ^ flip] rho[i ^ flip, i]; P times all-ones is that phase
-        n, flip, phase = self.n_qubits, 0, np.ones(len(self.rho), dtype=complex)
+        n, flip, phase = self.n_qubits, 0, np.empty(len(self.rho), dtype=complex)
         for q, p in term.factors:
             _check_qubit(n, q)
-            _mix_axis(phase, PAULI[p], q)
             flip |= (p != "Z") << (n - 1 - q)  # X and Y flip the bit of qubit q
+        _pauli_into(phase, np.ones_like(phase), np.empty_like(phase), term.factors)
         rows = np.arange(len(self.rho))
         val = np.sum(phase * self.rho[rows ^ flip, rows])
         if abs(val.imag) > 1e-9:
@@ -357,5 +394,6 @@ def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
             if hit_map is not None:
                 dm.apply_channel(hit_map, q)
                 dm.apply_channel(hit_map, q + 1)
+    dm.check_trace()
     return NoisyResult(density=dm, noise=noise)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qsim import StateVector, cnot_matrix, ry_matrix, rz_matrix
+from .qsim import PAULI, StateVector, cnot_matrix, ry_matrix, rz_matrix
 
 
 def dense_single_qubit_unitary(gate: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -23,16 +23,8 @@ def dense_single_qubit_unitary(gate: np.ndarray, q: int, n: int) -> np.ndarray:
 
 def dense_cnot_unitary(control: int, n: int) -> np.ndarray:
     """Adjacent CNOT(control, control+1) as a full 2^n unitary."""
-    full = np.eye(1, dtype=complex)
-    i = 0
-    while i < n:
-        if i == control:
-            full = np.kron(full, cnot_matrix())
-            i += 2
-        else:
-            full = np.kron(full, np.eye(2, dtype=complex))
-            i += 1
-    return full
+    before, after = np.eye(2**control, dtype=complex), np.eye(2 ** (n - control - 2), dtype=complex)
+    return np.kron(np.kron(before, cnot_matrix()), after)
 
 
 def dense_circuit_state(angles: np.ndarray) -> StateVector:
@@ -52,8 +44,6 @@ def dense_circuit_state(angles: np.ndarray) -> StateVector:
 
 def dense_pauli_expectation(state: StateVector, factors) -> float:
     """Oracle expectation via the full observable matrix."""
-    from .qsim import PAULI
-
     n = state.n_qubits
     op = np.eye(2**n, dtype=complex)
     for q, p in factors:

@@ -66,9 +66,9 @@ def test_encode_writes_one_row_per_sample(tmp_path):
     assert [int(r["label"]) for r in rows] == list(data.labels)
 
 
-def test_encode_roundtrips_idx_files_and_saved_bundle(tmp_path):
+def test_encode_roundtrips_idx_files_and_saved_bundle(tmp_path, write_idx):
     data = pipeline.synth_data(6, seed=4)
-    pipeline.write_idx(data, tmp_path / "img.idx", tmp_path / "lab.idx")
+    write_idx(data, tmp_path / "img.idx", tmp_path / "lab.idx")
     bundle = tmp_path / "fe.npz"
     out1 = tmp_path / "a.csv"
     assert run_cli(["encode", "--kind", "mps", "--images", str(tmp_path / "img.idx"),

@@ -23,7 +23,6 @@ from tnmpcqep.pipeline import (
     synth_data,
     threshold_candidates,
     train_readout,
-    write_idx,
 )
 from tnmpcqep.qsim import NoiseSpec
 
@@ -350,7 +349,7 @@ def test_idx_truncated_payload(tmp_path):
         load_idx(p, lpath)
 
 
-def test_idx_image_label_count_mismatch(tmp_path):
+def test_idx_image_label_count_mismatch(tmp_path, write_idx):
     batch = synth_data(4, seed=3)
     write_idx(batch, tmp_path / "img", tmp_path / "lab")
     short = LabeledBatch(batch.images[:3], batch.labels[:3])
@@ -359,7 +358,7 @@ def test_idx_image_label_count_mismatch(tmp_path):
         load_idx(tmp_path / "img", tmp_path / "lab3")
 
 
-def test_idx_roundtrip_is_exact_on_the_u8_grid(tmp_path):
+def test_idx_roundtrip_is_exact_on_the_u8_grid(tmp_path, write_idx):
     raw = synth_data(6, seed=4)
     grid = LabeledBatch(np.rint(raw.images * 255.0) / 255.0, raw.labels)
     write_idx(grid, tmp_path / "img", tmp_path / "lab")

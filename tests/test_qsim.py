@@ -5,7 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from tnmpcqep import qsim
+from tnmpcqep.qep import observable_set
 from tnmpcqep.qsim import (
     MAX_DENSITY_QUBITS,
     NOISELESS,
@@ -14,6 +19,7 @@ from tnmpcqep.qsim import (
     NoiseSpec,
     PauliTerm,
     StateVector,
+    _mix_axis,
     apply_cnot,
     apply_single,
     depolarizing_kraus,
@@ -278,3 +284,64 @@ def test_density_evolution_allocates_no_full_size_array():
     finally:
         tracemalloc.stop()
     assert peak < dm.rho.nbytes // 4
+
+
+# --- readout by exact Pauli permutation ---
+
+
+def _mix_axis_readout(state, term):
+    """The readout before exact permutations: copy, one 2x2 mix per factor, vdot."""
+    phi = state.amplitudes.copy()
+    for q, p in term.factors:
+        _mix_axis(phi, PAULI[p], q)
+    return float(np.clip(np.vdot(state.amplitudes, phi).real, -1.0, 1.0))
+
+
+@st.composite
+def _circuit_and_terms(draw):
+    n = draw(st.integers(2, 8))
+    layers = draw(st.integers(1, 3))
+    angles = draw(arrays(np.float64, (layers, n, 2), elements=st.floats(-np.pi, np.pi)))
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        terms.append(PauliTerm(tuple((q, draw(st.sampled_from("XYZ"))) for q in qubits)))
+    return angles, terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(_circuit_and_terms())
+def test_expectation_is_bit_identical_to_the_mix_axis_readout(case):
+    # several terms read from one state, so the reused buffer is overwritten in between
+    angles, terms = case
+    state = run_circuit(angles)
+    for term in terms:
+        got = expectation(state, term)
+        assert np.float64(got).tobytes() == np.float64(_mix_axis_readout(state, term)).tobytes()
+        assert abs(got - dense_pauli_expectation(state, term.factors)) <= 1e-12
+
+
+def test_statevector_readout_allocates_no_state_sized_array():
+    n = 12
+    state = run_circuit(np.random.default_rng(12).uniform(-np.pi, np.pi, size=(2, n, 2)))
+    terms = observable_set(n, "all_pairs")
+    expectation(state, terms[0])  # warm-up: the first readout allocates the buffer
+    tracemalloc.start()
+    try:
+        for t in terms:
+            expectation(state, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.amplitudes.nbytes // 4
+
+
+def test_run_noisy_raises_when_the_trace_drifts(monkeypatch):
+    angles = np.random.default_rng(13).uniform(-np.pi, np.pi, size=(1, 3, 2))
+    spec = NoiseSpec(kind="depolarizing", p=0.05)
+    fuse = qsim.compose_superoperators
+    monkeypatch.setattr(qsim, "compose_superoperators", lambda ops: 1.01 * fuse(ops))
+    with pytest.raises(ValueError, match=r"trace drifted to \(1\.\d*[1-9]"):
+        run_noisy(angles, spec)
+    monkeypatch.undo()
+    assert abs(run_noisy(angles, spec).density.trace() - 1.0) <= 1e-12
