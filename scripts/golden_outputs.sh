@@ -30,6 +30,9 @@ cli() {
 
 cli pipeline-demo --out "$OUT/pipeline_demo.json" >/dev/null
 cli pipeline-demo --secure --out "$OUT/pipeline_demo_secure.json" >/dev/null
+cli pipeline-demo --secure --kind mps --n-train 48 --n-test 16 \
+    --out "$OUT/pipeline_demo_secure_mps.json" >/dev/null
+cli bench-mpc --n-max 6 --dims 8,64 --theta 3 --out "$OUT/bench_mpc.csv" >/dev/null
 cli pipeline-demo --noise depolarizing --n-train 64 --n-test 32 \
     --out "$OUT/pipeline_demo_depolarizing.json" >/dev/null
 cli qubit-sweep --nq 4,8,12 --seeds 1 --n-train 64 --n-test 32 \
@@ -41,6 +44,9 @@ cli qep-run --nq 16 --observables all_pairs --n 2 --out "$OUT/qep_run_nq16_all_p
 cli verify >"$OUT/verify.txt"
 
 python3 demos/qsim_noise.py >"$OUT/demo_qsim_noise.txt"
+python3 demos/mpc_protocol.py >"$OUT/demo_mpc_protocol.txt"
+python3 demos/bench_costs.py >"$OUT/demo_bench_costs.txt"
+python3 demos/ring_fixed_point.py >"$OUT/demo_ring_fixed_point.txt"
 python3 demos/qep_processor.py >"$OUT/demo_qep_processor.txt"
 python3 demos/pipeline_end_to_end.py | sed -E 's/\([0-9]+\.[0-9]+s\)/(T s)/g' \
     >"$OUT/demo_pipeline_end_to_end.txt"

@@ -169,14 +169,16 @@ def execute_scenario(
         # plaintext: each client ships its d latents and weight as k-bit words
         for i in range(n):
             payload = np.concatenate([codec.encode_array(features[i]), codec.encode_array([weights[i]])])
-            session.transport.send(CLIENT_ID, i % 3, payload, CLIENT_TO_NODE)
+            session.transport.send(CLIENT_ID, i % 3, payload, CLIENT_TO_NODE, "plain")
             session.transport.recv(CLIENT_ID, i % 3)
         x = (weights[:, None] * features).sum(axis=0) / (weights.sum() + cfg.epsilon)
         return x, session.report()
 
     base = 1 if scenario in (1, 4) else 2
-    f_shares = [session.share_encoded(features[i]) for i in range(n)]
-    w_shares = [session.share_encoded(np.array([weights[i]])) for i in range(n)]
+    # encode_array works element by element, so one call per event gives each row's bytes
+    encoded_w = codec.encode_array(weights)
+    f_shares = [session.share(row) for row in codec.encode_array(features)]
+    w_shares = [session.share(encoded_w[i : i + 1]) for i in range(n)]
 
     wf = None
     for i in range(n):

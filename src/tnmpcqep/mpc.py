@@ -4,10 +4,13 @@ A secret v is split as v = v_0 + v_1 + v_2 (mod 2^k) with v_0, v_1 uniform
 from the session's seeded stream; party i holds the pair (v_i, v_{i+1 mod 3}).
 A SharedTensor keeps the three components of a tensor of secrets as one
 (3, *shape) uint64 array, so every local op is one ring op over that array.
-An Mpc3Session runs all three logical parties in lockstep inside one process.
-Every message goes through the session's LockstepTransport, an in-process
-FIFO per (sender, receiver) channel, whose CostReport is the only cost
-counter and changes only through LockstepTransport.charge.
+It owns that array: every op builds a fresh, reduced one and nothing copies
+it again.  An Mpc3Session runs all three logical parties in lockstep inside
+one process.  Every message goes through the session's LockstepTransport, an
+in-process FIFO per (sender, receiver) channel.  Its meter is plain integers
+that change only through LockstepTransport.charge: one counter per link, read
+as a CostReport, and one per primitive (share, mul, trunc, div, open), read
+through Mpc3Session.traffic and summing to the same total.
 
 Costs follow a bit-exact model rather than observed wire traffic: operations
 whose in-process realization sends fewer bits than the modeled protocol
@@ -91,7 +94,7 @@ class CostReport:
 CLIENT_TO_NODE = "client_to_node"
 NODE_TO_NODE = "node_to_node"
 RECONSTRUCTION = "reconstruction"
-_CATEGORIES = (CLIENT_TO_NODE, NODE_TO_NODE, RECONSTRUCTION)
+_CATEGORIES = (CLIENT_TO_NODE, NODE_TO_NODE, RECONSTRUCTION)  # CostReport field order
 
 
 # --- transport ---
@@ -100,15 +103,21 @@ _CATEGORIES = (CLIENT_TO_NODE, NODE_TO_NODE, RECONSTRUCTION)
 class LockstepTransport:
     """In-process FIFO channels between (src, dst) pairs; meters on send.
 
-    cost accumulates every charge; multiplier models active security (x2).
+    Each charge adds to one link counter and to one primitive counter;
+    multiplier models active security (x2).
     """
 
     def __init__(self, k: int = MAX_K, multiplier: int = 1):
-        self.cost = CostReport()
         self.multiplier = multiplier
         self.k = k
         self._queues: dict = {}
         self._mute_depth = 0
+        self._link_bits = dict.fromkeys(_CATEGORIES, 0)
+        self._primitive_bits: dict = {}
+
+    @property
+    def cost(self) -> CostReport:
+        return CostReport(*self._link_bits.values())
 
     @contextmanager
     def muted(self):
@@ -119,18 +128,21 @@ class LockstepTransport:
         finally:
             self._mute_depth -= 1
 
-    def charge(self, category: str, bits: int) -> None:
-        """Add bits (times the multiplier) to one link's counter unless muted."""
-        if category not in _CATEGORIES:
+    def charge(self, category: str, bits: int, primitive: str) -> None:
+        """Add bits (times the multiplier) to one link's and one primitive's counter unless muted."""
+        if category not in self._link_bits:
             raise ProtocolError(f"unknown meter category {category!r}")
         if bits < 0:
             raise ProtocolError("cannot charge negative bits")
         if self._mute_depth == 0:
-            self.cost += CostReport(**{category + "_bits": bits * self.multiplier})
+            bits *= self.multiplier
+            self._link_bits[category] += bits
+            self._primitive_bits[primitive] = self._primitive_bits.get(primitive, 0) + bits
 
-    def send(self, src: int, dst: int, elements: np.ndarray, category: str) -> None:
+    def send(self, src: int, dst: int, elements, category: str, primitive: str) -> None:
+        """Queue a reduced snapshot of elements; later writes to the caller's array do not reach it."""
         elems = np.atleast_1d(as_ring_array(elements, self.k))
-        self.charge(category, elems.size * self.k)
+        self.charge(category, elems.size * self.k, primitive)
         self._queues.setdefault((src, dst), deque()).append(elems)
 
     def recv(self, src: int, dst: int) -> np.ndarray:
@@ -144,21 +156,27 @@ class LockstepTransport:
 
 
 def _uniform_ring(rng, shape, k: int) -> np.ndarray:
-    """Uniform draw over Z_{2^k} as uint64."""
-    full = np.atleast_1d(rng.integers(0, 1 << k, size=shape, dtype=np.uint64))
+    """Uniform draw over Z_{2^k} as uint64: the generator's raw 64-bit words,
+    the same stream as rng.integers(0, 2**64, shape, dtype=np.uint64) at k=64."""
+    full = rng.bit_generator.random_raw(shape)
     return full & np.uint64(ring_mask(k)) if k < MAX_K else full
 
 
 class SharedTensor:
     """Tensor of secrets as one (3, *shape) array of components v_0, v_1, v_2;
-    party i holds rows i and i+1 mod 3."""
+    party i holds rows i and i+1 mod 3.
+
+    Takes ownership of components without copying: pass a fresh array
+    reduced mod 2^k, or a read-only view of one.
+    """
 
     __slots__ = ("components", "k")
 
-    def __init__(self, components, k: int):
-        self.components = as_ring_array(components, k)
-        if self.components.ndim < 2 or self.components.shape[0] != 3:
-            raise ProtocolError("a SharedTensor needs a (3, *shape) component array")
+    def __init__(self, components: np.ndarray, k: int):
+        if not isinstance(components, np.ndarray) or components.dtype != np.uint64 \
+                or components.ndim < 2 or components.shape[0] != 3:
+            raise ProtocolError("a SharedTensor needs a (3, *shape) uint64 component array")
+        self.components = components
         self.k = k
 
     @property
@@ -198,15 +216,22 @@ class Mpc3Session:
     def report(self) -> CostReport:
         return self.transport.cost
 
+    def traffic(self) -> dict:
+        """Bits per primitive tag in first-charged order, summing to report().total_bits.
+
+        The session's ops tag share, mul, trunc, div and open; a plaintext
+        upload is tagged plain.
+        """
+        return dict(self.transport._primitive_bits)
+
     # -- sharing / opening --
 
     def share(self, values) -> SharedTensor:
         """Client-side split; party i receives the pair (v_i, v_{i+1}) (6k bits/element)."""
         x = self._split(np.atleast_1d(as_ring_array(values, self.k)))
-        comps = x.components
+        pairs = x.components[[0, 1, 1, 2, 2, 0]].reshape(3, -1)
         for i in range(3):
-            pair = np.concatenate([comps[i], comps[(i + 1) % 3]])
-            self.transport.send(CLIENT_ID, i, pair, CLIENT_TO_NODE)
+            self.transport.send(CLIENT_ID, i, pairs[i], CLIENT_TO_NODE, "share")
             self.transport.recv(CLIENT_ID, i)
         return x
 
@@ -224,7 +249,7 @@ class Mpc3Session:
         """Reveal to all parties: each party forwards one missing component (3k bits/element)."""
         c = x.components
         for i in range(3):
-            self.transport.send((i + 1) % 3, i, c[(i + 2) % 3], RECONSTRUCTION)
+            self.transport.send((i + 1) % 3, i, c[(i + 2) % 3], RECONSTRUCTION, "open")
         received = [self.transport.recv((i + 1) % 3, i) for i in range(3)]
         for i in range(3):
             if not np.array_equal(received[i], c[(i + 2) % 3]):
@@ -260,6 +285,8 @@ class Mpc3Session:
         """Sum all elements into a length-1 shared tensor (local)."""
         with np.errstate(over="ignore"):
             total = np.add.reduce(x.components.reshape(3, -1), axis=1, dtype=np.uint64)
+        if self.k < MAX_K:
+            total &= np.uint64(ring_mask(self.k))
         return SharedTensor(total[:, None], self.k)
 
     # -- interactive ops --
@@ -269,10 +296,10 @@ class Mpc3Session:
         sends z_i to party i-1 (3k bits/element)."""
         self._same_ring(x, y)
         xc, yc = x.components, y.components
-        x_next, y_next = np.roll(xc, -1, axis=0), np.roll(yc, -1, axis=0)
+        x_next, y_next = xc[[1, 2, 0]], yc[[1, 2, 0]]
         z = radd(rmul(xc, radd(yc, y_next, self.k), self.k), rmul(x_next, yc, self.k), self.k)
         for i in range(3):
-            self.transport.send(i, (i - 1) % 3, z[i], NODE_TO_NODE)
+            self.transport.send(i, (i - 1) % 3, z[i], NODE_TO_NODE, "mul")
         for i in range(3):
             self.transport.recv((i + 1) % 3, i)
         return SharedTensor(z, self.k)
@@ -290,7 +317,7 @@ class Mpc3Session:
             signed = signed + (np.int64(1) << np.int64(f - 1)) if f > 0 else signed
         shifted = signed >> np.int64(f)
         out = self._split(from_signed(shifted, self.k))
-        self.transport.charge(NODE_TO_NODE, 6 * self.k * x.size)
+        self.transport.charge(NODE_TO_NODE, 6 * self.k * x.size, "trunc")
         return out
 
     def fixed_mul(self, x: SharedTensor, y: SharedTensor) -> SharedTensor:
@@ -331,7 +358,7 @@ class Mpc3Session:
                 r = self.truncate(self.mul(r, u), rounding="nearest")
             q = self.truncate(self.mul(n0, r), rounding="nearest")
 
-        self.transport.charge(NODE_TO_NODE, 3 * k * (k + 4 * theta + 2) * num.size)
+        self.transport.charge(NODE_TO_NODE, 3 * k * (k + 4 * theta + 2) * num.size, "div")
         return q
 
     # -- internals --
@@ -348,10 +375,11 @@ class Mpc3Session:
 
     def _split(self, values: np.ndarray) -> SharedTensor:
         """Fresh sharing from the session stream: v_0, v_1 uniform, v_2 the residual."""
-        v0 = _uniform_ring(self.rng, values.shape, self.k)
-        v1 = _uniform_ring(self.rng, values.shape, self.k)
-        v2 = rsub(rsub(values, v0, self.k), v1, self.k)
-        return SharedTensor(np.stack([v0, v1, v2]), self.k)
+        comps = np.empty((3,) + values.shape, dtype=np.uint64)
+        comps[0] = _uniform_ring(self.rng, values.shape, self.k)
+        comps[1] = _uniform_ring(self.rng, values.shape, self.k)
+        comps[2] = rsub(rsub(values, comps[0], self.k), comps[1], self.k)
+        return SharedTensor(comps, self.k)
 
     def _scale_pow2(self, x: SharedTensor, exps: np.ndarray, rounding: str = "floor") -> SharedTensor:
         """Multiply element j by 2^exps[j]; negative exponents truncate exactly."""

@@ -328,9 +328,6 @@ class DensityMatrix:
     def apply_kraus(self, kraus, q: int) -> None:
         self.apply_channel(kraus_superoperator(kraus), q)
 
-    def trace(self) -> float:
-        return float(np.trace(self.rho).real)
-
     def check_trace(self) -> None:
         """O(2^n), cheap enough for every run, unlike validate's eigenvalues."""
         if abs(np.trace(self.rho) - 1.0) > 1e-9:
@@ -364,9 +361,6 @@ class NoisyResult:
 
     density: DensityMatrix
     noise: NoiseSpec
-
-    def expectation(self, term: PauliTerm) -> float:
-        return self.density.expectation(term)
 
     def expectations(self, terms: Sequence[PauliTerm]) -> np.ndarray:
         return np.array([self.density.expectation(t) for t in terms])

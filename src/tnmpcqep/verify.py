@@ -214,7 +214,7 @@ def check_qsim():
     checks.append(_passfail("depolarizing_closed_form", err <= 1e-10, f"error {err:.3e}"))
 
     zero = run_noisy(np.zeros((1, 2, 2)), NoiseSpec(kind="depolarizing", p=0.0))
-    err = abs(zero.expectation(PauliTerm(factors=((0, "Z"),))) - 1.0)
+    err = abs(zero.density.expectation(PauliTerm(factors=((0, "Z"),))) - 1.0)
     checks.append(_passfail("zero_noise_is_identity", err <= 1e-12, f"error {err:.3e}"))
     return checks
 

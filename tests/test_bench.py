@@ -16,7 +16,8 @@ from tnmpcqep.bench import (
     verify_against_meter,
     write_sweep_csv,
 )
-from tnmpcqep.mpc import CostReport
+from tnmpcqep import bench
+from tnmpcqep.mpc import CostReport, Mpc3Session
 
 
 def test_primitive_costs_at_k64():
@@ -134,6 +135,31 @@ def test_execute_scenario_values_match_plaintext():
     out1, _ = execute_scenario(cfg, 1, features=features, weights=weights)
     assert np.max(np.abs(out1[:d] - (weights[:, None] * features).sum(axis=0))) <= n * 2.0**-18
     assert abs(out1[d] - weights.sum()) <= n * 2.0**-20
+
+
+@pytest.mark.parametrize("scenario, factor", [(2, 1), (5, 2)])
+def test_executed_event_traffic_per_primitive_matches_the_closed_form(monkeypatch, scenario, factor):
+    sessions = []
+
+    def session(**kwargs):
+        sessions.append(Mpc3Session(**kwargs))
+        return sessions[-1]
+
+    monkeypatch.setattr(bench, "Mpc3Session", session)
+    cfg = BenchConfig(n=16, d=64)
+    n, d, k = cfg.n, cfg.d, cfg.k
+    _, measured = execute_scenario(cfg, scenario, seed=5)
+    traffic = sessions[0].traffic()
+    assert traffic == {
+        "share": factor * n * (d + 1) * 6 * k,
+        "mul": factor * (n * d + d) * 3 * k,
+        "trunc": factor * (n * d + d) * 6 * k,
+        "div": factor * division_cost_bits(cfg),
+        "open": factor * d * 3 * k,
+    }
+    closed = run_scenario(cfg, scenario)
+    assert measured == closed
+    assert sum(traffic.values()) == closed.total_bits
 
 
 def test_execute_scenario_rejects_closed_form_only():

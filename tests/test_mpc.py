@@ -6,9 +6,11 @@ import pytest
 from scipy import stats
 
 from tnmpcqep.mpc import (
+    NODE_TO_NODE,
     CostReport,
     DomainError,
     Instr,
+    LockstepTransport,
     Mpc3Session,
     ProtocolError,
     SecurityMode,
@@ -18,12 +20,13 @@ from tnmpcqep.mpc import (
 
 
 class _ForcedRng:
-    """Stub generator feeding predetermined 'random' components."""
+    """Stub generator feeding predetermined 'random' components, one per raw draw."""
 
     def __init__(self, values):
         self.values = list(values)
+        self.bit_generator = self
 
-    def integers(self, low, high, size=None, dtype=None):
+    def random_raw(self, size=None):
         v = self.values.pop(0)
         return np.full(size if size else 1, v, dtype=np.uint64)
 
@@ -50,6 +53,20 @@ def test_share_forced_randomness_example():
     # party i receives the pair (v_i, v_{i+1 mod 3})
     assert received == {0: (3, 5), 1: (5, v2), 2: (v2, 3)}
     assert int(s.open(x)[0]) == 7
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (64,), (16, 64)])
+def test_share_masks_are_the_generators_uint64_stream(shape):
+    for seed in (0, 11, 2**40 + 3):
+        values = np.arange(np.prod(shape), dtype=np.uint64).reshape(shape)
+        x = Mpc3Session(k=64, seed=seed).share(values)
+        ref = np.random.default_rng(seed)
+        assert np.array_equal(x.components[0], ref.integers(0, 2**64, shape, dtype=np.uint64))
+        assert np.array_equal(x.components[1], ref.integers(0, 2**64, shape, dtype=np.uint64))
+        s32 = Mpc3Session(k=32, seed=seed)
+        x32 = s32.share(values)
+        assert x32.components.max() < 2**32
+        assert np.array_equal(s32.open(x32), values)
 
 
 def test_share_reconstruct_roundtrip_random():
@@ -83,6 +100,43 @@ def test_share_components_look_uniform_regardless_of_secret():
         tables.append(np.bincount(vals, minlength=bins))
     chi2, p, _, _ = stats.chi2_contingency(np.array(tables))
     assert p > 0.01
+
+
+# --- transport and share ownership ---
+
+
+def test_sent_message_is_a_snapshot():
+    for k in (32, 64):
+        t = LockstepTransport(k=k)
+        msg = np.arange(4, dtype=np.uint64)
+        t.send(0, 1, msg, NODE_TO_NODE, "mul")
+        msg[:] = 99
+        assert t.recv(0, 1).tolist() == [0, 1, 2, 3]
+
+
+def test_send_reduces_into_a_narrow_ring():
+    t = LockstepTransport(k=32)
+    t.send(0, 1, np.array([2**32 + 5, 2**64 - 1, 7], dtype=np.uint64), NODE_TO_NODE, "mul")
+    assert t.recv(0, 1).tolist() == [5, 2**32 - 1, 7]
+    t.send(0, 1, 2**40 + 9, NODE_TO_NODE, "mul")
+    assert t.recv(0, 1).tolist() == [9]
+
+
+@pytest.mark.parametrize("op", ["add", "mul", "truncate", "add_public"])
+def test_op_output_components_are_separate_from_its_inputs(op):
+    s = Mpc3Session(seed=4)
+    x = s.share(np.array([10, 20, 30], dtype=np.uint64))
+    y = s.share(np.array([1, 2, 3], dtype=np.uint64))
+    before = x.components.copy(), y.components.copy()
+    if op == "truncate":
+        out = s.truncate(x)
+    elif op == "add_public":
+        out = s.add_public(x, 5)
+    else:
+        out = getattr(s, op)(x, y)
+    out.components += np.uint64(1)
+    assert np.array_equal(x.components, before[0])
+    assert np.array_equal(y.components, before[1])
 
 
 # --- session linear and multiplicative ops ---
@@ -358,14 +412,30 @@ def test_program_validation_errors():
 
 def test_transport_charge_rejects_unknown_category_and_negative_bits():
     s = Mpc3Session(mode=SecurityMode.ACTIVE)
-    s.transport.charge("node_to_node", 10)
-    s.transport.charge("client_to_node", 5)
+    s.transport.charge("node_to_node", 10, "mul")
+    s.transport.charge("client_to_node", 5, "share")
     assert s.report() == CostReport(client_to_node_bits=10, node_to_node_bits=20)
     with pytest.raises(ProtocolError):
-        s.transport.charge("sideways", 1)
+        s.transport.charge("sideways", 1, "mul")
     with pytest.raises(ProtocolError):
-        s.transport.charge("node_to_node", -1)
+        s.transport.charge("node_to_node", -1, "mul")
     assert s.report().total_bits == 30
+    assert s.traffic() == {"mul": 20, "share": 10}
+
+
+def test_traffic_per_primitive_sums_to_the_link_counters():
+    s = Mpc3Session(k=64, seed=3, mode=SecurityMode.ACTIVE)
+    x, y = s.share_encoded([1.5, 2.0]), s.share_encoded([4.0, 0.5])
+    s.open(s.divide(s.fixed_mul(x, y), y))
+    k, theta, active, elems = 64, 5, 2, 2
+    assert s.traffic() == {
+        "share": active * 2 * elems * 6 * k,  # two shared vectors
+        "mul": active * elems * 3 * k,
+        "trunc": active * elems * 6 * k,
+        "div": active * elems * 3 * k * (k + 4 * theta + 2),
+        "open": active * elems * 3 * k,
+    }
+    assert sum(s.traffic().values()) == s.report().total_bits
 
 
 def test_session_rejects_bad_theta():

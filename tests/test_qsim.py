@@ -134,7 +134,7 @@ def test_depolarizing_z_closed_form():
         for p in (0.0, 0.01, 0.1, 0.5):
             angles = np.array([[[theta, 0.0]]])
             result = run_noisy(angles, NoiseSpec(kind="depolarizing", p=p))
-            got = result.expectation(PauliTerm(((0, "Z"),)))
+            got = result.density.expectation(PauliTerm(((0, "Z"),)))
             # Rz after Ry commutes with the Z observable; each gate applies the
             # channel once, so <Z> = (1-p)^2 cos(theta)
             assert abs(got - (1 - p) ** 2 * np.cos(theta)) <= 1e-10
@@ -168,7 +168,7 @@ def test_noise_preserves_trace_and_reduces_purity():
     for kind in ("depolarizing", "thermal", "mixed"):
         result = run_noisy(angles, NoiseSpec(kind=kind, p=0.05, gamma_amp=0.05, gamma_phase=0.05))
         result.density.validate()
-        assert abs(result.density.trace() - 1.0) <= 1e-9
+        assert abs(np.trace(result.density.rho) - 1.0) <= 1e-9
         assert purity(result.density.rho) <= 1.0 + 1e-12
         assert purity(result.density.rho) < pure + 1e-12
 
@@ -344,4 +344,4 @@ def test_run_noisy_raises_when_the_trace_drifts(monkeypatch):
     with pytest.raises(ValueError, match=r"trace drifted to \(1\.\d*[1-9]"):
         run_noisy(angles, spec)
     monkeypatch.undo()
-    assert abs(run_noisy(angles, spec).density.trace() - 1.0) <= 1e-12
+    assert abs(np.trace(run_noisy(angles, spec).density.rho) - 1.0) <= 1e-12
