@@ -14,7 +14,7 @@ Scenarios:
   4/5/6  active counterparts of 1/2/3
 
 verify_against_meter executes the real protocol for scenarios 0, 1, 2, 4, 5
-and compares the transport meter to the closed form bit for bit.
+and compares the session's meter to the closed form bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .mpc import (
-    CLIENT_ID,
     CLIENT_TO_NODE,
     CostReport,
     Mpc3Session,
@@ -42,27 +41,9 @@ SCENARIO_IDS = (0, 1, 2, 3, 4, 5, 6)
 _ACTIVE_OF = {4: 1, 5: 2, 6: 3}
 
 
-@dataclass(frozen=True)
-class Scenario:
-    id: int
-    security: str  # "none" | "passive" | "active"
-    functionality: str
-
-    @classmethod
-    def from_id(cls, sid: int) -> "Scenario":
-        table = {
-            0: ("none", "plaintext weighted aggregation"),
-            1: ("passive", "secure weighted sums, WF and W opened"),
-            2: ("passive", "secure weighted aggregation with normalization"),
-            3: ("passive", "normalized aggregation plus d x d linear layer"),
-            4: ("active", "secure weighted sums, WF and W opened"),
-            5: ("active", "secure weighted aggregation with normalization"),
-            6: ("active", "normalized aggregation plus d x d linear layer"),
-        }
-        if sid not in table:
-            raise ValueError(f"scenario must be one of {SCENARIO_IDS}, got {sid}")
-        sec, fn = table[sid]
-        return cls(id=sid, security=sec, functionality=fn)
+def _check_scenario(sid: int) -> None:
+    if sid not in SCENARIO_IDS:
+        raise ValueError(f"scenario must be one of {SCENARIO_IDS}, got {sid}")
 
 
 @dataclass(frozen=True)
@@ -103,7 +84,7 @@ def division_cost_bits(cfg: BenchConfig) -> int:
 
 def run_scenario(cfg: BenchConfig, scenario: int) -> CostReport:
     """Closed-form cost report for one scenario at one grid point."""
-    Scenario.from_id(scenario)
+    _check_scenario(scenario)
     n, d, k = cfg.n, cfg.d, cfg.k
     if scenario == 0:
         return CostReport(client_to_node_bits=n * (d + 1) * k)
@@ -145,7 +126,7 @@ def execute_scenario(
     Returns (decoded result vector, CostReport).  Scenarios 3/6 exist only in
     the closed form (the d x d layer is not part of the executable pipeline).
     """
-    Scenario.from_id(scenario)
+    _check_scenario(scenario)
     if scenario in (3, 6):
         raise ValueError("scenarios 3 and 6 are closed-form only")
     rng = np.random.default_rng(seed)
@@ -166,11 +147,11 @@ def execute_scenario(
     codec = session.codec
 
     if scenario == 0:
-        # plaintext: each client ships its d latents and weight as k-bit words
-        for i in range(n):
-            payload = np.concatenate([codec.encode_array(features[i]), codec.encode_array([weights[i]])])
-            session.transport.send(CLIENT_ID, i % 3, payload, CLIENT_TO_NODE, "plain")
-            session.transport.recv(CLIENT_ID, i % 3)
+        # plaintext: each client ships its d latents and weight as k-bit words;
+        # encoding them checks that they fit the ring
+        codec.encode_array(features)
+        codec.encode_array(weights)
+        session.charge(CLIENT_TO_NODE, n * (d + 1) * cfg.k, "plain")
         x = (weights[:, None] * features).sum(axis=0) / (weights.sum() + cfg.epsilon)
         return x, session.report()
 
@@ -237,7 +218,7 @@ def sweep(
     """Closed-form cost rows over the (scenario, n, d) grid."""
     rows = []
     for s in scenarios:
-        Scenario.from_id(s)
+        _check_scenario(s)
         for n in n_values:
             for d in d_values:
                 cfg = BenchConfig(n=n, d=d, k=k, theta=theta, division_strategy=division_strategy)

@@ -6,21 +6,19 @@ A SharedTensor keeps the three components of a tensor of secrets as one
 (3, *shape) uint64 array, so every local op is one ring op over that array.
 It owns that array: every op builds a fresh, reduced one and nothing copies
 it again.  An Mpc3Session runs all three logical parties in lockstep inside
-one process.  Every message goes through the session's LockstepTransport, an
-in-process FIFO per (sender, receiver) channel.  Its meter is plain integers
-that change only through LockstepTransport.charge: one counter per link, read
-as a CostReport, and one per primitive (share, mul, trunc, div, open), read
+one process and sends no messages.  It is also the meter: plain integers that
+change only through Mpc3Session.charge, one counter per link, read as a
+CostReport, and one per primitive (share, mul, trunc, div, open), read
 through Mpc3Session.traffic and summing to the same total.
 
-Costs follow a bit-exact model rather than observed wire traffic: operations
-whose in-process realization sends fewer bits than the modeled protocol
-(truncation, division) charge their model cost explicitly.  Active security
-is a cost model only: every charge is doubled, the dataflow is unchanged.
+Each op charges once, the bit-exact cost of the protocol it models:
+sharing 6k bits per element, multiplication 3k, opening 3k, truncation 6k
+and division 3k(k + 4*theta + 2).  Active security is a cost model only:
+every charge is doubled, the dataflow is unchanged.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -41,16 +39,10 @@ from .ring import (
     to_signed,
 )
 
-CLIENT_ID = 0xFF  # sender id of client-originated messages
-
 
 class SecurityMode(Enum):
     PASSIVE = "passive"
     ACTIVE = "active"
-
-
-class IntegrityError(Exception):
-    """Replicated components disagree across parties."""
 
 
 class ProtocolError(Exception):
@@ -97,61 +89,6 @@ RECONSTRUCTION = "reconstruction"
 _CATEGORIES = (CLIENT_TO_NODE, NODE_TO_NODE, RECONSTRUCTION)  # CostReport field order
 
 
-# --- transport ---
-
-
-class LockstepTransport:
-    """In-process FIFO channels between (src, dst) pairs; meters on send.
-
-    Each charge adds to one link counter and to one primitive counter;
-    multiplier models active security (x2).
-    """
-
-    def __init__(self, k: int = MAX_K, multiplier: int = 1):
-        self.multiplier = multiplier
-        self.k = k
-        self._queues: dict = {}
-        self._mute_depth = 0
-        self._link_bits = dict.fromkeys(_CATEGORIES, 0)
-        self._primitive_bits: dict = {}
-
-    @property
-    def cost(self) -> CostReport:
-        return CostReport(*self._link_bits.values())
-
-    @contextmanager
-    def muted(self):
-        """Suspend metering for internal sub-steps whose cost is charged as a model total."""
-        self._mute_depth += 1
-        try:
-            yield self
-        finally:
-            self._mute_depth -= 1
-
-    def charge(self, category: str, bits: int, primitive: str) -> None:
-        """Add bits (times the multiplier) to one link's and one primitive's counter unless muted."""
-        if category not in self._link_bits:
-            raise ProtocolError(f"unknown meter category {category!r}")
-        if bits < 0:
-            raise ProtocolError("cannot charge negative bits")
-        if self._mute_depth == 0:
-            bits *= self.multiplier
-            self._link_bits[category] += bits
-            self._primitive_bits[primitive] = self._primitive_bits.get(primitive, 0) + bits
-
-    def send(self, src: int, dst: int, elements, category: str, primitive: str) -> None:
-        """Queue a reduced snapshot of elements; later writes to the caller's array do not reach it."""
-        elems = np.atleast_1d(as_ring_array(elements, self.k))
-        self.charge(category, elems.size * self.k, primitive)
-        self._queues.setdefault((src, dst), deque()).append(elems)
-
-    def recv(self, src: int, dst: int) -> np.ndarray:
-        q = self._queues.get((src, dst))
-        if not q:
-            raise ProtocolError(f"no pending message on channel {src}->{dst}")
-        return q.popleft()
-
-
 # --- shares ---
 
 
@@ -189,7 +126,7 @@ class SharedTensor:
 
 
 class Mpc3Session:
-    """Lockstep three-party session: all secure ops, one cost counter, one seed.
+    """Lockstep three-party session: all secure ops, one meter, one seed.
 
     fraction_bits and theta fix the codec and the division refinement count
     for every fixed-point op of the session.
@@ -210,11 +147,35 @@ class Mpc3Session:
         self.theta = theta
         self.mode = mode if isinstance(mode, SecurityMode) else SecurityMode(mode)
         self.rng = np.random.default_rng(seed)
-        active = self.mode is SecurityMode.ACTIVE
-        self.transport = LockstepTransport(k=k, multiplier=2 if active else 1)
+        self._multiplier = 2 if self.mode is SecurityMode.ACTIVE else 1
+        self._mute_depth = 0
+        self._link_bits = dict.fromkeys(_CATEGORIES, 0)
+        self._primitive_bits: dict = {}
+
+    # -- metering --
+
+    def charge(self, category: str, bits: int, primitive: str) -> None:
+        """Add bits (x2 under active security) to one link's and one primitive's counter unless muted."""
+        if category not in self._link_bits:
+            raise ProtocolError(f"unknown meter category {category!r}")
+        if bits < 0:
+            raise ProtocolError("cannot charge negative bits")
+        if self._mute_depth == 0:
+            bits *= self._multiplier
+            self._link_bits[category] += bits
+            self._primitive_bits[primitive] = self._primitive_bits.get(primitive, 0) + bits
+
+    @contextmanager
+    def muted(self):
+        """Suspend metering for internal sub-steps whose cost is charged as a model total."""
+        self._mute_depth += 1
+        try:
+            yield self
+        finally:
+            self._mute_depth -= 1
 
     def report(self) -> CostReport:
-        return self.transport.cost
+        return CostReport(*self._link_bits.values())
 
     def traffic(self) -> dict:
         """Bits per primitive tag in first-charged order, summing to report().total_bits.
@@ -222,17 +183,14 @@ class Mpc3Session:
         The session's ops tag share, mul, trunc, div and open; a plaintext
         upload is tagged plain.
         """
-        return dict(self.transport._primitive_bits)
+        return dict(self._primitive_bits)
 
     # -- sharing / opening --
 
     def share(self, values) -> SharedTensor:
         """Client-side split; party i receives the pair (v_i, v_{i+1}) (6k bits/element)."""
         x = self._split(np.atleast_1d(as_ring_array(values, self.k)))
-        pairs = x.components[[0, 1, 1, 2, 2, 0]].reshape(3, -1)
-        for i in range(3):
-            self.transport.send(CLIENT_ID, i, pairs[i], CLIENT_TO_NODE, "share")
-            self.transport.recv(CLIENT_ID, i)
+        self.charge(CLIENT_TO_NODE, 6 * self.k * x.size, "share")
         return x
 
     def share_encoded(self, real_values) -> SharedTensor:
@@ -247,13 +205,7 @@ class Mpc3Session:
 
     def open(self, x: SharedTensor) -> np.ndarray:
         """Reveal to all parties: each party forwards one missing component (3k bits/element)."""
-        c = x.components
-        for i in range(3):
-            self.transport.send((i + 1) % 3, i, c[(i + 2) % 3], RECONSTRUCTION, "open")
-        received = [self.transport.recv((i + 1) % 3, i) for i in range(3)]
-        for i in range(3):
-            if not np.array_equal(received[i], c[(i + 2) % 3]):
-                raise IntegrityError("opened component mismatch")
+        self.charge(RECONSTRUCTION, 3 * self.k * x.size, "open")
         return self._combine(x)
 
     def open_decoded(self, x: SharedTensor) -> np.ndarray:
@@ -283,8 +235,7 @@ class Mpc3Session:
 
     def sum(self, x: SharedTensor) -> SharedTensor:
         """Sum all elements into a length-1 shared tensor (local)."""
-        with np.errstate(over="ignore"):
-            total = np.add.reduce(x.components.reshape(3, -1), axis=1, dtype=np.uint64)
+        total = np.add.reduce(x.components.reshape(3, -1), axis=1, dtype=np.uint64)
         if self.k < MAX_K:
             total &= np.uint64(ring_mask(self.k))
         return SharedTensor(total[:, None], self.k)
@@ -298,10 +249,7 @@ class Mpc3Session:
         xc, yc = x.components, y.components
         x_next, y_next = xc[[1, 2, 0]], yc[[1, 2, 0]]
         z = radd(rmul(xc, radd(yc, y_next, self.k), self.k), rmul(x_next, yc, self.k), self.k)
-        for i in range(3):
-            self.transport.send(i, (i - 1) % 3, z[i], NODE_TO_NODE, "mul")
-        for i in range(3):
-            self.transport.recv((i + 1) % 3, i)
+        self.charge(NODE_TO_NODE, 3 * self.k * x.size, "mul")
         return SharedTensor(z, self.k)
 
     def truncate(self, x: SharedTensor, rounding: str = "floor") -> SharedTensor:
@@ -317,7 +265,7 @@ class Mpc3Session:
             signed = signed + (np.int64(1) << np.int64(f - 1)) if f > 0 else signed
         shifted = signed >> np.int64(f)
         out = self._split(from_signed(shifted, self.k))
-        self.transport.charge(NODE_TO_NODE, 6 * self.k * x.size, "trunc")
+        self.charge(NODE_TO_NODE, 6 * self.k * x.size, "trunc")
         return out
 
     def fixed_mul(self, x: SharedTensor, y: SharedTensor) -> SharedTensor:
@@ -332,7 +280,7 @@ class Mpc3Session:
         multiplications refine the reciprocal of the normalized denominator,
         and one final multiplication forms the quotient.  Meters exactly
         3k(k + 4*theta + 2) node-to-node bits per element, independent of the
-        operands; internal message traffic is not metered separately.
+        operands; its internal steps are muted, not metered separately.
         """
         self._same_ring(num, den)
         codec, theta, k = self.codec, self.theta, self.k
@@ -342,7 +290,7 @@ class Mpc3Session:
         if np.any(den_signed <= 0):
             raise DomainError("secure division requires a strictly positive denominator")
 
-        with self.transport.muted():
+        with self.muted():
             widths = np.array([int(v).bit_length() for v in den_signed], dtype=np.int64)
             # normalize both operands by 2^(f - e): den lands in [0.5, 1)
             b0 = self._scale_pow2(den, f - widths, rounding="nearest")
@@ -358,7 +306,7 @@ class Mpc3Session:
                 r = self.truncate(self.mul(r, u), rounding="nearest")
             q = self.truncate(self.mul(n0, r), rounding="nearest")
 
-        self.transport.charge(NODE_TO_NODE, 3 * k * (k + 4 * theta + 2) * num.size, "div")
+        self.charge(NODE_TO_NODE, 3 * k * (k + 4 * theta + 2) * num.size, "div")
         return q
 
     # -- internals --
@@ -387,9 +335,7 @@ class Mpc3Session:
         signed = to_signed(self._combine(x), self.k)
         up = np.where(exps > 0, exps, 0).astype(np.uint64)
         down = np.where(exps < 0, -exps, 0)
-        with np.errstate(over="ignore"):
-            scaled = from_signed(signed, self.k)
-            scaled = rmul(scaled, np.uint64(1) << up, self.k)
+        scaled = rmul(from_signed(signed, self.k), np.uint64(1) << up, self.k)
         s2 = to_signed(scaled, self.k)
         if rounding == "nearest":
             bias = np.where(down > 0, np.int64(1) << np.int64(np.maximum(down - 1, 0)), 0)

@@ -8,7 +8,6 @@ from tnmpcqep.bench import (
     RECIPROCAL_ONCE,
     BenchConfig,
     CSV_HEADER,
-    Scenario,
     division_cost_bits,
     execute_scenario,
     run_scenario,
@@ -99,13 +98,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         run_scenario(BenchConfig(), 7)
     with pytest.raises(ValueError):
-        Scenario.from_id(-1)
+        run_scenario(BenchConfig(), -1)
 
 
 def test_scenario_catalog():
-    assert Scenario.from_id(0).security == "none"
-    assert Scenario.from_id(2).security == "passive"
-    assert Scenario.from_id(6).security == "active"
+    cfg = BenchConfig(n=2, d=2)
+    assert [row["scenario"] for row in sweep([2], [2])] == list(bench.SCENARIO_IDS)
+    for sid in (-1, 7):
+        with pytest.raises(ValueError, match="scenario must be one of"):
+            run_scenario(cfg, sid)
+        with pytest.raises(ValueError, match="scenario must be one of"):
+            execute_scenario(cfg, sid)
+        with pytest.raises(ValueError, match="scenario must be one of"):
+            sweep([2], [2], scenarios=[sid])
 
 
 @pytest.mark.parametrize("scenario", [0, 1, 2, 4, 5])

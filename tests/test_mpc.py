@@ -1,16 +1,16 @@
 """Replicated-sharing protocol checks: correctness vs a plain-integer oracle,
 bit-exact metering, determinism, share-distribution sanity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from tnmpcqep.mpc import (
-    NODE_TO_NODE,
     CostReport,
     DomainError,
     Instr,
-    LockstepTransport,
     Mpc3Session,
     ProtocolError,
     SecurityMode,
@@ -37,21 +37,13 @@ class _ForcedRng:
 def test_share_forced_randomness_example():
     s = Mpc3Session(k=64)
     s.rng = _ForcedRng([3, 5])
-    received = {}
-    recv = s.transport.recv
-
-    def spy(src, dst):
-        elems = recv(src, dst)
-        received[dst] = tuple(int(v) for v in elems)
-        return elems
-
-    s.transport.recv = spy
     x = s.share(7)
     v2 = (7 - 3 - 5) % 2**64
     assert v2 == 2**64 - 1
     assert [int(c[0]) for c in x.components] == [3, 5, v2]
-    # party i receives the pair (v_i, v_{i+1 mod 3})
-    assert received == {0: (3, 5), 1: (5, v2), 2: (v2, 3)}
+    # party i holds the pair (v_i, v_{i+1 mod 3})
+    for i, pair in enumerate([(3, 5), (5, v2), (v2, 3)]):
+        assert tuple(x.components[[i, (i + 1) % 3], 0].tolist()) == pair
     assert int(s.open(x)[0]) == 7
 
 
@@ -102,24 +94,7 @@ def test_share_components_look_uniform_regardless_of_secret():
     assert p > 0.01
 
 
-# --- transport and share ownership ---
-
-
-def test_sent_message_is_a_snapshot():
-    for k in (32, 64):
-        t = LockstepTransport(k=k)
-        msg = np.arange(4, dtype=np.uint64)
-        t.send(0, 1, msg, NODE_TO_NODE, "mul")
-        msg[:] = 99
-        assert t.recv(0, 1).tolist() == [0, 1, 2, 3]
-
-
-def test_send_reduces_into_a_narrow_ring():
-    t = LockstepTransport(k=32)
-    t.send(0, 1, np.array([2**32 + 5, 2**64 - 1, 7], dtype=np.uint64), NODE_TO_NODE, "mul")
-    assert t.recv(0, 1).tolist() == [5, 2**32 - 1, 7]
-    t.send(0, 1, 2**40 + 9, NODE_TO_NODE, "mul")
-    assert t.recv(0, 1).tolist() == [9]
+# --- share ownership ---
 
 
 @pytest.mark.parametrize("op", ["add", "mul", "truncate", "add_public"])
@@ -410,17 +385,46 @@ def test_program_validation_errors():
 # --- meter plumbing ---
 
 
-def test_transport_charge_rejects_unknown_category_and_negative_bits():
+def test_charge_rejects_unknown_category_and_negative_bits():
     s = Mpc3Session(mode=SecurityMode.ACTIVE)
-    s.transport.charge("node_to_node", 10, "mul")
-    s.transport.charge("client_to_node", 5, "share")
+    s.charge("node_to_node", 10, "mul")
+    s.charge("client_to_node", 5, "share")
     assert s.report() == CostReport(client_to_node_bits=10, node_to_node_bits=20)
     with pytest.raises(ProtocolError):
-        s.transport.charge("sideways", 1, "mul")
+        s.charge("sideways", 1, "mul")
     with pytest.raises(ProtocolError):
-        s.transport.charge("node_to_node", -1, "mul")
+        s.charge("node_to_node", -1, "mul")
     assert s.report().total_bits == 30
     assert s.traffic() == {"mul": 20, "share": 10}
+
+
+def test_muted_nests_and_restores_metering_after_an_exception():
+    s = Mpc3Session(k=64)
+    with s.muted():
+        s.charge("node_to_node", 7, "mul")
+        with s.muted():
+            s.charge("client_to_node", 5, "share")
+        s.charge("reconstruction", 3, "open")
+    with pytest.raises(RuntimeError):
+        with s.muted():
+            raise RuntimeError("inside a muted block")
+    assert s.report() == CostReport() and s.traffic() == {}
+    s.charge("node_to_node", 11, "trunc")
+    assert s.report() == CostReport(node_to_node_bits=11)
+    assert s.traffic() == {"trunc": 11}
+
+
+@pytest.mark.parametrize("k", [64, 32])
+def test_sum_wraps_mod_2k_without_an_overflow_warning(k):
+    s = Mpc3Session(k=k)
+    top = (1 << k) - 1
+    x = s.share(np.full(5, top, dtype=np.uint64))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = s.sum(x)
+    assert total.shape == (1,)
+    assert total.components.max() <= top
+    assert int(s.open(total)[0]) == (5 * top) % (1 << k)
 
 
 def test_traffic_per_primitive_sums_to_the_link_counters():
