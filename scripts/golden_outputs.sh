@@ -41,6 +41,9 @@ cli noise-sweep --seeds 1 --n-train 64 --n-test 32 --out "$OUT/noise_sweep.csv" 
 cli qep-run --noise mixed --out "$OUT/qep_run_mixed.csv" >/dev/null
 cli qep-run --nq 16 --n 4 --out "$OUT/qep_run_nq16.csv" >/dev/null
 cli qep-run --nq 16 --observables all_pairs --n 2 --out "$OUT/qep_run_nq16_all_pairs.csv" >/dev/null
+cli qep-run --nq 10 --noise thermal --observables all_pairs --n 2 \
+    --out "$OUT/qep_run_nq10_thermal_all_pairs.csv" >/dev/null
+cli qep-run --nq 2 --noise depolarizing --n 4 --out "$OUT/qep_run_nq2_depolarizing.csv" >/dev/null
 cli verify >"$OUT/verify.txt"
 
 python3 demos/qsim_noise.py >"$OUT/demo_qsim_noise.txt"

@@ -2,9 +2,8 @@
 matrix for noisy ones.
 
 Bit convention (frozen): qubit 0 is the most significant bit of the basis
-index, so reshaping amplitudes to [2]*n puts qubit q on axis q.  A density
-matrix is the same buffer on 2n axes (rows 0..n-1, columns n..2n-1), and both
-apply every gate in place on their one buffer.  Gates are
+index, so reshaping amplitudes to [2]*n puts qubit q on axis q; the statevector
+applies every gate in place on its one buffer.  Gates are
 Ry(t) = exp(-i t Y / 2), Rz(t) = exp(-i t Z / 2), and nearest-neighbor
 CNOT(q, q+1).  One hardware-efficient layer applies Ry then Rz on every qubit
 followed by the CNOT chain q = 0 .. n-2.  Readouts are exact Pauli permutations:
@@ -13,9 +12,17 @@ the statevector writes P|psi> into one buffer (beside -|psi>) reused by every te
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
-phase damping; "mixed" = depolarizing followed by thermal.  Density-matrix
-evolution is exact, limited to 10 qubits, and every noisy run ends with a check
-that |tr rho - 1| <= 1e-9.
+phase damping; "mixed" = depolarizing followed by thermal.  Between calls a
+density matrix is a C-ordered (2^n, 2^n) array, i.e. the same layout on 2n axes
+(rows 0..n-1, columns n..2n-1).  Channels and CNOTs run through one path that
+keeps the 2n axes in a tracked storage order: a channel on q copies rho once,
+with q's row and column axes in front, for one 4x4 matmul against the
+(4, rest) block, and a CNOT rides along the next copy, which reads the target
+axis backwards where the control is 1.  A last copy restores C order.  Copies
+are exact and each matmul column is the same 4x4 product in any column order,
+so the bytes do not depend on the storage orders.  Density-matrix evolution is
+exact, limited to 10 qubits, and every noisy run ends with a check that
+|tr rho - 1| <= 1e-9.
 """
 
 from __future__ import annotations
@@ -280,6 +287,30 @@ def compose_superoperators(superops) -> Optional[np.ndarray]:
     return None if flat is None else flat.reshape(2, 2, 2, 2)
 
 
+def _cnot_axes(n: int, control: Optional[int]):
+    """Row and column axes of CNOT(control, control + 1): none for no CNOT."""
+    return [] if control is None else [control, n + control, control + 1, n + control + 1]
+
+
+def _copy_folding_cnot(src: np.ndarray, dst: np.ndarray, order, new_order, control) -> None:
+    """dst, with its [2]*2n axes stored in new_order, = src stored in order; a control
+    that is not None applies CNOT(control, control + 1) to rows and columns on the way,
+    as four quarter copies that read the target axis backwards where its control is 1."""
+    n2 = len(order)
+    view = src.reshape((2,) * n2).transpose([order.index(a) for a in new_order])
+    out = dst.reshape((2,) * n2)
+    if control is None:
+        np.copyto(out, view)
+        return
+    rc, cc, rt, ct = (new_order.index(a) for a in _cnot_axes(n2 // 2, control))
+    for r, c in itertools.product((0, 1), repeat=2):
+        to = [slice(None)] * n2
+        to[rc], to[cc] = r, c
+        fro = list(to)
+        fro[rt], fro[ct] = slice(None, None, 1 - 2 * r), slice(None, None, 1 - 2 * c)
+        np.copyto(out[tuple(to)], view[tuple(fro)])
+
+
 class DensityMatrix:
     """rho as a C-contiguous (2^n, 2^n) array, i.e. a [2]*2n tensor, row axes first."""
 
@@ -307,23 +338,52 @@ class DensityMatrix:
 
     def apply_cnot(self, control: int, target: int) -> None:
         """Nearest-neighbor CNOT on rows and columns; target must be control + 1."""
-        _check_cnot(self.n_qubits, control, target)
-        _flip_cnot(self.rho, control, self._scratch)
-        _flip_cnot(self.rho, self.n_qubits + control, self._scratch)
+        self._evolve([(None, control, target)])
 
     def apply_channel(self, superop: np.ndarray, q: int) -> None:
         """One-qubit channel given as a (2,2,2,2) superoperator S[r,s,u,v]."""
+        self._evolve([(superop, q)])
+
+    def _evolve(self, ops) -> None:
+        """Apply ops in order: (superop, q) is a channel, (None, control, target) a CNOT.
+
+        rho's 2n axes live in a tracked storage order between ops.  A channel on q
+        copies rho once, with the row and column axis of q in front, and contracts
+        that (4, rest) block against S.  A CNOT is held and rides along the next copy.
+        One last copy puts rho back in C order.
+        """
         n = self.n_qubits
-        _check_qubit(n, q)
-        lead, trail = 1 << q, 1 << (n - q - 1)
-        split = (lead, 2, trail * lead, 2, trail)  # the row and column bit of qubit q
-        grouped = (2, 2, lead, trail * lead, trail)  # both bits first, as (4, rest)
-        # gather into the scratch, contract against S into rho, scatter back, swap
-        rho, scratch = self.rho, self._scratch
-        np.copyto(scratch.reshape(grouped), rho.reshape(split).transpose(1, 3, 0, 2, 4))
-        np.matmul(superop.reshape(4, 4), scratch.reshape(4, -1), out=rho.reshape(4, -1))
-        np.copyto(scratch.reshape(split), rho.reshape(grouped).transpose(2, 0, 3, 1, 4))
-        self.rho, self._scratch = scratch, rho
+        for op in ops:  # every op is checked before rho moves
+            if len(op) == 3 and op[0] is None:
+                _check_cnot(n, op[1], op[2])
+            elif len(op) == 2 and np.size(op[0]) == 16:
+                _check_qubit(n, op[1])
+            else:
+                raise ValueError(f"not a (superop, q) channel or (None, control, target) CNOT: {op!r}")
+        cur, other = self.rho, self._scratch
+        order, pending = list(range(2 * n)), None  # storage axis i holds logical axis order[i]
+        for superop, *qubits in ops:
+            if superop is None and pending is None:
+                pending = qubits[0]
+                continue
+            # a channel's axes go in front and a held CNOT's right behind them, so its
+            # quarters and reversed axes leave long contiguous runs for the copy; a
+            # CNOT meeting a held one settles it by a copy with no front of its own
+            lead = [] if superop is None else [qubits[0], n + qubits[0]]
+            lead = list(dict.fromkeys(lead + _cnot_axes(n, pending)))
+            lead += [a for a in order if a not in lead]
+            if lead != order or pending is not None:
+                _copy_folding_cnot(cur, other, order, lead, pending)
+                cur, other, order, pending = other, cur, lead, None
+            if superop is None:
+                pending = qubits[0]
+            else:
+                np.matmul(np.reshape(superop, (4, 4)), cur.reshape(4, -1), out=other.reshape(4, -1))
+                cur, other = other, cur
+        if order != sorted(order) or pending is not None:
+            _copy_folding_cnot(cur, other, order, sorted(order), pending)
+            cur, other = other, cur
+        self.rho, self._scratch = cur, other
 
     def apply_kraus(self, kraus, q: int) -> None:
         self.apply_channel(kraus_superoperator(kraus), q)
@@ -376,18 +436,16 @@ def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
     # the same channel stack lands after every gate, so fuse it once up front
     hit_map = compose_superoperators(kraus_superoperator(k) for k in _channel_sequences(noise))
     hits = [] if hit_map is None else [hit_map]
-
+    ops = []  # (superop, q) channels and (None, q, q + 1) CNOTs, in circuit order
     for layer in range(angles.shape[0]):
         for q in range(n):
             # Ry, noise, Rz, noise on one qubit compose into a single map
             ry = kraus_superoperator([ry_matrix(angles[layer, q, 0])])
             rz = kraus_superoperator([rz_matrix(angles[layer, q, 1])])
-            dm.apply_channel(compose_superoperators([ry, *hits, rz, *hits]), q)
+            ops.append((compose_superoperators([ry, *hits, rz, *hits]), q))
         for q in range(n - 1):
-            dm.apply_cnot(q, q + 1)
-            if hit_map is not None:
-                dm.apply_channel(hit_map, q)
-                dm.apply_channel(hit_map, q + 1)
+            ops += [(None, q, q + 1)] + [(h, c) for c in (q, q + 1) for h in hits]
+    dm._evolve(ops)
     dm.check_trace()
     return NoisyResult(density=dm, noise=noise)
 

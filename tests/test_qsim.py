@@ -19,12 +19,15 @@ from tnmpcqep.qsim import (
     NoiseSpec,
     PauliTerm,
     StateVector,
+    _flip_cnot,
     _mix_axis,
+    amplitude_damping_kraus,
     apply_cnot,
     apply_single,
     depolarizing_kraus,
     expectation,
     kraus_superoperator,
+    phase_damping_kraus,
     run_circuit,
     run_noisy,
     ry_matrix,
@@ -191,8 +194,6 @@ def test_mixed_noise_expectations_match_manual_composition():
     angles = np.array([[[theta, 0.4]]])
     got = run_noisy(angles, NoiseSpec(kind="mixed", p=p, gamma_amp=g, gamma_phase=g))
     # manual: Ry, dep+amp+phase, Rz, dep+amp+phase
-    from tnmpcqep.qsim import amplitude_damping_kraus, phase_damping_kraus
-
     dm = DensityMatrix(1)
     dm.apply_single(ry_matrix(theta), 0)
     for kraus in (depolarizing_kraus(p), amplitude_damping_kraus(g), phase_damping_kraus(g)):
@@ -345,3 +346,156 @@ def test_run_noisy_raises_when_the_trace_drifts(monkeypatch):
         run_noisy(angles, spec)
     monkeypatch.undo()
     assert abs(np.trace(run_noisy(angles, spec).density.rho) - 1.0) <= 1e-12
+
+
+# --- density-matrix evolution in one copy per channel ---
+
+
+def _gather_scatter_channel(rho, scratch, superop, q, n):
+    """The channel before tracked storage orders: gather q's row and column bit in
+    front, one 4x4 matmul, scatter back; returns (rho, scratch) after the swap."""
+    lead, trail = 1 << q, 1 << (n - q - 1)
+    split = (lead, 2, trail * lead, 2, trail)
+    grouped = (2, 2, lead, trail * lead, trail)
+    np.copyto(scratch.reshape(grouped), rho.reshape(split).transpose(1, 3, 0, 2, 4))
+    np.matmul(superop.reshape(4, 4), scratch.reshape(4, -1), out=rho.reshape(4, -1))
+    np.copyto(scratch.reshape(split), rho.reshape(grouped).transpose(2, 0, 3, 1, 4))
+    return scratch, rho
+
+
+def _reference_evolution(rho, ops, n):
+    rho, scratch = rho.copy(), np.empty_like(rho)
+    for superop, *qubits in ops:
+        if superop is None:  # the CNOT before: flip rows, then columns, in place
+            _flip_cnot(rho, qubits[0], scratch)
+            _flip_cnot(rho, n + qubits[0], scratch)
+        else:
+            rho, scratch = _gather_scatter_channel(rho, scratch, superop, qubits[0], n)
+    return rho
+
+
+def _random_superop(rng):
+    return rng.normal(size=(2, 2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2, 2))
+
+
+@st.composite
+def _evolution_cases(draw):
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        if n > 1 and draw(st.booleans()):  # a run of 1-3 back-to-back CNOTs
+            for _ in range(draw(st.integers(1, 3))):
+                control = draw(st.integers(0, n - 2))
+                ops.append((None, control, control + 1))
+        else:
+            ops.append((_random_superop(rng), draw(st.integers(0, n - 1))))
+    dim = 2**n
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return n, rho, ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(_evolution_cases())
+def test_evolution_is_bit_identical_to_gather_scatter_and_flip_cnot(case):
+    n, rho, ops = case
+    want = _reference_evolution(rho, ops, n).tobytes()
+    whole = DensityMatrix(n, rho)
+    whole._evolve(ops)
+    one_by_one = DensityMatrix(n, rho)
+    for superop, *qubits in ops:
+        if superop is None:
+            one_by_one.apply_cnot(*qubits)
+        else:
+            one_by_one.apply_channel(superop, *qubits)
+    for dm in (whole, one_by_one):
+        assert dm.rho.shape == (2**n, 2**n) and dm.rho.flags.c_contiguous
+        assert dm.rho.tobytes() == want
+
+
+def test_evolution_rejects_a_bad_op_before_rho_moves():
+    n = 3
+    rng = np.random.default_rng(14)
+    good = [(_random_superop(rng), 2), (None, 0, 1), (_random_superop(rng), 0)]
+    bad_ops = [
+        (_random_superop(rng), n),  # qubit out of range
+        (_random_superop(rng), -1),
+        (None, 0, 2),  # not the chain pattern
+        (None, n - 1, n),
+        (np.eye(2), 0),  # not a one-qubit superoperator
+        (None, 0),
+    ]
+    for bad in bad_ops:
+        dm = DensityMatrix(n, rng.normal(size=(8, 8)) + 0j)
+        before = dm.rho
+        want = before.copy()
+        with pytest.raises(ValueError):
+            dm._evolve(good + [bad] + good)
+        assert dm.rho is before and np.array_equal(dm.rho, want)
+
+
+def test_noisy_run_op_list_allocates_no_quarter_of_rho():
+    n = 6
+    rng = np.random.default_rng(15)
+    hit = kraus_superoperator(depolarizing_kraus(0.05))
+    ops = []
+    for _ in range(2):  # the shape of a two-layer run_noisy
+        ops += [(_random_superop(rng), q) for q in range(n)]
+        for q in range(n - 1):
+            ops += [(None, q, q + 1), (hit, q), (hit, q + 1)]
+    dm = DensityMatrix(n)
+    tracemalloc.start()
+    try:
+        dm._evolve(ops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dm.rho.nbytes // 4
+
+
+def _dense_kraus_run(angles, noise):
+    """run_noisy by full-size Kraus operators, one K rho K^dagger at a time: no
+    superoperators, no fused maps."""
+    layers, n = angles.shape[:2]
+    thermal = [amplitude_damping_kraus(noise.gamma_amp), phase_damping_kraus(noise.gamma_phase)]
+    families = {"noiseless": [], "depolarizing": [depolarizing_kraus(noise.p)],
+                "thermal": thermal, "mixed": [depolarizing_kraus(noise.p)] + thermal}[noise.kind]
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+
+    def gate(rho, u):
+        return u @ rho @ u.conj().T
+
+    def hit(rho, q):
+        for family in families:
+            full = [dense_single_qubit_unitary(k, q, n) for k in family]
+            rho = sum(gate(rho, k) for k in full)
+        return rho
+
+    for layer in range(layers):
+        for q in range(n):
+            rho = hit(gate(rho, dense_single_qubit_unitary(ry_matrix(angles[layer, q, 0]), q, n)), q)
+            rho = hit(gate(rho, dense_single_qubit_unitary(rz_matrix(angles[layer, q, 1]), q, n)), q)
+        for q in range(n - 1):
+            rho = hit(hit(gate(rho, dense_cnot_unitary(q, n)), q), q + 1)
+    return rho
+
+
+@pytest.mark.parametrize("kind", qsim.NOISE_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_run_noisy_matches_the_dense_kraus_sum(kind, n, layers):
+    rng = np.random.default_rng(100 * n + 10 * layers + qsim.NOISE_KINDS.index(kind))
+    angles = rng.uniform(-np.pi, np.pi, size=(layers, n, 2))
+    spec = NoiseSpec(kind=kind, p=0.1, gamma_amp=0.08, gamma_phase=0.06)
+    got = run_noisy(angles, spec)
+    want = _dense_kraus_run(angles, spec)
+    assert np.max(np.abs(got.density.rho - want)) <= 1e-12
+    singles = [((q, p),) for q in range(n) for p in "XYZ"]
+    pairs = [((a, pa), (b, pb)) for a in range(n) for b in range(a + 1, n)
+             for pa in "XYZ" for pb in "XYZ"]
+    for factors in singles + pairs:
+        op = np.eye(2**n, dtype=complex)
+        for q, p in factors:
+            op = op @ dense_single_qubit_unitary(PAULI[p], q, n)
+        assert abs(got.expectations([PauliTerm(factors)])[0] - np.trace(op @ want).real) <= 1e-12
