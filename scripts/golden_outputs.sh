@@ -11,6 +11,11 @@
 #
 # Wall-clock figures printed by demos/pipeline_end_to_end.py are replaced by
 # "(T s)", since they are the only non-deterministic part of that output.
+#
+# BLAS runs on one thread.  The statevector readout sums with np.vdot, and
+# OpenBLAS splits a long sum across threads, so the last bits of an expectation
+# depend on the thread count (qep_run_nq16_all_pairs.csv differs between one
+# and two threads).  With the count pinned, two checkouts compare byte for byte.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -22,6 +27,7 @@ OUT=$1
 mkdir -p "$OUT"
 OUT=$(cd "$OUT" && pwd)
 export PYTHONPATH="$ROOT/src"
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 cd "$ROOT"
 
 cli() {

@@ -2,13 +2,18 @@
 matrix for noisy ones.
 
 Bit convention (frozen): qubit 0 is the most significant bit of the basis
-index, so reshaping amplitudes to [2]*n puts qubit q on axis q; the statevector
-applies every gate in place on its one buffer.  Gates are
+index, so reshaping amplitudes to [2]*n puts qubit q on axis q.  Gates are
 Ry(t) = exp(-i t Y / 2), Rz(t) = exp(-i t Z / 2), and nearest-neighbor
 CNOT(q, q+1).  One hardware-efficient layer applies Ry then Rz on every qubit
-followed by the CNOT chain q = 0 .. n-2.  Readouts are exact Pauli permutations:
-X and Y swap the halves of their axis, Y and Z scale a half by -i, +i or -1, and
-the statevector writes P|psi> into one buffer (beside -|psi>) reused by every term.
+followed by the CNOT chain q = 0 .. n-2.  The statevector circuit ping-pongs
+between two buffers: each fused Rz.Ry gate mixes the two contiguous halves of
+the leading qubit and writes the pairs interleaved, so that qubit moves to the
+back and a layer of n gates ends in C order.  The first layer starts from
+|0...0>, so it grows a product state qubit by qubit instead of mixing zeros,
+and the CNOT chain is one gather by the Gray code.  Readouts are exact Pauli
+permutations: X and Y swap the halves of their axis, Y and Z scale a half by
+-i, +i or -1, and the statevector writes P|psi> into one buffer (beside
+-|psi>) reused by every term.
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
@@ -27,6 +32,7 @@ exact, limited to 10 qubits, and every noisy run ends with a check that
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -42,13 +48,20 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
 
 
-def ry_matrix(theta: float) -> np.ndarray:
+def ry_matrix(theta) -> np.ndarray:
+    """Ry(theta) as (2, 2); an array of angles gives a stack of shape theta.shape + (2, 2)."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    m = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    m[..., 0, 0] = m[..., 1, 1] = c
+    m[..., 0, 1], m[..., 1, 0] = -s, s
+    return m
 
 
-def rz_matrix(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]], dtype=complex)
+def rz_matrix(theta) -> np.ndarray:
+    """Rz(theta) as (2, 2); an array of angles gives a stack of shape theta.shape + (2, 2)."""
+    m = np.zeros(np.shape(theta) + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 1, 1] = np.exp(-0.5j * theta), np.exp(0.5j * theta)
+    return m
 
 
 def cnot_matrix() -> np.ndarray:
@@ -106,6 +119,25 @@ def _flip_cnot(amps: np.ndarray, control: int, scratch: np.ndarray) -> None:
     one[...] = staged
 
 
+def _mix_to_back(a0: np.ndarray, a1: np.ndarray, m: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
+    """out[:, r] = m[r, 0] a0 + m[r, 1] a1 for r = 0, 1: the pairs (a0[i], a1[i]) mixed by m
+    and written interleaved into out, shape (len(a0), 2), through t, a temporary of a0's size."""
+    for r in (0, 1):
+        o = out[:, r]
+        np.multiply(m[r, 0], a0, out=o)
+        np.multiply(m[r, 1], a1, out=t)
+        np.add(o, t, out=o)
+
+
+@functools.cache
+def _gray_gather(n: int) -> np.ndarray:
+    """The CNOT chain CNOT(0, 1) ... CNOT(n-2, n-1) as one gather: new[j] = old[j ^ (j >> 1)]."""
+    j = np.arange(1 << n)
+    gray = j ^ (j >> 1)
+    gray.flags.writeable = False
+    return gray
+
+
 # the factor each Pauli puts on half 0 and half 1 of its axis; X and Y swap the halves
 _PAULI_PHASE = {"X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
 
@@ -157,23 +189,45 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
 
 def run_circuit(angles: np.ndarray, n_qubits: Optional[int] = None) -> StateVector:
     """Evolve |0...0> through the layered ansatz; angles has shape (L, n, 2)
-    holding (theta_y, theta_z) per layer and qubit."""
+    holding (theta_y, theta_z) per layer and qubit.
+
+    The amplitudes have the bytes of applying each fused gate m = Rz(theta_z) . Ry(theta_y)
+    in place, pair by pair as m[r, 0] a0 + m[r, 1] a1.  In layer 0, before gate q,
+    amplitude (p, c) with p on qubits 0..q-1 is a[p] for c = 0 and one signed zero z[p]
+    for every other c; gate q grows a <- [m[b,0] a + m[b,1] z for b = 0, 1] and z
+    likewise from (z, z), so the zeros keep the signs that mixing in place gives them.
+    """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 3 or angles.shape[2] != 2:
         raise ValueError(f"angles must have shape (layers, n_qubits, 2), got {angles.shape}")
     n = angles.shape[1] if n_qubits is None else n_qubits
     if n != angles.shape[1]:
         raise ValueError("n_qubits disagrees with the angle tensor")
-    state = zero_state(n)
-    scratch = np.empty(state.amplitudes.size // 2, dtype=complex)
-    for layer in range(angles.shape[0]):
-        for q in range(n):
-            # Ry then Rz on the same qubit: one fused 2x2 product
-            fused = rz_matrix(angles[layer, q, 1]) @ ry_matrix(angles[layer, q, 0])
-            _mix_axis(state.amplitudes, fused, q)
-        for q in range(n - 1):
-            _flip_cnot(state.amplitudes, q, scratch)
-    return state
+    if n < 1 or not len(angles):
+        return zero_state(n)  # raises for no qubits; no layers leave |0...0>
+    fused = rz_matrix(angles[..., 1]) @ ry_matrix(angles[..., 0])
+    cur, other = np.empty(1 << n, dtype=complex), np.empty(1 << n, dtype=complex)
+    t = np.empty(1 << (n - 1), dtype=complex)
+    # cur holds [a; z; z]: rows (a; z) and (z; z) are the pairs that gate q mixes
+    cur[0], cur[1:3] = 1.0, 0.0
+    for q in range(n):
+        s, rows = 1 << q, 1 if q == n - 1 else 2  # the last gate needs no zeros after it
+        _mix_to_back(cur[: rows * s], cur[s : (rows + 1) * s], fused[0, q],
+                     other[: 2 * rows * s].reshape(-1, 2), t[: rows * s])
+        if q < n - 2:  # the new [a; z; z]
+            other[4 * s : 6 * s] = other[2 * s : 4 * s]
+        cur, other = other, cur
+    gray = _gray_gather(n)
+    for layer in range(len(angles)):
+        if layer:
+            for q in range(n):
+                a0, a1 = cur.reshape(2, -1)  # qubit q leads after the q gates before it
+                _mix_to_back(a0, a1, fused[layer, q], other.reshape(-1, 2), t)
+                cur, other = other, cur
+        # mode="clip" writes straight into out; the default "raise" buffers it
+        np.take(cur, gray, out=other, mode="clip")
+        cur, other = other, cur
+    return StateVector(n, cur)
 
 
 @dataclass(frozen=True)

@@ -499,3 +499,99 @@ def test_run_noisy_matches_the_dense_kraus_sum(kind, n, layers):
         for q, p in factors:
             op = op @ dense_single_qubit_unitary(PAULI[p], q, n)
         assert abs(got.expectations([PauliTerm(factors)])[0] - np.trace(op @ want).real) <= 1e-12
+
+
+# --- statevector circuit: product-state first layer, Gray-code gather, ping-pong gates ---
+
+
+def _sequential_circuit(angles):
+    """The circuit before the ping-pong kernel: |0...0>, one in-place _mix_axis of the
+    fused gate per qubit, then the _flip_cnot chain, layer by layer."""
+    layers, n, _ = angles.shape
+    amps = zero_state(n).amplitudes
+    scratch = np.empty(amps.size // 2, dtype=complex)
+    for layer in range(layers):
+        for q in range(n):
+            _mix_axis(amps, rz_matrix(angles[layer, q, 1]) @ ry_matrix(angles[layer, q, 0]), q)
+        for q in range(n - 1):
+            _flip_cnot(amps, q, scratch)
+    return amps
+
+
+# the first layer mixes signed zeros: theta_y = +-2pi gives cos(theta_y / 2) = -1, so
+# products with zeros come out -0.0, and the later gates' zeros depend on those signs;
+# uniform floats almost never hit these angles, so they are also drawn by name
+_ANGLES = st.sampled_from((0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300)) | st.floats(
+    -2 * np.pi, 2 * np.pi
+)
+
+
+@st.composite
+def _layered_angles(draw, max_qubits):
+    n = draw(st.integers(1, max_qubits))
+    layers = draw(st.integers(1, 3))
+    return draw(arrays(np.float64, (layers, n, 2), elements=_ANGLES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layered_angles(12))
+def test_run_circuit_is_bit_identical_to_the_sequential_kernel(angles):
+    assert run_circuit(angles).amplitudes.tobytes() == _sequential_circuit(angles).tobytes()
+
+
+def test_sixteen_qubit_depth_two_circuit_is_bit_identical_to_the_sequential_kernel():
+    angles = np.random.default_rng(1616).uniform(-np.pi, np.pi, size=(2, 16, 2))
+    assert run_circuit(angles).amplitudes.tobytes() == _sequential_circuit(angles).tobytes()
+
+
+def test_run_circuit_with_no_layers_is_the_zero_state_and_needs_a_qubit():
+    assert np.array_equal(run_circuit(np.zeros((0, 3, 2))).amplitudes, zero_state(3).amplitudes)
+    with pytest.raises(ValueError, match="at least one qubit"):
+        run_circuit(np.zeros((1, 0, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_cnot_chain_is_the_gray_code_permutation(n):
+    rng = np.random.default_rng(100 + n)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    state = StateVector(n, amps)
+    for q in range(n - 1):
+        state = apply_cnot(state, q, q + 1)
+    j = np.arange(2**n)
+    assert state.amplitudes.tobytes() == amps[j ^ (j >> 1)].tobytes()
+
+
+@st.composite
+def _circuit_and_low_weight_terms(draw):
+    angles = draw(_layered_angles(8))
+    n = angles.shape[1]
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(2, n), unique=True))
+        terms.append(PauliTerm(tuple((q, draw(st.sampled_from("XYZ"))) for q in qubits)))
+    return angles, terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(_circuit_and_low_weight_terms())
+def test_random_layered_circuits_match_the_dense_oracle(case):
+    angles, terms = case
+    state = run_circuit(angles)
+    dense = dense_circuit_state(angles)
+    assert np.max(np.abs(state.amplitudes - dense.amplitudes)) <= 1e-12
+    for term in terms:
+        assert abs(expectation(state, term) - dense_pauli_expectation(dense, term.factors)) <= 1e-12
+
+
+def test_run_circuit_peaks_below_four_states():
+    # two state buffers plus a half-size temporary; no iterator buffers on top
+    n = 12
+    angles = np.random.default_rng(12).uniform(-np.pi, np.pi, size=(2, n, 2))
+    run_circuit(angles)  # warm-up: the Gray-code index array is cached per n
+    tracemalloc.start()
+    try:
+        state = run_circuit(angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.6 * state.amplitudes.nbytes
