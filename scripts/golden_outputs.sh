@@ -50,6 +50,9 @@ cli qep-run --nq 16 --observables all_pairs --n 2 --out "$OUT/qep_run_nq16_all_p
 cli qep-run --nq 10 --noise thermal --observables all_pairs --n 2 \
     --out "$OUT/qep_run_nq10_thermal_all_pairs.csv" >/dev/null
 cli qep-run --nq 2 --noise depolarizing --n 4 --out "$OUT/qep_run_nq2_depolarizing.csv" >/dev/null
+for kind in mps ttn mera; do
+    cli encode --kind "$kind" --n 70 --out "$OUT/encode_$kind.csv" >/dev/null
+done
 cli verify >"$OUT/verify.txt"
 
 python3 demos/qsim_noise.py >"$OUT/demo_qsim_noise.txt"

@@ -17,6 +17,16 @@ Conventions:
     pairs (no wrap-around) before the merge; identity disentanglers make
     it coincide with the TTN exactly, so tree_encode serves both kinds.
   * realify(psi) = [Re(psi); Im(psi)], then a fixed seeded projection.
+
+Batch axis: every kind has one forward, _encode_rows, over a (B, 784)
+stack; encode and the single-image helpers run it at B=1, and
+encode_batch runs it over _CHUNK_ROWS (32) rows at a time, which keeps the
+intermediates small.  Each row gets the bytes of the one-image contraction
+because every W @ x is a stacked gemv, np.matmul(W, X[..., None]), which
+calls one BLAS gemv per vector where a gemm X @ W.T would sum in another
+order.  Likewise the norm is np.linalg.norm's Re.Re + Im.Im as stacked BLAS
+dots on the strided .real/.imag views; a contiguous copy or einsum changes
+the last bits.
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ __all__ = [
     "make_frontend",
     "qr_isometry",
     "patchify",
-    "unpatchify",
     "realify",
     "mps_encode",
     "tree_encode",
@@ -55,6 +64,9 @@ IMAGE_PIXELS = IMAGE_SIDE * IMAGE_SIDE
 
 _LN_EPS = 1e-5
 _DEGENERATE_NORM = 1e-12
+# encode_batch runs this many images per pass; the intermediates of a
+# whole batch at once would raise the peak memory for no further speed
+_CHUNK_ROWS = 32
 
 # fixed sub-stream labels; ttn and mera share stem/embed/isometry/projection
 _S_PREMAP = 11
@@ -178,37 +190,31 @@ def qr_isometry(m: np.ndarray) -> np.ndarray:
     return q
 
 
-def patchify(image: np.ndarray, patch: int = 7) -> np.ndarray:
-    """Cut a 28x28 image into row-major patch x patch tiles, each flattened row-major."""
-    image = np.asarray(image, dtype=np.float64)
-    if image.shape != (IMAGE_SIDE, IMAGE_SIDE):
-        raise ValueError(f"expected shape (28, 28), got {image.shape}")
+def patchify(images: np.ndarray, patch: int = 7) -> np.ndarray:
+    """Cut 28x28 images, shape (..., 28, 28), into row-major patch x patch
+    tiles, each flattened row-major: shape (..., n_patches, patch * patch)."""
+    images = np.asarray(images, dtype=np.float64)
+    if images.shape[-2:] != (IMAGE_SIDE, IMAGE_SIDE):
+        raise ValueError(f"expected shape (..., 28, 28), got {images.shape}")
+    lead = images.shape[:-2]
     g = IMAGE_SIDE // patch
-    tiles = image.reshape(g, patch, g, patch).transpose(0, 2, 1, 3)
-    return tiles.reshape(g * g, patch * patch)
-
-
-def unpatchify(patches: np.ndarray) -> np.ndarray:
-    patches = np.asarray(patches, dtype=np.float64)
-    if patches.shape != (16, 49):
-        raise ValueError(f"expected shape (16, 49), got {patches.shape}")
-    g = IMAGE_SIDE // 7
-    tiles = patches.reshape(g, g, 7, 7).transpose(0, 2, 1, 3)
-    return tiles.reshape(IMAGE_SIDE, IMAGE_SIDE)
+    tiles = images.reshape(*lead, g, patch, g, patch).swapaxes(-3, -2)
+    return tiles.reshape(*lead, g * g, patch * patch)
 
 
 def realify(psi: np.ndarray) -> np.ndarray:
-    """[Re(psi); Im(psi)]; preserves the 2-norm."""
+    """[Re(psi); Im(psi)] along the last axis; preserves the 2-norm."""
     psi = np.asarray(psi)
-    return np.concatenate([psi.real, psi.imag]).astype(np.float64)
+    return np.concatenate([psi.real, psi.imag], axis=-1).astype(np.float64)
+
+
+def _gemv(w, xs):
+    # W @ x for every vector on the last axis: one BLAS gemv per vector
+    return np.matmul(w, xs[..., None])[..., 0]
 
 
 def _layer_norm(v):
-    return (v - v.mean()) / np.sqrt(v.var() + _LN_EPS)
-
-
-def _relu(v):
-    return np.maximum(v, 0.0)
+    return (v - v.mean(-1, keepdims=True)) / np.sqrt(v.var(-1, keepdims=True) + _LN_EPS)
 
 
 def _rng(seed: int, label: int) -> np.random.Generator:
@@ -220,11 +226,15 @@ def _complex_gaussian(rng, shape):
 
 
 def _safe_normalize(w, fallback=None):
-    # degenerate updates pass the fallback (or the raw vector) through
-    n = np.linalg.norm(w)
-    if n <= _DEGENERATE_NORM:
-        return w if fallback is None else fallback
-    return w / n
+    # Each vector on the last axis over its norm; a degenerate row passes the
+    # fallback row (or itself) through.  The squared norm is np.linalg.norm's,
+    # Re.Re + Im.Im as BLAS dots on the strided .real/.imag views.
+    re, im = w.real, w.imag
+    sq = np.matmul(re[..., None, :], re[..., :, None]) + np.matmul(im[..., None, :], im[..., :, None])
+    n = np.sqrt(sq[..., 0])
+    degenerate = n <= _DEGENERATE_NORM
+    scaled = w / np.where(degenerate, 1.0, n)
+    return np.where(degenerate, w if fallback is None else fallback, scaled)
 
 
 def make_frontend(config: FrontendConfig):
@@ -270,66 +280,88 @@ def make_frontend(config: FrontendConfig):
     return TreeParams(config, stem_w, stem_b, e_re, e_im, isometries, disentanglers, proj)
 
 
+def _check_rows(xs) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != IMAGE_PIXELS:
+        raise ValueError(f"expected (m, 784), got {xs.shape}")
+    bad = ~np.isfinite(xs).all(axis=1)
+    if bad.any():
+        raise ValueError(f"input row {np.flatnonzero(bad)[0]} contains non-finite values")
+    return xs
+
+
 def _check_input(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape != (IMAGE_PIXELS,):
-        raise ValueError(f"expected a flat 784 input, got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
-    return x
+    # one image, flat or 28x28, as a checked (1, 784) batch
+    return _check_rows(np.asarray(x, dtype=np.float64).reshape(1, -1))
+
+
+def _site_vectors(xs, params: MpsParams) -> np.ndarray:
+    cfg = params.config
+    pre = np.maximum(_layer_norm(_gemv(params.premap_w, xs) + params.premap_b), 0.0)
+    blocks = pre.reshape(-1, cfg.l_sites, cfg.block)
+    return blocks @ params.embed_re.T + 1j * (blocks @ params.embed_im.T)
+
+
+def _mps_states(xs, params: MpsParams) -> np.ndarray:
+    cfg = params.config
+    z = _site_vectors(xs, params)
+    v = np.zeros((xs.shape[0], cfg.bond), dtype=np.complex128)
+    v[:, 0] = 1.0  # boundary state e_1
+    for k in range(cfg.l_sites):
+        w = np.einsum("na,asb,ns->nb", v, params.cores[k], z[:, k])
+        v = _safe_normalize(w, fallback=v)
+    return v
 
 
 def mps_site_vectors(x, params: MpsParams) -> np.ndarray:
     """Embedded per-site complex vectors, shape (l_sites, d_phys)."""
-    cfg = params.config
-    x = _check_input(x)
-    pre = _relu(_layer_norm(params.premap_w @ x + params.premap_b))
-    blocks = pre.reshape(cfg.l_sites, cfg.block)
-    return blocks @ params.embed_re.T + 1j * (blocks @ params.embed_im.T)
+    return _site_vectors(_check_input(x), params)[0]
 
 
 def mps_state(x, params: MpsParams) -> np.ndarray:
     """Final bond-space state (unit norm unless every update degenerated)."""
-    cfg = params.config
-    z = mps_site_vectors(x, params)
-    v = np.zeros(cfg.bond, dtype=np.complex128)
-    v[0] = 1.0  # boundary state e_1
-    for k in range(cfg.l_sites):
-        w = np.einsum("a,asb,s->b", v, params.cores[k], z[k])
-        v = _safe_normalize(w, fallback=v)
-    return v
+    return _mps_states(_check_input(x), params)[0]
 
 
 def mps_encode(x, params: MpsParams) -> np.ndarray:
     if params.config.kind != "mps":
         raise ValueError("params are not an mps frontend")
-    return params.proj @ realify(mps_state(x, params))
-
-
-def _tree_leaves(x, params: TreeParams) -> np.ndarray:
-    cfg = params.config
-    x = _check_input(x)
-    patches = patchify(x.reshape(IMAGE_SIDE, IMAGE_SIDE), cfg.patch)
-    stems = np.empty((cfg.n_patches, cfg.d_p))
-    for p in range(cfg.n_patches):
-        stems[p] = _relu(_layer_norm(params.stem_w @ patches[p] + params.stem_b))
-    return stems @ params.embed_re.T + 1j * (stems @ params.embed_im.T)
+    return encode(x, params)
 
 
 def disentangle_layer(states: np.ndarray, u: np.ndarray, parity: int) -> np.ndarray:
     """Apply a shared 2d_loc unitary to adjacent pairs starting at `parity`.
 
-    parity 0 hits (0,1), (2,3), ...; parity 1 hits (1,2), (3,4), ... with no
-    wrap-around, so boundary sites pass through untouched.
+    states has shape (..., n, d_loc).  parity 0 hits (0,1), (2,3), ...;
+    parity 1 hits (1,2), (3,4), ... with no wrap-around, so boundary sites
+    pass through untouched.  The pairs are disjoint: one stacked product.
     """
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     states = np.array(states, dtype=np.complex128, copy=True)
-    n, dl = states.shape
-    for i in range(parity, n - 1, 2):
-        pair = u @ np.concatenate([states[i], states[i + 1]])
-        states[i], states[i + 1] = pair[:dl], pair[dl:]
+    *lead, n, dl = states.shape
+    n_pairs = (n - parity) // 2
+    if n_pairs:
+        span = states[..., parity:parity + 2 * n_pairs, :]
+        pairs = _gemv(u, span.reshape(*lead, n_pairs, 2 * dl))
+        span[...] = pairs.reshape(span.shape)
     return states
+
+
+def _tree_levels(xs, params: TreeParams) -> list:
+    cfg = params.config
+    patches = patchify(xs.reshape(-1, IMAGE_SIDE, IMAGE_SIDE), cfg.patch)
+    stems = np.maximum(_layer_norm(_gemv(params.stem_w, patches) + params.stem_b), 0.0)
+    states = stems @ params.embed_re.T + 1j * (stems @ params.embed_im.T)
+    levels = [states]
+    for lvl in range(cfg.n_levels):
+        if params.disentanglers is not None:
+            states = disentangle_layer(states, params.disentanglers[lvl], 0)
+            states = disentangle_layer(states, params.disentanglers[lvl], 1)
+        pairs = states.reshape(xs.shape[0], -1, 2 * cfg.d_loc)
+        states = _safe_normalize(_gemv(params.isometries[lvl].conj().T, pairs))
+        levels.append(states)
+    return levels
 
 
 def tree_levels(x, params: TreeParams) -> list:
@@ -337,69 +369,52 @@ def tree_levels(x, params: TreeParams) -> list:
 
     For mera params the returned levels are post-disentangle, post-merge.
     """
-    cfg = params.config
-    states = _tree_leaves(x, params)
-    levels = [states]
-    for lvl in range(cfg.n_levels):
-        if params.disentanglers is not None:
-            states = disentangle_layer(states, params.disentanglers[lvl], 0)
-            states = disentangle_layer(states, params.disentanglers[lvl], 1)
-        q = params.isometries[lvl]
-        merged = np.empty((states.shape[0] // 2, cfg.d_loc), dtype=np.complex128)
-        for i in range(merged.shape[0]):
-            raw = q.conj().T @ np.concatenate([states[2 * i], states[2 * i + 1]])
-            merged[i] = _safe_normalize(raw)
-        states = merged
-        levels.append(states)
-    return levels
+    return [states[0] for states in _tree_levels(_check_input(x), params)]
 
 
 def tree_encode(x, params: TreeParams) -> np.ndarray:
     """TTN or MERA latent: the projected, realified root of tree_levels."""
     if params.config.kind not in ("ttn", "mera"):
         raise ValueError("params are not a tree (ttn or mera) frontend")
-    return params.proj @ realify(tree_levels(x, params)[-1][0])
+    return encode(x, params)
 
 
-_ENCODERS = {"mps": mps_encode, "ttn": tree_encode, "mera": tree_encode}
+def _encode_rows(xs, params) -> np.ndarray:
+    # the one encoder path of every kind, over a checked (B, 784) stack
+    if params.config.kind == "mps":
+        top = _mps_states(xs, params)
+    else:
+        top = _tree_levels(xs, params)[-1][:, 0]
+    return _gemv(params.proj, realify(top))
 
 
 def encode(x, params) -> np.ndarray:
     """Dispatch on params.config.kind; output is a real d-vector."""
-    return _ENCODERS[params.config.kind](x, params)
+    return _encode_rows(_check_input(x), params)[0]
 
 
 def encode_batch(xs, params) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != IMAGE_PIXELS:
-        raise ValueError(f"expected (m, 784), got {xs.shape}")
-    fn = _ENCODERS[params.config.kind]
-    return np.stack([fn(xs[i], params) for i in range(xs.shape[0])])
+    """encode over the rows of an (m, 784) array, _CHUNK_ROWS rows at a time."""
+    xs = _check_rows(xs)
+    out = np.empty((xs.shape[0], params.proj.shape[0]))
+    for start in range(0, xs.shape[0], _CHUNK_ROWS):
+        out[start:start + _CHUNK_ROWS] = _encode_rows(xs[start:start + _CHUNK_ROWS], params)
+    return out
 
 
 def isometry_check(params) -> float:
     """Max deviation of any core/isometry/disentangler from exact isometry."""
-    devs = [0.0]
     if isinstance(params, MpsParams):
         r, dp = params.config.bond, params.config.d_phys
-        eye = np.eye(r)
-        for k in range(params.config.l_sites):
-            m = params.cores[k].reshape(r * dp, r)
-            devs.append(float(np.abs(m.conj().T @ m - eye).max()))
+        stacks = [params.cores.reshape(-1, r * dp, r)]
     elif isinstance(params, TreeParams):
-        dl = params.config.d_loc
-        eye = np.eye(dl)
-        eye2 = np.eye(2 * dl)
-        for lvl in range(params.config.n_levels):
-            q = params.isometries[lvl]
-            devs.append(float(np.abs(q.conj().T @ q - eye).max()))
-            if params.disentanglers is not None:
-                u = params.disentanglers[lvl]
-                devs.append(float(np.abs(u.conj().T @ u - eye2).max()))
-                devs.append(float(np.abs(u @ u.conj().T - eye2).max()))
+        stacks = [params.isometries]
+        if params.disentanglers is not None:  # unitary: U^dagger U and U U^dagger
+            stacks += [params.disentanglers, params.disentanglers.conj().swapaxes(-1, -2)]
     else:
         raise TypeError(f"unsupported params type {type(params).__name__}")
-    return max(devs)
+    return max(float(np.abs(m.conj().swapaxes(-1, -2) @ m - np.eye(m.shape[-1])).max(initial=0.0))
+               for m in stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +424,12 @@ _MPS_ENTRIES = ("premap_w", "premap_b", "embed_re", "embed_im", "cores", "proj")
 _TREE_ENTRIES = ("stem_w", "stem_b", "embed_re", "embed_im", "isometries", "disentanglers", "proj")
 
 
-def _bundle_entries(params):
-    names = _MPS_ENTRIES if isinstance(params, MpsParams) else _TREE_ENTRIES
-    out = []
-    for name in names:
-        arr = getattr(params, name)
-        if arr is None:
-            continue
-        out.append((name, np.asarray(arr)))
-    return out
-
-
 def save_params(params, path) -> None:
-    write_container(
-        path,
-        params.config.kind,
-        dataclasses.asdict(params.config),
-        _bundle_entries(params),
-        extra={"seed": params.config.seed},
-    )
+    names = _MPS_ENTRIES if isinstance(params, MpsParams) else _TREE_ENTRIES
+    entries = [(name, np.asarray(getattr(params, name))) for name in names
+               if getattr(params, name) is not None]
+    write_container(path, params.config.kind, dataclasses.asdict(params.config), entries,
+                    extra={"seed": params.config.seed})
 
 
 def _expected_shapes(cfg: FrontendConfig) -> dict:
@@ -467,8 +469,5 @@ def load_params(path):
             raise ValueError(f"entry {name} has shape {arr.shape}, expected {expected[name]}")
 
     if cfg.kind == "mps":
-        return MpsParams(cfg, arrays["premap_w"], arrays["premap_b"], arrays["embed_re"],
-                         arrays["embed_im"], arrays["cores"], arrays["proj"])
-    return TreeParams(cfg, arrays["stem_w"], arrays["stem_b"], arrays["embed_re"],
-                      arrays["embed_im"], arrays["isometries"],
-                      arrays.get("disentanglers"), arrays["proj"])
+        return MpsParams(cfg, **{name: arrays[name] for name in _MPS_ENTRIES})
+    return TreeParams(cfg, **{name: arrays.get(name) for name in _TREE_ENTRIES})

@@ -6,10 +6,13 @@ tiny instance; the tree encoders are checked through structural symmetries
 """
 
 import dataclasses
+import functools
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnmpcqep.tn import (
     FrontendConfig,
@@ -28,7 +31,6 @@ from tnmpcqep.tn import (
     save_params,
     tree_encode,
     tree_levels,
-    unpatchify,
 )
 
 
@@ -83,17 +85,17 @@ def test_patchify_constant_image():
     assert np.array_equal(patches, np.full((16, 49), 2.5))
 
 
-def test_unpatchify_roundtrip():
-    rng = np.random.default_rng(43)
-    img = rng.standard_normal((28, 28))
-    assert np.array_equal(unpatchify(patchify(img)), img)
+def test_patchify_stack_is_patchify_per_image():
+    imgs = np.random.default_rng(43).standard_normal((3, 28, 28))
+    for patch in (7, 14, 28):
+        stacked = patchify(imgs, patch)
+        for i in range(3):
+            assert np.array_equal(stacked[i], patchify(imgs[i], patch))
 
 
 def test_patchify_wrong_shape_raises():
     with pytest.raises(ValueError):
         patchify(np.zeros((28, 27)))
-    with pytest.raises(ValueError):
-        unpatchify(np.zeros((15, 49)))
 
 
 # -------------------------------------------------------------------- realify
@@ -246,15 +248,18 @@ def test_ttn_order_sensitivity():
     img = rng.uniform(0.0, 1.0, size=(28, 28))
     base = tree_encode(img.reshape(-1), params)
 
+    def unpatchify(patches):
+        return patches.reshape(4, 4, 7, 7).transpose(0, 2, 1, 3).reshape(-1)
+
     patches = patchify(img)
     siblings = patches.copy()
     siblings[[0, 1]] = siblings[[1, 0]]
-    out_sib = tree_encode(unpatchify(siblings).reshape(-1), params)
+    out_sib = tree_encode(unpatchify(siblings), params)
     assert np.abs(out_sib - base).max() > 1e-6
 
     crossed = patches.copy()  # 0 and 5 sit in different level-2 subtrees
     crossed[[0, 5]] = crossed[[5, 0]]
-    out_cross = tree_encode(unpatchify(crossed).reshape(-1), params)
+    out_cross = tree_encode(unpatchify(crossed), params)
     assert np.abs(out_cross - base).max() > 1e-6
 
 
@@ -316,10 +321,10 @@ def test_encode_dispatch_and_batch():
     xs = rng.uniform(0.0, 1.0, size=(5, 784))
     for kind in ("mps", "ttn", "mera"):
         params = make_frontend(FrontendConfig(kind=kind, seed=18))
-        single = encode(xs[0], params)
         batch = encode_batch(xs, params)
         assert batch.shape == (5, 64)
-        assert np.array_equal(batch[0], single)
+        for i in range(5):
+            assert np.array_equal(batch[i], encode(xs[i], params))
 
 
 def test_encode_kind_mismatch_raises():
@@ -341,6 +346,135 @@ def test_non_finite_input_raises():
             encode(x, params)
     with pytest.raises(ValueError):
         encode(np.zeros(100), make_frontend(FrontendConfig(kind="mps", seed=20)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_batch_rejects_a_non_finite_value_in_any_chunk(bad):
+    xs = np.random.default_rng(56).uniform(0.0, 1.0, size=(40, 784))
+    xs[-1, 700] = bad  # the last row sits in the second 32-row chunk
+    for kind in ("mps", "ttn", "mera"):
+        params = make_frontend(FrontendConfig(kind=kind, seed=20))
+        with pytest.raises(ValueError, match="row 39"):
+            encode_batch(xs, params)
+
+
+def test_encode_batch_rejects_shapes_other_than_rows_of_784():
+    params = make_frontend(FrontendConfig(kind="ttn", seed=20))
+    for shape in ((784,), (3, 783), (2, 28, 28), (1, 1, 784)):
+        with pytest.raises(ValueError):
+            encode_batch(np.zeros(shape), params)
+    assert encode_batch(np.zeros((0, 784)), params).shape == (0, 64)
+
+
+# ------------------------------------------------------- batch bit identity
+
+def _ref_normalize(w, fallback=None):
+    n = np.linalg.norm(w)
+    if n <= 1e-12:
+        return w if fallback is None else fallback
+    return w / n
+
+
+def _ref_layer_norm(v):
+    return (v - v.mean()) / np.sqrt(v.var() + 1e-5)
+
+
+def _ref_encode(x, params):
+    """The per-sample encoders that encode_batch replaced, one image at a time."""
+    cfg = params.config
+    if cfg.kind == "mps":
+        pre = np.maximum(_ref_layer_norm(params.premap_w @ x + params.premap_b), 0.0)
+        blocks = pre.reshape(cfg.l_sites, cfg.block)
+        z = blocks @ params.embed_re.T + 1j * (blocks @ params.embed_im.T)
+        top = np.zeros(cfg.bond, dtype=np.complex128)
+        top[0] = 1.0
+        for k in range(cfg.l_sites):
+            w = np.einsum("a,asb,s->b", top, params.cores[k], z[k])
+            top = _ref_normalize(w, fallback=top)
+    else:
+        g, dl = 28 // cfg.patch, cfg.d_loc
+        patches = x.reshape(g, cfg.patch, g, cfg.patch).transpose(0, 2, 1, 3).reshape(g * g, -1)
+        stems = np.empty((cfg.n_patches, cfg.d_p))
+        for p in range(cfg.n_patches):
+            stems[p] = np.maximum(_ref_layer_norm(params.stem_w @ patches[p] + params.stem_b), 0.0)
+        states = stems @ params.embed_re.T + 1j * (stems @ params.embed_im.T)
+        for lvl in range(cfg.n_levels):
+            if params.disentanglers is not None:
+                u = params.disentanglers[lvl]
+                for parity in (0, 1):
+                    states = states.copy()
+                    for i in range(parity, states.shape[0] - 1, 2):
+                        pair = u @ np.concatenate([states[i], states[i + 1]])
+                        states[i], states[i + 1] = pair[:dl], pair[dl:]
+            q = params.isometries[lvl]
+            merged = np.empty((states.shape[0] // 2, dl), dtype=np.complex128)
+            for i in range(merged.shape[0]):
+                merged[i] = _ref_normalize(q.conj().T @ np.concatenate([states[2 * i], states[2 * i + 1]]))
+            states = merged
+        top = states[0]
+    return params.proj @ np.concatenate([top.real, top.imag])
+
+
+_BATCH_CONFIGS = {
+    "mps": dict(kind="mps"),
+    "mps-tiny": dict(kind="mps", d=4, h=6, l_sites=3, d_phys=2, bond=2),
+    "ttn": dict(kind="ttn"),
+    "mera": dict(kind="mera"),
+    "ttn-4x14": dict(kind="ttn", n_patches=4, patch=14),
+    "mera-4x14": dict(kind="mera", n_patches=4, patch=14),
+    "ttn-1x28": dict(kind="ttn", n_patches=1, patch=28),
+    "mera-1x28": dict(kind="mera", n_patches=1, patch=28),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_params(name, zero_bias):
+    """Seeded params; with zero_bias an all-zero image degenerates every node."""
+    params = make_frontend(FrontendConfig(seed=31, **_BATCH_CONFIGS[name]))
+    if zero_bias:
+        bias = "premap_b" if params.config.kind == "mps" else "stem_b"
+        params = dataclasses.replace(params, **{bias: np.zeros_like(getattr(params, bias))})
+    return params
+
+
+def _assert_batch_matches_per_sample(params, xs):
+    want = np.stack([_ref_encode(x, params) for x in xs])
+    got = encode_batch(xs, params)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(encode(xs[-1], params), want[-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_BATCH_CONFIGS)), zero_bias=st.booleans(),
+       m=st.one_of(st.sampled_from([1, 31, 32, 33, 64, 65, 70]), st.integers(1, 70)),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_encode_batch_is_bit_identical_to_the_per_sample_encoders(name, zero_bias, m, seed, data):
+    params = _batch_params(name, zero_bias)
+    xs = np.random.default_rng(seed).uniform(0.0, 1.0, size=(m, 784))
+    xs[data.draw(st.lists(st.integers(0, m - 1), max_size=4))] = 0.0
+    _assert_batch_matches_per_sample(params, xs)
+
+
+@pytest.mark.parametrize("m", [31, 32, 33, 64, 65])
+@pytest.mark.parametrize("kind", ["mps", "ttn", "mera"])
+def test_encode_batch_is_bit_identical_across_chunk_edges(kind, m):
+    params = _batch_params(kind, True)
+    xs = np.random.default_rng(57 + m).uniform(0.0, 1.0, size=(m, 784))
+    xs[[i for i in (0, 31, 32, m - 1) if i < m]] = 0.0  # degenerate rows around the first chunk edge
+    _assert_batch_matches_per_sample(params, xs)
+
+
+def test_zero_image_rows_take_the_degenerate_fallback():
+    for name in ("mps", "ttn", "mera"):
+        params = _batch_params(name, True)
+        out = encode_batch(np.zeros((2, 784)), params)
+        if params.config.kind == "mps":  # the boundary state e_1 carries through
+            top = np.zeros(2 * params.config.bond)
+            top[0] = 1.0
+        else:  # zero leaves merge to a zero root
+            top = np.zeros(2 * params.config.d_loc)
+        assert np.array_equal(out, np.stack([params.proj @ top] * 2))
 
 
 # ------------------------------------------------------------------- bundles
