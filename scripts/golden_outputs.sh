@@ -39,6 +39,10 @@ cli pipeline-demo --secure --out "$OUT/pipeline_demo_secure.json" >/dev/null
 cli pipeline-demo --secure --kind mps --n-train 48 --n-test 16 \
     --out "$OUT/pipeline_demo_secure_mps.json" >/dev/null
 cli bench-mpc --n-max 6 --dims 8,64 --theta 3 --out "$OUT/bench_mpc.csv" >/dev/null
+for kind in mps mera; do
+    cli pipeline-demo --mode classical --kind "$kind" \
+        --out "$OUT/pipeline_demo_classical_$kind.json" >/dev/null
+done
 cli pipeline-demo --noise depolarizing --n-train 64 --n-test 32 \
     --out "$OUT/pipeline_demo_depolarizing.json" >/dev/null
 cli qubit-sweep --nq 4,8,12 --seeds 1 --n-train 64 --n-test 32 \

@@ -3,9 +3,12 @@
 The flow mirrors a one-shot federated round.  Every image lives on exactly
 one of n clients; each sample becomes one aggregation event in which the
 owner contributes its encoded latent and every other client a zero vector,
-so event traffic never depends on who holds the data.  The decoded
-aggregate is optionally refined by the quantum processor, then an affine
-softmax readout plus a validated threshold turns latents into labels.
+so event traffic never depends on who holds the data.  Plain events are
+built and aggregated as one stack per chunk of samples; secure events stay
+one protocol round per sample.  The decoded aggregate is optionally refined
+by the quantum processor, then an affine two-class softmax readout plus a
+validated threshold turns latents into labels.  The threshold search counts
+the confusion matrix at every candidate from one sort of each class's scores.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .mpc import CostReport
 from .qsim import NoiseSpec
 
 IMAGE_SIDE = 28
+# plain aggregation events are stacked this many samples at a time; at
+# n=16, d=64 a chunk is 256 KiB, where a 400-sample stack would be 3.3 MiB
+_CHUNK_ROWS = 32
 
 # pipeline-owned seed stream labels; tn uses 1x/2x/3x, qep 4x
 _S_SYNTH = 71
@@ -40,17 +46,22 @@ def _check_weights(w: np.ndarray) -> None:
 
 
 def aggregate_plain(features, weights, epsilon: float = 1e-6) -> np.ndarray:
-    """x = (sum_i w_i f_i) / (sum_i w_i + epsilon), elementwise over d."""
+    """x = (sum_i w_i f_i) / (sum_i w_i + epsilon), elementwise over d.
+
+    features is one (n, d) event or an (m, n, d) stack of events, which
+    gives (m, d).  The stacked matmul runs one vector-matrix product per
+    event, the same one that a single event runs, so each row keeps its bytes.
+    """
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must be (n, d), got {features.shape}")
-    if weights.shape != (features.shape[0],):
+    if features.ndim not in (2, 3):
+        raise ValueError(f"features must be (n, d) or (m, n, d), got {features.shape}")
+    if weights.shape != (features.shape[-2],):
         raise ValueError(f"need one weight per client, got {weights.shape}")
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     _check_weights(weights)
-    return (weights @ features) / (weights.sum() + epsilon)
+    return np.matmul(weights, features) / (weights.sum() + epsilon)
 
 
 def aggregate_secure(features, weights, cfg: bench.BenchConfig, seed: int = 0):
@@ -194,9 +205,15 @@ class ReadoutParams:
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
+    """Softmax of (m, 2) logits.
+
+    The two-column maximum and sum are the same IEEE operations as
+    max(axis=1) and sum(axis=1) over rows of two, without numpy's generic
+    reduction loop.
+    """
+    z = z - np.maximum(z[:, 0], z[:, 1])[:, None]
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / (e[:, 0] + e[:, 1])[:, None]
 
 
 def readout_loss(w, b, features, labels, class_weights=(1.0, 1.0)) -> float:
@@ -213,8 +230,10 @@ def readout_grad(w, b, features, labels, class_weights=(1.0, 1.0)):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     p = _softmax_rows(features @ np.asarray(w).T + np.asarray(b))
+    # p minus the one-hot: p - 0.0 == p for p >= 0, so only the label column moves
+    p[np.arange(labels.size), labels] -= 1.0
     cw = np.asarray(class_weights, dtype=np.float64)[labels]
-    g = cw[:, None] * (p - np.eye(2)[labels]) / cw.sum()
+    g = cw[:, None] * p / cw.sum()
     return g.T @ features, g.sum(axis=0)
 
 
@@ -280,6 +299,19 @@ def _ratio(num, den) -> float:
 
 def _harmonic(p: float, r: float) -> float:
     return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
+
+
+def _ratios(num, den) -> np.ndarray:
+    """_ratio over an array of numerators: num / den, and 0.0 where den is 0."""
+    num = np.asarray(num, dtype=np.float64)
+    return np.divide(num, den, out=np.zeros(num.shape), where=np.asarray(den) != 0)
+
+
+def _count_at_least(ascending: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """How many of the NaN-free sorted values are >= each tau; none for a NaN tau."""
+    counts = ascending.size - np.searchsorted(ascending, taus, side="left")
+    counts[np.isnan(taus)] = 0
+    return counts
 
 
 @dataclass(frozen=True)
@@ -358,17 +390,22 @@ def select_threshold(scores, labels, metric: str = "youden") -> float:
     labels = np.asarray(labels)
     if labels.size == 0 or len(np.unique(labels)) < 2:
         raise ValueError("threshold selection needs both classes present")
-    best_tau, best_val = None, -np.inf
-    for tau in threshold_candidates(scores):
-        rep = evaluate(scores, labels, tau)
-        tn_, fp, fn, tp = rep.confusion
-        if metric == "youden":
-            val = _ratio(tp, tp + fn) - _ratio(fp, fp + tn_)
-        else:
-            val = rep.f1[1]
-        if val > best_val:  # strict, so the lowest maximizing tau wins
-            best_val, best_tau = val, float(tau)
-    return best_tau
+    scores = np.asarray(scores, dtype=np.float64)
+    taus = threshold_candidates(scores)
+    # confusion counts at every candidate from one sort per class, as in
+    # evaluate: score >= tau predicts positive, and a NaN score never does
+    actual = labels == 1
+    known = ~np.isnan(scores)
+    tp = _count_at_least(np.sort(scores[actual & known]), taus)
+    fp = _count_at_least(np.sort(scores[~actual & known]), taus)
+    n_pos = int(np.sum(actual))
+    if metric == "youden":
+        val = _ratios(tp, n_pos) - _ratios(fp, labels.size - n_pos)
+    else:
+        prec, rec = _ratios(tp, tp + fp), _ratios(tp, n_pos)
+        val = _ratios(2.0 * prec * rec, prec + rec)  # _harmonic's zero rule
+    # candidates ascend and argmax takes the first maximum: the lowest maximizing tau
+    return float(taus[np.argmax(val)])
 
 
 # ----------------------------------------------------------------------- demo
@@ -479,20 +516,26 @@ def _per_sample_aggregate(feats, owners, weights, acfg: bench.BenchConfig,
                           secure: bool, seed: int, split: int):
     """One aggregation event per sample; returns (x_agg rows, total cost).
 
-    Secure event s of a split draws its share masks from the stream
+    Plain events go to aggregate_plain as one (rows, n, d) stack per chunk
+    of _CHUNK_ROWS samples.  Secure events run one protocol round each, and
+    secure event s of a split draws its share masks from the stream
     [seed, split, s], so no two events reuse a mask.
     """
+    m, d = feats.shape
     out = np.empty_like(feats)
     total = CostReport()
-    for s in range(feats.shape[0]):
-        event = np.zeros((acfg.n, feats.shape[1]))
+    if not secure:
+        for lo in range(0, m, _CHUNK_ROWS):
+            rows = min(_CHUNK_ROWS, m - lo)
+            events = np.zeros((rows, acfg.n, d))
+            events[np.arange(rows), owners[lo:lo + rows]] = feats[lo:lo + rows]
+            out[lo:lo + rows] = aggregate_plain(events, weights, acfg.epsilon)
+        return out, total
+    for s in range(m):
+        event = np.zeros((acfg.n, d))
         event[owners[s]] = feats[s]
-        if secure:
-            x, rep = aggregate_secure(event, weights, acfg, seed=[seed, split, s])
-            total = total + rep
-        else:
-            x = aggregate_plain(event, weights, acfg.epsilon)
-        out[s] = x
+        out[s], rep = aggregate_secure(event, weights, acfg, seed=[seed, split, s])
+        total = total + rep
     return out, total
 
 

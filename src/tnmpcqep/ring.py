@@ -4,6 +4,9 @@ Values live in the unsigned residue ring modulo 2^k (k <= 64) and are
 interpreted as two's-complement signed integers when decoding.  Every value,
 scalar or vector, is a numpy uint64 array (0-d for a scalar), whose
 wraparound is exact modular arithmetic; radd/rsub/rmul/rneg reduce mod 2^k.
+They call the ufuncs explicitly: a ufunc call never warns on uint64
+wraparound, while the operators on numpy scalars (which an op on 0-d arrays
+returns) do.
 """
 
 from __future__ import annotations
@@ -46,32 +49,28 @@ def as_ring_array(values, k: int = MAX_K) -> np.ndarray:
 
 
 def radd(a: np.ndarray, b: np.ndarray, k: int = MAX_K) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        out = a + b
+    out = np.add(a, b)
     if k < MAX_K:
         out &= np.uint64(ring_mask(k))
     return out
 
 
 def rsub(a: np.ndarray, b: np.ndarray, k: int = MAX_K) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        out = a - b
+    out = np.subtract(a, b)
     if k < MAX_K:
         out &= np.uint64(ring_mask(k))
     return out
 
 
 def rmul(a: np.ndarray, b: np.ndarray, k: int = MAX_K) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        out = a * b
+    out = np.multiply(a, b)
     if k < MAX_K:
         out &= np.uint64(ring_mask(k))
     return out
 
 
 def rneg(a: np.ndarray, k: int = MAX_K) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        out = np.uint64(0) - a
+    out = np.subtract(np.uint64(0), a)
     if k < MAX_K:
         out &= np.uint64(ring_mask(k))
     return out

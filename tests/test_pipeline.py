@@ -1,8 +1,11 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnmpcqep import bench, pipeline, qep
 from tnmpcqep.bench import BenchConfig
@@ -64,6 +67,86 @@ def test_aggregate_plain_domain_errors():
         aggregate_plain(f, [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="epsilon"):
         aggregate_plain(f, [1.0, 1.0], epsilon=0.0)
+
+
+def test_aggregate_plain_stack_domain_errors():
+    stack = np.ones((4, 2, 3))
+    with pytest.raises(ValueError, match="one weight per client"):
+        aggregate_plain(stack, [1.0, 2.0, 3.0, 4.0])  # length of axis 0, not axis -2
+    with pytest.raises(ValueError, match="one weight per client"):
+        aggregate_plain(stack, [1.0, 2.0, 3.0])
+    for bad in (np.ones(3), np.ones((1, 4, 2, 3))):
+        with pytest.raises(ValueError, match=r"features must be \(n, d\) or \(m, n, d\)"):
+            aggregate_plain(bad, [1.0, 2.0])
+    # the weight checks run on a stack too, before any arithmetic
+    with pytest.raises(ValueError, match="nonnegative"):
+        aggregate_plain(stack, [1.0, -0.5])
+    with pytest.raises(ValueError, match="positive sum"):
+        aggregate_plain(stack, [0.0, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        aggregate_plain(np.full((4, 2, 3), np.nan), [np.inf, 1.0])
+
+
+def _events(rng, m, n, d):
+    """m one-owner events as features, owners and the (m, n, d) stack, with -0.0 entries."""
+    feats = rng.normal(size=(m, d))
+    feats[rng.random(size=(m, d)) < 0.2] = -0.0
+    owners = rng.integers(0, n, size=m)
+    stack = np.zeros((m, n, d))
+    stack[np.arange(m), owners] = feats
+    return feats, owners, stack
+
+
+def _per_event_plain(stack, weights, epsilon):
+    """The per-sample plain aggregation as it ran before stacking."""
+    w = np.asarray(weights, dtype=np.float64)
+    return np.stack([(w @ event) / (w.sum() + epsilon) for event in stack])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 19), d=st.integers(1, 70),
+       dense=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_aggregate_plain_stack_is_bit_identical_to_the_per_event_loop(m, n, d, dense, seed):
+    rng = np.random.default_rng(seed)
+    if dense:  # every client row nonzero, so the order of the sum over n shows
+        stack = rng.normal(size=(m, n, d))
+        stack[rng.random(size=stack.shape) < 0.2] = -0.0
+    else:
+        stack = _events(rng, m, n, d)[2]
+    weights = rng.integers(0, 30, size=n).astype(np.float64)
+    weights[rng.integers(n)] += 1.0
+    got = aggregate_plain(stack, weights, 1e-6)
+    assert got.shape == (m, d)
+    assert got.tobytes() == _per_event_plain(stack, weights, 1e-6).tobytes()
+
+
+@pytest.mark.parametrize("n_clients", [1, 16])
+@pytest.mark.parametrize("m", [31, 32, 33, 64, 65])
+def test_plain_events_are_bit_identical_across_chunk_edges(m, n_clients):
+    rng = np.random.default_rng(m * 100 + n_clients)
+    feats, owners, stack = _events(rng, m, n_clients, 64)
+    weights = np.bincount(owners, minlength=n_clients).astype(np.float64) + 1.0
+    acfg = BenchConfig(n=n_clients, d=64)
+    got, cost = pipeline._per_sample_aggregate(feats, owners, weights, acfg,
+                                               secure=False, seed=0, split=0)
+    assert got.tobytes() == _per_event_plain(stack, weights, acfg.epsilon).tobytes()
+    assert cost.total_bits == 0
+
+
+def test_plain_aggregation_calls_aggregate_plain_once_per_chunk(monkeypatch):
+    sizes = []
+    orig = pipeline.aggregate_plain
+
+    def spy(features, weights, epsilon=1e-6):
+        sizes.append(np.shape(features)[0])
+        return orig(features, weights, epsilon)
+
+    monkeypatch.setattr(pipeline, "aggregate_plain", spy)
+    rng = np.random.default_rng(3)
+    feats, owners, _ = _events(rng, 70, 4, 8)
+    pipeline._per_sample_aggregate(feats, owners, np.ones(4), BenchConfig(n=4, d=8),
+                                   secure=False, seed=0, split=0)
+    assert sizes == [32, 32, 6]
 
 
 def test_aggregation_config_validation():
@@ -196,6 +279,70 @@ def test_readout_loss_history_never_increases():
         assert np.all(np.diff(hist) <= 0.0), f"loss increased on trial {trial}"
 
 
+def _old_softmax_rows(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _old_readout_loss(w, b, features, labels, class_weights=(1.0, 1.0)):
+    p = _old_softmax_rows(np.asarray(features) @ np.asarray(w).T + np.asarray(b))
+    labels = np.asarray(labels)
+    cw = np.asarray(class_weights, dtype=np.float64)[labels]
+    nll = -np.log(np.clip(p[np.arange(labels.size), labels], 1e-300, None))
+    return float((cw * nll).sum() / cw.sum())
+
+
+def _old_readout_grad(w, b, features, labels, class_weights=(1.0, 1.0)):
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    p = _old_softmax_rows(features @ np.asarray(w).T + np.asarray(b))
+    cw = np.asarray(class_weights, dtype=np.float64)[labels]
+    g = cw[:, None] * (p - np.eye(2)[labels]) / cw.sum()
+    return g.T @ features, g.sum(axis=0)
+
+
+_class_weights = st.sampled_from([(1.0, 1.0), (1.0, 2.5), (0.3, 7.0)]) | st.tuples(
+    st.floats(0.01, 10.0), st.floats(0.01, 10.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 60), d=st.integers(1, 8), scale=st.sampled_from([0.0, 1.0, 30.0, 800.0]),
+       cw=_class_weights, seed=st.integers(0, 2**32 - 1))
+def test_readout_loss_and_grad_are_bit_identical_to_the_reduction_forms(m, d, scale, cw, seed):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(m, d))
+    w = scale * rng.normal(size=(2, d))  # 800 saturates the softmax and underflows exp
+    b = scale * rng.normal(size=2)
+    labels = rng.integers(0, 2, size=m)
+    got, want = readout_loss(w, b, feats, labels, cw), _old_readout_loss(w, b, feats, labels, cw)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    (gw, gb), (ww, wb) = readout_grad(w, b, feats, labels, cw), _old_readout_grad(
+        w, b, feats, labels, cw)
+    assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+    z = feats @ w.T + b
+    assert pipeline._softmax_rows(z).tobytes() == _old_softmax_rows(z).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(2, 50), d=st.integers(1, 6), cw=_class_weights,
+       steps=st.integers(1, 60), lr=st.sampled_from([0.5, 2.0, 40.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_train_readout_is_bit_identical_to_the_reduction_forms(m, d, cw, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    feats = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0, size=d)
+    labels = rng.integers(0, 2, size=m)
+    labels[:2] = (0, 1)
+    got = train_readout(feats, labels, class_weights=cw, steps=steps, lr=lr)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "readout_loss", _old_readout_loss)
+        mp.setattr(pipeline, "readout_grad", _old_readout_grad)
+        want = train_readout(feats, labels, class_weights=cw, steps=steps, lr=lr)
+    assert got.w.tobytes() == want.w.tobytes()
+    assert got.b.tobytes() == want.b.tobytes()
+    assert np.array(got.loss_history).tobytes() == np.array(want.loss_history).tobytes()
+
+
 def test_readout_rejects_degenerate_training_sets():
     with pytest.raises(ValueError, match="both classes"):
         train_readout(np.ones((4, 2)), np.zeros(4, dtype=int))
@@ -262,6 +409,65 @@ def test_threshold_f1_mode_matches_brute_force():
         assert got == pytest.approx(cands[np.flatnonzero(f1s == f1s.max())[0]])
     with pytest.raises(ValueError, match="metric"):
         select_threshold(np.array([0.1, 0.9]), np.array([0, 1]), metric="auc")
+
+
+def _old_select_threshold(scores, labels, metric):
+    """The per-candidate evaluate loop that select_threshold replaced."""
+    best_tau, best_val = None, -np.inf
+    for tau in threshold_candidates(scores):
+        rep = evaluate(scores, labels, tau)
+        tn_, fp, fn, tp = rep.confusion
+        if metric == "youden":
+            val = pipeline._ratio(tp, tp + fn) - pipeline._ratio(fp, fp + tn_)
+        else:
+            val = rep.f1[1]
+        if val > best_val:
+            best_val, best_tau = val, float(tau)
+    return best_tau
+
+
+_score_values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, -np.inf, np.inf, np.nan]) | st.floats(
+    -1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(2, 40), label_set=st.sampled_from([(0, 1), (0, 2), (0, 1, 2)]),
+       metric=st.sampled_from(["youden", "f1"]))
+def test_select_threshold_is_bit_identical_to_the_per_candidate_loop(data, m, label_set, metric):
+    scores = np.array(data.draw(st.lists(_score_values, min_size=m, max_size=m)))
+    labels = np.array(data.draw(st.lists(st.sampled_from(label_set), min_size=m, max_size=m)))
+    if len(np.unique(labels)) < 2:
+        with pytest.raises(ValueError, match="both classes"):
+            select_threshold(scores, labels, metric=metric)
+        return
+    got = select_threshold(scores, labels, metric=metric)
+    want = _old_select_threshold(scores, labels, metric)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("metric", ["youden", "f1"])
+def test_select_threshold_edge_cases_match_the_per_candidate_loop(metric):
+    cases = [
+        ([0.3, 0.3], [0, 1]),  # n = 2, tied scores
+        ([np.nan, 0.2, 0.8, np.nan], [1, 0, 1, 0]),  # NaN scores are never >= tau
+        ([np.nan, np.nan, 0.4], [1, 1, 0]),  # every positive NaN: a NaN tau can win
+        ([-np.inf, 0.5, np.inf], [1, 0, 1]),  # -inf and +inf candidates besides the sentinels
+        ([np.inf, -np.inf], [0, 1]),  # their midpoint is a NaN candidate
+        ([0.1, 0.9, 0.5], [0, 2, 2]),  # no label 1: the positive class is empty
+        ([0.1, 0.9, 0.5, 0.5], [2, 1, 1, 0]),
+    ]
+    for scores, labels in cases:
+        scores, labels = np.array(scores), np.array(labels)
+        got = select_threshold(scores, labels, metric=metric)
+        want = _old_select_threshold(scores, labels, metric)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (scores, labels)
+    # an empty class divides by zero nowhere
+    scores, labels = np.array([0.1, 0.9, 0.5]), np.array([0, 2, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = select_threshold(scores, labels, metric)
+    assert got == _old_select_threshold(scores, labels, metric)
 
 
 def test_evaluate_perfect_predictions():

@@ -1,5 +1,7 @@
 """Ring and fixed-point codec checks against a pure-python integer oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,33 @@ def test_decode_array_handles_width_32():
     codec = FixedPointCodec(k=32, fraction_bits=10)
     vals = np.array([1.5, -2.25, 0.0])
     assert np.allclose(codec.decode_array(codec.encode_array(vals)), vals)
+
+
+_OPERAND_KINDS = {
+    "scalar": lambda v: np.uint64(v),
+    "0-d": lambda v: np.array(v, dtype=np.uint64),
+    "1-d": lambda v: np.array([v, 1], dtype=np.uint64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OPERAND_KINDS))
+@pytest.mark.parametrize("k", [64, 8])
+def test_ring_ops_wrap_without_an_overflow_warning(k, kind):
+    # operands at the top of the 64-bit range wrap in every op; numpy scalar
+    # operators would warn on that, the ufunc calls must not
+    top = (1 << 64) - 1
+    make = _OPERAND_KINDS[kind]
+    a, b = make(top), make(1 << 63)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {
+            "add": radd(a, b, k), "sub": rsub(b, a, k),
+            "mul": rmul(a, b, k), "neg": rneg(a, k),
+        }
+    want = {
+        "add": oracle_add(top, 1 << 63, k), "sub": (2**63 - top) % (1 << k),
+        "mul": oracle_mul(top, 1 << 63, k), "neg": (-top) % (1 << k),
+    }
+    for op, value in got.items():
+        assert np.asarray(value).dtype == np.uint64
+        assert int(np.ravel(value)[0]) == want[op], op
