@@ -54,6 +54,7 @@ cli qep-run --nq 16 --observables all_pairs --n 2 --out "$OUT/qep_run_nq16_all_p
 cli qep-run --nq 10 --noise thermal --observables all_pairs --n 2 \
     --out "$OUT/qep_run_nq10_thermal_all_pairs.csv" >/dev/null
 cli qep-run --nq 2 --noise depolarizing --n 4 --out "$OUT/qep_run_nq2_depolarizing.csv" >/dev/null
+cli qep-run --nq 12 --n 40 --batch-size 7 --out "$OUT/qep_run_nq12_batch7.csv" >/dev/null
 for kind in mps ttn mera; do
     cli encode --kind "$kind" --n 70 --out "$OUT/encode_$kind.csv" >/dev/null
 done

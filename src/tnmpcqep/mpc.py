@@ -19,6 +19,7 @@ every charge is doubled, the dataflow is unchanged.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -91,6 +92,9 @@ _CATEGORIES = (CLIENT_TO_NODE, NODE_TO_NODE, RECONSTRUCTION)  # CostReport field
 
 # --- shares ---
 
+# component i+1 beside component i: party i's second row, and mul's cross terms
+_NEXT = np.array([1, 2, 0])
+
 
 def _uniform_ring(rng, shape, k: int) -> np.ndarray:
     """Uniform draw over Z_{2^k} as uint64: the generator's raw 64-bit words,
@@ -123,6 +127,15 @@ class SharedTensor:
     @property
     def size(self) -> int:
         return self.components[0].size
+
+
+@functools.cache
+def _divide_constants(codec: FixedPointCodec):
+    """divide's encoded 2.9142 and 2.0, once per codec (read-only)."""
+    consts = codec.encode_array(2.9142), codec.encode_array(2.0)
+    for c in consts:
+        c.flags.writeable = False
+    return consts
 
 
 class Mpc3Session:
@@ -247,7 +260,7 @@ class Mpc3Session:
         sends z_i to party i-1 (3k bits/element)."""
         self._same_ring(x, y)
         xc, yc = x.components, y.components
-        x_next, y_next = xc[[1, 2, 0]], yc[[1, 2, 0]]
+        x_next, y_next = xc[_NEXT], yc[_NEXT]
         z = radd(rmul(xc, radd(yc, y_next, self.k), self.k), rmul(x_next, yc, self.k), self.k)
         self.charge(NODE_TO_NODE, 3 * self.k * x.size, "mul")
         return SharedTensor(z, self.k)
@@ -263,8 +276,8 @@ class Mpc3Session:
         signed = to_signed(self._combine(x), self.k)
         if rounding == "nearest":
             signed = signed + (np.int64(1) << np.int64(f - 1)) if f > 0 else signed
-        shifted = signed >> np.int64(f)
-        out = self._split(from_signed(shifted, self.k))
+        # the shift's int64 bits as uint64, unreduced: _split reduces v_2 mod 2^k
+        out = self._split((signed >> np.int64(f)).view(np.uint64))
         self.charge(NODE_TO_NODE, 6 * self.k * x.size, "trunc")
         return out
 
@@ -297,9 +310,8 @@ class Mpc3Session:
             n0 = self._scale_pow2(num, f - widths, rounding="nearest")
 
             # linear initial estimate of 1/b0 on [0.5, 1): r = 2.9142 - 2 b0
-            init = codec.encode_array(2.9142)
+            init, two = _divide_constants(codec)
             r = self.add_public(self.neg(self.mul_public(b0, 2)), init)
-            two = codec.encode_array(2.0)
             for _ in range(theta):
                 t = self.truncate(self.mul(b0, r), rounding="nearest")
                 u = self.add_public(self.neg(t), two)
@@ -318,11 +330,15 @@ class Mpc3Session:
             raise ProtocolError(f"shape mismatch: {x.shape} vs {y.shape}")
 
     def _combine(self, x: SharedTensor) -> np.ndarray:
-        c = x.components
-        return radd(radd(c[0], c[1], self.k), c[2], self.k)
+        # one reduction over the component axis: uint64 sums wrap mod 2^64 in any order
+        total = np.add.reduce(x.components, axis=0)
+        if self.k < MAX_K:
+            total &= np.uint64(ring_mask(self.k))
+        return total
 
     def _split(self, values: np.ndarray) -> SharedTensor:
-        """Fresh sharing from the session stream: v_0, v_1 uniform, v_2 the residual."""
+        """Fresh sharing from the session stream: v_0, v_1 uniform, v_2 the residual,
+        each reduced mod 2^k whether or not values are."""
         comps = np.empty((3,) + values.shape, dtype=np.uint64)
         comps[0] = _uniform_ring(self.rng, values.shape, self.k)
         comps[1] = _uniform_ring(self.rng, values.shape, self.k)

@@ -375,9 +375,16 @@ def evaluate(scores, labels, tau: float) -> EvalReport:
 
 
 def threshold_candidates(scores) -> np.ndarray:
-    """Midpoints of adjacent sorted unique scores plus the two sentinels."""
-    u = np.unique(np.asarray(scores, dtype=np.float64))
-    return np.concatenate([[-np.inf], (u[:-1] + u[1:]) / 2.0, [np.inf]])
+    """Midpoints of adjacent sorted unique scores plus the two sentinels.
+
+    NaN scores are dropped, since no tau counts them; adjacent -inf and +inf
+    have the midpoint 0.0.  So no candidate is NaN.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    u = np.unique(scores[~np.isnan(scores)])
+    lo, hi = u[:-1], u[1:]
+    mids = np.add(lo, hi, out=np.zeros_like(lo), where=~(np.isneginf(lo) & np.isposinf(hi)))
+    return np.concatenate([[-np.inf], mids / 2.0, [np.inf]])
 
 
 def select_threshold(scores, labels, metric: str = "youden") -> float:

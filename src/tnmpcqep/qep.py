@@ -12,8 +12,12 @@ and gated back onto it:
     z = Fusion([x; q]);  alpha = sigmoid(affine(LN(x)))
     f_out = alpha*z + (1-alpha)*x
 
-No component is trained here; parameters are seeded draws or loaded from
-the shared container format.
+Every stage but the circuit runs once over the (m, d) stack of latents, one
+batch axis through the encoder, angle map, decoder, bypass, fusion and gate;
+each matrix-vector product is a stacked one, np.matmul(W, X[..., None]),
+which computes row i as W @ X[i] does, so a stack and its rows agree byte
+for byte.  Only the circuit and its readout run per row.  No component is
+trained here; parameters are seeded draws.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .container import read_container, write_container
 from .qsim import NOISELESS, NoiseSpec, PauliTerm, expectation, run_circuit, run_noisy
 
 __all__ = [
@@ -41,8 +44,6 @@ __all__ = [
     "quantum_features",
     "qep_forward",
     "qubit_sweep",
-    "save_qep_params",
-    "load_qep_params",
 ]
 
 OBSERVABLE_MODES = ("nearest_neighbor", "all_pairs")
@@ -66,12 +67,16 @@ def suggest_qubits(d: int) -> int:
     return root if root * root == d else root + 1
 
 
-def observable_set(n_q: int, mode: str = "nearest_neighbor"):
-    """Deterministically ordered Pauli terms: X's, then Z's, then ZZ pairs."""
+def _check_observables(n_q: int, mode: str) -> None:
     if n_q < 2:
         raise ValueError("need at least 2 qubits for two-body observables")
     if mode not in OBSERVABLE_MODES:
         raise ValueError(f"mode must be one of {OBSERVABLE_MODES}, got {mode!r}")
+
+
+def observable_set(n_q: int, mode: str = "nearest_neighbor"):
+    """Deterministically ordered Pauli terms: X's, then Z's, then ZZ pairs."""
+    _check_observables(n_q, mode)
     terms = [PauliTerm(((q, "X"),)) for q in range(n_q)]
     terms += [PauliTerm(((q, "Z"),)) for q in range(n_q)]
     if mode == "nearest_neighbor":
@@ -83,7 +88,10 @@ def observable_set(n_q: int, mode: str = "nearest_neighbor"):
 
 
 def observable_count(n_q: int, mode: str = "nearest_neighbor") -> int:
-    return len(observable_set(n_q, mode))
+    """len(observable_set(n_q, mode)) without building the terms."""
+    _check_observables(n_q, mode)
+    pairs = n_q - 1 if mode == "nearest_neighbor" else n_q * (n_q - 1) // 2
+    return 2 * n_q + pairs
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,8 @@ class QepParams:
     """All processor parameters; shapes keyed by (d, n_q, d_q).
 
     beta is stored directly in [0, 1]; the endpoints are legal so the mixing
-    identities are expressible.  Values loaded from an unconstrained scalar
-    pass through a sigmoid (see beta_from_raw) and land strictly inside.
+    identities are expressible.  An unconstrained scalar maps strictly inside
+    through a sigmoid (see beta_from_raw).
     """
 
     d: int
@@ -209,7 +217,15 @@ def make_qep(d: int = 64, n_q: int | None = None, layers: int = 2, scale: float 
 
 
 def _layer_norm(v):
-    return (v - v.mean()) / np.sqrt(v.var() + _LN_EPS)
+    """Per row of a stack: (v - mean) / sqrt(var + eps) over the last axis."""
+    return (v - v.mean(axis=-1, keepdims=True)) / np.sqrt(v.var(axis=-1, keepdims=True) + _LN_EPS)
+
+
+def _affine(w, b, xs):
+    """w @ x + b for every row x of xs, one gemv per row."""
+    out = np.matmul(w, xs[..., None])[..., 0]
+    out += b
+    return out
 
 
 def _ensure_finite(arr, stage: str):
@@ -218,45 +234,67 @@ def _ensure_finite(arr, stage: str):
     return arr
 
 
+def _checked_noise(params: QepParams, noise: NoiseSpec | None) -> NoiseSpec:
+    noise = NOISELESS if noise is None else noise
+    if not noise.is_noiseless and params.n_q > 10:
+        raise ValueError("noisy evaluation is limited to 10 qubits")
+    return noise
+
+
+def _checked_latent(x_agg, params: QepParams):
+    x = np.asarray(x_agg, dtype=np.float64).reshape(-1)
+    if x.shape != (params.d,):
+        raise ValueError(f"expected a {params.d}-vector, got {x.shape}")
+    return _ensure_finite(x, "input")
+
+
+def _angles(xs, params: QepParams):
+    """Encoder stage over an (m, d) stack: e of shape (m, 2N_q), theta of shape (m, L, N_q, 2)."""
+    hidden = np.maximum(_layer_norm(_affine(params.enc_w1, params.enc_b1, xs)), 0.0)
+    e = _ensure_finite(_affine(params.enc_w2, params.enc_b2, hidden), "encoder")
+    theta = np.pi * params.scale * (e.reshape(len(e), 1, params.n_q, 2) + params.delta)
+    return e, theta
+
+
+def _readout(theta, params: QepParams, noise: NoiseSpec):
+    """q_raw of shape (m, d_q): the circuit and its readout, one row at a time."""
+    terms = observable_set(params.n_q, params.mode)
+    q_raw = np.empty((len(theta), len(terms)))
+    for i, angles in enumerate(theta):
+        if noise.is_noiseless:
+            state = run_circuit(angles)
+            q_raw[i] = [expectation(state, t) for t in terms]
+            del state  # freed before the next row's circuit allocates its own
+        else:
+            q_raw[i] = run_noisy(angles, noise).expectations(terms)
+    return _ensure_finite(q_raw, "readout")
+
+
+def _quantum_branch(xs, params: QepParams, noise: NoiseSpec):
+    """q = (1-beta)*Dec(q_raw) + beta*BP(e) over the stack; its temporaries die on return."""
+    e, theta = _angles(xs, params)
+    q_raw = _readout(theta, params, noise)
+    hidden = np.maximum(_layer_norm(_affine(params.dec_w1, params.dec_b1, q_raw)), 0.0)
+    q = _ensure_finite(_affine(params.dec_w2, params.dec_b2, hidden), "decoder")
+    q *= 1.0 - params.beta  # in place: the same products as (1 - beta) * Dec(q_raw)
+    q += params.beta * _ensure_finite(_affine(params.bp_w, params.bp_b, e), "bypass")
+    return q
+
+
 def encode_angles(x_agg, params: QepParams):
     """Shallow map to e in R^{2N_q}, then theta[l,q] = pi*s*(e_pair[q] + delta[l,q]).
 
     Even slots of e drive the Ry angles, odd slots the Rz angles.
     """
-    x = np.asarray(x_agg, dtype=np.float64).reshape(-1)
-    if x.shape != (params.d,):
-        raise ValueError(f"expected a {params.d}-vector, got {x.shape}")
-    _ensure_finite(x, "input")
-    hidden = np.maximum(_layer_norm(params.enc_w1 @ x + params.enc_b1), 0.0)
-    e = params.enc_w2 @ hidden + params.enc_b2
-    _ensure_finite(e, "encoder")
-    pairs = e.reshape(params.n_q, 2)
-    theta = np.pi * params.scale * (pairs[np.newaxis, :, :] + params.delta)
-    return e, theta
-
-
-def _quantum_branch(params: QepParams, noise: NoiseSpec | None):
-    """Check the noise model once; return the map latent -> (e, q_raw)."""
-    noise = NOISELESS if noise is None else noise
-    if not noise.is_noiseless and params.n_q > 10:
-        raise ValueError("noisy evaluation is limited to 10 qubits")
-    terms = observable_set(params.n_q, params.mode)
-
-    def branch(x):
-        e, theta = encode_angles(x, params)
-        if noise.is_noiseless:
-            state = run_circuit(theta)
-            q_raw = np.array([expectation(state, t) for t in terms])
-        else:
-            q_raw = run_noisy(theta, noise).expectations(terms)
-        return e, _ensure_finite(q_raw, "readout")
-
-    return branch
+    e, theta = _angles(_checked_latent(x_agg, params)[None], params)
+    return e[0], theta[0]
 
 
 def quantum_features(x_agg, params: QepParams, noise: NoiseSpec | None = None) -> np.ndarray:
     """The raw observable vector q_raw in [-1, 1]^{d_q} for one latent."""
-    return _quantum_branch(params, noise)(x_agg)[1]
+    noise = _checked_noise(params, noise)
+    _, theta = _angles(_checked_latent(x_agg, params)[None], params)
+    return _readout(theta, params, noise)[0]
 
 
 def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
@@ -265,7 +303,7 @@ def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
     Noiseless specs run on the statevector simulator; any other NoiseSpec
     switches to density-matrix evolution (n_q <= 10).
     """
-    branch = _quantum_branch(params, noise)
+    noise = _checked_noise(params, noise)
     xs = np.asarray(x_agg, dtype=np.float64)
     single = xs.ndim == 1
     xs = np.atleast_2d(xs)
@@ -273,23 +311,16 @@ def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
         raise ValueError(f"expected (m, {params.d}) latents, got {np.asarray(x_agg).shape}")
     _ensure_finite(xs, "input")
 
-    outs = np.empty_like(xs)
-    alphas = np.empty(xs.shape[0])
-    qs = np.empty((xs.shape[0], params.d))
-    for i in range(xs.shape[0]):
-        x = xs[i]
-        e, q_raw = branch(x)
-        hidden = np.maximum(_layer_norm(params.dec_w1 @ q_raw + params.dec_b1), 0.0)
-        q_dec = _ensure_finite(params.dec_w2 @ hidden + params.dec_b2, "decoder")
-        q_bp = _ensure_finite(params.bp_w @ e + params.bp_b, "bypass")
-        q = (1.0 - params.beta) * q_dec + params.beta * q_bp
-        z = _ensure_finite(params.fus_w @ np.concatenate([x, q]) + params.fus_b, "fusion")
-        alpha = float(expit(params.alpha_w @ _layer_norm(x) + params.alpha_b))
-        outs[i] = alpha * z + (1.0 - alpha) * x
-        alphas[i] = alpha
-        qs[i] = q
+    q = _quantum_branch(xs, params, noise)
+    z = _ensure_finite(_affine(params.fus_w, params.fus_b, np.concatenate([xs, q], axis=1)),
+                       "fusion")
+    # alpha_w @ LN(x) is a dot per row, (1, d) @ (d, 1), not a gemv
+    gate = np.matmul(_layer_norm(xs)[:, None, :], params.alpha_w[:, None])[:, 0, 0]
+    alpha = expit(gate + params.alpha_b)
+    outs = alpha[:, None] * z
+    outs += (1.0 - alpha[:, None]) * xs
     _ensure_finite(outs, "output")
-    diag = QepDiagnostics(alpha_mean=float(alphas.mean()), q_std=float(qs.std()))
+    diag = QepDiagnostics(alpha_mean=float(alpha.mean()), q_std=float(q.std()))
     return (outs[0] if single else outs), diag
 
 
@@ -327,37 +358,3 @@ def qubit_sweep(batch, n_q_list, *, config=None):
             "q_std": report.diagnostics.q_std,
         })
     return records
-
-
-# ------------------------------------------------------------------ bundles
-
-_QEP_ENTRIES = ("delta", "enc_w1", "enc_b1", "enc_w2", "enc_b2",
-                "dec_w1", "dec_b1", "dec_w2", "dec_b2",
-                "bp_w", "bp_b", "fus_w", "fus_b", "alpha_w", "alpha_b")
-
-
-def save_qep_params(params: QepParams, path) -> None:
-    config = {
-        "d": params.d, "n_q": params.n_q, "layers": params.layers,
-        "scale": params.scale, "beta": params.beta, "mode": params.mode,
-        "seed": params.seed,
-    }
-    entries = [(name, np.atleast_1d(np.asarray(getattr(params, name), dtype=np.float64)))
-               for name in _QEP_ENTRIES]
-    write_container(path, "qep", config, entries, extra={"seed": params.seed})
-
-
-def load_qep_params(path) -> QepParams:
-    header, arrays = read_container(path, kind="qep")
-    if set(arrays) != set(_QEP_ENTRIES):
-        raise ValueError("bundle entry names do not match the processor layout")
-    cfg = dict(header["config"])
-    if "beta_raw" in cfg:  # unconstrained storage squashes into (0, 1)
-        cfg["beta"] = beta_from_raw(cfg.pop("beta_raw"))
-    return QepParams(
-        d=int(cfg["d"]), n_q=int(cfg["n_q"]), layers=int(cfg["layers"]),
-        scale=float(cfg["scale"]), beta=float(cfg["beta"]), mode=cfg["mode"],
-        seed=int(cfg["seed"]), alpha_b=float(arrays["alpha_b"][0]),
-        **{name: arrays[name] for name in _QEP_ENTRIES if name != "alpha_b"},
-    )
-

@@ -13,7 +13,9 @@ back and a layer of n gates ends in C order.  The first layer starts from
 and the CNOT chain is one gather by the Gray code.  Readouts are exact Pauli
 permutations: X and Y swap the halves of their axis, Y and Z scale a half by
 -i, +i or -1, and the statevector writes P|psi> into one buffer (beside
--|psi>) reused by every term.
+-|psi>) reused by every term.  Each PauliTerm plans its readout once, when it
+is made: the reshape that splits the amplitudes at its factors' axes and the
+block copies, so a readout does no index work of its own.
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
@@ -35,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,26 +144,58 @@ def _gray_gather(n: int) -> np.ndarray:
 _PAULI_PHASE = {"X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
 
 
-def _pauli_into(out: np.ndarray, src: np.ndarray, neg: np.ndarray, factors) -> None:
-    """out = P src on flat [2]*n buffers, factors on ascending qubits, by copies alone:
-    each block of out is a block of src or of neg = -src, or their parts for +-i."""
-    if any(p != "X" for _, p in factors):
-        np.negative(src.view(np.float64), out=neg.view(np.float64))  # contiguous, exact
-    shape, start = [], 0
+class _ReadoutPlan(NamedTuple):
+    """How _pauli_into writes P src for one term, on any number of qubits above its last.
+
+    shape splits a flat [2]*n buffer at each factor's axis, with a trailing -1 for the
+    rest; each block (to, fro, phase) copies src[fro] times phase into out[to]; negates
+    says whether any block reads -src.
+    """
+
+    shape: Tuple[int, ...]
+    blocks: Tuple[Tuple[tuple, tuple, complex], ...]
+    negates: bool
+
+
+def _readout_plan(factors) -> _ReadoutPlan:
+    """The plan for factors on ascending qubits."""
+    shape, start = (), 0
     for q, _ in factors:
-        shape, start = shape + [1 << (q - start), 2], q + 1
-    dst, src, neg = (a.reshape(*shape, -1) for a in (out, src, neg))
+        shape, start = shape + (1 << (q - start), 2), q + 1
+    blocks = []
     for bits in itertools.product((0, 1), repeat=len(factors)):
         phase, to, fro = 1, (), ()
         for (_, p), b in zip(factors, bits):
             phase *= _PAULI_PHASE[p][b]
             to, fro = to + (slice(None), b), fro + (slice(None), b ^ (p != "Z"))
-        o, s, m = dst[to], src[fro], neg[fro]
-        if phase in (1, -1):
-            np.copyto(o, s if phase == 1 else m)
+        blocks.append((to, fro, phase))
+    return _ReadoutPlan(shape + (-1,), tuple(blocks), any(p != "X" for _, p in factors))
+
+
+def _pauli_into(out: np.ndarray, src: np.ndarray, neg: np.ndarray, plan: _ReadoutPlan) -> None:
+    """out = P src on flat [2]*n buffers by copies alone: each block of out is a block
+    of src or of neg = -src, or their parts for +-i."""
+    shape = plan.shape
+    if plan.negates:
+        # one contiguous negation: numpy 2.4.6's np.negative writes wrong values into
+        # float64 outputs strided by 8 elements, so blocks never negate on the way
+        np.negative(src.view(np.float64), out=neg.view(np.float64))
+        neg = neg.reshape(shape)
+    dst, src = out.reshape(shape), src.reshape(shape)
+    for to, fro, phase in plan.blocks:
+        if phase == 1:
+            np.copyto(dst[to], src[fro])
+        elif phase == -1:
+            np.copyto(dst[to], neg[fro])
         else:  # (x + iy)(-i) = y - ix and (x + iy)(+i) = -y + ix
+            o, s, m = dst[to], src[fro], neg[fro]
             np.copyto(o.real, s.imag if phase == -1j else m.imag)
             np.copyto(o.imag, m.real if phase == -1j else s.real)
+
+
+def _unit_clip(v) -> float:
+    """float(np.clip(v, -1.0, 1.0)) for a real scalar, NaN kept, without a ufunc call."""
+    return float(min(max(v, -1.0), 1.0))
 
 
 def _check_cnot(n: int, control: int, target: int) -> None:
@@ -232,9 +266,13 @@ def run_circuit(angles: np.ndarray, n_qubits: Optional[int] = None) -> StateVect
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """Tensor product of X/Y/Z factors on distinct qubits; weight 1 or 2."""
+    """Tensor product of X/Y/Z factors on distinct qubits; weight 1 or 2.
+
+    Holds its readout plan, built once here, so a readout does no index work.
+    """
 
     factors: Tuple[Tuple[int, str], ...]
+    _plan: _ReadoutPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.factors) <= 2:
@@ -247,6 +285,7 @@ class PauliTerm:
                 raise ValueError("repeated qubit in a Pauli term")
             seen.add(q)
         object.__setattr__(self, "factors", tuple(sorted(self.factors)))
+        object.__setattr__(self, "_plan", _readout_plan(self.factors))
 
     def label(self) -> str:
         return "*".join(f"{p}{q}" for q, p in self.factors)
@@ -257,11 +296,11 @@ def expectation(state: StateVector, term: PauliTerm) -> float:
         _check_qubit(state.n_qubits, q)
     if state._readout is None:
         state._readout = np.empty((2, state.amplitudes.size), dtype=complex)
-    _pauli_into(state._readout[0], state.amplitudes, state._readout[1], term.factors)
+    _pauli_into(state._readout[0], state.amplitudes, state._readout[1], term._plan)
     val = np.vdot(state.amplitudes, state._readout[0])
     if abs(val.imag) > 1e-9:
         raise ValueError(f"non-real Pauli expectation ({val}); state is inconsistent")
-    return float(np.clip(val.real, -1.0, 1.0))
+    return _unit_clip(val.real)
 
 
 # --- noise channels and density-matrix evolution ---
@@ -461,12 +500,12 @@ class DensityMatrix:
         for q, p in term.factors:
             _check_qubit(n, q)
             flip |= (p != "Z") << (n - 1 - q)  # X and Y flip the bit of qubit q
-        _pauli_into(phase, np.ones_like(phase), np.empty_like(phase), term.factors)
+        _pauli_into(phase, np.ones_like(phase), np.empty_like(phase), term._plan)
         rows = np.arange(len(self.rho))
         val = np.sum(phase * self.rho[rows ^ flip, rows])
         if abs(val.imag) > 1e-9:
             raise ValueError("non-real expectation from density matrix")
-        return float(np.clip(val.real, -1.0, 1.0))
+        return _unit_clip(val.real)
 
 
 @dataclass

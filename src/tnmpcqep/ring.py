@@ -35,7 +35,7 @@ def as_ring_array(values, k: int = MAX_K) -> np.ndarray:
     arr = np.asarray(values)
     if arr.dtype == np.uint64:
         out = arr.copy()
-    elif np.issubdtype(arr.dtype, np.integer):
+    elif arr.dtype.kind in "iu":
         out = arr.astype(np.int64, copy=False).view(np.uint64).copy()
     elif arr.dtype == object:
         # python ints of arbitrary size: reduce before conversion

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tnmpcqep.mpc import (
@@ -14,9 +16,12 @@ from tnmpcqep.mpc import (
     Mpc3Session,
     ProtocolError,
     SecurityMode,
+    SharedTensor,
+    _uniform_ring,
     eval_plaintext,
     run_protocol,
 )
+from tnmpcqep.ring import as_ring_array, from_signed, radd, rmul, rsub, to_signed
 
 
 class _ForcedRng:
@@ -445,3 +450,128 @@ def test_traffic_per_primitive_sums_to_the_link_counters():
 def test_session_rejects_bad_theta():
     with pytest.raises(ValueError):
         Mpc3Session(theta=0)
+
+
+# --- primitives without redundant passes, against their old forms ---
+
+
+def _old_combine(x, k):
+    c = x.components
+    return radd(radd(c[0], c[1], k), c[2], k)
+
+
+def _old_split(rng, values, k):
+    comps = np.empty((3,) + values.shape, dtype=np.uint64)
+    comps[0] = _uniform_ring(rng, values.shape, k)
+    comps[1] = _uniform_ring(rng, values.shape, k)
+    comps[2] = rsub(rsub(values, comps[0], k), comps[1], k)
+    return comps
+
+
+def _old_mul(x, y, k):
+    xc, yc = x.components, y.components
+    x_next, y_next = xc[[1, 2, 0]], yc[[1, 2, 0]]
+    return radd(rmul(xc, radd(yc, y_next, k), k), rmul(x_next, yc, k), k)
+
+
+def _old_truncate(session, x, rounding):
+    k, f = session.k, session.codec.fraction_bits
+    signed = to_signed(_old_combine(x, k), k)
+    if rounding == "nearest":
+        signed = signed + (np.int64(1) << np.int64(f - 1))
+    return _old_split(session.rng, from_signed(signed >> np.int64(f), k), k)
+
+
+def _old_divide(s, num, den):
+    """divide with its constants encoded on every call and the old truncate and mul."""
+    codec, k = s.codec, s.k
+    f = codec.fraction_bits
+
+    def trunc(x):
+        return SharedTensor(_old_truncate(s, x, "nearest"), k)
+
+    def mul(x, y):
+        return SharedTensor(_old_mul(x, y, k), k)
+
+    den_signed = to_signed(_old_combine(den, k), k)
+    widths = np.array([int(v).bit_length() for v in den_signed], dtype=np.int64)
+    b0 = s._scale_pow2(den, f - widths, rounding="nearest")
+    n0 = s._scale_pow2(num, f - widths, rounding="nearest")
+    r = s.add_public(s.neg(s.mul_public(b0, 2)), codec.encode_array(2.9142))
+    two = codec.encode_array(2.0)
+    for _ in range(s.theta):
+        u = s.add_public(s.neg(trunc(mul(b0, r))), two)
+        r = trunc(mul(r, u))
+    return trunc(mul(n0, r)).components
+
+
+def _twins(k, seed):
+    f = 20 if k == 64 else 4
+    return Mpc3Session(k=k, fraction_bits=f, seed=seed), Mpc3Session(k=k, fraction_bits=f, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([64, 16]), seed=st.integers(0, 2**32), data=st.data())
+def test_mul_truncate_and_open_are_bit_identical_to_their_old_forms(k, seed, data):
+    m = data.draw(st.integers(1, 12))
+    ints = st.integers(-(1 << (k - 1)), (1 << (k - 1)) - 1)
+    xv = np.array(data.draw(st.lists(ints, min_size=m, max_size=m)), dtype=np.int64)
+    yv = np.array(data.draw(st.lists(ints, min_size=m, max_size=m)), dtype=np.int64)
+    s, old = _twins(k, seed)
+    x, y = s.share(xv), s.share(yv)
+    xo, yo = old.share(xv), old.share(yv)
+    z = s.mul(x, y)
+    assert z.components.tobytes() == _old_mul(xo, yo, k).tobytes()
+    for rounding in ("floor", "nearest"):
+        for a, b in ((x, xo), (z, SharedTensor(_old_mul(xo, yo, k), k))):  # xv has negatives
+            assert s.truncate(a, rounding).components.tobytes() == \
+                _old_truncate(old, b, rounding).tobytes()
+    assert s._combine(z).tobytes() == _old_combine(z, k).tobytes()
+    assert s.open(x).tobytes() == _old_combine(x, k).tobytes()
+    assert s.rng.bit_generator.state == old.rng.bit_generator.state
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.sampled_from([64, 16]), seed=st.integers(0, 2**32), data=st.data())
+def test_divide_is_bit_identical_to_its_old_form(k, seed, data):
+    m = data.draw(st.integers(1, 6))
+    top = 1e3 if k == 64 else 100.0
+    num = data.draw(st.lists(st.floats(-top, top), min_size=m, max_size=m))
+    den = data.draw(st.lists(st.floats(0.5, top), min_size=m, max_size=m))
+    s, old = _twins(k, seed)
+    got = s.divide(s.share_encoded(num), s.share_encoded(den))
+    want = _old_divide(old, old.share_encoded(num), old.share_encoded(den))
+    assert got.components.tobytes() == want.tobytes()
+
+
+def _old_as_ring_array(values, k):
+    arr = np.asarray(values)
+    if arr.dtype == np.uint64:
+        out = arr.copy()
+    elif np.issubdtype(arr.dtype, np.integer):
+        out = arr.astype(np.int64, copy=False).view(np.uint64).copy()
+    elif arr.dtype == object:
+        out = np.array([int(v) & ((1 << 64) - 1) for v in arr.ravel()],
+                       dtype=np.uint64).reshape(arr.shape)
+    else:
+        raise TypeError(f"ring arrays take integer inputs, got dtype {arr.dtype}")
+    if k < 64:
+        out &= np.uint64((1 << k) - 1)
+    return out
+
+
+@pytest.mark.parametrize("k", [64, 16])
+def test_as_ring_array_takes_the_same_dtypes_as_before(k):
+    rng = np.random.default_rng(k)
+    raw = rng.integers(-(2**62), 2**62, size=7)
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32,
+                  np.uint64, np.intp, np.uintp):
+        values = raw.astype(dtype)
+        assert as_ring_array(values, k).tobytes() == _old_as_ring_array(values, k).tobytes()
+    for values in (5, -3, np.int64(-9), [1, -2, 3], np.array([2**70, -1], dtype=object)):
+        assert as_ring_array(values, k).tobytes() == _old_as_ring_array(values, k).tobytes()
+    for values in (np.array([True, False]), np.array([1.0]), np.array([1 + 2j])):
+        with pytest.raises(TypeError):
+            as_ring_array(values, k)
+        with pytest.raises(TypeError):
+            _old_as_ring_array(values, k)

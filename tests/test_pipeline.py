@@ -451,9 +451,9 @@ def test_select_threshold_edge_cases_match_the_per_candidate_loop(metric):
     cases = [
         ([0.3, 0.3], [0, 1]),  # n = 2, tied scores
         ([np.nan, 0.2, 0.8, np.nan], [1, 0, 1, 0]),  # NaN scores are never >= tau
-        ([np.nan, np.nan, 0.4], [1, 1, 0]),  # every positive NaN: a NaN tau can win
+        ([np.nan, np.nan, 0.4], [1, 1, 0]),  # every positive NaN: NaN scores give no candidate
         ([-np.inf, 0.5, np.inf], [1, 0, 1]),  # -inf and +inf candidates besides the sentinels
-        ([np.inf, -np.inf], [0, 1]),  # their midpoint is a NaN candidate
+        ([np.inf, -np.inf], [0, 1]),  # their midpoint candidate is 0.0, not NaN
         ([0.1, 0.9, 0.5], [0, 2, 2]),  # no label 1: the positive class is empty
         ([0.1, 0.9, 0.5, 0.5], [2, 1, 1, 0]),
     ]
@@ -773,3 +773,29 @@ def test_noise_sweep_zero_strength_kinds_agree():
     for rec in records[1:]:
         assert abs(rec["accuracy"] - base["accuracy"]) <= 1e-9
         assert abs(rec["f1"] - base["f1"]) <= 1e-9
+
+
+_special_scores = st.sampled_from([np.nan, -np.inf, np.inf]) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(2, 30), metric=st.sampled_from(["youden", "f1"]))
+def test_select_threshold_never_returns_nan(data, m, metric):
+    scores = np.array(data.draw(st.lists(_special_scores, min_size=m, max_size=m)))
+    labels = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m)))
+    labels[:2] = (0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from an inf - inf midpoint
+        cands = threshold_candidates(scores)
+        tau = select_threshold(scores, labels, metric=metric)
+    assert not np.any(np.isnan(cands))
+    assert np.all(cands[1:] >= cands[:-1])
+    assert not np.isnan(tau)
+
+
+def test_threshold_candidates_drop_nan_and_split_infinities_at_zero():
+    assert threshold_candidates([np.nan, -np.inf, np.inf, np.nan]).tolist() == \
+        [-np.inf, 0.0, np.inf]
+    assert threshold_candidates([np.nan]).tolist() == [-np.inf, np.inf]
+    assert threshold_candidates([-np.inf, 1.0, np.inf]).tolist() == \
+        [-np.inf, -np.inf, np.inf, np.inf]

@@ -6,28 +6,27 @@ alpha) and white-box where they are not.
 """
 
 import dataclasses
-import json
-import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from tnmpcqep.qep import (
     QepDiagnostics,
     QepParams,
     beta_from_raw,
     encode_angles,
-    load_qep_params,
     make_qep,
     observable_count,
     observable_set,
     qep_forward,
     quantum_features,
     qubit_sweep,
-    save_qep_params,
     suggest_qubits,
 )
-from tnmpcqep.qsim import NoiseSpec
+from tnmpcqep.qsim import NOISELESS, NoiseSpec, expectation, run_circuit, run_noisy
 
 
 # ------------------------------------------------------------ suggest_qubits
@@ -292,53 +291,6 @@ def test_diagnostics_validation():
     assert d.alpha_mean == 0.5
 
 
-# ------------------------------------------------------------------- bundles
-
-def test_qep_bundle_roundtrip(tmp_path):
-    params = make_qep(d=32, n_q=5, layers=3, scale=0.4, beta=0.3,
-                      mode="all_pairs", seed=17)
-    path = tmp_path / "qep.tnp"
-    save_qep_params(params, path)
-    loaded = load_qep_params(path)
-    assert loaded.d == 32 and loaded.n_q == 5 and loaded.layers == 3
-    assert loaded.scale == 0.4 and loaded.beta == 0.3 and loaded.mode == "all_pairs"
-    for field in dataclasses.fields(params):
-        a, b = getattr(params, field.name), getattr(loaded, field.name)
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), field.name
-        else:
-            assert a == b, field.name
-    rng = np.random.default_rng(71)
-    x = rng.standard_normal(32)
-    out_a, _ = qep_forward(x, params)
-    out_b, _ = qep_forward(x, loaded)
-    assert np.array_equal(out_a, out_b)
-
-
-def test_qep_bundle_beta_raw_is_squashed(tmp_path):
-    params = make_qep(d=16, n_q=4, seed=18)
-    path = tmp_path / "qep.tnp"
-    save_qep_params(params, path)
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack_from("<I", raw, 0)
-    header = json.loads(raw[4 : 4 + hlen])
-    del header["config"]["beta"]
-    header["config"]["beta_raw"] = 0.0
-    blob = json.dumps(header, sort_keys=True).encode()
-    path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + hlen :])
-    loaded = load_qep_params(path)
-    assert loaded.beta == 0.5
-
-
-def test_qep_bundle_rejects_wrong_kind(tmp_path):
-    from tnmpcqep.tn import FrontendConfig, make_frontend, save_params
-
-    path = tmp_path / "tn.tnp"
-    save_params(make_frontend(FrontendConfig(kind="mps", seed=19)), path)
-    with pytest.raises(ValueError):
-        load_qep_params(path)
-
-
 # ---------------------------------------------------------------- qubit sweep
 
 
@@ -390,3 +342,123 @@ def test_qubit_sweep_rejects_empty_inputs():
         qubit_sweep(empty, [8])
     with pytest.raises(ValueError, match="at least one qubit count"):
         qubit_sweep(batch, [])
+
+
+# ------------------------------------------------- one batch axis, byte for byte
+
+def _per_row_forward(xs, params, noise=None):
+    """qep_forward before the batch axis: every stage per latent, W @ x and 1-D layer norm."""
+    def ln(v):
+        return (v - v.mean()) / np.sqrt(v.var() + 1e-5)
+
+    def finite(arr, stage):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"non-finite values at stage '{stage}'")
+        return arr
+
+    noise = NOISELESS if noise is None else noise
+    terms = observable_set(params.n_q, params.mode)
+    xs = finite(np.atleast_2d(np.asarray(xs, dtype=np.float64)), "input")
+    outs, alphas, qs = np.empty_like(xs), np.empty(len(xs)), np.empty((len(xs), params.d))
+    for i, x in enumerate(xs):
+        hidden = np.maximum(ln(params.enc_w1 @ x + params.enc_b1), 0.0)
+        e = finite(params.enc_w2 @ hidden + params.enc_b2, "encoder")
+        theta = np.pi * params.scale * (e.reshape(params.n_q, 2)[np.newaxis, :, :] + params.delta)
+        if noise.is_noiseless:
+            state = run_circuit(theta)
+            q_raw = np.array([expectation(state, t) for t in terms])
+        else:
+            q_raw = run_noisy(theta, noise).expectations(terms)
+        finite(q_raw, "readout")
+        hidden = np.maximum(ln(params.dec_w1 @ q_raw + params.dec_b1), 0.0)
+        q_dec = finite(params.dec_w2 @ hidden + params.dec_b2, "decoder")
+        q_bp = finite(params.bp_w @ e + params.bp_b, "bypass")
+        q = (1.0 - params.beta) * q_dec + params.beta * q_bp
+        z = finite(params.fus_w @ np.concatenate([x, q]) + params.fus_b, "fusion")
+        alpha = float(expit(params.alpha_w @ ln(x) + params.alpha_b))
+        outs[i] = alpha * z + (1.0 - alpha) * x
+        alphas[i], qs[i] = alpha, q
+    finite(outs, "output")
+    return outs, QepDiagnostics(alpha_mean=float(alphas.mean()), q_std=float(qs.std()))
+
+
+def _assert_same_forward(xs, params, noise=None):
+    out, diag = qep_forward(xs, params, noise=noise)
+    want, want_diag = _per_row_forward(xs, params, noise=noise)
+    assert out.tobytes() == want.tobytes()
+    assert np.float64(diag.alpha_mean).tobytes() == np.float64(want_diag.alpha_mean).tobytes()
+    assert np.float64(diag.q_std).tobytes() == np.float64(want_diag.q_std).tobytes()
+    single, single_diag = qep_forward(xs[-1], params, noise=noise)
+    assert single.tobytes() == _per_row_forward(xs[-1:], params, noise=noise)[0][0].tobytes()
+    assert single_diag == _per_row_forward(xs[-1:], params, noise=noise)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 40), n_q=st.integers(2, 10), d=st.integers(1, 24),
+       mode=st.sampled_from(["nearest_neighbor", "all_pairs"]), layers=st.integers(1, 3),
+       spread=st.sampled_from([1e-3, 1.0, 30.0]), seed=st.integers(0, 2**16))
+def test_qep_forward_is_bit_identical_to_the_per_row_form(m, n_q, d, mode, layers, spread, seed):
+    params = make_qep(d=d, n_q=n_q, layers=layers, mode=mode, seed=seed)
+    xs = spread * np.random.default_rng(seed).standard_normal((m, d))
+    _assert_same_forward(xs, params)
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(1, 6), n_q=st.integers(2, 4),
+       kind=st.sampled_from(["depolarizing", "thermal", "mixed"]), seed=st.integers(0, 2**16))
+def test_noisy_qep_forward_is_bit_identical_to_the_per_row_form(m, n_q, kind, seed):
+    params = make_qep(d=9, n_q=n_q, seed=seed)
+    xs = np.random.default_rng(seed).standard_normal((m, 9))
+    _assert_same_forward(xs, params, noise=NoiseSpec(kind=kind, p=0.05, gamma_amp=0.03,
+                                                     gamma_phase=0.02))
+
+
+def test_encode_angles_and_quantum_features_are_the_stack_at_one_row():
+    params = make_qep(d=20, n_q=5, seed=21)
+    xs = np.random.default_rng(72).standard_normal((7, 20))
+    stacked = qep_forward(xs, params)[0]
+    for i, x in enumerate(xs):
+        e, theta = encode_angles(x, params)
+        assert e.shape == (10,) and theta.shape == (2, 5, 2)
+        q_raw = quantum_features(x, params)
+        state = run_circuit(theta)
+        assert q_raw.tobytes() == np.array(
+            [expectation(state, t) for t in observable_set(5)]).tobytes()
+        assert qep_forward(x, params)[0].tobytes() == stacked[i].tobytes()
+
+
+@pytest.mark.parametrize("stage", ["input", "encoder", "readout", "decoder", "bypass",
+                                   "fusion", "output"])
+def test_stage_errors_name_the_same_stage_as_the_per_row_form(stage):
+    params = make_qep(d=16, n_q=4, seed=22)
+    xs = np.random.default_rng(73).standard_normal((3, 16))
+    if stage == "input":
+        xs[1, 3] = np.nan
+    elif stage == "encoder":
+        params = dataclasses.replace(params, enc_b2=np.full(8, np.inf))
+    elif stage == "readout":  # finite e, infinite angles: NaN gates and amplitudes
+        params = dataclasses.replace(params, scale=np.inf)
+    elif stage == "decoder":
+        params = dataclasses.replace(params, dec_b2=np.full(16, np.inf))
+    elif stage == "bypass":
+        params = dataclasses.replace(params, bp_b=np.full(16, np.inf))
+    elif stage == "fusion":
+        params = dataclasses.replace(params, fus_b=np.full(16, np.inf))
+    else:
+        params = dataclasses.replace(params, alpha_b=np.nan)
+    for forward in (qep_forward, _per_row_forward):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=f"stage '{stage}'"):
+                forward(xs, params)
+
+
+def test_observable_count_is_the_length_of_the_set():
+    for n_q in range(2, 25):
+        for mode in ("nearest_neighbor", "all_pairs"):
+            assert observable_count(n_q, mode) == len(observable_set(n_q, mode))
+    for bad in ((1, "nearest_neighbor"), (0, "all_pairs"), (4, "ring")):
+        with pytest.raises(ValueError) as want:
+            observable_set(*bad)
+        with pytest.raises(ValueError) as got:
+            observable_count(*bad)
+        assert str(got.value) == str(want.value)

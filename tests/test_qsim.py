@@ -1,5 +1,6 @@
 """Simulator checks against dense-Kronecker oracles and closed forms."""
 
+import itertools
 import time
 import tracemalloc
 
@@ -320,6 +321,78 @@ def test_expectation_is_bit_identical_to_the_mix_axis_readout(case):
         got = expectation(state, term)
         assert np.float64(got).tobytes() == np.float64(_mix_axis_readout(state, term)).tobytes()
         assert abs(got - dense_pauli_expectation(state, term.factors)) <= 1e-12
+
+
+_OLD_PAULI_PHASE = {"X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
+
+
+def _unplanned_pauli_into(out, src, neg, factors):
+    """_pauli_into before readout plans: shape and blocks rebuilt from the factors per call."""
+    if any(p != "X" for _, p in factors):
+        np.negative(src.view(np.float64), out=neg.view(np.float64))
+    shape, start = [], 0
+    for q, _ in factors:
+        shape, start = shape + [1 << (q - start), 2], q + 1
+    dst, src, neg = (a.reshape(*shape, -1) for a in (out, src, neg))
+    for bits in itertools.product((0, 1), repeat=len(factors)):
+        phase, to, fro = 1, (), ()
+        for (_, p), b in zip(factors, bits):
+            phase *= _OLD_PAULI_PHASE[p][b]
+            to, fro = to + (slice(None), b), fro + (slice(None), b ^ (p != "Z"))
+        o, s, m = dst[to], src[fro], neg[fro]
+        if phase in (1, -1):
+            np.copyto(o, s if phase == 1 else m)
+        else:
+            np.copyto(o.real, s.imag if phase == -1j else m.imag)
+            np.copyto(o.imag, m.real if phase == -1j else s.real)
+
+
+def _every_term(n):
+    """Every single-qubit X/Y/Z term and every pair of qubits under all nine products."""
+    terms = [PauliTerm(((q, p),)) for q in range(n) for p in "XYZ"]
+    terms += [PauliTerm(((i, a), (j, b))) for i in range(n) for j in range(i + 1, n)
+              for a in "XYZ" for b in "XYZ"]
+    return terms
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_planned_readout_is_bit_identical_to_the_mix_axis_readout(n):
+    # adjacent and distant pairs at every position; from n = 4 a factor's blocks can
+    # have a stride of 8 elements, where numpy 2.4's strided np.negative goes wrong
+    rng = np.random.default_rng(100 + n)
+    state = run_circuit(rng.uniform(-np.pi, np.pi, size=(2, n, 2)))
+    src = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    got, want = np.empty((2, 1 << n), dtype=complex), np.empty((2, 1 << n), dtype=complex)
+    for term in _every_term(n):
+        value = expectation(state, term)
+        assert np.float64(value).tobytes() == np.float64(_mix_axis_readout(state, term)).tobytes()
+        qsim._pauli_into(got[0], src, got[1], term._plan)
+        _unplanned_pauli_into(want[0], src, want[1], term.factors)
+        assert got[0].tobytes() == want[0].tobytes(), term.label()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_density_readout_reads_the_plan(n):
+    rng = np.random.default_rng(200 + n)
+    dm = run_noisy(rng.uniform(-np.pi, np.pi, size=(2, n, 2)),
+                   NoiseSpec(kind="mixed", p=0.05, gamma_amp=0.03, gamma_phase=0.02)).density
+    rows = np.arange(1 << n)
+    for term in _every_term(n):
+        phase, flip = np.empty(1 << n, dtype=complex), 0
+        _unplanned_pauli_into(phase, np.ones_like(phase), np.empty_like(phase), term.factors)
+        for q, p in term.factors:
+            flip |= (p != "Z") << (n - 1 - q)
+        val = np.sum(phase * dm.rho[rows ^ flip, rows])
+        want = float(np.clip(val.real, -1.0, 1.0))
+        assert np.float64(dm.expectation(term)).tobytes() == np.float64(want).tobytes()
+
+
+def test_pauli_terms_hold_their_plan_outside_equality_and_hash():
+    a, b = PauliTerm(((3, "Z"), (1, "Y"))), PauliTerm(((1, "Y"), (3, "Z")))
+    assert a == b and hash(a) == hash(b) and "_plan" not in repr(a)
+    assert a._plan.shape == (2, 2, 2, 2, -1) and a._plan.negates
+    assert not PauliTerm(((0, "X"),))._plan.negates
+    assert len(a._plan.blocks) == 4
 
 
 def test_statevector_readout_allocates_no_state_sized_array():
