@@ -55,6 +55,7 @@ cli qep-run --nq 10 --noise thermal --observables all_pairs --n 2 \
     --out "$OUT/qep_run_nq10_thermal_all_pairs.csv" >/dev/null
 cli qep-run --nq 2 --noise depolarizing --n 4 --out "$OUT/qep_run_nq2_depolarizing.csv" >/dev/null
 cli qep-run --nq 12 --n 40 --batch-size 7 --out "$OUT/qep_run_nq12_batch7.csv" >/dev/null
+cli qep-run --nq 9 --observables all_pairs --n 3 --out "$OUT/qep_run_nq9_all_pairs.csv" >/dev/null
 for kind in mps ttn mera; do
     cli encode --kind "$kind" --n 70 --out "$OUT/encode_$kind.csv" >/dev/null
 done

@@ -204,8 +204,8 @@ class ReadoutParams:
     loss_history: tuple = ()
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    """Softmax of (m, 2) logits.
+def _softmax_rows(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of (m, 2) logits, into out when given.
 
     The two-column maximum and sum are the same IEEE operations as
     max(axis=1) and sum(axis=1) over rows of two, without numpy's generic
@@ -213,16 +213,28 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """
     z = z - np.maximum(z[:, 0], z[:, 1])[:, None]
     e = np.exp(z)
-    return e / (e[:, 0] + e[:, 1])[:, None]
+    return np.divide(e, (e[:, 0] + e[:, 1])[:, None], out=out)
 
 
-def readout_loss(w, b, features, labels, class_weights=(1.0, 1.0)) -> float:
-    """Class-weighted cross-entropy, normalized by the total sample weight."""
-    p = _softmax_rows(np.asarray(features) @ np.asarray(w).T + np.asarray(b))
+def readout_loss(w, b, features, labels, class_weights=(1.0, 1.0), *, probs=None) -> float:
+    """Class-weighted cross-entropy, normalized by the total sample weight.
+
+    probs, an (m, 2) float64 array, receives the softmax rows when given.
+    """
+    p = _softmax_rows(np.asarray(features) @ np.asarray(w).T + np.asarray(b), out=probs)
     labels = np.asarray(labels)
     cw = np.asarray(class_weights, dtype=np.float64)[labels]
     nll = -np.log(np.clip(p[np.arange(labels.size), labels], 1e-300, None))
     return float((cw * nll).sum() / cw.sum())
+
+
+def _grad_from_probs(p: np.ndarray, features: np.ndarray, labels: np.ndarray, cw: np.ndarray):
+    """(dL/dw, dL/db) from p, the softmax rows at (w, b), which it overwrites; cw holds
+    each row's class weight."""
+    # p minus the one-hot: p - 0.0 == p for p >= 0, so only the label column moves
+    p[np.arange(labels.size), labels] -= 1.0
+    g = cw[:, None] * p / cw.sum()
+    return g.T @ features, g.sum(axis=0)
 
 
 def readout_grad(w, b, features, labels, class_weights=(1.0, 1.0)):
@@ -230,11 +242,7 @@ def readout_grad(w, b, features, labels, class_weights=(1.0, 1.0)):
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     p = _softmax_rows(features @ np.asarray(w).T + np.asarray(b))
-    # p minus the one-hot: p - 0.0 == p for p >= 0, so only the label column moves
-    p[np.arange(labels.size), labels] -= 1.0
-    cw = np.asarray(class_weights, dtype=np.float64)[labels]
-    g = cw[:, None] * p / cw.sum()
-    return g.T @ features, g.sum(axis=0)
+    return _grad_from_probs(p, features, labels, np.asarray(class_weights, dtype=np.float64)[labels])
 
 
 def train_readout(features, labels, class_weights=(1.0, 1.0), steps: int = 300,
@@ -263,16 +271,23 @@ def train_readout(features, labels, class_weights=(1.0, 1.0), steps: int = 300,
 
     w = np.zeros((2, features.shape[1]))
     b = np.zeros(2)
-    losses = [readout_loss(w, b, z, labels, class_weights)]
-    step = float(lr)
+    cw = np.asarray(class_weights, dtype=np.float64)[labels]
+    # the softmax rows at (w, b) and at the candidate: an accepted candidate's rows are
+    # the next gradient's, which readout_grad would compute again from the same operands
+    probs, cand_probs = np.empty((len(z), 2)), np.empty((len(z), 2))
+    losses = [readout_loss(w, b, z, labels, class_weights, probs=probs)]
+    step, grad = float(lr), None
     for _ in range(steps):
-        gw, gb = readout_grad(w, b, z, labels, class_weights)
+        if grad is None:  # a stalled step leaves (w, b), so its gradient stands
+            grad = _grad_from_probs(probs, z, labels, cw)
+        gw, gb = grad
         accepted = False
         while step >= 1e-12:
             cand_w, cand_b = w - step * gw, b - step * gb
-            cand = readout_loss(cand_w, cand_b, z, labels, class_weights)
+            cand = readout_loss(cand_w, cand_b, z, labels, class_weights, probs=cand_probs)
             if cand <= losses[-1]:
                 w, b = cand_w, cand_b
+                probs, cand_probs, grad = cand_probs, probs, None
                 losses.append(cand)
                 accepted = True
                 break

@@ -22,6 +22,7 @@ trained here; parameters are seeded draws.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -85,6 +86,12 @@ def observable_set(n_q: int, mode: str = "nearest_neighbor"):
         pairs = [(i, j) for i in range(n_q) for j in range(i + 1, n_q)]
     terms += [PauliTerm(((i, "Z"), (j, "Z"))) for i, j in pairs]
     return terms
+
+
+@functools.cache
+def _observable_terms(n_q: int, mode: str) -> tuple:
+    """observable_set(n_q, mode) as a tuple built once, plans and all, for the readout."""
+    return tuple(observable_set(n_q, mode))
 
 
 def observable_count(n_q: int, mode: str = "nearest_neighbor") -> int:
@@ -258,7 +265,7 @@ def _angles(xs, params: QepParams):
 
 def _readout(theta, params: QepParams, noise: NoiseSpec):
     """q_raw of shape (m, d_q): the circuit and its readout, one row at a time."""
-    terms = observable_set(params.n_q, params.mode)
+    terms = _observable_terms(params.n_q, params.mode)
     q_raw = np.empty((len(theta), len(terms)))
     for i, angles in enumerate(theta):
         if noise.is_noiseless:

@@ -12,10 +12,14 @@ back and a layer of n gates ends in C order.  The first layer starts from
 |0...0>, so it grows a product state qubit by qubit instead of mixing zeros,
 and the CNOT chain is one gather by the Gray code.  Readouts are exact Pauli
 permutations: X and Y swap the halves of their axis, Y and Z scale a half by
--i, +i or -1, and the statevector writes P|psi> into one buffer (beside
--|psi>) reused by every term.  Each PauliTerm plans its readout once, when it
-is made: the reshape that splits the amplitudes at its factors' axes and the
-block copies, so a readout does no index work of its own.
+-i, +i or -1.  P|psi> is one copy from a view with the X and Y axes reversed
+(real and imaginary parts traded for an odd number of Y's), and every sign is a
+flip of bit 63 of a real or imaginary part, XORed into the state's uint64 words
+a chunk at a time, so a Z string is one XOR pass and nothing is negated.  The
+statevector writes P|psi> into one buffer reused by every term, the ping-pong
+buffer its circuit did not end in.  Each PauliTerm plans its readout once, when
+it is made (the reshape, the reversed axes and the signed qubits), and its sign
+masks are built from a small table of tiles in scratch that the state owns.
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
@@ -79,8 +83,10 @@ class StateVector:
 
     n_qubits: int
     amplitudes: np.ndarray
-    # rows P|psi> and -|psi> of the term being read out, allocated by the first readout
+    # P|psi> of the term being read out (run_circuit's second buffer, else allocated by
+    # the first readout) and the room its sign masks are built in (the first readout's)
     _readout: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _signs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
@@ -140,57 +146,144 @@ def _gray_gather(n: int) -> np.ndarray:
     return gray
 
 
-# the factor each Pauli puts on half 0 and half 1 of its axis; X and Y swap the halves
-_PAULI_PHASE = {"X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
+# Signs as bits.  Negating a float64 flips its bit 63, so P|psi> is read out on the
+# state's uint64 words (real, imaginary, real, ...), where a term's signs are the
+# parity of some bits of the word index: bit 0 picks the imaginary part and bit j + 1
+# is bit j of the amplitude index, qubit n - 1 - j.  Every XOR is a one-dimensional
+# ufunc call: numpy runs a call over more dimensions through its buffered iterator,
+# which allocates 8192 elements (64 KiB here) each time.  A mask is built a tile of 2^9
+# words (the last 8 qubits) at a time and XORed a chunk of 2^13 words (the last 12
+# qubits) per call.  _SIGN_TILES rows 0-3 are [0, S, S, 0], the parity of one or two
+# bits, and row 4 + k has S = 2^63 on the words whose index has bit k set.
+_TILE_QUBITS, _CHUNK_QUBITS = 8, 12
+
+
+def _sign_tiles() -> np.ndarray:
+    tiles = np.zeros((13, 2 << _TILE_QUBITS), dtype=np.uint64)
+    tiles[1:3] = 1 << 63
+    for k in range(_TILE_QUBITS + 1):  # bit k is set in every second run of 2^k words
+        tiles[4 + k].reshape(-1, 2, 1 << k)[:, 1] = 1 << 63
+    tiles.flags.writeable = False
+    return tiles
+
+
+_SIGN_TILES = _sign_tiles()
 
 
 class _ReadoutPlan(NamedTuple):
     """How _pauli_into writes P src for one term, on any number of qubits above its last.
 
     shape splits a flat [2]*n buffer at each factor's axis, with a trailing -1 for the
-    rest; each block (to, fro, phase) copies src[fro] times phase into out[to]; negates
-    says whether any block reads -src.
+    rest; flip reverses the X and Y axes of that split (None for a Z string) and swap
+    trades real and imaginary parts (an odd number of Y's).  signed holds the Z and Y
+    qubits, whose half 1 flips the sign, and rows the _SIGN_TILES rows every term's
+    mask holds: the imaginary parts for one Y, every word for two (-i)(-i) = -1.
     """
 
     shape: Tuple[int, ...]
-    blocks: Tuple[Tuple[tuple, tuple, complex], ...]
-    negates: bool
+    flip: Optional[tuple]
+    swap: bool
+    signed: Tuple[int, ...]
+    rows: Tuple[int, ...]
 
 
 def _readout_plan(factors) -> _ReadoutPlan:
-    """The plan for factors on ascending qubits."""
+    """The plan for factors on ascending qubits.
+
+    P = prod (-i)^[Y] (-1)^b over the Y and Z factors, with b the factor's bit of the
+    output index, so after the swap a word's sign flips iff the parity of those bits,
+    plus its imaginary-part bit for one Y, plus 1 for two, is odd.
+    """
     shape, start = (), 0
     for q, _ in factors:
         shape, start = shape + (1 << (q - start), 2), q + 1
-    blocks = []
-    for bits in itertools.product((0, 1), repeat=len(factors)):
-        phase, to, fro = 1, (), ()
-        for (_, p), b in zip(factors, bits):
-            phase *= _PAULI_PHASE[p][b]
-            to, fro = to + (slice(None), b), fro + (slice(None), b ^ (p != "Z"))
-        blocks.append((to, fro, phase))
-    return _ReadoutPlan(shape + (-1,), tuple(blocks), any(p != "X" for _, p in factors))
+    flip = sum(((slice(None), slice(None) if p == "Z" else slice(None, None, -1))
+                for _, p in factors), ())
+    ys = sum(p == "Y" for _, p in factors)
+    return _ReadoutPlan(shape + (-1,), flip if any(p != "Z" for _, p in factors) else None,
+                        ys == 1, tuple(q for q, p in factors if p != "X"), ((), (4,), (1,))[ys])
 
 
-def _pauli_into(out: np.ndarray, src: np.ndarray, neg: np.ndarray, plan: _ReadoutPlan) -> None:
-    """out = P src on flat [2]*n buffers by copies alone: each block of out is a block
-    of src or of neg = -src, or their parts for +-i."""
-    shape = plan.shape
-    if plan.negates:
-        # one contiguous negation: numpy 2.4.6's np.negative writes wrong values into
-        # float64 outputs strided by 8 elements, so blocks never negate on the way
-        np.negative(src.view(np.float64), out=neg.view(np.float64))
-        neg = neg.reshape(shape)
-    dst, src = out.reshape(shape), src.reshape(shape)
-    for to, fro, phase in plan.blocks:
-        if phase == 1:
-            np.copyto(dst[to], src[fro])
-        elif phase == -1:
-            np.copyto(dst[to], neg[fro])
-        else:  # (x + iy)(-i) = y - ix and (x + iy)(+i) = -y + ix
-            o, s, m = dst[to], src[fro], neg[fro]
-            np.copyto(o.real, s.imag if phase == -1j else m.imag)
-            np.copyto(o.imag, m.real if phase == -1j else s.real)
+def _sign_scratch(n: int) -> np.ndarray:
+    """Room to build a mask on n qubits in, as rows of a tile: four parity tiles, a base
+    tile and, when a chunk spans several tiles, a chunk mask per parity of the signed
+    bits above the chunk (one when there are none)."""
+    t, c = min(n, _TILE_QUBITS), min(n, _CHUNK_QUBITS)
+    lanes = 2 if n > c else 1
+    return np.empty((5 + (lanes << (c - t) if c > t else 0), 2 << t), dtype=np.uint64)
+
+
+def _sign_masks(n: int, plan: _ReadoutPlan, scratch: np.ndarray):
+    """(masks, lead): the term's signs on n qubits, where chunk i of the words XORs
+    masks[parity of i & lead]; None when no sign flips.
+
+    The signed bits inside a tile give its base, the XOR of their rows; the others turn
+    the base into parity tiles (base, base ^ S, ...), one per pattern of the bits, and
+    one broadcast copy lays those out along the bits inside a chunk.  Signed bits above
+    the chunk only pick which of the two chunk masks a chunk takes.
+    """
+    t, c = min(n, _TILE_QUBITS), min(n, _CHUNK_QUBITS)
+    tile, rows, lead = 2 << t, plan.rows, 0
+    dst, src, prev = (), (), c - t  # axes over the chunk's tiles, most significant first
+    for q in plan.signed:
+        j = n - 1 - q
+        if j < t:
+            rows += (5 + j,)
+        elif j < c:
+            dst, src, prev = dst + (1 << (prev - 1 - (j - t)), 2), src + (1, 2), j - t
+        else:
+            lead |= 1 << (j - c)
+    if not rows and not dst and not lead:
+        return None
+    base = _SIGN_TILES[rows[0] if rows else 0, :tile]
+    if len(rows) > 1:
+        base = np.bitwise_xor(base, _SIGN_TILES[rows[1], :tile], out=scratch[4])
+        for r in rows[2:]:
+            np.bitwise_xor(base, _SIGN_TILES[r, :tile], out=base)
+    if t == c:  # n <= 8: the tile is the whole state
+        return base[None], 0
+    k, tiles = len(dst) // 2 + (lead != 0), base[None]
+    if k:
+        tiles = scratch[: 1 << k]
+        for r in range(1 << k):
+            np.bitwise_xor(base, _SIGN_TILES[r, :tile], out=tiles[r])
+    masks = scratch[5:].reshape(-1, 2 << c)
+    lanes = 2 if lead else 1
+    np.copyto(masks[:lanes].reshape((lanes,) + dst + (1 << prev, tile)),
+              tiles.reshape((lanes,) + src + (1, tile)))
+    return masks, lead
+
+
+def _xor_signs(out: np.ndarray, src: np.ndarray, signs) -> None:
+    """out = src with the sign bits of signs = _sign_masks(...) flipped, chunk by chunk."""
+    masks, lead = signs
+    o, s = out.view(np.uint64), src.view(np.uint64)
+    if masks.shape[1] == o.size:  # a state of up to 12 qubits is one chunk
+        np.bitwise_xor(s, masks[0], out=o)
+        return
+    o, s = o.reshape(-1, masks.shape[1]), s.reshape(-1, masks.shape[1])
+    for i in range(len(o)):
+        np.bitwise_xor(s[i], masks[(i & lead).bit_count() & 1], out=o[i])
+
+
+def _pauli_into(out: np.ndarray, src: np.ndarray, plan: _ReadoutPlan, scratch: np.ndarray) -> None:
+    """out = P src on flat [2]*n complex buffers, exactly: X and Y factors permute the
+    amplitudes by one copy from a view with their axes reversed, and every sign is a
+    flip of bit 63 of a real or imaginary part, which is what np.negative does to
+    float64 (+-0, +-inf and NaN alike), XORed in chunk by chunk (_sign_masks).  A Z
+    string is that XOR alone, straight from src."""
+    signs = _sign_masks(src.size.bit_length() - 1, plan, scratch)
+    if plan.flip is None:
+        _xor_signs(out, src, signs)
+        return
+    o, s = out.reshape(plan.shape), src.reshape(plan.shape)[plan.flip]
+    if plan.swap:
+        np.copyto(o.real, s.imag)
+        np.copyto(o.imag, s.real)
+    else:
+        np.copyto(o, s)
+    if signs is not None:
+        _xor_signs(out, out, signs)
 
 
 def _unit_clip(v) -> float:
@@ -240,8 +333,12 @@ def run_circuit(angles: np.ndarray, n_qubits: Optional[int] = None) -> StateVect
     if n < 1 or not len(angles):
         return zero_state(n)  # raises for no qubits; no layers leave |0...0>
     fused = rz_matrix(angles[..., 1]) @ ry_matrix(angles[..., 0])
-    cur, other = np.empty(1 << n, dtype=complex), np.empty(1 << n, dtype=complex)
-    t = np.empty(1 << (n - 1), dtype=complex)
+    # one block holds the two ping-pong buffers and the half-size temporary t, and the
+    # state keeps it: the buffer cur does not end in is its readout buffer.  A freed
+    # state is one block the next circuit reuses whole; with separate buffers, glibc
+    # trimmed and refaulted about 4 MiB per 16-qubit sample.
+    block = np.empty(5 << (n - 1), dtype=complex)
+    cur, other, t = block[: 1 << n], block[1 << n : 2 << n], block[2 << n :]
     # cur holds [a; z; z]: rows (a; z) and (z; z) are the pairs that gate q mixes
     cur[0], cur[1:3] = 1.0, 0.0
     for q in range(n):
@@ -261,14 +358,17 @@ def run_circuit(angles: np.ndarray, n_qubits: Optional[int] = None) -> StateVect
         # mode="clip" writes straight into out; the default "raise" buffers it
         np.take(cur, gray, out=other, mode="clip")
         cur, other = other, cur
-    return StateVector(n, cur)
+    state = StateVector(n, cur)
+    state._readout = other
+    return state
 
 
 @dataclass(frozen=True)
 class PauliTerm:
     """Tensor product of X/Y/Z factors on distinct qubits; weight 1 or 2.
 
-    Holds its readout plan, built once here, so a readout does no index work.
+    Holds its readout plan, built once here; a readout adds only its sign masks, which
+    depend on the state's qubit count.
     """
 
     factors: Tuple[Tuple[int, str], ...]
@@ -295,9 +395,11 @@ def expectation(state: StateVector, term: PauliTerm) -> float:
     for q, _ in term.factors:
         _check_qubit(state.n_qubits, q)
     if state._readout is None:
-        state._readout = np.empty((2, state.amplitudes.size), dtype=complex)
-    _pauli_into(state._readout[0], state.amplitudes, state._readout[1], term._plan)
-    val = np.vdot(state.amplitudes, state._readout[0])
+        state._readout = np.empty_like(state.amplitudes)
+    if state._signs is None:
+        state._signs = _sign_scratch(state.n_qubits)
+    _pauli_into(state._readout, state.amplitudes, term._plan, state._signs)
+    val = np.vdot(state.amplitudes, state._readout)
     if abs(val.imag) > 1e-9:
         raise ValueError(f"non-real Pauli expectation ({val}); state is inconsistent")
     return _unit_clip(val.real)
@@ -500,7 +602,7 @@ class DensityMatrix:
         for q, p in term.factors:
             _check_qubit(n, q)
             flip |= (p != "Z") << (n - 1 - q)  # X and Y flip the bit of qubit q
-        _pauli_into(phase, np.ones_like(phase), np.empty_like(phase), term._plan)
+        _pauli_into(phase, np.ones_like(phase), term._plan, _sign_scratch(n))
         rows = np.arange(len(self.rho))
         val = np.sum(phase * self.rho[rows ^ flip, rows])
         if abs(val.imag) > 1e-9:

@@ -334,13 +334,94 @@ def test_train_readout_is_bit_identical_to_the_reduction_forms(m, d, cw, steps, 
     labels = rng.integers(0, 2, size=m)
     labels[:2] = (0, 1)
     got = train_readout(feats, labels, class_weights=cw, steps=steps, lr=lr)
+    want = _gradient_per_step_training(feats, labels, cw, steps, lr,
+                                       _old_readout_loss, _old_readout_grad)
+    assert got.w.tobytes() == want[0].tobytes()
+    assert got.b.tobytes() == want[1].tobytes()
+    assert np.array(got.loss_history).tobytes() == np.array(want[2]).tobytes()
+
+
+def _gradient_per_step_training(features, labels, class_weights, steps, lr, loss, grad):
+    """train_readout's loop before it reused the accepted candidate's softmax: loss once
+    per candidate and grad once per step, at the same (w, b).  Returns (w, b, losses)."""
+    features = np.asarray(features, dtype=np.float64)
+    mu = features.mean(axis=0)
+    sigma = features.std(axis=0)
+    sigma = np.where(sigma < 1e-8, 1.0, sigma)
+    z = (features - mu) / sigma
+    w, b = np.zeros((2, features.shape[1])), np.zeros(2)
+    losses = [loss(w, b, z, labels, class_weights)]
+    step = float(lr)
+    for _ in range(steps):
+        gw, gb = grad(w, b, z, labels, class_weights)
+        accepted = False
+        while step >= 1e-12:
+            cand_w, cand_b = w - step * gw, b - step * gb
+            cand = loss(cand_w, cand_b, z, labels, class_weights)
+            if cand <= losses[-1]:
+                w, b = cand_w, cand_b
+                losses.append(cand)
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            losses.append(losses[-1])
+        else:
+            step = min(step * 1.1, 10.0 * lr)
+    return w, b, losses
+
+
+def _counting(fn, calls, reject_after=None):
+    """fn, recording each call's (w, b); from call reject_after on, every loss is 1 higher,
+    so no later candidate is taken and the step halves until training stalls."""
+    def wrapper(*args, **kwargs):
+        calls.append(args[:2])
+        loss = fn(*args, **kwargs)
+        return loss + 1.0 if reject_after is not None and len(calls) > reject_after else loss
+    return wrapper
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 60), d=st.integers(1, 8), cw=_class_weights,
+       steps=st.integers(1, 80), lr=st.sampled_from([0.5, 2.0, 40.0, 1e4]),
+       separable=st.booleans(), reject_after=st.none() | st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_train_readout_reuses_the_accepted_softmax_byte_for_byte(m, d, cw, steps, lr, separable,
+                                                                  reject_after, seed):
+    # the same w, b and losses as the per-step gradient loop, through the same number of
+    # readout_loss calls at the same candidates, which the benchmark's accept-ratio
+    # replay counts, also when the loop stalls
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, size=m)
+    labels[:2] = (0, 1)
+    feats = rng.normal(size=(m, d)) + (8.0 * labels[:, None] if separable else 0.0)
+    got_calls, want_calls = [], []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "readout_loss", _old_readout_loss)
-        mp.setattr(pipeline, "readout_grad", _old_readout_grad)
-        want = train_readout(feats, labels, class_weights=cw, steps=steps, lr=lr)
-    assert got.w.tobytes() == want.w.tobytes()
-    assert got.b.tobytes() == want.b.tobytes()
-    assert np.array(got.loss_history).tobytes() == np.array(want.loss_history).tobytes()
+        mp.setattr(pipeline, "readout_loss",
+                   _counting(pipeline.readout_loss, got_calls, reject_after))
+        got = train_readout(feats, labels, class_weights=cw, steps=steps, lr=lr)
+    want = _gradient_per_step_training(feats, labels, cw, steps, lr,
+                                       _counting(readout_loss, want_calls, reject_after),
+                                       readout_grad)
+    assert got.w.tobytes() == want[0].tobytes()
+    assert got.b.tobytes() == want[1].tobytes()
+    assert np.array(got.loss_history).tobytes() == np.array(want[2]).tobytes()
+    assert len(got_calls) == len(want_calls)
+    for (gw, gb), (ww, wb) in zip(got_calls, want_calls):
+        assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+
+
+def test_readout_loss_writes_its_softmax_rows_into_probs():
+    rng = np.random.default_rng(7)
+    feats, w, b = rng.normal(size=(9, 3)), rng.normal(size=(2, 3)), rng.normal(size=2)
+    labels = rng.integers(0, 2, size=9)
+    probs = np.full((9, 2), np.nan)
+    got = readout_loss(w, b, feats, labels, (1.0, 3.0), probs=probs)
+    assert np.float64(got).tobytes() == np.float64(readout_loss(w, b, feats, labels, (1.0, 3.0))).tobytes()
+    assert probs.tobytes() == pipeline._softmax_rows(feats @ w.T + b).tobytes()
+    (gw, gb), (ww, wb) = (pipeline._grad_from_probs(probs, feats, labels, np.array([1.0, 3.0])[labels]),
+                          readout_grad(w, b, feats, labels, (1.0, 3.0)))
+    assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
 
 
 def test_readout_rejects_degenerate_training_sets():

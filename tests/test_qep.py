@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from tnmpcqep import qep
 from tnmpcqep.qep import (
     QepDiagnostics,
     QepParams,
@@ -65,6 +66,15 @@ def test_observable_ordering_frozen():
         "Z0", "Z1", "Z2", "Z3",
         "Z0*Z1", "Z0*Z2", "Z0*Z3", "Z1*Z2", "Z1*Z3", "Z2*Z3",
     ]
+
+
+def test_readout_terms_are_built_once_per_qubit_count_and_mode():
+    terms = qep._observable_terms(5, "all_pairs")
+    assert qep._observable_terms(5, "all_pairs") is terms and isinstance(terms, tuple)
+    assert list(terms) == observable_set(5, "all_pairs")
+    fresh = observable_set(5, "all_pairs")
+    fresh.pop()  # the caller's list is its own
+    assert observable_set(5, "all_pairs") != fresh and len(terms) == observable_count(5, "all_pairs")
 
 
 def test_observable_set_validation():

@@ -327,7 +327,8 @@ _OLD_PAULI_PHASE = {"X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
 
 
 def _unplanned_pauli_into(out, src, neg, factors):
-    """_pauli_into before readout plans: shape and blocks rebuilt from the factors per call."""
+    """_pauli_into before readout plans and sign bits: block copies of src and of its
+    negation, neg, with the shape and blocks rebuilt from the factors per call."""
     if any(p != "X" for _, p in factors):
         np.negative(src.view(np.float64), out=neg.view(np.float64))
     shape, start = [], 0
@@ -355,20 +356,60 @@ def _every_term(n):
     return terms
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+# every special value an amplitude's real or imaginary part can take, NaNs with their sign
+# and payload bits set included: a sign flip must be np.negative's, bit for bit
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1.0]
+                     + list(np.array([0x7FF0000000000001, 0xFFF4000000000123], np.uint64)
+                            .view(np.float64)))
+
+
+def _special_amplitudes(rng, n):
+    src = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    parts = src.view(np.float64)
+    hit = rng.random(parts.size) < 0.25
+    parts[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
+    return src
+
+
+def _image_and_block_copy_image(src, term):
+    n = src.size.bit_length() - 1
+    got, want = np.full(src.size, np.nan, dtype=complex), np.empty((2, src.size), dtype=complex)
+    qsim._pauli_into(got, src, term._plan, qsim._sign_scratch(n))
+    _unplanned_pauli_into(want[0], src, want[1], term.factors)
+    return got, want[0]
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [16])
 def test_planned_readout_is_bit_identical_to_the_mix_axis_readout(n):
-    # adjacent and distant pairs at every position; from n = 4 a factor's blocks can
-    # have a stride of 8 elements, where numpy 2.4's strided np.negative goes wrong
+    # adjacent and distant pairs at every position, nearest neighbours at n = 16; from
+    # n = 9 the sign tile holds the last 8 qubits only, so pairs straddle its edge and
+    # a factor can sit above it, and from n = 13 above the 12-qubit chunk; q = n - 4
+    # has the 8-element stride at which numpy 2.4's strided np.negative goes wrong
     rng = np.random.default_rng(100 + n)
     state = run_circuit(rng.uniform(-np.pi, np.pi, size=(2, n, 2)))
-    src = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    got, want = np.empty((2, 1 << n), dtype=complex), np.empty((2, 1 << n), dtype=complex)
-    for term in _every_term(n):
+    src = _special_amplitudes(rng, n)
+    if n < 16:
+        terms = _every_term(n)
+    else:
+        terms = [PauliTerm(((q, p),)) for q in range(n) for p in "XYZ"]
+        terms += [PauliTerm(((q, a), (q + 1, b))) for q in range(n - 1) for a in "XYZ" for b in "XYZ"]
+    for term in terms:
         value = expectation(state, term)
         assert np.float64(value).tobytes() == np.float64(_mix_axis_readout(state, term)).tobytes()
-        qsim._pauli_into(got[0], src, got[1], term._plan)
-        _unplanned_pauli_into(want[0], src, want[1], term.factors)
-        assert got[0].tobytes() == want[0].tobytes(), term.label()
+        got, want = _image_and_block_copy_image(src, term)
+        assert got.tobytes() == want.tobytes(), term.label()
+
+
+def _block_copy_density_expectation(rho, term):
+    """DensityMatrix.expectation with the block-copy image of all-ones as its phases."""
+    n = len(rho).bit_length() - 1
+    phase, flip = np.empty(len(rho), dtype=complex), 0
+    _unplanned_pauli_into(phase, np.ones_like(phase), np.empty_like(phase), term.factors)
+    for q, p in term.factors:
+        flip |= (p != "Z") << (n - 1 - q)
+    rows = np.arange(len(rho))
+    val = np.sum(phase * rho[rows ^ flip, rows])
+    return float(np.clip(val.real, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -376,23 +417,57 @@ def test_density_readout_reads_the_plan(n):
     rng = np.random.default_rng(200 + n)
     dm = run_noisy(rng.uniform(-np.pi, np.pi, size=(2, n, 2)),
                    NoiseSpec(kind="mixed", p=0.05, gamma_amp=0.03, gamma_phase=0.02)).density
-    rows = np.arange(1 << n)
     for term in _every_term(n):
-        phase, flip = np.empty(1 << n, dtype=complex), 0
-        _unplanned_pauli_into(phase, np.ones_like(phase), np.empty_like(phase), term.factors)
-        for q, p in term.factors:
-            flip |= (p != "Z") << (n - 1 - q)
-        val = np.sum(phase * dm.rho[rows ^ flip, rows])
-        want = float(np.clip(val.real, -1.0, 1.0))
+        want = _block_copy_density_expectation(dm.rho, term)
         assert np.float64(dm.expectation(term)).tobytes() == np.float64(want).tobytes()
+
+
+_any_part = st.sampled_from(list(_SPECIALS)) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _amplitudes_and_term(draw):
+    n = draw(st.integers(1, 12))
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    term = PauliTerm(tuple((q, draw(st.sampled_from("XYZ"))) for q in qubits))
+    parts = draw(arrays(np.float64, 2 << n, elements=_any_part, fill=_any_part))
+    return parts.view(complex), term
+
+
+@settings(max_examples=150, deadline=None)
+@given(_amplitudes_and_term())
+def test_pauli_image_of_any_amplitudes_keeps_the_block_copy_bytes(case):
+    src, term = case
+    got, want = _image_and_block_copy_image(src, term)
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def _hermitian_and_term(draw):
+    n = draw(st.integers(1, 6))
+    dim = 1 << n
+    parts = draw(arrays(np.float64, (2, dim, dim), elements=st.floats(-1.0, 1.0)))
+    rho = parts[0] + 1j * parts[1]
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+    term = PauliTerm(tuple((q, draw(st.sampled_from("XYZ"))) for q in qubits))
+    return n, (rho + rho.conj().T) / (2 * dim), term
+
+
+@settings(max_examples=80, deadline=None)
+@given(_hermitian_and_term())
+def test_density_expectation_keeps_its_block_copy_values(case):
+    n, rho, term = case
+    want = _block_copy_density_expectation(rho, term)
+    assert np.float64(DensityMatrix(n, rho).expectation(term)).tobytes() == np.float64(want).tobytes()
 
 
 def test_pauli_terms_hold_their_plan_outside_equality_and_hash():
     a, b = PauliTerm(((3, "Z"), (1, "Y"))), PauliTerm(((1, "Y"), (3, "Z")))
     assert a == b and hash(a) == hash(b) and "_plan" not in repr(a)
-    assert a._plan.shape == (2, 2, 2, 2, -1) and a._plan.negates
-    assert not PauliTerm(((0, "X"),))._plan.negates
-    assert len(a._plan.blocks) == 4
+    assert a._plan.shape == (2, 2, 2, 2, -1) and a._plan.signed == (1, 3)
+    assert not PauliTerm(((0, "X"),))._plan.signed
+    assert a._plan.swap and a._plan.rows == (4,) and a._plan.flip[1] == slice(None, None, -1)
+    assert PauliTerm(((0, "Z"), (2, "Z")))._plan.flip is None
 
 
 def test_statevector_readout_allocates_no_state_sized_array():
@@ -404,6 +479,21 @@ def test_statevector_readout_allocates_no_state_sized_array():
     try:
         for t in terms:
             expectation(state, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < state.amplitudes.nbytes // 4
+
+
+def test_run_circuit_state_reads_out_into_its_second_ping_pong_buffer():
+    # one block holds both buffers, so even the first readout allocates only sign scratch
+    n = 16
+    state = run_circuit(np.random.default_rng(16).uniform(-np.pi, np.pi, size=(1, n, 2)))
+    assert np.shares_memory(state._readout, state.amplitudes.base)
+    assert not np.shares_memory(state._readout, state.amplitudes)
+    tracemalloc.start()
+    try:
+        expectation(state, PauliTerm(((0, "Z"), (n - 1, "Z"))))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
