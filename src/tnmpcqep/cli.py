@@ -15,9 +15,9 @@ import sys
 from dataclasses import replace
 
 from . import bench, pipeline, qep, tn, verify
-from .qsim import MAX_DENSITY_QUBITS, NOISE_KINDS, NoiseSpec
+from .qsim import MAX_DENSITY_QUBITS, NOISE_KINDS
+from .tn import FRONTEND_KINDS
 
-_FRONTENDS = ("mps", "ttn", "mera")
 _MAX_QUBITS = 16
 
 
@@ -33,6 +33,15 @@ def _int_list(text: str):
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _cell(v):
@@ -52,12 +61,6 @@ def _check_nq(parser, counts, noise: bool) -> None:
     top = MAX_DENSITY_QUBITS if noise else _MAX_QUBITS
     if not counts or any(n < 2 or n > top for n in counts):
         parser.error(f"--nq entries must lie in [2, {top}], got {counts}")
-
-
-def _noise_from(kind: str, p: float, gamma: float):
-    if kind == "noiseless":
-        return None
-    return NoiseSpec(kind=kind, p=p, gamma_amp=gamma, gamma_phase=gamma)
 
 
 # ------------------------------------------------------------------- commands
@@ -120,7 +123,7 @@ def _cmd_encode(args, parser) -> int:
 
 def _cmd_qep_run(args, parser) -> int:
     seed = _master_seed(args)
-    noise = _noise_from(args.noise, args.p, args.gamma)
+    noise = pipeline.noise_spec(args.noise, args.p, args.gamma)
     _check_nq(parser, [args.nq], noise is not None)
     data = _load_or_synth(args, parser, seed)
     frontend = tn.make_frontend(tn.FrontendConfig(kind=args.kind, seed=seed))
@@ -140,7 +143,7 @@ def _cmd_qep_run(args, parser) -> int:
 
 
 def _cmd_qubit_sweep(args, parser) -> int:
-    noise = _noise_from(args.noise, args.p, args.gamma)
+    noise = pipeline.noise_spec(args.noise, args.p, args.gamma)
     _check_nq(parser, args.nq, noise is not None)
     master = _master_seed(args)
     base = pipeline.DemoConfig(kind=args.frontend, n_train=args.n_train,
@@ -181,7 +184,7 @@ def _cmd_noise_sweep(args, parser) -> int:
 
 
 def _cmd_pipeline_demo(args, parser) -> int:
-    noise = _noise_from(args.noise, args.p, args.gamma)
+    noise = pipeline.noise_spec(args.noise, args.p, args.gamma)
     _check_nq(parser, [args.nq], noise is not None)
     cfg = pipeline.DemoConfig(kind=args.kind, mode=args.mode, secure=args.secure,
                               n_q=args.nq, noise=noise, seed=_master_seed(args),
@@ -239,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bench_mpc)
 
     p = sub.add_parser("encode", help="run a tensor-network frontend over a batch")
-    p.add_argument("--kind", choices=_FRONTENDS, default="ttn")
-    p.add_argument("--n", type=int, default=8, help="synthetic sample count")
+    p.add_argument("--kind", choices=FRONTEND_KINDS, default="ttn")
+    p.add_argument("--n", type=_positive_int, default=8, help="synthetic sample count")
     p.add_argument("--images", default=None, help="IDX image file (with --labels)")
     p.add_argument("--labels", default=None, help="IDX label file (with --images)")
     p.add_argument("--params", default=None, help="load frontend parameters from a bundle")
@@ -250,29 +253,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("qep-run", help="quantum processor diagnostics over a batch")
-    p.add_argument("--kind", choices=_FRONTENDS, default="ttn")
+    p.add_argument("--kind", choices=FRONTEND_KINDS, default="ttn")
     p.add_argument("--nq", type=int, default=8)
     p.add_argument("--observables", choices=qep.OBSERVABLE_MODES, default="nearest_neighbor")
     p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")
     p.add_argument("--p", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--n", type=_positive_int, default=8)
     p.add_argument("--images", default=None)
     p.add_argument("--labels", default=None)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--batch-size", type=_positive_int, default=16)
     p.add_argument("--out", default="qep_diagnostics.csv")
     add_seed(p)
     p.set_defaults(func=_cmd_qep_run)
 
     p = sub.add_parser("qubit-sweep", help="demo metrics per qubit count and seed")
     p.add_argument("--nq", type=_int_list, default=[4, 6, 8, 10, 12, 14, 16])
-    p.add_argument("--frontend", choices=_FRONTENDS, default="ttn")
-    p.add_argument("--seeds", type=int, default=5, help="number of seeds per count")
+    p.add_argument("--frontend", choices=FRONTEND_KINDS, default="ttn")
+    p.add_argument("--seeds", type=_positive_int, default=5, help="number of seeds per count")
     p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")
     p.add_argument("--p", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n-train", type=int, default=400)
-    p.add_argument("--n-test", type=int, default=100)
+    p.add_argument("--n-train", type=_positive_int, default=400)
+    p.add_argument("--n-test", type=_positive_int, default=100)
     p.add_argument("--out", default="qubit_sweep.csv")
     add_seed(p)
     p.set_defaults(func=_cmd_qubit_sweep)
@@ -283,24 +286,24 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(pipeline.NOISE_SWEEP_KINDS))
     p.add_argument("--p", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--frontend", choices=_FRONTENDS, default="ttn")
-    p.add_argument("--n-train", type=int, default=400)
-    p.add_argument("--n-test", type=int, default=100)
+    p.add_argument("--seeds", type=_positive_int, default=3)
+    p.add_argument("--frontend", choices=FRONTEND_KINDS, default="ttn")
+    p.add_argument("--n-train", type=_positive_int, default=400)
+    p.add_argument("--n-test", type=_positive_int, default=100)
     p.add_argument("--out", default="noise_sweep.csv")
     add_seed(p)
     p.set_defaults(func=_cmd_noise_sweep)
 
     p = sub.add_parser("pipeline-demo", help="one end-to-end run, JSON report")
-    p.add_argument("--kind", choices=_FRONTENDS, default="ttn")
+    p.add_argument("--kind", choices=FRONTEND_KINDS, default="ttn")
     p.add_argument("--mode", choices=("classical", "quantum"), default="quantum")
     p.add_argument("--secure", action="store_true")
     p.add_argument("--nq", type=int, default=8)
     p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")
     p.add_argument("--p", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n-train", type=int, default=400)
-    p.add_argument("--n-test", type=int, default=100)
+    p.add_argument("--n-train", type=_positive_int, default=400)
+    p.add_argument("--n-test", type=_positive_int, default=100)
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     add_seed(p)
     p.set_defaults(func=_cmd_pipeline_demo)

@@ -1,4 +1,4 @@
-"""Binary parameter container shared by the frontend and processor modules.
+"""Binary parameter container for the frontend parameter bundles (tn.save_params).
 
 Layout: a 4-byte little-endian header length, a JSON header
 {version, kind, config, entries: [{name, shape, dtype}]}, then the payload:
@@ -48,7 +48,7 @@ def write_container(path, kind: str, config: dict, entries, extra: dict | None =
         fh.write(b"".join(chunks))
 
 
-def read_container(path, kind: str | None = None):
+def read_container(path):
     """Read back (header, {name: array}); ValueError on any inconsistency."""
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -63,8 +63,6 @@ def read_container(path, kind: str | None = None):
         raise ValueError(f"container header is not valid JSON: {exc}") from None
     if header.get("version") != CONTAINER_VERSION:
         raise ValueError(f"unsupported container version {header.get('version')!r}")
-    if kind is not None and header.get("kind") != kind:
-        raise ValueError(f"expected a {kind!r} container, got {header.get('kind')!r}")
     listed = header.get("entries")
     if not isinstance(listed, list):
         raise ValueError("container header lists no entries")

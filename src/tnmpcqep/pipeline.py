@@ -22,9 +22,9 @@ import numpy as np
 
 from . import bench, qep, tn
 from .mpc import CostReport
-from .qsim import NoiseSpec
+from .qsim import NOISE_KINDS, NoiseSpec
+from .tn import FRONTEND_KINDS, IMAGE_SIDE
 
-IMAGE_SIDE = 28
 # plain aggregation events are stacked this many samples at a time; at
 # n=16, d=64 a chunk is 256 KiB, where a 400-sample stack would be 3.3 MiB
 _CHUNK_ROWS = 32
@@ -117,7 +117,7 @@ def synth_data(n_samples: int, seed: int = 0, class_geometry=None) -> LabeledBat
     if n_samples < 2:
         raise ValueError(f"need at least two samples, got {n_samples}")
     centers = ((9.0, 14.0), (19.0, 14.0)) if class_geometry is None else tuple(class_geometry)
-    rng = np.random.default_rng([seed, _S_SYNTH])
+    rng = tn._rng(seed, _S_SYNTH)
     labels = np.arange(n_samples, dtype=np.int64) % 2
     rows, cols = np.mgrid[0:IMAGE_SIDE, 0:IMAGE_SIDE]
     images = np.empty((n_samples, IMAGE_SIDE, IMAGE_SIDE))
@@ -308,16 +308,8 @@ def readout_scores(params: ReadoutParams, features) -> np.ndarray:
 # ----------------------------------------------------------------- thresholds
 
 
-def _ratio(num, den) -> float:
-    return 0.0 if den == 0 else float(num) / float(den)
-
-
-def _harmonic(p: float, r: float) -> float:
-    return 0.0 if p + r == 0.0 else 2.0 * p * r / (p + r)
-
-
 def _ratios(num, den) -> np.ndarray:
-    """_ratio over an array of numerators: num / den, and 0.0 where den is 0."""
+    """num / den elementwise, and 0.0 where den is 0."""
     num = np.asarray(num, dtype=np.float64)
     return np.divide(num, den, out=np.zeros(num.shape), where=np.asarray(den) != 0)
 
@@ -376,14 +368,15 @@ def evaluate(scores, labels, tau: float) -> EvalReport:
     fp = int(np.sum(pred & ~actual))
     fn = int(np.sum(~pred & actual))
     tn_ = int(np.sum(~pred & ~actual))
-    prec = (_ratio(tn_, tn_ + fn), _ratio(tp, tp + fp))
-    rec = (_ratio(tn_, tn_ + fp), _ratio(tp, tp + fn))
+    prec = _ratios([tn_, tp], [tn_ + fn, tp + fp])
+    rec = _ratios([tn_, tp], [tn_ + fp, tp + fn])
+    f1 = _ratios(2.0 * prec * rec, prec + rec)
     return EvalReport(
         threshold=float(tau),
-        accuracy=_ratio(tp + tn_, scores.size),
-        precision=prec,
-        recall=rec,
-        f1=(_harmonic(prec[0], rec[0]), _harmonic(prec[1], rec[1])),
+        accuracy=float(_ratios(tp + tn_, scores.size)),
+        precision=tuple(map(float, prec)),
+        recall=tuple(map(float, rec)),
+        f1=tuple(map(float, f1)),
         confusion=(tn_, fp, fn, tp),
         n=int(scores.size),
     )
@@ -425,7 +418,7 @@ def select_threshold(scores, labels, metric: str = "youden") -> float:
         val = _ratios(tp, n_pos) - _ratios(fp, labels.size - n_pos)
     else:
         prec, rec = _ratios(tp, tp + fp), _ratios(tp, n_pos)
-        val = _ratios(2.0 * prec * rec, prec + rec)  # _harmonic's zero rule
+        val = _ratios(2.0 * prec * rec, prec + rec)  # evaluate's F1
     # candidates ascend and argmax takes the first maximum: the lowest maximizing tau
     return float(taus[np.argmax(val)])
 
@@ -433,7 +426,6 @@ def select_threshold(scores, labels, metric: str = "youden") -> float:
 # ----------------------------------------------------------------------- demo
 
 _DEMO_MODES = ("classical", "quantum")
-_FRONTEND_KINDS = ("mps", "ttn", "mera")
 
 
 @dataclass(frozen=True)
@@ -464,8 +456,8 @@ class DemoConfig:
     threshold_metric: str = "youden"
 
     def __post_init__(self):
-        if self.kind not in _FRONTEND_KINDS:
-            raise ValueError(f"kind must be one of {_FRONTEND_KINDS}, got {self.kind!r}")
+        if self.kind not in FRONTEND_KINDS:
+            raise ValueError(f"kind must be one of {FRONTEND_KINDS}, got {self.kind!r}")
         if self.mode not in _DEMO_MODES:
             raise ValueError(f"mode must be one of {_DEMO_MODES}, got {self.mode!r}")
         if self.observables not in qep.OBSERVABLE_MODES:
@@ -613,7 +605,14 @@ def run_demo(cfg: DemoConfig, data: Optional[LabeledBatch] = None,
     return DemoReport(config=cfg.to_dict(), metrics=metrics, diagnostics=diag, cost=cost)
 
 
-NOISE_SWEEP_KINDS = ("noiseless", "depolarizing", "thermal", "mixed")
+NOISE_SWEEP_KINDS = NOISE_KINDS
+
+
+def noise_spec(kind: str, p: float, gamma: float) -> Optional[NoiseSpec]:
+    """The NoiseSpec of a noise kind at strengths p and gamma; None for noiseless."""
+    if kind == "noiseless":
+        return None
+    return NoiseSpec(kind=kind, p=p, gamma_amp=gamma, gamma_phase=gamma)
 
 
 def noise_sweep(kinds=NOISE_SWEEP_KINDS, seeds=(0, 1, 2), n_q: int = 8,
@@ -624,12 +623,7 @@ def noise_sweep(kinds=NOISE_SWEEP_KINDS, seeds=(0, 1, 2), n_q: int = 8,
     base = config if config is not None else DemoConfig()
     records = []
     for kind in kinds:
-        if kind == "noiseless":
-            noise = None
-        elif kind in ("depolarizing", "thermal", "mixed"):
-            noise = NoiseSpec(kind=kind, p=p, gamma_amp=gamma, gamma_phase=gamma)
-        else:
-            raise ValueError(f"unknown noise kind {kind!r}")
+        noise = noise_spec(kind, p, gamma)
         for seed in seeds:
             cfg = replace(base, seed=int(seed), n_q=int(n_q), mode="quantum", noise=noise)
             report = run_demo(cfg, data=data)

@@ -30,7 +30,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
-from .qsim import NOISELESS, NoiseSpec, PauliTerm, expectation, run_circuit, run_noisy
+from .qsim import (MAX_DENSITY_QUBITS, NOISELESS, NoiseSpec, PauliTerm, expectation, run_circuit,
+                   run_noisy)
+from .tn import _gemv, _layer_norm, _rng
 
 __all__ = [
     "OBSERVABLE_MODES",
@@ -40,7 +42,6 @@ __all__ = [
     "observable_set",
     "observable_count",
     "make_qep",
-    "beta_from_raw",
     "encode_angles",
     "quantum_features",
     "qep_forward",
@@ -48,8 +49,6 @@ __all__ = [
 ]
 
 OBSERVABLE_MODES = ("nearest_neighbor", "all_pairs")
-
-_LN_EPS = 1e-5
 
 # seeded sub-stream labels, one per parameter group
 _S_DELTA = 41
@@ -118,8 +117,7 @@ class QepParams:
     """All processor parameters; shapes keyed by (d, n_q, d_q).
 
     beta is stored directly in [0, 1]; the endpoints are legal so the mixing
-    identities are expressible.  An unconstrained scalar maps strictly inside
-    through a sigmoid (see beta_from_raw).
+    identities are expressible.
     """
 
     d: int
@@ -181,15 +179,6 @@ class QepParams:
         return observable_count(self.n_q, self.mode)
 
 
-def beta_from_raw(raw: float) -> float:
-    """Unconstrained scalar -> (0, 1) mixing coefficient."""
-    return float(expit(raw))
-
-
-def _rng(seed: int, label: int) -> np.random.Generator:
-    return np.random.default_rng([seed, label])
-
-
 def make_qep(d: int = 64, n_q: int | None = None, layers: int = 2, scale: float = 0.5,
              beta: float = 0.5, mode: str = "nearest_neighbor", seed: int = 0) -> QepParams:
     """Seeded parameter draw; n_q defaults to suggest_qubits(d)."""
@@ -223,14 +212,9 @@ def make_qep(d: int = 64, n_q: int | None = None, layers: int = 2, scale: float 
                      bp_w, bp_b, fus_w, fus_b, alpha_w, alpha_b)
 
 
-def _layer_norm(v):
-    """Per row of a stack: (v - mean) / sqrt(var + eps) over the last axis."""
-    return (v - v.mean(axis=-1, keepdims=True)) / np.sqrt(v.var(axis=-1, keepdims=True) + _LN_EPS)
-
-
 def _affine(w, b, xs):
     """w @ x + b for every row x of xs, one gemv per row."""
-    out = np.matmul(w, xs[..., None])[..., 0]
+    out = _gemv(w, xs)
     out += b
     return out
 
@@ -243,8 +227,8 @@ def _ensure_finite(arr, stage: str):
 
 def _checked_noise(params: QepParams, noise: NoiseSpec | None) -> NoiseSpec:
     noise = NOISELESS if noise is None else noise
-    if not noise.is_noiseless and params.n_q > 10:
-        raise ValueError("noisy evaluation is limited to 10 qubits")
+    if not noise.is_noiseless and params.n_q > MAX_DENSITY_QUBITS:
+        raise ValueError(f"noisy evaluation is limited to {MAX_DENSITY_QUBITS} qubits")
     return noise
 
 
@@ -308,7 +292,7 @@ def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
     """Process one latent or a batch; returns (f_out, QepDiagnostics).
 
     Noiseless specs run on the statevector simulator; any other NoiseSpec
-    switches to density-matrix evolution (n_q <= 10).
+    switches to density-matrix evolution (n_q <= MAX_DENSITY_QUBITS).
     """
     noise = _checked_noise(params, noise)
     xs = np.asarray(x_agg, dtype=np.float64)

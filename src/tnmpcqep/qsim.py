@@ -110,23 +110,6 @@ def _check_qubit(n: int, q: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {n} qubits")
 
 
-def _mix_axis(amps: np.ndarray, m: np.ndarray, axis: int) -> None:
-    """In place: apply the 2x2 matrix m along one axis of a C-contiguous [2]*N buffer."""
-    v = amps.reshape(1 << axis, 2, amps.size >> (axis + 1))
-    a0, a1 = v[:, 0, :], v[:, 1, :]
-    new0 = m[0, 0] * a0 + m[0, 1] * a1
-    a1[...] = m[1, 0] * a0 + m[1, 1] * a1
-    a0[...] = new0
-
-
-def _flip_cnot(amps: np.ndarray, control: int, scratch: np.ndarray) -> None:
-    """In place: swap the halves of axis control+1 on the control=1 slice via scratch."""
-    one = amps.reshape(1 << control, 2, 2, amps.size >> (control + 2))[:, 1]
-    staged = scratch.reshape(-1)[: one.size].reshape(one.shape)  # half of amps' size
-    np.copyto(staged, one[:, ::-1])
-    one[...] = staged
-
-
 def _mix_to_back(a0: np.ndarray, a1: np.ndarray, m: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
     """out[:, r] = m[r, 0] a0 + m[r, 1] a1 for r = 0, 1: the pairs (a0[i], a1[i]) mixed by m
     and written interleaved into out, shape (len(a0), 2), through t, a temporary of a0's size."""
@@ -296,22 +279,6 @@ def _check_cnot(n: int, control: int, target: int) -> None:
     _check_qubit(n, target)
     if target != control + 1:
         raise ValueError("CNOT is restricted to the chain pattern target = control + 1")
-
-
-def apply_single(state: StateVector, gate: np.ndarray, q: int) -> StateVector:
-    """Apply a 2x2 gate to qubit q (axis q of the [2]*n reshape)."""
-    _check_qubit(state.n_qubits, q)
-    amps = state.amplitudes.copy()
-    _mix_axis(amps, gate, q)
-    return StateVector(state.n_qubits, amps)
-
-
-def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
-    """Nearest-neighbor CNOT; target must be control + 1."""
-    _check_cnot(state.n_qubits, control, target)
-    amps = state.amplitudes.copy()
-    _flip_cnot(amps, control, np.empty_like(amps))
-    return StateVector(state.n_qubits, amps)
 
 
 def run_circuit(angles: np.ndarray, n_qubits: Optional[int] = None) -> StateVector:
@@ -526,14 +493,8 @@ class DensityMatrix:
         self._scratch = np.empty_like(self.rho)
 
     def apply_single(self, gate: np.ndarray, q: int) -> None:
-        """gate . rho . gate^dagger: mix row axis q, then column axis n+q."""
-        _check_qubit(self.n_qubits, q)
-        _mix_axis(self.rho, gate, q)
-        _mix_axis(self.rho, gate.conj(), self.n_qubits + q)
-
-    def apply_cnot(self, control: int, target: int) -> None:
-        """Nearest-neighbor CNOT on rows and columns; target must be control + 1."""
-        self._evolve([(None, control, target)])
+        """gate . rho . gate^dagger, as the one-Kraus channel [gate]."""
+        self.apply_channel(kraus_superoperator([gate]), q)
 
     def apply_channel(self, superop: np.ndarray, q: int) -> None:
         """One-qubit channel given as a (2,2,2,2) superoperator S[r,s,u,v]."""
@@ -584,17 +545,9 @@ class DensityMatrix:
         self.apply_channel(kraus_superoperator(kraus), q)
 
     def check_trace(self) -> None:
-        """O(2^n), cheap enough for every run, unlike validate's eigenvalues."""
+        """|tr rho - 1| <= 1e-9: O(2^n), cheap enough for every run."""
         if abs(np.trace(self.rho) - 1.0) > 1e-9:
             raise ValueError(f"trace drifted to {np.trace(self.rho)}")
-
-    def validate(self, atol: float = 1e-10) -> None:
-        self.check_trace()
-        if np.max(np.abs(self.rho - self.rho.conj().T)) > 1e-9:
-            raise ValueError("density matrix lost hermiticity")
-        eigs = np.linalg.eigvalsh(self.rho)
-        if eigs.min() < -atol:
-            raise ValueError(f"negative eigenvalue {eigs.min()}")
 
     def expectation(self, term: PauliTerm) -> float:
         # tr(P rho) = sum_i P[i, i ^ flip] rho[i ^ flip, i]; P times all-ones is that phase

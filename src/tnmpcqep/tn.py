@@ -15,7 +15,7 @@ Conventions:
     level, parent = Q^dagger [left; right], each parent normalized.
   * MERA applies one shared unitary per level to even pairs then odd
     pairs (no wrap-around) before the merge; identity disentanglers make
-    it coincide with the TTN exactly, so tree_encode serves both kinds.
+    it coincide with the TTN exactly, so one tree forward serves both kinds.
   * realify(psi) = [Re(psi); Im(psi)], then a fixed seeded projection.
 
 Batch axis: every kind has one forward, _encode_rows, over a (B, 784)
@@ -39,6 +39,7 @@ import numpy as np
 from .container import read_container, write_container
 
 __all__ = [
+    "FRONTEND_KINDS",
     "FrontendConfig",
     "MpsParams",
     "TreeParams",
@@ -46,8 +47,6 @@ __all__ = [
     "qr_isometry",
     "patchify",
     "realify",
-    "mps_encode",
-    "tree_encode",
     "encode",
     "encode_batch",
     "mps_state",
@@ -59,6 +58,7 @@ __all__ = [
     "load_params",
 ]
 
+FRONTEND_KINDS = ("mps", "ttn", "mera")
 IMAGE_SIDE = 28
 IMAGE_PIXELS = IMAGE_SIDE * IMAGE_SIDE
 
@@ -86,7 +86,7 @@ def _is_pow2(n: int) -> bool:
 class FrontendConfig:
     """Hyperparameters shared by the three encoder kinds.
 
-    kind is one of "mps", "ttn", "mera".  h is the MPS pre-feature width,
+    kind is one of FRONTEND_KINDS.  h is the MPS pre-feature width,
     split into l_sites equal blocks; d_phys and bond size the MPS cores.
     Trees cut the image into n_patches patch*patch tiles, lift each to a
     d_p stem feature and then a d_loc complex leaf.
@@ -105,7 +105,7 @@ class FrontendConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("mps", "ttn", "mera"):
+        if self.kind not in FRONTEND_KINDS:
             raise ValueError(f"unknown frontend kind {self.kind!r}")
         for name in ("d", "h", "l_sites", "d_loc", "d_phys", "bond", "n_patches", "patch", "d_p"):
             if getattr(self, name) < 1:
@@ -323,12 +323,6 @@ def mps_state(x, params: MpsParams) -> np.ndarray:
     return _mps_states(_check_input(x), params)[0]
 
 
-def mps_encode(x, params: MpsParams) -> np.ndarray:
-    if params.config.kind != "mps":
-        raise ValueError("params are not an mps frontend")
-    return encode(x, params)
-
-
 def disentangle_layer(states: np.ndarray, u: np.ndarray, parity: int) -> np.ndarray:
     """Apply a shared 2d_loc unitary to adjacent pairs starting at `parity`.
 
@@ -370,13 +364,6 @@ def tree_levels(x, params: TreeParams) -> list:
     For mera params the returned levels are post-disentangle, post-merge.
     """
     return [states[0] for states in _tree_levels(_check_input(x), params)]
-
-
-def tree_encode(x, params: TreeParams) -> np.ndarray:
-    """TTN or MERA latent: the projected, realified root of tree_levels."""
-    if params.config.kind not in ("ttn", "mera"):
-        raise ValueError("params are not a tree (ttn or mera) frontend")
-    return encode(x, params)
 
 
 def _encode_rows(xs, params) -> np.ndarray:

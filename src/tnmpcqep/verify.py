@@ -148,10 +148,11 @@ def check_bench():
 def check_tn(params_path=None):
     import dataclasses
 
-    from .tn import FrontendConfig, encode_batch, isometry_check, load_params, make_frontend
+    from .tn import (FRONTEND_KINDS, FrontendConfig, encode_batch, isometry_check, load_params,
+                     make_frontend)
 
     checks = []
-    for kind in ("mps", "ttn", "mera"):
+    for kind in FRONTEND_KINDS:
         dev = isometry_check(make_frontend(FrontendConfig(kind=kind, seed=0)))
         checks.append(_passfail(f"isometry_check[{kind}]", dev <= 1e-8,
                                 f"max deviation {dev:.3e}"))

@@ -131,6 +131,29 @@ def test_nq_outside_two_to_sixteen_is_a_flag_error(tmp_path, command, nq):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["qep-run", "--batch-size", "0"],
+    ["qep-run", "--batch-size", "-1"],
+    ["qep-run", "--batch-size", "two"],
+    ["qep-run", "--n", "0"],
+    ["encode", "--n", "-3"],
+    ["qubit-sweep", "--seeds", "0"],
+    ["noise-sweep", "--seeds", "0"],
+    ["qubit-sweep", "--n-train", "0"],
+    ["noise-sweep", "--n-test", "-1"],
+    ["pipeline-demo", "--n-train", "-2"],
+    ["pipeline-demo", "--n-test", "0"],
+])
+def test_counts_below_one_are_flag_errors(tmp_path, capsys, argv):
+    # argparse exits before any work, so no empty or header-only output is written
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    assert "expected a positive integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qubit_sweep_rows_and_baseline(tmp_path):
     out = tmp_path / "qs.csv"
     assert run_cli(["qubit-sweep", "--nq", "8", "--seeds", "2", "--n-train", "48",

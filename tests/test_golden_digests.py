@@ -1,0 +1,94 @@
+"""Byte identity of a fast subset of the golden outputs, by SHA-256 digest.
+
+scripts/golden_outputs.sh writes every deterministic output of the command line
+and the demos; the files named in golden_digests.json are the ones of those that
+run in a few seconds, one or more per layer: the plain and secure demo reports,
+one encode per frontend kind, a 16-qubit all-pairs readout, a noisy run, the
+invariant suite and the simulator demo.  The test regenerates them in a
+subprocess with one BLAS thread, set before numpy loads (the last bits of the
+16-qubit readout depend on the thread count, and this process cannot change it
+once numpy is loaded), and compares digests.
+
+A change that moves these bytes on purpose refreshes the digests in its own diff:
+
+    python3 tests/test_golden_digests.py > tests/golden_digests.json
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import runpy
+import subprocess
+import sys
+from importlib.metadata import version
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# output file -> the command line that writes it (with --out) or prints it
+_COMMANDS = {
+    "pipeline_demo.json": ["pipeline-demo"],
+    "pipeline_demo_secure.json": ["pipeline-demo", "--secure"],
+    "encode_mps.csv": ["encode", "--kind", "mps", "--n", "70"],
+    "encode_ttn.csv": ["encode", "--kind", "ttn", "--n", "70"],
+    "encode_mera.csv": ["encode", "--kind", "mera", "--n", "70"],
+    "qep_run_nq16_all_pairs.csv": ["qep-run", "--nq", "16", "--observables", "all_pairs", "--n", "2"],
+    "qep_run_mixed.csv": ["qep-run", "--noise", "mixed"],
+    "verify.txt": ["verify"],
+}
+_DEMO = "demo_qsim_noise.txt", ROOT / "demos" / "qsim_noise.py"
+
+
+def _digests(outdir: Path) -> dict:
+    """Write the subset into outdir and return {file: sha256}, in one process."""
+    from tnmpcqep import cli  # here, so that numpy loads after the thread count is set
+
+    for name, argv in _COMMANDS.items():
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            out = [] if name == "verify.txt" else ["--out", str(outdir / name)]
+            code = cli.main(argv + out)
+        if code != 0:
+            raise SystemExit(f"{name}: tnmpcqep {' '.join(argv)} exited {code}")
+        if name == "verify.txt":
+            (outdir / name).write_text(printed.getvalue())
+    name, script = _DEMO
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        runpy.run_path(str(script), run_name="__main__")
+    (outdir / name).write_text(printed.getvalue())
+    return {f: hashlib.sha256((outdir / f).read_bytes()).hexdigest() for f in [*_COMMANDS, name]}
+
+
+def test_fast_golden_outputs_keep_their_digests(tmp_path):
+    want = json.loads(DIGESTS.read_text())
+    if version("numpy") != want["numpy"]:
+        pytest.skip(f"the digests were made with numpy {want['numpy']}, this is {version('numpy')}")
+    env = {k: v for k, v in os.environ.items() if k != "TNMPCQEP_SEED"}
+    env.update(_ONE_THREAD, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, __file__, str(tmp_path)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    moved = [f for f in want["sha256"] if got["sha256"].get(f) != want["sha256"][f]]
+    assert not moved, f"outputs changed their bytes: {moved}"
+    assert got == want
+
+
+if __name__ == "__main__":
+    # usage: python3 tests/test_golden_digests.py [OUTDIR]; prints the digest JSON
+    import tempfile
+
+    os.environ.update(_ONE_THREAD)  # before numpy loads: this file does not import it
+    os.environ.pop("TNMPCQEP_SEED", None)
+    sys.path.insert(0, str(ROOT / "src"))
+    with tempfile.TemporaryDirectory() as scratch:
+        outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(scratch)
+        digests = {"numpy": version("numpy"), "sha256": _digests(outdir)}
+    print(json.dumps(digests, indent=2, sort_keys=True))

@@ -492,6 +492,11 @@ def test_threshold_f1_mode_matches_brute_force():
         select_threshold(np.array([0.1, 0.9]), np.array([0, 1]), metric="auc")
 
 
+def _ratio(num, den) -> float:
+    """The scalar rate the per-candidate loop used: num / den, and 0.0 when den is 0."""
+    return 0.0 if den == 0 else float(num) / float(den)
+
+
 def _old_select_threshold(scores, labels, metric):
     """The per-candidate evaluate loop that select_threshold replaced."""
     best_tau, best_val = None, -np.inf
@@ -499,7 +504,7 @@ def _old_select_threshold(scores, labels, metric):
         rep = evaluate(scores, labels, tau)
         tn_, fp, fn, tp = rep.confusion
         if metric == "youden":
-            val = pipeline._ratio(tp, tp + fn) - pipeline._ratio(fp, fp + tn_)
+            val = _ratio(tp, tp + fn) - _ratio(fp, fp + tn_)
         else:
             val = rep.f1[1]
         if val > best_val:
@@ -594,6 +599,22 @@ def test_evaluate_identities_hold_on_random_reports():
             assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f <= 1.0
             if p + r > 0:
                 assert f == pytest.approx(2 * p * r / (p + r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 30))
+def test_evaluate_keeps_the_scalar_rate_bytes(data, m):
+    # the per-rate Python floats that evaluate computed before it went through _ratios
+    scores = np.array(data.draw(st.lists(_score_values, min_size=m, max_size=m)))
+    labels = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m)))
+    rep = evaluate(scores, labels, data.draw(st.sampled_from([0.0, 0.5, 1.0, np.inf])))
+    tn_, fp, fn, tp = rep.confusion
+    prec = (_ratio(tn_, tn_ + fn), _ratio(tp, tp + fp))
+    rec = (_ratio(tn_, tn_ + fp), _ratio(tp, tp + fn))
+    f1 = tuple(0.0 if p + r == 0.0 else 2.0 * p * r / (p + r) for p, r in zip(prec, rec))
+    want = {"accuracy": _ratio(tp + tn_, m), "precision": prec, "recall": rec, "f1": f1}
+    for name, value in want.items():
+        assert repr(getattr(rep, name)) == repr(value), name
 
 
 def test_eval_report_validation():

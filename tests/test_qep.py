@@ -17,7 +17,6 @@ from tnmpcqep import qep
 from tnmpcqep.qep import (
     QepDiagnostics,
     QepParams,
-    beta_from_raw,
     encode_angles,
     make_qep,
     observable_count,
@@ -106,12 +105,6 @@ def test_qep_params_validation():
         dataclasses.replace(good, delta=np.zeros((1, 4, 2)))  # wrong layer count
     with pytest.raises(ValueError):
         make_qep(d=16, n_q=1, seed=2)
-
-
-def test_beta_from_raw():
-    assert beta_from_raw(0.0) == 0.5
-    assert 0.0 < beta_from_raw(-30.0) < 1e-10
-    assert 1.0 - 1e-10 < beta_from_raw(30.0) < 1.0
 
 
 # -------------------------------------------------------------- angle coding

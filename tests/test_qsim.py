@@ -19,12 +19,7 @@ from tnmpcqep.qsim import (
     DensityMatrix,
     NoiseSpec,
     PauliTerm,
-    StateVector,
-    _flip_cnot,
-    _mix_axis,
     amplitude_damping_kraus,
-    apply_cnot,
-    apply_single,
     depolarizing_kraus,
     expectation,
     kraus_superoperator,
@@ -43,35 +38,60 @@ from tnmpcqep.verify import (
 )
 
 
+# The in-place gate kernels of the first simulator, kept here as the reference that
+# the circuit, the readout and the density-matrix evolution are pinned against bit for
+# bit: _mix_axis applies one gate (or Pauli) to a qubit, _flip_cnot one chain CNOT.
+
+
+def _mix_axis(amps, m, axis):
+    """In place: apply the 2x2 matrix m along one axis of a C-contiguous [2]*N buffer."""
+    v = amps.reshape(1 << axis, 2, amps.size >> (axis + 1))
+    a0, a1 = v[:, 0, :], v[:, 1, :]
+    new0 = m[0, 0] * a0 + m[0, 1] * a1
+    a1[...] = m[1, 0] * a0 + m[1, 1] * a1
+    a0[...] = new0
+
+
+def _flip_cnot(amps, control, scratch):
+    """In place: swap the halves of axis control+1 on the control=1 slice via scratch."""
+    one = amps.reshape(1 << control, 2, 2, amps.size >> (control + 2))[:, 1]
+    staged = scratch.reshape(-1)[: one.size].reshape(one.shape)  # half of amps' size
+    np.copyto(staged, one[:, ::-1])
+    one[...] = staged
+
+
 def test_ry_pi_flips_zero_to_one():
-    state = apply_single(zero_state(1), ry_matrix(np.pi), 0)
-    assert np.allclose(state.amplitudes, [0.0, 1.0], atol=1e-15)
+    amps = zero_state(1).amplitudes
+    _mix_axis(amps, ry_matrix(np.pi), 0)
+    assert np.allclose(amps, [0.0, 1.0], atol=1e-15)
 
 
 def test_rz_changes_only_phases():
     rng = np.random.default_rng(0)
-    state = run_circuit(rng.uniform(-np.pi, np.pi, size=(1, 3, 2)))
-    before = np.abs(state.amplitudes)
+    amps = run_circuit(rng.uniform(-np.pi, np.pi, size=(1, 3, 2))).amplitudes.copy()
+    before = np.abs(amps)
     for q in range(3):
-        state = apply_single(state, rz_matrix(0.7 + q), q)
-    assert np.allclose(np.abs(state.amplitudes), before, atol=1e-13)
+        _mix_axis(amps, rz_matrix(0.7 + q), q)
+    assert np.allclose(np.abs(amps), before, atol=1e-13)
 
 
 def test_cnot_msb_convention():
-    # |10>: qubit 0 (MSB) set -> CNOT(0,1) flips qubit 1, giving |11>
-    state = StateVector(2, np.array([0, 0, 1, 0], dtype=complex))
-    out = apply_cnot(state, 0, 1)
-    assert np.allclose(out.amplitudes, [0, 0, 0, 1])
-    # control clear: |01> stays |01>
-    state = StateVector(2, np.array([0, 1, 0, 0], dtype=complex))
-    assert np.allclose(apply_cnot(state, 0, 1).amplitudes, [0, 1, 0, 0])
+    # |10>: qubit 0 (MSB) set -> CNOT(0,1) flips qubit 1, giving |11>, in both the
+    # reference kernel and the density matrix; control clear: |01> stays |01>
+    for before, after in (([0, 0, 1, 0], [0, 0, 0, 1]), ([0, 1, 0, 0], [0, 1, 0, 0])):
+        amps = np.array(before, dtype=complex)
+        _flip_cnot(amps, 0, np.empty_like(amps))
+        assert np.allclose(amps, after)
+        dm = DensityMatrix(2, np.outer(before, before))
+        dm._evolve([(None, 0, 1)])
+        assert np.allclose(dm.rho, np.outer(after, after))
 
 
 def test_cnot_rejects_non_chain_pairs():
     with pytest.raises(ValueError):
-        apply_cnot(zero_state(3), 0, 2)
+        DensityMatrix(3)._evolve([(None, 0, 2)])
     with pytest.raises(ValueError):
-        apply_cnot(zero_state(3), 2, 1)
+        DensityMatrix(3)._evolve([(None, 2, 1)])
 
 
 def test_random_circuits_match_dense_oracle():
@@ -171,8 +191,10 @@ def test_noise_preserves_trace_and_reduces_purity():
     pure = purity(run_noisy(angles, NOISELESS).density.rho)
     for kind in ("depolarizing", "thermal", "mixed"):
         result = run_noisy(angles, NoiseSpec(kind=kind, p=0.05, gamma_amp=0.05, gamma_phase=0.05))
-        result.density.validate()
-        assert abs(np.trace(result.density.rho) - 1.0) <= 1e-9
+        rho = result.density.rho
+        assert abs(np.trace(rho) - 1.0) <= 1e-9
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-9  # hermitian
+        assert np.linalg.eigvalsh(rho).min() >= -1e-10  # positive semidefinite
         assert purity(result.density.rho) <= 1.0 + 1e-12
         assert purity(result.density.rho) < pure + 1e-12
 
@@ -219,9 +241,8 @@ def test_run_circuit_validates_shape():
 def test_statevector_ops_leave_their_input_unchanged():
     state = run_circuit(np.random.default_rng(8).uniform(-np.pi, np.pi, size=(2, 3, 2)))
     before = state.amplitudes.copy()
-    apply_single(state, ry_matrix(0.3), 1)
-    apply_cnot(state, 1, 2)
     expectation(state, PauliTerm(((0, "X"), (2, "Z"))))
+    expectation(state, PauliTerm(((1, "Y"),)))
     assert np.array_equal(state.amplitudes, before)
 
 
@@ -231,7 +252,7 @@ def test_density_matrix_never_writes_into_the_callers_rho():
     before = rho.copy()
     dm = DensityMatrix(3, rho)
     dm.apply_single(ry_matrix(0.7), 0)
-    dm.apply_cnot(1, 2)
+    dm._evolve([(None, 1, 2)])
     dm.apply_kraus(depolarizing_kraus(0.1), 2)
     dm.expectation(PauliTerm(((1, "Z"),)))
     assert np.array_equal(rho, before)
@@ -239,19 +260,27 @@ def test_density_matrix_never_writes_into_the_callers_rho():
 
 
 def test_density_cnot_matches_dense_conjugation():
-    n = 4
+    # every chain CNOT, and a random gate on every qubit through apply_single, on
+    # random mixed states at n = 1..4, against the dense U rho U^dagger
     rng = np.random.default_rng(10)
-    for control in range(n - 1):  # every chain pair, the last one included
-        amps = run_circuit(rng.uniform(-np.pi, np.pi, size=(2, n, 2))).amplitudes
-        rho = np.outer(amps, amps.conj())
-        dm = DensityMatrix(n, rho)
-        dm.apply_cnot(control, control + 1)
-        c = dense_cnot_unitary(control, n)
-        assert np.max(np.abs(dm.rho - c @ rho @ c.conj().T)) <= 1e-15
+    for n in range(1, 5):
+        a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T)
+        for control in range(n - 1):  # every chain pair, the last one included
+            dm = DensityMatrix(n, rho)
+            dm._evolve([(None, control, control + 1)])
+            c = dense_cnot_unitary(control, n)
+            assert np.max(np.abs(dm.rho - c @ rho @ c.conj().T)) <= 1e-15
+        for q in range(n):
+            gate = rz_matrix(rng.uniform(-np.pi, np.pi)) @ ry_matrix(rng.uniform(-np.pi, np.pi))
+            dm = DensityMatrix(n, rho)
+            dm.apply_single(gate, q)
+            u = dense_single_qubit_unitary(gate, q, n)
+            assert np.max(np.abs(dm.rho - u @ rho @ u.conj().T)) <= 1e-15
     with pytest.raises(ValueError):
-        DensityMatrix(n).apply_cnot(n - 1, n)
+        DensityMatrix(4)._evolve([(None, 3, 4)])
     with pytest.raises(ValueError):
-        DensityMatrix(n).apply_cnot(0, 2)
+        DensityMatrix(4)._evolve([(None, 0, 2)])
 
 
 def test_density_expectation_matches_dense_trace_for_every_term():
@@ -279,7 +308,7 @@ def test_density_evolution_allocates_no_full_size_array():
     try:
         for q in range(n - 1):
             dm.apply_channel(hit, q)
-            dm.apply_cnot(q, q + 1)
+            dm._evolve([(None, q, q + 1)])
         for t in terms:
             dm.expectation(t)
         peak = tracemalloc.get_traced_memory()[1]
@@ -568,7 +597,7 @@ def test_evolution_is_bit_identical_to_gather_scatter_and_flip_cnot(case):
     one_by_one = DensityMatrix(n, rho)
     for superop, *qubits in ops:
         if superop is None:
-            one_by_one.apply_cnot(*qubits)
+            one_by_one._evolve([(None, *qubits)])
         else:
             one_by_one.apply_channel(superop, *qubits)
     for dm in (whole, one_by_one):
@@ -717,11 +746,12 @@ def test_run_circuit_with_no_layers_is_the_zero_state_and_needs_a_qubit():
 def test_cnot_chain_is_the_gray_code_permutation(n):
     rng = np.random.default_rng(100 + n)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    state = StateVector(n, amps)
+    chained = amps.copy()
     for q in range(n - 1):
-        state = apply_cnot(state, q, q + 1)
+        _flip_cnot(chained, q, np.empty_like(chained))
     j = np.arange(2**n)
-    assert state.amplitudes.tobytes() == amps[j ^ (j >> 1)].tobytes()
+    assert chained.tobytes() == amps[j ^ (j >> 1)].tobytes()
+    assert chained.tobytes() == amps[qsim._gray_gather(n)].tobytes()
 
 
 @st.composite

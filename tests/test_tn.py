@@ -22,14 +22,12 @@ from tnmpcqep.tn import (
     isometry_check,
     load_params,
     make_frontend,
-    mps_encode,
     mps_site_vectors,
     mps_state,
     patchify,
     qr_isometry,
     realify,
     save_params,
-    tree_encode,
     tree_levels,
 )
 
@@ -175,7 +173,7 @@ def test_mps_tiny_matches_nested_sum_oracle():
 def test_mps_zero_image_boundary_propagation():
     params = make_frontend(FrontendConfig(kind="mps", seed=8))
     params = dataclasses.replace(params, premap_b=np.zeros_like(params.premap_b))
-    out = mps_encode(np.zeros(784), params)
+    out = encode(np.zeros(784), params)
     boundary = np.zeros(params.config.bond, dtype=np.complex128)
     boundary[0] = 1.0
     expected = params.proj @ realify(boundary)
@@ -187,8 +185,8 @@ def test_mps_deterministic_across_rebuilds():
     cfg = FrontendConfig(kind="mps", seed=9)
     rng = np.random.default_rng(46)
     x = rng.uniform(0.0, 1.0, size=784)
-    out1 = mps_encode(x, make_frontend(cfg))
-    out2 = mps_encode(x, make_frontend(cfg))
+    out1 = encode(x, make_frontend(cfg))
+    out2 = encode(x, make_frontend(cfg))
     assert np.array_equal(out1, out2)
 
 
@@ -197,7 +195,7 @@ def test_mps_state_unit_norm_and_output_dim():
     rng = np.random.default_rng(47)
     x = rng.uniform(0.0, 1.0, size=784)
     assert abs(np.linalg.norm(mps_state(x, params)) - 1.0) <= 1e-10
-    out = mps_encode(x, params)
+    out = encode(x, params)
     assert out.shape == (64,)
     assert np.all(np.isfinite(out))
 
@@ -246,7 +244,7 @@ def test_ttn_order_sensitivity():
     params = make_frontend(FrontendConfig(kind="ttn", seed=13))
     rng = np.random.default_rng(50)
     img = rng.uniform(0.0, 1.0, size=(28, 28))
-    base = tree_encode(img.reshape(-1), params)
+    base = encode(img.reshape(-1), params)
 
     def unpatchify(patches):
         return patches.reshape(4, 4, 7, 7).transpose(0, 2, 1, 3).reshape(-1)
@@ -254,12 +252,12 @@ def test_ttn_order_sensitivity():
     patches = patchify(img)
     siblings = patches.copy()
     siblings[[0, 1]] = siblings[[1, 0]]
-    out_sib = tree_encode(unpatchify(siblings), params)
+    out_sib = encode(unpatchify(siblings), params)
     assert np.abs(out_sib - base).max() > 1e-6
 
     crossed = patches.copy()  # 0 and 5 sit in different level-2 subtrees
     crossed[[0, 5]] = crossed[[5, 0]]
-    out_cross = tree_encode(unpatchify(crossed), params)
+    out_cross = encode(unpatchify(crossed), params)
     assert np.abs(out_cross - base).max() > 1e-6
 
 
@@ -280,7 +278,7 @@ def test_mera_identity_disentanglers_match_ttn():
     rng = np.random.default_rng(51)
     for _ in range(100):
         x = rng.uniform(0.0, 1.0, size=784)
-        diff = np.abs(tree_encode(x, mera_id) - tree_encode(x, ttn_params)).max()
+        diff = np.abs(encode(x, mera_id) - encode(x, ttn_params)).max()
         assert diff <= 1e-12
 
 
@@ -311,7 +309,7 @@ def test_mera_differs_from_ttn_with_real_disentanglers():
     mera_params = make_frontend(FrontendConfig(kind="mera", seed=seed))
     rng = np.random.default_rng(53)
     x = rng.uniform(0.0, 1.0, size=784)
-    assert np.abs(tree_encode(x, mera_params) - tree_encode(x, ttn_params)).max() > 1e-6
+    assert np.abs(encode(x, mera_params) - encode(x, ttn_params)).max() > 1e-6
 
 
 # ------------------------------------------------------------------ dispatch
@@ -325,16 +323,6 @@ def test_encode_dispatch_and_batch():
         assert batch.shape == (5, 64)
         for i in range(5):
             assert np.array_equal(batch[i], encode(xs[i], params))
-
-
-def test_encode_kind_mismatch_raises():
-    mps_params = make_frontend(FrontendConfig(kind="mps", seed=19))
-    ttn_params = make_frontend(FrontendConfig(kind="ttn", seed=19))
-    x = np.zeros(784)
-    with pytest.raises(ValueError):
-        tree_encode(x, mps_params)
-    with pytest.raises(ValueError):
-        mps_encode(x, ttn_params)
 
 
 def test_non_finite_input_raises():
