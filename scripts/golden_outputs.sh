@@ -59,6 +59,8 @@ cli qep-run --nq 9 --observables all_pairs --n 3 --out "$OUT/qep_run_nq9_all_pai
 for kind in mps ttn mera; do
     cli encode --kind "$kind" --n 70 --out "$OUT/encode_$kind.csv" >/dev/null
 done
+cli encode --kind mera --n 2 --out "$OUT/encode_mera_n2.csv" \
+    --save-params "$OUT/params_mera.tnp" >/dev/null
 cli verify >"$OUT/verify.txt"
 
 python3 demos/qsim_noise.py >"$OUT/demo_qsim_noise.txt"

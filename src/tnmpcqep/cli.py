@@ -35,13 +35,15 @@ def _int_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+    return parse
 
 
 def _cell(v):
@@ -243,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="run a tensor-network frontend over a batch")
     p.add_argument("--kind", choices=FRONTEND_KINDS, default="ttn")
-    p.add_argument("--n", type=_positive_int, default=8, help="synthetic sample count")
+    p.add_argument("--n", type=_int_at_least(2), default=8, help="synthetic sample count")
     p.add_argument("--images", default=None, help="IDX image file (with --labels)")
     p.add_argument("--labels", default=None, help="IDX label file (with --images)")
     p.add_argument("--params", default=None, help="load frontend parameters from a bundle")
@@ -259,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")
     p.add_argument("--p", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n", type=_positive_int, default=8)
+    p.add_argument("--n", type=_int_at_least(2), default=8)
     p.add_argument("--images", default=None)
     p.add_argument("--labels", default=None)
-    p.add_argument("--batch-size", type=_positive_int, default=16)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=16)
     p.add_argument("--out", default="qep_diagnostics.csv")
     add_seed(p)
     p.set_defaults(func=_cmd_qep_run)
@@ -270,12 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qubit-sweep", help="demo metrics per qubit count and seed")
     p.add_argument("--nq", type=_int_list, default=[4, 6, 8, 10, 12, 14, 16])
     p.add_argument("--frontend", choices=FRONTEND_KINDS, default="ttn")
-    p.add_argument("--seeds", type=_positive_int, default=5, help="number of seeds per count")
+    p.add_argument("--seeds", type=_int_at_least(1), default=5, help="number of seeds per count")
     p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")
     p.add_argument("--p", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n-train", type=_positive_int, default=400)
-    p.add_argument("--n-test", type=_positive_int, default=100)
+    p.add_argument("--n-train", type=_int_at_least(2), default=400)
+    p.add_argument("--n-test", type=_int_at_least(1), default=100)
     p.add_argument("--out", default="qubit_sweep.csv")
     add_seed(p)
     p.set_defaults(func=_cmd_qubit_sweep)
@@ -286,10 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default=list(pipeline.NOISE_SWEEP_KINDS))
     p.add_argument("--p", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--seeds", type=_positive_int, default=3)
+    p.add_argument("--seeds", type=_int_at_least(1), default=3)
     p.add_argument("--frontend", choices=FRONTEND_KINDS, default="ttn")
-    p.add_argument("--n-train", type=_positive_int, default=400)
-    p.add_argument("--n-test", type=_positive_int, default=100)
+    p.add_argument("--n-train", type=_int_at_least(2), default=400)
+    p.add_argument("--n-test", type=_int_at_least(1), default=100)
     p.add_argument("--out", default="noise_sweep.csv")
     add_seed(p)
     p.set_defaults(func=_cmd_noise_sweep)
@@ -302,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")
     p.add_argument("--p", type=float, default=0.01)
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n-train", type=_positive_int, default=400)
-    p.add_argument("--n-test", type=_positive_int, default=100)
+    p.add_argument("--n-train", type=_int_at_least(2), default=400)
+    p.add_argument("--n-test", type=_int_at_least(1), default=100)
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     add_seed(p)
     p.set_defaults(func=_cmd_pipeline_demo)

@@ -15,6 +15,10 @@ Each op charges once, the bit-exact cost of the protocol it models:
 sharing 6k bits per element, multiplication 3k, opening 3k, truncation 6k
 and division 3k(k + 4*theta + 2).  Active security is a cost model only:
 every charge is doubled, the dataflow is unchanged.
+
+The binary ops (add, sub, mul, divide) take operands of one shape, or a
+one-dimensional first operand and a shape-(1,) second one, which stands for
+that one secret at every element; the charge counts the first's elements.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ class SharedTensor:
     party i holds rows i and i+1 mod 3.
 
     Takes ownership of components without copying: pass a fresh array
-    reduced mod 2^k, or a read-only view of one.
+    reduced mod 2^k.
     """
 
     __slots__ = ("components", "k")
@@ -326,7 +330,7 @@ class Mpc3Session:
     def _same_ring(self, x: SharedTensor, y: SharedTensor) -> None:
         if x.k != self.k or y.k != self.k:
             raise ProtocolError("shared tensors belong to a different ring width")
-        if x.shape != y.shape:
+        if x.shape != y.shape and not (y.shape == (1,) and len(x.shape) == 1):
             raise ProtocolError(f"shape mismatch: {x.shape} vs {y.shape}")
 
     def _combine(self, x: SharedTensor) -> np.ndarray:

@@ -107,7 +107,7 @@ class LabeledBatch:
         return LabeledBatch(self.images[idx], self.labels[idx])
 
 
-def synth_data(n_samples: int, seed: int = 0, class_geometry=None) -> LabeledBatch:
+def synth_data(n_samples: int, seed: int = 0) -> LabeledBatch:
     """Two-class blob images: class 0 lights the upper half, class 1 the lower.
 
     Each image is a Gaussian bump at a jittered class center plus pixel
@@ -116,7 +116,7 @@ def synth_data(n_samples: int, seed: int = 0, class_geometry=None) -> LabeledBat
     """
     if n_samples < 2:
         raise ValueError(f"need at least two samples, got {n_samples}")
-    centers = ((9.0, 14.0), (19.0, 14.0)) if class_geometry is None else tuple(class_geometry)
+    centers = ((9.0, 14.0), (19.0, 14.0))
     rng = tn._rng(seed, _S_SYNTH)
     labels = np.arange(n_samples, dtype=np.int64) % 2
     rows, cols = np.mgrid[0:IMAGE_SIDE, 0:IMAGE_SIDE]
@@ -572,12 +572,12 @@ def run_demo(cfg: DemoConfig, data: Optional[LabeledBatch] = None,
     feats_test = tn.encode_batch(test.images.reshape(len(test), -1), frontend)
 
     # client weights are train sample counts; test events reuse them
-    parts = partition_stratified(train.labels, cfg.n_clients)
-    weights = np.array([len(p) for p in parts], dtype=np.float64)
+    owners_train = _owners(train.labels, cfg.n_clients)
+    weights = np.bincount(owners_train, minlength=cfg.n_clients).astype(np.float64)
     acfg = bench.BenchConfig(n=cfg.n_clients, d=cfg.d, k=cfg.k, theta=cfg.theta,
                              fraction_bits=cfg.fraction_bits, epsilon=cfg.epsilon)
     x_train, cost_tr = _per_sample_aggregate(
-        feats_train, _owners(train.labels, cfg.n_clients), weights, acfg, cfg.secure, cfg.seed, 0)
+        feats_train, owners_train, weights, acfg, cfg.secure, cfg.seed, 0)
     x_test, cost_te = _per_sample_aggregate(
         feats_test, _owners(test.labels, cfg.n_clients), weights, acfg, cfg.secure, cfg.seed, 1)
     cost = cost_tr + cost_te

@@ -42,7 +42,6 @@ __all__ = [
     "observable_set",
     "observable_count",
     "make_qep",
-    "encode_angles",
     "quantum_features",
     "qep_forward",
     "qubit_sweep",
@@ -240,7 +239,11 @@ def _checked_latent(x_agg, params: QepParams):
 
 
 def _angles(xs, params: QepParams):
-    """Encoder stage over an (m, d) stack: e of shape (m, 2N_q), theta of shape (m, L, N_q, 2)."""
+    """Encoder stage over an (m, d) stack: e of shape (m, 2N_q), theta of shape (m, L, N_q, 2).
+
+    theta[l,q] = pi*s*(e_pair[q] + delta[l,q]): even slots of e drive the Ry angles,
+    odd slots the Rz angles.
+    """
     hidden = np.maximum(_layer_norm(_affine(params.enc_w1, params.enc_b1, xs)), 0.0)
     e = _ensure_finite(_affine(params.enc_w2, params.enc_b2, hidden), "encoder")
     theta = np.pi * params.scale * (e.reshape(len(e), 1, params.n_q, 2) + params.delta)
@@ -270,15 +273,6 @@ def _quantum_branch(xs, params: QepParams, noise: NoiseSpec):
     q *= 1.0 - params.beta  # in place: the same products as (1 - beta) * Dec(q_raw)
     q += params.beta * _ensure_finite(_affine(params.bp_w, params.bp_b, e), "bypass")
     return q
-
-
-def encode_angles(x_agg, params: QepParams):
-    """Shallow map to e in R^{2N_q}, then theta[l,q] = pi*s*(e_pair[q] + delta[l,q]).
-
-    Even slots of e drive the Ry angles, odd slots the Rz angles.
-    """
-    e, theta = _angles(_checked_latent(x_agg, params)[None], params)
-    return e[0], theta[0]
 
 
 def quantum_features(x_agg, params: QepParams, noise: NoiseSpec | None = None) -> np.ndarray:

@@ -281,7 +281,7 @@ def _check_cnot(n: int, control: int, target: int) -> None:
         raise ValueError("CNOT is restricted to the chain pattern target = control + 1")
 
 
-def run_circuit(angles: np.ndarray, n_qubits: Optional[int] = None) -> StateVector:
+def run_circuit(angles: np.ndarray) -> StateVector:
     """Evolve |0...0> through the layered ansatz; angles has shape (L, n, 2)
     holding (theta_y, theta_z) per layer and qubit.
 
@@ -294,9 +294,7 @@ def run_circuit(angles: np.ndarray, n_qubits: Optional[int] = None) -> StateVect
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 3 or angles.shape[2] != 2:
         raise ValueError(f"angles must have shape (layers, n_qubits, 2), got {angles.shape}")
-    n = angles.shape[1] if n_qubits is None else n_qubits
-    if n != angles.shape[1]:
-        raise ValueError("n_qubits disagrees with the angle tensor")
+    n = angles.shape[1]
     if n < 1 or not len(angles):
         return zero_state(n)  # raises for no qubits; no layers leave |0...0>
     fused = rz_matrix(angles[..., 1]) @ ry_matrix(angles[..., 0])

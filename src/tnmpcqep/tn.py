@@ -19,9 +19,8 @@ Conventions:
   * realify(psi) = [Re(psi); Im(psi)], then a fixed seeded projection.
 
 Batch axis: every kind has one forward, _encode_rows, over a (B, 784)
-stack; encode and the single-image helpers run it at B=1, and
-encode_batch runs it over _CHUNK_ROWS (32) rows at a time, which keeps the
-intermediates small.  Each row gets the bytes of the one-image contraction
+stack, and encode_batch runs it over _CHUNK_ROWS (32) rows at a time, which
+keeps the intermediates small.  Each row gets the bytes of the one-image contraction
 because every W @ x is a stacked gemv, np.matmul(W, X[..., None]), which
 calls one BLAS gemv per vector where a gemm X @ W.T would sum in another
 order.  Likewise the norm is np.linalg.norm's Re.Re + Im.Im as stacked BLAS
@@ -47,11 +46,7 @@ __all__ = [
     "qr_isometry",
     "patchify",
     "realify",
-    "encode",
     "encode_batch",
-    "mps_state",
-    "mps_site_vectors",
-    "tree_levels",
     "disentangle_layer",
     "isometry_check",
     "save_params",
@@ -280,22 +275,8 @@ def make_frontend(config: FrontendConfig):
     return TreeParams(config, stem_w, stem_b, e_re, e_im, isometries, disentanglers, proj)
 
 
-def _check_rows(xs) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != IMAGE_PIXELS:
-        raise ValueError(f"expected (m, 784), got {xs.shape}")
-    bad = ~np.isfinite(xs).all(axis=1)
-    if bad.any():
-        raise ValueError(f"input row {np.flatnonzero(bad)[0]} contains non-finite values")
-    return xs
-
-
-def _check_input(x) -> np.ndarray:
-    # one image, flat or 28x28, as a checked (1, 784) batch
-    return _check_rows(np.asarray(x, dtype=np.float64).reshape(1, -1))
-
-
 def _site_vectors(xs, params: MpsParams) -> np.ndarray:
+    """Embedded per-site complex vectors of a (B, 784) stack, shape (B, l_sites, d_phys)."""
     cfg = params.config
     pre = np.maximum(_layer_norm(_gemv(params.premap_w, xs) + params.premap_b), 0.0)
     blocks = pre.reshape(-1, cfg.l_sites, cfg.block)
@@ -303,6 +284,7 @@ def _site_vectors(xs, params: MpsParams) -> np.ndarray:
 
 
 def _mps_states(xs, params: MpsParams) -> np.ndarray:
+    """Final bond-space states, shape (B, bond); unit norm unless every update degenerated."""
     cfg = params.config
     z = _site_vectors(xs, params)
     v = np.zeros((xs.shape[0], cfg.bond), dtype=np.complex128)
@@ -311,16 +293,6 @@ def _mps_states(xs, params: MpsParams) -> np.ndarray:
         w = np.einsum("na,asb,ns->nb", v, params.cores[k], z[:, k])
         v = _safe_normalize(w, fallback=v)
     return v
-
-
-def mps_site_vectors(x, params: MpsParams) -> np.ndarray:
-    """Embedded per-site complex vectors, shape (l_sites, d_phys)."""
-    return _site_vectors(_check_input(x), params)[0]
-
-
-def mps_state(x, params: MpsParams) -> np.ndarray:
-    """Final bond-space state (unit norm unless every update degenerated)."""
-    return _mps_states(_check_input(x), params)[0]
 
 
 def disentangle_layer(states: np.ndarray, u: np.ndarray, parity: int) -> np.ndarray:
@@ -343,6 +315,8 @@ def disentangle_layer(states: np.ndarray, u: np.ndarray, parity: int) -> np.ndar
 
 
 def _tree_levels(xs, params: TreeParams) -> list:
+    """Every level of a (B, 784) stack: the (B, n_patches, d_loc) leaves, then each
+    merge (for mera, post-disentangle and post-merge)."""
     cfg = params.config
     patches = patchify(xs.reshape(-1, IMAGE_SIDE, IMAGE_SIDE), cfg.patch)
     stems = np.maximum(_layer_norm(_gemv(params.stem_w, patches) + params.stem_b), 0.0)
@@ -358,14 +332,6 @@ def _tree_levels(xs, params: TreeParams) -> list:
     return levels
 
 
-def tree_levels(x, params: TreeParams) -> list:
-    """All intermediate states: level 0 leaves, then each merged level.
-
-    For mera params the returned levels are post-disentangle, post-merge.
-    """
-    return [states[0] for states in _tree_levels(_check_input(x), params)]
-
-
 def _encode_rows(xs, params) -> np.ndarray:
     # the one encoder path of every kind, over a checked (B, 784) stack
     if params.config.kind == "mps":
@@ -375,14 +341,14 @@ def _encode_rows(xs, params) -> np.ndarray:
     return _gemv(params.proj, realify(top))
 
 
-def encode(x, params) -> np.ndarray:
-    """Dispatch on params.config.kind; output is a real d-vector."""
-    return _encode_rows(_check_input(x), params)[0]
-
-
 def encode_batch(xs, params) -> np.ndarray:
-    """encode over the rows of an (m, 784) array, _CHUNK_ROWS rows at a time."""
-    xs = _check_rows(xs)
+    """The (m, d) latents of the rows of an (m, 784) array, _CHUNK_ROWS rows at a time."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != IMAGE_PIXELS:
+        raise ValueError(f"expected (m, 784), got {xs.shape}")
+    bad = ~np.isfinite(xs).all(axis=1)
+    if bad.any():
+        raise ValueError(f"input row {np.flatnonzero(bad)[0]} contains non-finite values")
     out = np.empty((xs.shape[0], params.proj.shape[0]))
     for start in range(0, xs.shape[0], _CHUNK_ROWS):
         out[start:start + _CHUNK_ROWS] = _encode_rows(xs[start:start + _CHUNK_ROWS], params)
@@ -407,54 +373,33 @@ def isometry_check(params) -> float:
 # ---------------------------------------------------------------------------
 # parameter bundles, on the shared container format (see container.py)
 
-_MPS_ENTRIES = ("premap_w", "premap_b", "embed_re", "embed_im", "cores", "proj")
-_TREE_ENTRIES = ("stem_w", "stem_b", "embed_re", "embed_im", "isometries", "disentanglers", "proj")
+def _entries(params) -> dict:
+    # every parameter array in field order, the bundle's entry order; ttn has no disentanglers
+    return {f.name: getattr(params, f.name) for f in dataclasses.fields(params)[1:]
+            if getattr(params, f.name) is not None}
 
 
 def save_params(params, path) -> None:
-    names = _MPS_ENTRIES if isinstance(params, MpsParams) else _TREE_ENTRIES
-    entries = [(name, np.asarray(getattr(params, name))) for name in names
-               if getattr(params, name) is not None]
+    entries = [(name, np.asarray(arr)) for name, arr in _entries(params).items()]
     write_container(path, params.config.kind, dataclasses.asdict(params.config), entries,
                     extra={"seed": params.config.seed})
 
 
-def _expected_shapes(cfg: FrontendConfig) -> dict:
-    if cfg.kind == "mps":
-        return {
-            "premap_w": (cfg.h, IMAGE_PIXELS),
-            "premap_b": (cfg.h,),
-            "embed_re": (cfg.d_phys, cfg.block),
-            "embed_im": (cfg.d_phys, cfg.block),
-            "cores": (cfg.l_sites, cfg.bond, cfg.d_phys, cfg.bond),
-            "proj": (cfg.d, 2 * cfg.bond),
-        }
-    shapes = {
-        "stem_w": (cfg.d_p, cfg.patch * cfg.patch),
-        "stem_b": (cfg.d_p,),
-        "embed_re": (cfg.d_loc, cfg.d_p),
-        "embed_im": (cfg.d_loc, cfg.d_p),
-        "isometries": (cfg.n_levels, 2 * cfg.d_loc, cfg.d_loc),
-        "proj": (cfg.d, 2 * cfg.d_loc),
-    }
-    if cfg.kind == "mera":
-        shapes["disentanglers"] = (cfg.n_levels, 2 * cfg.d_loc, 2 * cfg.d_loc)
-    return shapes
-
-
 def load_params(path):
-    """Read a parameter bundle back; raises ValueError on any inconsistency."""
+    """Read a parameter bundle back; raises ValueError on any inconsistency.
+
+    The entries must be, by name and shape, the arrays that make_frontend draws
+    for the bundle's config.
+    """
     header, arrays = read_container(path)
     cfg = FrontendConfig(**header["config"])
     if header.get("kind") != cfg.kind:
         raise ValueError("bundle kind disagrees with its config")
-    expected = _expected_shapes(cfg)
+    ref = make_frontend(cfg)
+    expected = {name: arr.shape for name, arr in _entries(ref).items()}
     if set(arrays) != set(expected):
         raise ValueError("bundle entry names do not match the frontend kind")
     for name, arr in arrays.items():
         if arr.shape != expected[name]:
             raise ValueError(f"entry {name} has shape {arr.shape}, expected {expected[name]}")
-
-    if cfg.kind == "mps":
-        return MpsParams(cfg, **{name: arrays[name] for name in _MPS_ENTRIES})
-    return TreeParams(cfg, **{name: arrays.get(name) for name in _TREE_ENTRIES})
+    return dataclasses.replace(ref, **arrays)

@@ -180,7 +180,7 @@ def check_tn(params_path=None):
 
 def check_qsim():
     from .qsim import (DensityMatrix, NoiseSpec, PauliTerm, depolarizing_kraus,
-                       expectation, run_circuit, run_noisy, ry_matrix)
+                       expectation, run_circuit, run_noisy)
 
     checks = []
     rng = np.random.default_rng(0x51A)
@@ -203,12 +203,15 @@ def check_qsim():
     norm = float(np.linalg.norm(state.amplitudes))
     checks.append(_passfail("norm_preserved", abs(norm - 1.0) <= 1e-12, f"norm {norm!r}"))
 
-    theta, p = 0.9, 0.03
+    # Rz(phi) Ry(theta) turns |0> to the Bloch vector (sin t cos f, sin t sin f, cos t), which
+    # the channel shrinks by 1 - p; the transposed gate Ry(-theta) Rz(phi) gives (-sin t, 0, cos t)
+    theta, phi, p = 0.9, 0.7, 0.03
     dm = DensityMatrix(1)
-    dm.apply_single(ry_matrix(theta), 0)
+    dm.apply_single(rz_matrix(phi) @ ry_matrix(theta), 0)
     dm.apply_kraus(depolarizing_kraus(p), 0)
-    got_z = dm.expectation(PauliTerm(factors=((0, "Z"),)))
-    err = abs(got_z - (1.0 - p) * np.cos(theta))
+    got = np.array([dm.expectation(PauliTerm(factors=((0, a),))) for a in "XYZ"])
+    bloch = np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)
+    err = float(np.abs(got - (1.0 - p) * np.array(bloch)).max())
     checks.append(_passfail("depolarizing_closed_form", err <= 1e-10, f"error {err:.3e}"))
 
     zero = run_noisy(np.zeros((1, 2, 2)), NoiseSpec(kind="depolarizing", p=0.0))

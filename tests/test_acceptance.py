@@ -26,11 +26,11 @@ from tnmpcqep.qsim import (
 )
 from tnmpcqep.tn import (
     FrontendConfig,
+    _mps_states,
+    _site_vectors,
     encode_batch,
     isometry_check,
     make_frontend,
-    mps_site_vectors,
-    mps_state,
 )
 from tnmpcqep.verify import dense_circuit_state
 
@@ -164,10 +164,11 @@ def test_criterion_06_tensor_network_invariants():
     checked = 0
     while checked < 10:
         x = rng.uniform(0.0, 1.0, size=784)
-        z = mps_site_vectors(x, params)
+        z = _site_vectors(x[None], params)[0]
         if np.linalg.norm(z, axis=1).min() < 1e-6:
             continue  # ReLU zeroed a block; outside the oracle's domain
-        assert np.abs(mps_state(x, params) - _nested_sum_state(params.cores, z)).max() <= 1e-10
+        got = _mps_states(x[None], params)[0]
+        assert np.abs(got - _nested_sum_state(params.cores, z)).max() <= 1e-10
         checked += 1
     mera = make_frontend(FrontendConfig(kind="mera", seed=22))
     ttn = make_frontend(FrontendConfig(kind="ttn", seed=22))

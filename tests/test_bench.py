@@ -197,15 +197,3 @@ def test_cost_report_total():
     assert rep.total_bits == 6
     assert (rep + rep).total_bits == 12
     assert rep.scaled(2) == CostReport(2, 4, 6)
-
-
-def test_broadcast_is_a_read_only_zero_stride_view_of_the_share():
-    from tnmpcqep.mpc import SharedTensor
-    comps = np.array([[1], [2], [2**63 + 5]], dtype=np.uint64)
-    wide = bench._broadcast(SharedTensor(comps, 64), 5, 64)
-    assert wide.k == 64 and wide.components.shape == (3, 5)
-    assert wide.components.tobytes() == np.broadcast_to(comps, (3, 5)).tobytes()
-    assert wide.components.strides[1] == 0 and not wide.components.flags.writeable
-    assert np.shares_memory(wide.components, comps)
-    with pytest.raises(ValueError, match="components"):
-        bench._broadcast(SharedTensor(np.zeros((3, 2), dtype=np.uint64), 64), 5, 64)

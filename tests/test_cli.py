@@ -143,6 +143,12 @@ def test_nq_outside_two_to_sixteen_is_a_flag_error(tmp_path, command, nq):
     ["noise-sweep", "--n-test", "-1"],
     ["pipeline-demo", "--n-train", "-2"],
     ["pipeline-demo", "--n-test", "0"],
+    # sample counts of 1: synthetic data needs two samples, a train split two rows
+    ["encode", "--n", "1"],
+    ["qep-run", "--n", "1"],
+    ["qubit-sweep", "--n-train", "1"],
+    ["noise-sweep", "--n-train", "1"],
+    ["pipeline-demo", "--n-train", "1"],
 ])
 def test_counts_below_one_are_flag_errors(tmp_path, capsys, argv):
     # argparse exits before any work, so no empty or header-only output is written
@@ -150,7 +156,8 @@ def test_counts_below_one_are_flag_errors(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as err:
         run_cli(argv + ["--out", str(out)])
     assert err.value.code == 2
-    assert "expected a positive integer" in capsys.readouterr().err
+    low = 2 if argv[1] in ("--n", "--n-train") else 1  # sample counts need two
+    assert f"expected an integer >= {low}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,8 +3,9 @@
 scripts/golden_outputs.sh writes every deterministic output of the command line
 and the demos; the files named in golden_digests.json are the ones of those that
 run in a few seconds, one or more per layer: the plain and secure demo reports,
-one encode per frontend kind, a 16-qubit all-pairs readout, a noisy run, the
-invariant suite and the simulator demo.  The test regenerates them in a
+one encode per frontend kind, a saved MERA parameter bundle (the kind with every
+entry), a 16-qubit all-pairs readout, a noisy run, the invariant suite and the
+simulator demo.  The test regenerates them in a
 subprocess with one BLAS thread, set before numpy loads (the last bits of the
 16-qubit readout depend on the thread count, and this process cannot change it
 once numpy is loaded), and compares digests.
@@ -31,13 +32,15 @@ ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# output file -> the command line that writes it (with --out) or prints it
+# output file -> the command line that writes it (with --out, or --save-params for
+# a .tnp bundle) or prints it
 _COMMANDS = {
     "pipeline_demo.json": ["pipeline-demo"],
     "pipeline_demo_secure.json": ["pipeline-demo", "--secure"],
     "encode_mps.csv": ["encode", "--kind", "mps", "--n", "70"],
     "encode_ttn.csv": ["encode", "--kind", "ttn", "--n", "70"],
     "encode_mera.csv": ["encode", "--kind", "mera", "--n", "70"],
+    "params_mera.tnp": ["encode", "--kind", "mera", "--n", "2", "--out", os.devnull],
     "qep_run_nq16_all_pairs.csv": ["qep-run", "--nq", "16", "--observables", "all_pairs", "--n", "2"],
     "qep_run_mixed.csv": ["qep-run", "--noise", "mixed"],
     "verify.txt": ["verify"],
@@ -52,7 +55,8 @@ def _digests(outdir: Path) -> dict:
     for name, argv in _COMMANDS.items():
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
-            out = [] if name == "verify.txt" else ["--out", str(outdir / name)]
+            flag = "--save-params" if name.endswith(".tnp") else "--out"
+            out = [] if name == "verify.txt" else [flag, str(outdir / name)]
             code = cli.main(argv + out)
         if code != 0:
             raise SystemExit(f"{name}: tnmpcqep {' '.join(argv)} exited {code}")

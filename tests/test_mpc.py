@@ -264,6 +264,39 @@ def test_divide_deterministic_given_seed():
     assert outs[0] == outs[1]
 
 
+# --- a one-element second operand ---
+
+
+@pytest.mark.parametrize("k, f", [(64, 20), (24, 8)])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "fixed_mul", "divide"])
+def test_a_one_element_second_operand_acts_as_its_broadcast_copy(op, k, f):
+    d = 6
+    rng = np.random.default_rng(k)
+    x_real, w_real = rng.uniform(0.5, 2.0, d), rng.uniform(0.5, 2.0, 1)
+    opened, meters = [], []
+    for w in (w_real, np.repeat(w_real, d)):  # the one element, then its explicit copy
+        s = Mpc3Session(k=k, fraction_bits=f, seed=3)
+        with s.muted():  # only the op under test meters
+            x, y = s.share_encoded(x_real), s.share_encoded(w)
+        z = getattr(s, op)(x, y)
+        assert z.shape == (d,)
+        meters.append((s.report(), s.traffic()))
+        opened.append(s.open(z))
+    assert opened[0].tobytes() == opened[1].tobytes()
+    assert meters[0] == meters[1]
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [
+    ((1,), (6,)), ((5,), (6,)), ((2, 3), (1,)), ((6,), (1, 1)), ((6,), (2,)),
+])
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "fixed_mul", "divide"])
+def test_any_other_shape_mismatch_is_a_protocol_error(op, x_shape, y_shape):
+    s = Mpc3Session(seed=0)
+    x, y = s.share_encoded(np.ones(x_shape)), s.share_encoded(np.ones(y_shape))
+    with pytest.raises(ProtocolError, match="shape mismatch"):
+        getattr(s, op)(x, y)
+
+
 # --- straight-line programs vs the plaintext oracle ---
 
 

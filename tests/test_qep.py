@@ -17,7 +17,6 @@ from tnmpcqep import qep
 from tnmpcqep.qep import (
     QepDiagnostics,
     QepParams,
-    encode_angles,
     make_qep,
     observable_count,
     observable_set,
@@ -109,10 +108,16 @@ def test_qep_params_validation():
 
 # -------------------------------------------------------------- angle coding
 
+def _angles_one(x, params):
+    """The encoder stage of one latent: e of shape (2N_q,), theta of shape (L, N_q, 2)."""
+    e, theta = qep._angles(np.asarray(x, dtype=np.float64)[None], params)
+    return e[0], theta[0]
+
+
 def test_encode_angles_scale_zero_annihilates():
     params = dataclasses.replace(make_qep(d=16, n_q=4, seed=3), scale=0.0)
     rng = np.random.default_rng(60)
-    _, theta = encode_angles(rng.standard_normal(16), params)
+    _, theta = _angles_one(rng.standard_normal(16), params)
     assert np.array_equal(theta, np.zeros_like(theta))
 
 
@@ -126,7 +131,7 @@ def test_encode_angles_unit_even_slots():
         enc_b2=bias,
         delta=np.zeros_like(params.delta),
     )
-    e, theta = encode_angles(np.zeros(16), params)
+    e, theta = _angles_one(np.zeros(16), params)
     assert np.array_equal(e, bias)
     assert np.abs(theta[:, :, 0] - np.pi / 2).max() <= 1e-15
     assert np.abs(theta[:, :, 1]).max() <= 1e-15
@@ -136,7 +141,7 @@ def test_encode_angles_matches_formula():
     params = make_qep(d=16, n_q=4, seed=5)
     rng = np.random.default_rng(61)
     x = rng.standard_normal(16)
-    e, theta = encode_angles(x, params)
+    e, theta = _angles_one(x, params)
     expected = np.pi * params.scale * (e.reshape(4, 2)[np.newaxis] + params.delta)
     assert np.array_equal(theta, expected)
 
@@ -161,7 +166,7 @@ def test_alpha_one_endpoint_returns_fused_branch():
     out, diag = qep_forward(x, params)
 
     # rebuild z by hand from the declared composition
-    e, _ = encode_angles(x, params)
+    e, _ = _angles_one(x, params)
     q_raw = quantum_features(x, params)
     hidden = np.maximum(
         (lambda v: (v - v.mean()) / np.sqrt(v.var() + 1e-5))(params.dec_w1 @ q_raw + params.dec_b1), 0.0)
@@ -421,7 +426,7 @@ def test_encode_angles_and_quantum_features_are_the_stack_at_one_row():
     xs = np.random.default_rng(72).standard_normal((7, 20))
     stacked = qep_forward(xs, params)[0]
     for i, x in enumerate(xs):
-        e, theta = encode_angles(x, params)
+        e, theta = _angles_one(x, params)
         assert e.shape == (10,) and theta.shape == (2, 5, 2)
         q_raw = quantum_features(x, params)
         state = run_circuit(theta)

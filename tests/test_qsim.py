@@ -231,7 +231,7 @@ def test_run_circuit_validates_shape():
     with pytest.raises(ValueError):
         run_circuit(np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        run_circuit(np.zeros((2, 3, 2)), n_qubits=4)
+        run_circuit(np.zeros((2, 3, 3)))
 
 
 
@@ -281,6 +281,20 @@ def test_density_cnot_matches_dense_conjugation():
         DensityMatrix(4)._evolve([(None, 3, 4)])
     with pytest.raises(ValueError):
         DensityMatrix(4)._evolve([(None, 0, 2)])
+
+
+def test_verify_fails_a_density_gate_applied_transposed(monkeypatch):
+    # Ry's transpose Ry(-theta) reads the same <Z>; the Rz.Ry gate's X and Y readouts do not
+    from tnmpcqep import verify
+
+    def rows():
+        return {name: ok for _, name, ok, _ in verify.run_all(["qsim"])}
+
+    assert all(rows().values())
+    orig = qsim.DensityMatrix.apply_single
+    monkeypatch.setattr(qsim.DensityMatrix, "apply_single",
+                        lambda self, gate, q: orig(self, gate.T, q))
+    assert rows()["depolarizing_closed_form"] is False
 
 
 def test_density_expectation_matches_dense_trace_for_every_term():

@@ -16,20 +16,29 @@ from hypothesis import strategies as st
 
 from tnmpcqep.tn import (
     FrontendConfig,
+    _mps_states,
+    _site_vectors,
+    _tree_levels,
     disentangle_layer,
-    encode,
     encode_batch,
     isometry_check,
     load_params,
     make_frontend,
-    mps_site_vectors,
-    mps_state,
     patchify,
     qr_isometry,
     realify,
     save_params,
-    tree_levels,
 )
+
+
+def _encode_one(x, params):
+    """One image, flat or 28x28, through the batch encoder."""
+    return encode_batch(np.reshape(x, (1, -1)), params)[0]
+
+
+def _levels_one(x, params):
+    """The tree levels of one flat image, without the batch axis."""
+    return [states[0] for states in _tree_levels(x[None], params)]
 
 
 # ---------------------------------------------------------------- qr_isometry
@@ -158,11 +167,11 @@ def test_mps_tiny_matches_nested_sum_oracle():
     checked = 0
     for _ in range(400):
         x = rng.uniform(0.0, 1.0, size=784)
-        z = mps_site_vectors(x, params)
+        z = _site_vectors(x[None], params)[0]
         if np.linalg.norm(z, axis=1).min() < 1e-6:
             continue  # ReLU zeroed a whole block; outside the oracle's domain
         expected = _nested_sum_state(params.cores, z)
-        got = mps_state(x, params)
+        got = _mps_states(x[None], params)[0]
         assert np.abs(got - expected).max() <= 1e-10
         checked += 1
         if checked == 10:
@@ -173,7 +182,7 @@ def test_mps_tiny_matches_nested_sum_oracle():
 def test_mps_zero_image_boundary_propagation():
     params = make_frontend(FrontendConfig(kind="mps", seed=8))
     params = dataclasses.replace(params, premap_b=np.zeros_like(params.premap_b))
-    out = encode(np.zeros(784), params)
+    out = _encode_one(np.zeros(784), params)
     boundary = np.zeros(params.config.bond, dtype=np.complex128)
     boundary[0] = 1.0
     expected = params.proj @ realify(boundary)
@@ -185,8 +194,8 @@ def test_mps_deterministic_across_rebuilds():
     cfg = FrontendConfig(kind="mps", seed=9)
     rng = np.random.default_rng(46)
     x = rng.uniform(0.0, 1.0, size=784)
-    out1 = encode(x, make_frontend(cfg))
-    out2 = encode(x, make_frontend(cfg))
+    out1 = _encode_one(x, make_frontend(cfg))
+    out2 = _encode_one(x, make_frontend(cfg))
     assert np.array_equal(out1, out2)
 
 
@@ -194,8 +203,8 @@ def test_mps_state_unit_norm_and_output_dim():
     params = make_frontend(FrontendConfig(kind="mps", seed=10))
     rng = np.random.default_rng(47)
     x = rng.uniform(0.0, 1.0, size=784)
-    assert abs(np.linalg.norm(mps_state(x, params)) - 1.0) <= 1e-10
-    out = encode(x, params)
+    assert abs(np.linalg.norm(_mps_states(x[None], params)[0]) - 1.0) <= 1e-10
+    out = _encode_one(x, params)
     assert out.shape == (64,)
     assert np.all(np.isfinite(out))
 
@@ -207,7 +216,7 @@ def test_ttn_root_norm_one():
     rng = np.random.default_rng(48)
     for _ in range(5):
         x = rng.uniform(0.0, 1.0, size=784)
-        root = tree_levels(x, params)[-1][0]
+        root = _levels_one(x, params)[-1][0]
         assert abs(np.linalg.norm(root) - 1.0) <= 1e-10
 
 
@@ -216,7 +225,7 @@ def test_ttn_identical_patches_identical_parents():
     rng = np.random.default_rng(49)
     tile = rng.uniform(0.0, 1.0, size=(7, 7))
     img = np.tile(tile, (4, 4))  # all 16 patches equal
-    levels = tree_levels(img.reshape(-1), params)
+    levels = _levels_one(img.reshape(-1), params)
     leaves, parents = levels[0], levels[1]
     for p in range(1, leaves.shape[0]):
         assert np.abs(leaves[p] - leaves[0]).max() <= 1e-12
@@ -233,18 +242,18 @@ def test_tree_leaves_cut_tiles_of_config_patch():
         h = params.stem_w @ tile + params.stem_b
         stem = np.maximum((h - h.mean()) / np.sqrt(h.var() + 1e-5), 0.0)
         want.append(params.embed_re @ stem + 1j * (params.embed_im @ stem))
-    leaves = tree_levels(img.reshape(-1), params)[0]
+    leaves = _levels_one(img.reshape(-1), params)[0]
     assert leaves.shape == (4, params.config.d_loc)
     assert np.abs(leaves - np.array(want)).max() <= 1e-12
     single = make_frontend(FrontendConfig(kind="ttn", n_patches=1, patch=28, seed=14))
-    assert encode(img.reshape(-1), single).shape == (64,)
+    assert _encode_one(img.reshape(-1), single).shape == (64,)
 
 
 def test_ttn_order_sensitivity():
     params = make_frontend(FrontendConfig(kind="ttn", seed=13))
     rng = np.random.default_rng(50)
     img = rng.uniform(0.0, 1.0, size=(28, 28))
-    base = encode(img.reshape(-1), params)
+    base = _encode_one(img.reshape(-1), params)
 
     def unpatchify(patches):
         return patches.reshape(4, 4, 7, 7).transpose(0, 2, 1, 3).reshape(-1)
@@ -252,12 +261,12 @@ def test_ttn_order_sensitivity():
     patches = patchify(img)
     siblings = patches.copy()
     siblings[[0, 1]] = siblings[[1, 0]]
-    out_sib = encode(unpatchify(siblings), params)
+    out_sib = _encode_one(unpatchify(siblings), params)
     assert np.abs(out_sib - base).max() > 1e-6
 
     crossed = patches.copy()  # 0 and 5 sit in different level-2 subtrees
     crossed[[0, 5]] = crossed[[5, 0]]
-    out_cross = encode(unpatchify(crossed), params)
+    out_cross = _encode_one(unpatchify(crossed), params)
     assert np.abs(out_cross - base).max() > 1e-6
 
 
@@ -278,7 +287,7 @@ def test_mera_identity_disentanglers_match_ttn():
     rng = np.random.default_rng(51)
     for _ in range(100):
         x = rng.uniform(0.0, 1.0, size=784)
-        diff = np.abs(encode(x, mera_id) - encode(x, ttn_params)).max()
+        diff = np.abs(_encode_one(x, mera_id) - _encode_one(x, ttn_params)).max()
         assert diff <= 1e-12
 
 
@@ -309,7 +318,7 @@ def test_mera_differs_from_ttn_with_real_disentanglers():
     mera_params = make_frontend(FrontendConfig(kind="mera", seed=seed))
     rng = np.random.default_rng(53)
     x = rng.uniform(0.0, 1.0, size=784)
-    assert np.abs(encode(x, mera_params) - encode(x, ttn_params)).max() > 1e-6
+    assert np.abs(_encode_one(x, mera_params) - _encode_one(x, ttn_params)).max() > 1e-6
 
 
 # ------------------------------------------------------------------ dispatch
@@ -322,7 +331,7 @@ def test_encode_dispatch_and_batch():
         batch = encode_batch(xs, params)
         assert batch.shape == (5, 64)
         for i in range(5):
-            assert np.array_equal(batch[i], encode(xs[i], params))
+            assert np.array_equal(batch[i], _encode_one(xs[i], params))
 
 
 def test_non_finite_input_raises():
@@ -331,9 +340,9 @@ def test_non_finite_input_raises():
     for kind in ("mps", "ttn", "mera"):
         params = make_frontend(FrontendConfig(kind=kind, seed=20))
         with pytest.raises(ValueError):
-            encode(x, params)
+            _encode_one(x, params)
     with pytest.raises(ValueError):
-        encode(np.zeros(100), make_frontend(FrontendConfig(kind="mps", seed=20)))
+        _encode_one(np.zeros(100), make_frontend(FrontendConfig(kind="mps", seed=20)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -430,7 +439,7 @@ def _assert_batch_matches_per_sample(params, xs):
     got = encode_batch(xs, params)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
-    assert np.array_equal(encode(xs[-1], params), want[-1])
+    assert np.array_equal(encode_batch(xs[-1:], params)[0], want[-1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -484,7 +493,7 @@ def test_bundle_roundtrip(kind, tmp_path):
             assert np.array_equal(a, b)
     rng = np.random.default_rng(55)
     x = rng.uniform(0.0, 1.0, size=784)
-    assert np.array_equal(encode(x, params), encode(x, loaded))
+    assert np.array_equal(_encode_one(x, params), _encode_one(x, loaded))
     assert isometry_check(loaded) <= 1e-8
 
 
@@ -512,6 +521,47 @@ def test_bundle_bad_version_raises(tmp_path):
     path.write_bytes(struct.pack("<I", len(blob)) + blob + raw[4 + hlen :])
     with pytest.raises(ValueError):
         load_params(path)
+
+
+def _rewrite_entries(path, edit):
+    """Apply edit to the bundle header's entry list and give the payload the matching length."""
+    import json as _json
+
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 0)
+    header = _json.loads(raw[4 : 4 + hlen])
+    edit(header["entries"])
+    blob = _json.dumps(header, sort_keys=True).encode()
+    total = sum(int(np.prod(e["shape"])) for e in header["entries"])
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + bytes(16 * total))
+
+
+def _entry(entries, name):
+    return next(e for e in entries if e["name"] == name)
+
+
+_BUNDLE_EDITS = {
+    "none": ("mera", lambda es: None, None),
+    "extra": ("ttn", lambda es: es.append({"name": "disentanglers", "shape": [4, 32, 32],
+                                           "dtype": "complex"}), "entry names"),
+    "missing": ("mera", lambda es: es.remove(_entry(es, "disentanglers")), "entry names"),
+    "transposed": ("mps", lambda es: _entry(es, "proj").update(shape=[16, 64]), "entry proj"),
+    "extra_level": ("ttn", lambda es: _entry(es, "isometries").update(shape=[5, 32, 16]),
+                    "entry isometries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUNDLE_EDITS))
+def test_bundle_entries_must_be_what_its_config_draws(tmp_path, case):
+    kind, edit, match = _BUNDLE_EDITS[case]
+    path = tmp_path / "e.tnp"
+    save_params(make_frontend(FrontendConfig(kind=kind, seed=26)), path)
+    _rewrite_entries(path, edit)  # the payload length always fits the header
+    if match is None:
+        assert load_params(path).config.kind == kind
+    else:
+        with pytest.raises(ValueError, match=match):
+            load_params(path)
 
 
 def test_bundle_garbage_header_raises(tmp_path):
