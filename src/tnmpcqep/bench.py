@@ -21,7 +21,7 @@ W and 1/(W + eps) is a one-element share that mpc broadcasts over the d latents.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -84,7 +84,7 @@ def run_scenario(cfg: BenchConfig, scenario: int) -> CostReport:
     if scenario == 0:
         return CostReport(client_to_node_bits=n * (d + 1) * k)
     if scenario in _ACTIVE_OF:
-        return run_scenario(replace(cfg), _ACTIVE_OF[scenario]).scaled(2)
+        return run_scenario(cfg, _ACTIVE_OF[scenario]).scaled(2)
 
     client = n * (d + 1) * 6 * k
     node = n * d * 9 * k

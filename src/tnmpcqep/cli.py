@@ -58,6 +58,15 @@ def _write_csv(path, header, rows) -> None:
             writer.writerow([_cell(row[h]) for h in header])
 
 
+def _noise(args, parser, kind: str):
+    """The NoiseSpec of noise kind at --p and --gamma (None for noiseless); a value that
+    NoiseSpec rejects is a flag error."""
+    try:
+        return pipeline.noise_spec(kind, args.p, args.gamma)
+    except ValueError as exc:
+        parser.error(f"--noise {kind} --p {args.p} --gamma {args.gamma}: {exc}")
+
+
 def _check_nq(parser, counts, noise: bool) -> None:
     """Flag error unless every qubit count lies in [2, 16], or [2, 10] for noisy runs."""
     top = MAX_DENSITY_QUBITS if noise else _MAX_QUBITS
@@ -69,12 +78,14 @@ def _check_nq(parser, counts, noise: bool) -> None:
 
 
 def _cmd_bench_mpc(args, parser) -> int:
-    if args.theta < 1:
-        parser.error(f"--theta must be >= 1, got {args.theta}")
+    try:
+        bench.BenchConfig(k=args.k, theta=args.theta, division_strategy=args.strategy)
+    except ValueError as exc:
+        parser.error(f"--k {args.k} --theta {args.theta}: {exc}")
     if args.n_min < 1 or args.n_max < args.n_min:
         parser.error("need 1 <= --n-min <= --n-max")
-    if any(d < 1 for d in args.dims):
-        parser.error("--dims must be positive")
+    if not args.dims or min(args.dims) < 1:
+        parser.error(f"--dims must be positive integers, got {args.dims}")
     n_values = range(args.n_min, args.n_max + 1)
     rows = bench.sweep(n_values, args.dims, k=args.k, theta=args.theta,
                        division_strategy=args.strategy)
@@ -125,7 +136,7 @@ def _cmd_encode(args, parser) -> int:
 
 def _cmd_qep_run(args, parser) -> int:
     seed = _master_seed(args)
-    noise = pipeline.noise_spec(args.noise, args.p, args.gamma)
+    noise = _noise(args, parser, args.noise)
     _check_nq(parser, [args.nq], noise is not None)
     data = _load_or_synth(args, parser, seed)
     frontend = tn.make_frontend(tn.FrontendConfig(kind=args.kind, seed=seed))
@@ -145,7 +156,7 @@ def _cmd_qep_run(args, parser) -> int:
 
 
 def _cmd_qubit_sweep(args, parser) -> int:
-    noise = pipeline.noise_spec(args.noise, args.p, args.gamma)
+    noise = _noise(args, parser, args.noise)
     _check_nq(parser, args.nq, noise is not None)
     master = _master_seed(args)
     base = pipeline.DemoConfig(kind=args.frontend, n_train=args.n_train,
@@ -160,19 +171,15 @@ def _cmd_qubit_sweep(args, parser) -> int:
     baseline = pipeline.run_demo(
         replace(base, mode="classical"),
         data=pipeline.synth_data(args.n_train + args.n_test, seed=master))
-    rows.append({"mode": "classical", "n_q": 0, "d_q": 0, "seed": master,
-                 "accuracy": baseline.metrics.accuracy, "f1": baseline.metrics.f1[1],
-                 "alpha_mean": 0.0, "q_std": 0.0})
+    rows.append({"mode": "classical", "n_q": 0, "d_q": 0, "seed": master, **baseline.summary()})
     _write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} rows ({len(rows) - 1} quantum + 1 classical baseline) to {args.out}")
     return 0
 
 
 def _cmd_noise_sweep(args, parser) -> int:
-    for kind in args.noise:
-        if kind not in NOISE_KINDS:
-            parser.error(f"unknown noise kind {kind!r}, expected one of {NOISE_KINDS}")
-    _check_nq(parser, [args.nq], any(kind != "noiseless" for kind in args.noise))
+    noisy = [_noise(args, parser, kind) is not None for kind in args.noise]
+    _check_nq(parser, [args.nq], any(noisy))
     master = _master_seed(args)
     seeds = [master + i for i in range(args.seeds)]
     cfg = pipeline.DemoConfig(kind=args.frontend, n_train=args.n_train, n_test=args.n_test)
@@ -186,7 +193,7 @@ def _cmd_noise_sweep(args, parser) -> int:
 
 
 def _cmd_pipeline_demo(args, parser) -> int:
-    noise = pipeline.noise_spec(args.noise, args.p, args.gamma)
+    noise = _noise(args, parser, args.noise)
     _check_nq(parser, [args.nq], noise is not None)
     cfg = pipeline.DemoConfig(kind=args.kind, mode=args.mode, secure=args.secure,
                               n_q=args.nq, noise=noise, seed=_master_seed(args),
@@ -298,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline-demo", help="one end-to-end run, JSON report")
     p.add_argument("--kind", choices=FRONTEND_KINDS, default="ttn")
-    p.add_argument("--mode", choices=("classical", "quantum"), default="quantum")
+    p.add_argument("--mode", choices=pipeline.DEMO_MODES, default="quantum")
     p.add_argument("--secure", action="store_true")
     p.add_argument("--nq", type=int, default=8)
     p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")

@@ -14,7 +14,10 @@ through Mpc3Session.traffic and summing to the same total.
 Each op charges once, the bit-exact cost of the protocol it models:
 sharing 6k bits per element, multiplication 3k, opening 3k, truncation 6k
 and division 3k(k + 4*theta + 2).  Active security is a cost model only:
-every charge is doubled, the dataflow is unchanged.
+every charge is doubled, the dataflow is unchanged.  Truncation and the
+normalization inside division share one step, Mpc3Session._shift: it rebuilds
+the value, shifts it and reshares it, standing in for an interactive
+truncation, and is the one place outside open where a value is rebuilt.
 
 The binary ops (add, sub, mul, divide) take operands of one shape, or a
 one-dimensional first operand and a shape-(1,) second one, which stands for
@@ -35,7 +38,6 @@ from .ring import (
     MAX_K,
     FixedPointCodec,
     as_ring_array,
-    from_signed,
     radd,
     ring_mask,
     rmul,
@@ -250,13 +252,6 @@ class Mpc3Session:
         c = np.broadcast_to(np.atleast_1d(as_ring_array(const, self.k)), x.shape)
         return SharedTensor(rmul(x.components, c, self.k), self.k)
 
-    def sum(self, x: SharedTensor) -> SharedTensor:
-        """Sum all elements into a length-1 shared tensor (local)."""
-        total = np.add.reduce(x.components.reshape(3, -1), axis=1, dtype=np.uint64)
-        if self.k < MAX_K:
-            total &= np.uint64(ring_mask(self.k))
-        return SharedTensor(total[:, None], self.k)
-
     # -- interactive ops --
 
     def mul(self, x: SharedTensor, y: SharedTensor) -> SharedTensor:
@@ -272,16 +267,11 @@ class Mpc3Session:
     def truncate(self, x: SharedTensor, rounding: str = "floor") -> SharedTensor:
         """Divide by 2^F with floor semantics, staying shared; meters 6k bits/element.
 
-        Realized as an exact reshare of the arithmetic shift (deterministic,
-        error-free at the integer level); the 6k charge is the protocol model
-        cost of the interactive variant this stands in for.
+        Realized by _shift, an exact reshare of the arithmetic shift; the 6k
+        charge is the protocol model cost of the interactive variant this
+        stands in for.
         """
-        f = self.codec.fraction_bits
-        signed = to_signed(self._combine(x), self.k)
-        if rounding == "nearest":
-            signed = signed + (np.int64(1) << np.int64(f - 1)) if f > 0 else signed
-        # the shift's int64 bits as uint64, unreduced: _split reduces v_2 mod 2^k
-        out = self._split((signed >> np.int64(f)).view(np.uint64))
+        out = self._shift(x, np.int64(self.codec.fraction_bits), rounding)
         self.charge(NODE_TO_NODE, 6 * self.k * x.size, "trunc")
         return out
 
@@ -349,19 +339,20 @@ class Mpc3Session:
         comps[2] = rsub(rsub(values, comps[0], self.k), comps[1], self.k)
         return SharedTensor(comps, self.k)
 
-    def _scale_pow2(self, x: SharedTensor, exps: np.ndarray, rounding: str = "floor") -> SharedTensor:
-        """Multiply element j by 2^exps[j]; negative exponents truncate exactly."""
-        exps = np.broadcast_to(np.asarray(exps, dtype=np.int64), x.shape)
+    def _shift(self, x: SharedTensor, down, rounding: str) -> SharedTensor:
+        """Fresh sharing of x's value shifted right by down bits (a public int64 or one
+        per element); "nearest" first adds 2^(down-1) where down > 0."""
         signed = to_signed(self._combine(x), self.k)
-        up = np.where(exps > 0, exps, 0).astype(np.uint64)
-        down = np.where(exps < 0, -exps, 0)
-        scaled = rmul(from_signed(signed, self.k), np.uint64(1) << up, self.k)
-        s2 = to_signed(scaled, self.k)
         if rounding == "nearest":
-            bias = np.where(down > 0, np.int64(1) << np.int64(np.maximum(down - 1, 0)), 0)
-            s2 = s2 + bias * (down > 0)
-        s2 = s2 >> down.astype(np.int64)
-        return self._split(from_signed(s2, self.k))
+            signed = signed + np.where(down > 0, np.int64(1) << np.maximum(down - 1, 0), 0)
+        # the shift's int64 bits as uint64, unreduced: _split reduces v_2 mod 2^k
+        return self._split((signed >> down).view(np.uint64))
+
+    def _scale_pow2(self, x: SharedTensor, exps: np.ndarray, rounding: str = "floor") -> SharedTensor:
+        """Multiply element j by 2^exps[j]; negative exponents shift down exactly."""
+        exps = np.broadcast_to(np.asarray(exps, dtype=np.int64), x.shape)
+        up = self.mul_public(x, np.uint64(1) << np.maximum(exps, 0).astype(np.uint64))
+        return self._shift(up, np.maximum(-exps, 0), rounding)
 
 
 # --- straight-line programs and the plaintext oracle ---

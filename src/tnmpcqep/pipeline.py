@@ -130,19 +130,18 @@ def synth_data(n_samples: int, seed: int = 0) -> LabeledBatch:
     return LabeledBatch(images, labels)
 
 
-def partition_stratified(labels, n_clients: int):
-    """Deal each label's indices round-robin across clients.
+def _owners(labels, n_clients: int) -> np.ndarray:
+    """Each label's samples dealt round-robin over the clients: a sample's owner is
+    its rank among the samples of its label, mod n_clients.
 
     Per-client counts of every label land within one of proportional.
     """
     labels = np.asarray(labels)
-    if n_clients < 1:
-        raise ValueError(f"need at least one client, got {n_clients}")
-    buckets = [[] for _ in range(n_clients)]
+    owners = np.empty(labels.size, dtype=np.int64)
     for lab in np.unique(labels):
-        for j, s in enumerate(np.flatnonzero(labels == lab)):
-            buckets[j % n_clients].append(int(s))
-    return [np.array(sorted(b), dtype=np.int64) for b in buckets]
+        idx = np.flatnonzero(labels == lab)
+        owners[idx] = np.arange(idx.size) % n_clients
+    return owners
 
 
 # ------------------------------------------------------------------ IDX files
@@ -425,7 +424,7 @@ def select_threshold(scores, labels, metric: str = "youden") -> float:
 
 # ----------------------------------------------------------------------- demo
 
-_DEMO_MODES = ("classical", "quantum")
+DEMO_MODES = ("classical", "quantum")
 
 
 @dataclass(frozen=True)
@@ -458,8 +457,8 @@ class DemoConfig:
     def __post_init__(self):
         if self.kind not in FRONTEND_KINDS:
             raise ValueError(f"kind must be one of {FRONTEND_KINDS}, got {self.kind!r}")
-        if self.mode not in _DEMO_MODES:
-            raise ValueError(f"mode must be one of {_DEMO_MODES}, got {self.mode!r}")
+        if self.mode not in DEMO_MODES:
+            raise ValueError(f"mode must be one of {DEMO_MODES}, got {self.mode!r}")
         if self.observables not in qep.OBSERVABLE_MODES:
             raise ValueError(f"unknown observable mode {self.observables!r}")
         if self.noise is not None and not isinstance(self.noise, NoiseSpec):
@@ -506,6 +505,11 @@ class DemoReport:
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
+    def summary(self) -> dict:
+        """The sweep columns of a run: accuracy, positive-class F1, alpha_mean and q_std."""
+        return {"accuracy": self.metrics.accuracy, "f1": self.metrics.f1[1],
+                "alpha_mean": self.diagnostics.alpha_mean, "q_std": self.diagnostics.q_std}
+
 
 def _split(data: LabeledBatch, cfg: DemoConfig):
     m = len(data)
@@ -517,13 +521,6 @@ def _split(data: LabeledBatch, cfg: DemoConfig):
     if n_tr < 2:
         raise ValueError(f"batch of {m} samples is too small to split")
     return data.take(np.arange(n_tr)), data.take(np.arange(n_tr, n_tr + n_te))
-
-
-def _owners(labels, n_clients: int) -> np.ndarray:
-    owners = np.empty(len(labels), dtype=np.int64)
-    for c, idx in enumerate(partition_stratified(labels, n_clients)):
-        owners[idx] = c
-    return owners
 
 
 def _per_sample_aggregate(feats, owners, weights, acfg: bench.BenchConfig,
@@ -633,9 +630,6 @@ def noise_sweep(kinds=NOISE_SWEEP_KINDS, seeds=(0, 1, 2), n_q: int = 8,
                 "n_q": int(n_q),
                 "p": 0.0 if noise is None else p,
                 "gamma": 0.0 if noise is None else gamma,
-                "accuracy": report.metrics.accuracy,
-                "f1": report.metrics.f1[1],
-                "alpha_mean": report.diagnostics.alpha_mean,
-                "q_std": report.diagnostics.q_std,
+                **report.summary(),
             })
     return records

@@ -49,14 +49,6 @@ __all__ = [
 
 OBSERVABLE_MODES = ("nearest_neighbor", "all_pairs")
 
-# seeded sub-stream labels, one per parameter group
-_S_DELTA = 41
-_S_ENCODER = 42
-_S_DECODER = 43
-_S_BYPASS = 44
-_S_FUSION = 45
-_S_ALPHA = 46
-
 
 def suggest_qubits(d: int) -> int:
     """Smallest N_q with N_q^2 >= d (square-root scaling of the latent)."""
@@ -66,16 +58,12 @@ def suggest_qubits(d: int) -> int:
     return root if root * root == d else root + 1
 
 
-def _check_observables(n_q: int, mode: str) -> None:
+def observable_set(n_q: int, mode: str = "nearest_neighbor"):
+    """Deterministically ordered Pauli terms: X's, then Z's, then ZZ pairs."""
     if n_q < 2:
         raise ValueError("need at least 2 qubits for two-body observables")
     if mode not in OBSERVABLE_MODES:
         raise ValueError(f"mode must be one of {OBSERVABLE_MODES}, got {mode!r}")
-
-
-def observable_set(n_q: int, mode: str = "nearest_neighbor"):
-    """Deterministically ordered Pauli terms: X's, then Z's, then ZZ pairs."""
-    _check_observables(n_q, mode)
     terms = [PauliTerm(((q, "X"),)) for q in range(n_q)]
     terms += [PauliTerm(((q, "Z"),)) for q in range(n_q)]
     if mode == "nearest_neighbor":
@@ -93,10 +81,8 @@ def _observable_terms(n_q: int, mode: str) -> tuple:
 
 
 def observable_count(n_q: int, mode: str = "nearest_neighbor") -> int:
-    """len(observable_set(n_q, mode)) without building the terms."""
-    _check_observables(n_q, mode)
-    pairs = n_q - 1 if mode == "nearest_neighbor" else n_q * (n_q - 1) // 2
-    return 2 * n_q + pairs
+    """len(observable_set(n_q, mode)), from the cached terms."""
+    return len(_observable_terms(n_q, mode))
 
 
 @dataclass(frozen=True)
@@ -113,7 +99,7 @@ class QepDiagnostics:
 
 @dataclass(frozen=True)
 class QepParams:
-    """All processor parameters; shapes keyed by (d, n_q, d_q).
+    """All processor parameters; the arrays have the shapes that _draws lists.
 
     beta is stored directly in [0, 1]; the endpoints are legal so the mixing
     identities are expressible.
@@ -126,20 +112,20 @@ class QepParams:
     beta: float
     mode: str
     seed: int
-    delta: np.ndarray  # (layers, n_q, 2)
-    enc_w1: np.ndarray  # (2n_q, d)
+    delta: np.ndarray
+    enc_w1: np.ndarray
     enc_b1: np.ndarray
-    enc_w2: np.ndarray  # (2n_q, 2n_q)
+    enc_w2: np.ndarray
     enc_b2: np.ndarray
-    dec_w1: np.ndarray  # (d, d_q)
+    dec_w1: np.ndarray
     dec_b1: np.ndarray
-    dec_w2: np.ndarray  # (d, d)
+    dec_w2: np.ndarray
     dec_b2: np.ndarray
-    bp_w: np.ndarray  # (d, 2n_q)
+    bp_w: np.ndarray
     bp_b: np.ndarray
-    fus_w: np.ndarray  # (d, 2d)
+    fus_w: np.ndarray
     fus_b: np.ndarray
-    alpha_w: np.ndarray  # (d,)
+    alpha_w: np.ndarray
     alpha_b: float
 
     def __post_init__(self):
@@ -151,31 +137,33 @@ class QepParams:
             raise ValueError("angle scale must be non-negative")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError("beta must lie in [0, 1]")
-        d, nq, dq = self.d, self.n_q, self.d_q
-        expected = {
-            "delta": (self.layers, nq, 2),
-            "enc_w1": (2 * nq, d),
-            "enc_b1": (2 * nq,),
-            "enc_w2": (2 * nq, 2 * nq),
-            "enc_b2": (2 * nq,),
-            "dec_w1": (d, dq),
-            "dec_b1": (d,),
-            "dec_w2": (d, d),
-            "dec_b2": (d,),
-            "bp_w": (d, 2 * nq),
-            "bp_b": (d,),
-            "fus_w": (d, 2 * d),
-            "fus_b": (d,),
-            "alpha_w": (d,),
-        }
-        for name, shape in expected.items():
-            got = np.asarray(getattr(self, name)).shape
-            if got != shape:
-                raise ValueError(f"{name} has shape {got}, expected {shape}")
+        for names in _draws(self.d, self.n_q, self.layers, self.d_q).values():
+            for name, shape in names:
+                got = np.asarray(getattr(self, name)).shape
+                if got != shape:
+                    raise ValueError(f"{name} has shape {got}, expected {shape}")
 
     @property
     def d_q(self) -> int:
         return observable_count(self.n_q, self.mode)
+
+
+def _draws(d: int, n_q: int, layers: int, d_q: int) -> dict:
+    """Per seeded stream label, one per parameter group, the (name, shape) of each
+    array in draw order.
+
+    A weight (a name with "_w") is N(0, 1/fan_in), fan_in its last axis; anything
+    else is 0.1*N(0, 1).  alpha_b is drawn at shape () and stored as a float.
+    """
+    e = 2 * n_q
+    return {
+        41: (("delta", (layers, n_q, 2)),),
+        42: (("enc_w1", (e, d)), ("enc_b1", (e,)), ("enc_w2", (e, e)), ("enc_b2", (e,))),
+        43: (("dec_w1", (d, d_q)), ("dec_b1", (d,)), ("dec_w2", (d, d)), ("dec_b2", (d,))),
+        44: (("bp_w", (d, e)), ("bp_b", (d,))),
+        45: (("fus_w", (d, 2 * d)), ("fus_b", (d,))),
+        46: (("alpha_w", (d,)), ("alpha_b", ())),
+    }
 
 
 def make_qep(d: int = 64, n_q: int | None = None, layers: int = 2, scale: float = 0.5,
@@ -183,32 +171,16 @@ def make_qep(d: int = 64, n_q: int | None = None, layers: int = 2, scale: float 
     """Seeded parameter draw; n_q defaults to suggest_qubits(d)."""
     if n_q is None:
         n_q = suggest_qubits(d)
-    dq = observable_count(n_q, mode)
-    g_delta = _rng(seed, _S_DELTA)
-    delta = 0.1 * g_delta.standard_normal((layers, n_q, 2))
-    g = _rng(seed, _S_ENCODER)
-    enc_w1 = g.standard_normal((2 * n_q, d)) / np.sqrt(d)
-    enc_b1 = 0.1 * g.standard_normal(2 * n_q)
-    enc_w2 = g.standard_normal((2 * n_q, 2 * n_q)) / np.sqrt(2 * n_q)
-    enc_b2 = 0.1 * g.standard_normal(2 * n_q)
-    g = _rng(seed, _S_DECODER)
-    dec_w1 = g.standard_normal((d, dq)) / np.sqrt(dq)
-    dec_b1 = 0.1 * g.standard_normal(d)
-    dec_w2 = g.standard_normal((d, d)) / np.sqrt(d)
-    dec_b2 = 0.1 * g.standard_normal(d)
-    g = _rng(seed, _S_BYPASS)
-    bp_w = g.standard_normal((d, 2 * n_q)) / np.sqrt(2 * n_q)
-    bp_b = 0.1 * g.standard_normal(d)
-    g = _rng(seed, _S_FUSION)
-    fus_w = g.standard_normal((d, 2 * d)) / np.sqrt(2 * d)
-    fus_b = 0.1 * g.standard_normal(d)
-    g = _rng(seed, _S_ALPHA)
-    alpha_w = g.standard_normal(d) / np.sqrt(d)
-    alpha_b = float(0.1 * g.standard_normal())
-    return QepParams(d, n_q, layers, scale, beta, mode, seed, delta,
-                     enc_w1, enc_b1, enc_w2, enc_b2,
-                     dec_w1, dec_b1, dec_w2, dec_b2,
-                     bp_w, bp_b, fus_w, fus_b, alpha_w, alpha_b)
+    arrays = {}
+    for label, names in _draws(d, n_q, layers, observable_count(n_q, mode)).items():
+        g = _rng(seed, label)
+        for name, shape in names:
+            if "_w" in name:
+                arrays[name] = g.standard_normal(shape) / np.sqrt(shape[-1])
+            else:
+                arrays[name] = 0.1 * g.standard_normal(shape)
+    arrays["alpha_b"] = float(arrays["alpha_b"])
+    return QepParams(d, n_q, layers, scale, beta, mode, seed, **arrays)
 
 
 def _affine(w, b, xs):
@@ -337,9 +309,6 @@ def qubit_sweep(batch, n_q_list, *, config=None):
             "d_q": observable_count(int(n_q), cfg.observables),
             "seed": cfg.seed,
             "runtime_s": runtime,
-            "accuracy": report.metrics.accuracy,
-            "f1": report.metrics.f1[1],
-            "alpha_mean": report.diagnostics.alpha_mean,
-            "q_std": report.diagnostics.q_std,
+            **report.summary(),
         })
     return records

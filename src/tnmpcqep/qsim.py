@@ -492,14 +492,11 @@ class DensityMatrix:
 
     def apply_single(self, gate: np.ndarray, q: int) -> None:
         """gate . rho . gate^dagger, as the one-Kraus channel [gate]."""
-        self.apply_channel(kraus_superoperator([gate]), q)
-
-    def apply_channel(self, superop: np.ndarray, q: int) -> None:
-        """One-qubit channel given as a (2,2,2,2) superoperator S[r,s,u,v]."""
-        self._evolve([(superop, q)])
+        self._evolve([(kraus_superoperator([gate]), q)])
 
     def _evolve(self, ops) -> None:
-        """Apply ops in order: (superop, q) is a channel, (None, control, target) a CNOT.
+        """Apply ops in order: (superop, q) is a one-qubit channel given as a (2,2,2,2)
+        superoperator S[r,s,u,v], (None, control, target) a CNOT.
 
         rho's 2n axes live in a tracked storage order between ops.  A channel on q
         copies rho once, with the row and column axis of q in front, and contracts
@@ -540,7 +537,7 @@ class DensityMatrix:
         self.rho, self._scratch = cur, other
 
     def apply_kraus(self, kraus, q: int) -> None:
-        self.apply_channel(kraus_superoperator(kraus), q)
+        self._evolve([(kraus_superoperator(kraus), q)])
 
     def check_trace(self) -> None:
         """|tr rho - 1| <= 1e-9: O(2^n), cheap enough for every run."""

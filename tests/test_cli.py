@@ -44,6 +44,28 @@ def test_bench_rejects_theta_zero(tmp_path, capsys):
     assert "--theta" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["bench-mpc", "--k", "4"], "--k 4"),
+    (["bench-mpc", "--k", "16"], "--k 16"),  # F = 20 fraction bits do not fit 16
+    (["bench-mpc", "--dims", ","], "--dims"),
+    (["qep-run", "--noise", "depolarizing", "--p", "1.5"], "--p 1.5"),
+    (["qep-run", "--noise", "thermal", "--gamma", "-0.1"], "--gamma -0.1"),
+    (["pipeline-demo", "--noise", "depolarizing", "--p", "1.5"], "--p 1.5"),
+    (["pipeline-demo", "--noise", "mixed", "--gamma", "-0.1"], "--gamma -0.1"),
+    (["qubit-sweep", "--nq", "4", "--noise", "mixed", "--p", "1.5"], "--p 1.5"),
+    (["qubit-sweep", "--nq", "4", "--noise", "thermal", "--gamma", "-0.1"], "--gamma -0.1"),
+    (["noise-sweep", "--p", "1.5"], "--p 1.5"),
+    (["noise-sweep", "--noise", "noiseless,thermal", "--gamma", "-0.1"], "--gamma -0.1"),
+])
+def test_values_the_library_rejects_are_flag_errors(tmp_path, capsys, argv, named):
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_prints_active_passive_ratio_table(tmp_path, capsys):
     run_cli(["bench-mpc", "--n-max", "3", "--dims", "64", "--out", str(tmp_path / "b.csv")])
     text = capsys.readouterr().out

@@ -3,12 +3,12 @@
 scripts/golden_outputs.sh writes every deterministic output of the command line
 and the demos; the files named in golden_digests.json are the ones of those that
 run in a few seconds, one or more per layer: the plain and secure demo reports,
-one encode per frontend kind, a saved MERA parameter bundle (the kind with every
-entry), a 16-qubit all-pairs readout, a noisy run, the invariant suite and the
-simulator demo.  The test regenerates them in a
-subprocess with one BLAS thread, set before numpy loads (the last bits of the
-16-qubit readout depend on the thread count, and this process cannot change it
-once numpy is loaded), and compares digests.
+the cost grid, one encode per frontend kind, a saved MERA parameter bundle (the
+kind with every entry), a 16-qubit all-pairs readout, a noisy run, a qubit sweep
+with its classical row, the invariant suite and the simulator demo.  The test
+regenerates them in a subprocess with one BLAS thread, set before numpy loads
+(the last bits of the 16-qubit readout depend on the thread count, and this
+process cannot change it once numpy is loaded), and compares digests.
 
 A change that moves these bytes on purpose refreshes the digests in its own diff:
 
@@ -37,12 +37,15 @@ _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THR
 _COMMANDS = {
     "pipeline_demo.json": ["pipeline-demo"],
     "pipeline_demo_secure.json": ["pipeline-demo", "--secure"],
+    "bench_mpc.csv": ["bench-mpc", "--n-max", "6", "--dims", "8,64", "--theta", "3"],
     "encode_mps.csv": ["encode", "--kind", "mps", "--n", "70"],
     "encode_ttn.csv": ["encode", "--kind", "ttn", "--n", "70"],
     "encode_mera.csv": ["encode", "--kind", "mera", "--n", "70"],
     "params_mera.tnp": ["encode", "--kind", "mera", "--n", "2", "--out", os.devnull],
     "qep_run_nq16_all_pairs.csv": ["qep-run", "--nq", "16", "--observables", "all_pairs", "--n", "2"],
     "qep_run_mixed.csv": ["qep-run", "--noise", "mixed"],
+    "qubit_sweep.csv": ["qubit-sweep", "--nq", "4,8,12", "--seeds", "1", "--n-train", "64",
+                        "--n-test", "32"],
     "verify.txt": ["verify"],
 }
 _DEMO = "demo_qsim_noise.txt", ROOT / "demos" / "qsim_noise.py"

@@ -130,7 +130,6 @@ def test_session_add_sub_public_ops():
     assert [int(v) for v in s.open(s.sub(x, y))] == [9, 18, 27]
     assert [int(v) for v in s.open(s.mul_public(x, 3))] == [30, 60, 90]
     assert [int(v) for v in s.open(s.add_public(x, 5))] == [15, 25, 35]
-    assert int(s.open(s.sum(x))[0]) == 60
 
 
 def test_secure_mul_integers():
@@ -454,15 +453,18 @@ def test_muted_nests_and_restores_metering_after_an_exception():
 
 @pytest.mark.parametrize("k", [64, 32])
 def test_sum_wraps_mod_2k_without_an_overflow_warning(k):
+    # add sums two shares' components and open sums the three components; both wrap
     s = Mpc3Session(k=k)
     top = (1 << k) - 1
     x = s.share(np.full(5, top, dtype=np.uint64))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        total = s.sum(x)
-    assert total.shape == (1,)
+        total = x
+        for _ in range(4):
+            total = s.add(total, x)
+        opened = s.open(total)
     assert total.components.max() <= top
-    assert int(s.open(total)[0]) == (5 * top) % (1 << k)
+    assert [int(v) for v in opened] == [(5 * top) % (1 << k)] * 5
 
 
 def test_traffic_per_primitive_sums_to_the_link_counters():
@@ -515,6 +517,22 @@ def _old_truncate(session, x, rounding):
     return _old_split(session.rng, from_signed(signed >> np.int64(f), k), k)
 
 
+def _old_scale_pow2(session, x, exps, rounding):
+    """_scale_pow2 as one function: rebuild, scale up, round, shift down, reshare."""
+    k = session.k
+    exps = np.broadcast_to(np.asarray(exps, dtype=np.int64), x.shape)
+    signed = to_signed(_old_combine(x, k), k)
+    up = np.where(exps > 0, exps, 0).astype(np.uint64)
+    down = np.where(exps < 0, -exps, 0)
+    scaled = rmul(from_signed(signed, k), np.uint64(1) << up, k)
+    s2 = to_signed(scaled, k)
+    if rounding == "nearest":
+        bias = np.where(down > 0, np.int64(1) << np.int64(np.maximum(down - 1, 0)), 0)
+        s2 = s2 + bias * (down > 0)
+    s2 = s2 >> down.astype(np.int64)
+    return _old_split(session.rng, from_signed(s2, k), k)
+
+
 def _old_divide(s, num, den):
     """divide with its constants encoded on every call and the old truncate and mul."""
     codec, k = s.codec, s.k
@@ -528,8 +546,8 @@ def _old_divide(s, num, den):
 
     den_signed = to_signed(_old_combine(den, k), k)
     widths = np.array([int(v).bit_length() for v in den_signed], dtype=np.int64)
-    b0 = s._scale_pow2(den, f - widths, rounding="nearest")
-    n0 = s._scale_pow2(num, f - widths, rounding="nearest")
+    b0 = SharedTensor(_old_scale_pow2(s, den, f - widths, "nearest"), k)
+    n0 = SharedTensor(_old_scale_pow2(s, num, f - widths, "nearest"), k)
     r = s.add_public(s.neg(s.mul_public(b0, 2)), codec.encode_array(2.9142))
     two = codec.encode_array(2.0)
     for _ in range(s.theta):
@@ -561,6 +579,21 @@ def test_mul_truncate_and_open_are_bit_identical_to_their_old_forms(k, seed, dat
                 _old_truncate(old, b, rounding).tobytes()
     assert s._combine(z).tobytes() == _old_combine(z, k).tobytes()
     assert s.open(x).tobytes() == _old_combine(x, k).tobytes()
+    assert s.rng.bit_generator.state == old.rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([64, 16]), seed=st.integers(0, 2**32), data=st.data())
+def test_scale_pow2_is_bit_identical_to_its_old_form(k, seed, data):
+    m = data.draw(st.integers(1, 12))
+    ints = st.integers(-(1 << (k - 1)), (1 << (k - 1)) - 1)
+    xv = np.array(data.draw(st.lists(ints, min_size=m, max_size=m)), dtype=np.int64)
+    exps = data.draw(st.lists(st.integers(-(k - 1), k - 1), min_size=m, max_size=m))
+    s, old = _twins(k, seed)
+    x, xo = s.share(xv), old.share(xv)
+    for rounding in ("floor", "nearest"):
+        assert s._scale_pow2(x, exps, rounding).components.tobytes() == \
+            _old_scale_pow2(old, xo, exps, rounding).tobytes()
     assert s.rng.bit_generator.state == old.rng.bit_generator.state
 
 

@@ -18,7 +18,6 @@ from tnmpcqep.pipeline import (
     aggregate_secure,
     evaluate,
     load_idx,
-    partition_stratified,
     readout_grad,
     readout_loss,
     readout_scores,
@@ -729,23 +728,42 @@ def test_labeled_batch_validation():
         LabeledBatch(np.zeros((1, 28, 28)), np.array([2]))
 
 
-def test_partition_stratified_counts_within_one_of_proportional():
+def _bucket_owners(labels, n_clients):
+    """The dealing written out: one bucket per client, each label's indices dealt
+    round-robin into the buckets, then each bucket's indices marked with its client."""
+    buckets = [[] for _ in range(n_clients)]
+    for lab in np.unique(labels):
+        for j, s in enumerate(np.flatnonzero(labels == lab)):
+            buckets[j % n_clients].append(int(s))
+    owners = np.full(len(labels), -1, dtype=np.int64)
+    for c, idx in enumerate(buckets):
+        owners[idx] = c
+    return owners
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=st.lists(st.integers(0, 3), min_size=1, max_size=120),
+       n_clients=st.integers(1, 20))
+def test_owners_are_the_round_robin_bucket_dealing(labels, n_clients):
+    labels = np.array(labels, dtype=np.int64)
+    got = pipeline._owners(labels, n_clients)
+    assert got.dtype == np.int64
+    assert got.tobytes() == _bucket_owners(labels, n_clients).tobytes()
+
+
+def test_owners_deal_each_label_within_one_of_proportional():
     rng = np.random.default_rng(40)
     for _ in range(25):
         m = int(rng.integers(2, 120))
         n_clients = int(rng.integers(1, 20))
         labels = rng.integers(0, 2, size=m)
-        parts = partition_stratified(labels, n_clients)
-        assert len(parts) == n_clients
-        joined = np.concatenate(parts)
-        assert np.array_equal(np.sort(joined), np.arange(m))  # exact partition
+        owners = pipeline._owners(labels, n_clients)
+        assert owners.shape == (m,) and owners.min() >= 0 and owners.max() < n_clients
         for lab in (0, 1):
             total = int(np.sum(labels == lab))
-            for idx in parts:
-                got = int(np.sum(labels[idx] == lab))
+            for c in range(n_clients):
+                got = int(np.sum(labels[owners == c] == lab))
                 assert abs(got - total / n_clients) < 1.0 + 1e-9
-    with pytest.raises(ValueError, match="at least one client"):
-        partition_stratified(np.array([0, 1]), 0)
 
 
 # ----------------------------------------------------------------------- demo
@@ -767,6 +785,8 @@ def test_demo_config_validation_and_echo():
         DemoConfig(noise="mixed")
     with pytest.raises(ValueError, match="threshold metric"):
         DemoConfig(threshold_metric="auc")
+    with pytest.raises(ValueError, match="at least one client"):
+        DemoConfig(n_clients=0)  # the client dealing needs one
 
 
 SMALL = dict(n_train=60, n_test=20)

@@ -6,6 +6,7 @@ alpha) and white-box where they are not.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from tnmpcqep.qep import (
     suggest_qubits,
 )
 from tnmpcqep.qsim import NOISELESS, NoiseSpec, expectation, run_circuit, run_noisy
+from tnmpcqep.tn import _rng
 
 
 # ------------------------------------------------------------ suggest_qubits
@@ -104,6 +106,60 @@ def test_qep_params_validation():
         dataclasses.replace(good, delta=np.zeros((1, 4, 2)))  # wrong layer count
     with pytest.raises(ValueError):
         make_qep(d=16, n_q=1, seed=2)
+
+
+_ARRAYS = ("delta", "enc_w1", "enc_b1", "enc_w2", "enc_b2", "dec_w1", "dec_b1", "dec_w2",
+           "dec_b2", "bp_w", "bp_b", "fus_w", "fus_b", "alpha_w", "alpha_b")
+
+
+def _written_out_draws(d, n_q, layers, mode, seed):
+    """make_qep's draws spelled out stream by stream, in the order they are drawn."""
+    dq = len(observable_set(n_q, mode))
+    g = _rng(seed, 41)
+    delta = 0.1 * g.standard_normal((layers, n_q, 2))
+    g = _rng(seed, 42)
+    enc_w1 = g.standard_normal((2 * n_q, d)) / np.sqrt(d)
+    enc_b1 = 0.1 * g.standard_normal(2 * n_q)
+    enc_w2 = g.standard_normal((2 * n_q, 2 * n_q)) / np.sqrt(2 * n_q)
+    enc_b2 = 0.1 * g.standard_normal(2 * n_q)
+    g = _rng(seed, 43)
+    dec_w1 = g.standard_normal((d, dq)) / np.sqrt(dq)
+    dec_b1 = 0.1 * g.standard_normal(d)
+    dec_w2 = g.standard_normal((d, d)) / np.sqrt(d)
+    dec_b2 = 0.1 * g.standard_normal(d)
+    g = _rng(seed, 44)
+    bp_w = g.standard_normal((d, 2 * n_q)) / np.sqrt(2 * n_q)
+    bp_b = 0.1 * g.standard_normal(d)
+    g = _rng(seed, 45)
+    fus_w = g.standard_normal((d, 2 * d)) / np.sqrt(2 * d)
+    fus_b = 0.1 * g.standard_normal(d)
+    g = _rng(seed, 46)
+    alpha_w = g.standard_normal(d) / np.sqrt(d)
+    alpha_b = float(0.1 * g.standard_normal())
+    return dict(zip(_ARRAYS, (delta, enc_w1, enc_b1, enc_w2, enc_b2, dec_w1, dec_b1, dec_w2,
+                              dec_b2, bp_w, bp_b, fus_w, fus_b, alpha_w, alpha_b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 100), n_q=st.integers(2, 12), layers=st.integers(1, 3),
+       mode=st.sampled_from(qep.OBSERVABLE_MODES), seed=st.integers(0, 2**32))
+def test_make_qep_draws_what_the_written_out_streams_draw(d, n_q, layers, mode, seed):
+    params = make_qep(d=d, n_q=n_q, layers=layers, mode=mode, seed=seed)
+    want = _written_out_draws(d, n_q, layers, mode, seed)
+    assert type(params.alpha_b) is float and params.alpha_b == want.pop("alpha_b")
+    for name, arr in want.items():
+        got = getattr(params, name)
+        assert got.dtype == arr.dtype and got.shape == arr.shape, name
+        assert got.tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("name", _ARRAYS)
+def test_qep_params_names_the_one_array_of_the_wrong_shape(name):
+    good = make_qep(d=6, n_q=3, layers=2, seed=4)
+    bad = np.asarray(getattr(good, name))[None]  # one extra leading axis
+    with pytest.raises(ValueError, match=re.escape(f"{name} has shape {bad.shape}, expected")):
+        dataclasses.replace(good, **{name: bad})
+    dataclasses.replace(good, **{name: getattr(good, name)})  # the unchanged array passes
 
 
 # -------------------------------------------------------------- angle coding

@@ -321,7 +321,7 @@ def test_density_evolution_allocates_no_full_size_array():
     tracemalloc.start()
     try:
         for q in range(n - 1):
-            dm.apply_channel(hit, q)
+            dm._evolve([(hit, q)])
             dm._evolve([(None, q, q + 1)])
         for t in terms:
             dm.expectation(t)
@@ -609,11 +609,8 @@ def test_evolution_is_bit_identical_to_gather_scatter_and_flip_cnot(case):
     whole = DensityMatrix(n, rho)
     whole._evolve(ops)
     one_by_one = DensityMatrix(n, rho)
-    for superop, *qubits in ops:
-        if superop is None:
-            one_by_one._evolve([(None, *qubits)])
-        else:
-            one_by_one.apply_channel(superop, *qubits)
+    for op in ops:
+        one_by_one._evolve([op])
     for dm in (whole, one_by_one):
         assert dm.rho.shape == (2**n, 2**n) and dm.rho.flags.c_contiguous
         assert dm.rho.tobytes() == want
