@@ -324,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_seed(p)
     p.set_defaults(func=_cmd_verify)
 
+    for command in sub.choices.values():  # a flag error prints its own command's usage
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -331,7 +333,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except Exception as exc:  # runtime failure, distinct from flag errors
         print(f"error: {exc}", file=sys.stderr)
         return 1

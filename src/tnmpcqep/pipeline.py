@@ -606,10 +606,10 @@ NOISE_SWEEP_KINDS = NOISE_KINDS
 
 
 def noise_spec(kind: str, p: float, gamma: float) -> Optional[NoiseSpec]:
-    """The NoiseSpec of a noise kind at strengths p and gamma; None for noiseless."""
-    if kind == "noiseless":
-        return None
-    return NoiseSpec(kind=kind, p=p, gamma_amp=gamma, gamma_phase=gamma)
+    """The NoiseSpec of a noise kind at strengths p and gamma; None for noiseless.
+    NoiseSpec checks the kind and both strengths, for noiseless too."""
+    spec = NoiseSpec(kind=kind, p=p, gamma_amp=gamma, gamma_phase=gamma)
+    return None if spec.is_noiseless else spec
 
 
 def noise_sweep(kinds=NOISE_SWEEP_KINDS, seeds=(0, 1, 2), n_q: int = 8,

@@ -29,11 +29,15 @@ density matrix is a C-ordered (2^n, 2^n) array, i.e. the same layout on 2n axes
 keeps the 2n axes in a tracked storage order: a channel on q copies rho once,
 with q's row and column axes in front, for one 4x4 matmul against the
 (4, rest) block, and a CNOT rides along the next copy, which reads the target
-axis backwards where the control is 1.  A last copy restores C order.  Copies
-are exact and each matmul column is the same 4x4 product in any column order,
-so the bytes do not depend on the storage orders.  Density-matrix evolution is
-exact, limited to 10 qubits, and every noisy run ends with a check that
-|tr rho - 1| <= 1e-9.
+axis backwards where the control is 1.  A fresh density matrix starts as a
+product block: until the first CNOT, the first layer's channels act on distinct
+qubits of |0...0><0...0|, so rho grows from [1] a qubit at a time, each step the
+same 4x4 matmul on the block padded with zeros, and the first CNOT's copy reads
+the finished block where it lies.  Copies are exact and each matmul column is
+the same 4x4 product in any column order, so the bytes do not depend on the
+storage orders.  rho and the scratch are the two halves of one block.
+Density-matrix evolution is exact, limited to 10 qubits, and every noisy run
+ends in C order with a check that |tr rho - 1| <= 1e-9.
 """
 
 from __future__ import annotations
@@ -434,17 +438,20 @@ def _channel_sequences(noise: NoiseSpec):
 
 
 def kraus_superoperator(kraus) -> np.ndarray:
-    """S[r,s,u,v] = sum_i K_i[r,u] conj(K_i[s,v]), so rho'_{rs} = S[r,s,u,v] rho_{uv}."""
+    """S[r,s,u,v] = sum_i K_i[r,u] conj(K_i[s,v]), so rho'_{rs} = S[r,s,u,v] rho_{uv};
+    a (..., i, 2, 2) stack of Kraus families gives a (..., 2, 2, 2, 2) stack of maps."""
     ks = np.asarray(kraus, dtype=complex)
-    return np.einsum("iru,isv->rsuv", ks, ks.conj())
+    return np.einsum("...iru,...isv->...rsuv", ks, ks.conj())
 
 
 def compose_superoperators(superops) -> Optional[np.ndarray]:
-    """Fuse channels applied left to right into one map; None when the list is empty."""
+    """Fuse channels applied left to right into one map; None when the list is empty.
+    Each entry is a (2, 2, 2, 2) map or a stack of them, and stacks broadcast."""
     flat = None
     for s in superops:
-        flat = s.reshape(4, 4) if flat is None else s.reshape(4, 4) @ flat
-    return None if flat is None else flat.reshape(2, 2, 2, 2)
+        s = np.reshape(s, np.shape(s)[:-4] + (4, 4))
+        flat = s if flat is None else s @ flat
+    return None if flat is None else flat.reshape(flat.shape[:-2] + (2, 2, 2, 2))
 
 
 def _cnot_axes(n: int, control: Optional[int]):
@@ -482,13 +489,15 @@ class DensityMatrix:
             )
         self.n_qubits = n_qubits
         dim = 2**n_qubits
+        # rho and the scratch that channels and CNOTs stage through are the halves of one
+        # block: evolution allocates no rho-sized array, and a freed block is reused whole
+        self.rho, self._scratch = np.empty((2, dim, dim), dtype=complex)
+        self._zero = rho is None  # rho is |0...0><0...0| until the first evolution
         if rho is None:
-            rho = np.zeros((dim, dim), dtype=complex)
-            rho[0, 0] = 1.0
-        # a private C-ordered copy: in-place gates never write into the caller's array
-        self.rho = np.array(rho, dtype=complex, order="C").reshape(dim, dim)
-        # channels and CNOTs stage through it, so evolution allocates no rho-sized array
-        self._scratch = np.empty_like(self.rho)
+            self.rho.fill(0.0)
+            self.rho[0, 0] = 1.0
+        else:  # a private copy: in-place gates never write into the caller's array
+            self.rho[...] = np.reshape(rho, (dim, dim))
 
     def apply_single(self, gate: np.ndarray, q: int) -> None:
         """gate . rho . gate^dagger, as the one-Kraus channel [gate]."""
@@ -501,7 +510,12 @@ class DensityMatrix:
         rho's 2n axes live in a tracked storage order between ops.  A channel on q
         copies rho once, with the row and column axis of q in front, and contracts
         that (4, rest) block against S.  A CNOT is held and rides along the next copy.
-        One last copy puts rho back in C order.
+        On a fresh |0...0><0...0|, the leading run of channels on distinct qubits
+        q_0, q_1, ... instead grows a product block in rho's first 4^k entries, stored
+        as [q_k, n+q_k, ..., q_0, n+q_0] behind the untouched qubits' axes (all 0):
+        each step writes the block into row 0 of a zeroed (4, 4^k) operand in the
+        scratch and applies the same 4x4 matmul back into rho.  One last copy puts rho
+        back in C order.
         """
         n = self.n_qubits
         for op in ops:  # every op is checked before rho moves
@@ -513,7 +527,22 @@ class DensityMatrix:
                 raise ValueError(f"not a (superop, q) channel or (None, control, target) CNOT: {op!r}")
         cur, other = self.rho, self._scratch
         order, pending = list(range(2 * n)), None  # storage axis i holds logical axis order[i]
-        for superop, *qubits in ops:
+        grown = []  # the qubits of the product block, oldest first
+        if self._zero:
+            block, pad = cur.reshape(-1), other.reshape(-1)
+            for superop, *qubits in ops:
+                if superop is None or qubits[0] in grown:
+                    break
+                size = 4 ** len(grown)
+                pad[:size] = block[:size]
+                pad[size : 4 * size] = 0.0
+                np.matmul(np.reshape(superop, (4, 4)), pad[: 4 * size].reshape(4, size),
+                          out=block[: 4 * size].reshape(4, size))
+                grown.append(qubits[0])
+            front = [a for q in reversed(grown) for a in (q, n + q)]
+            order = [a for a in order if a not in front] + front
+            self._zero = False
+        for superop, *qubits in ops[len(grown):]:
             if superop is None and pending is None:
                 pending = qubits[0]
                 continue
@@ -579,13 +608,14 @@ def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
     # the same channel stack lands after every gate, so fuse it once up front
     hit_map = compose_superoperators(kraus_superoperator(k) for k in _channel_sequences(noise))
     hits = [] if hit_map is None else [hit_map]
+    # Ry, noise, Rz, noise on one qubit compose into a single map; the maps of every
+    # gate are built at once, each gate a Kraus family of one operator
+    ry = kraus_superoperator(ry_matrix(angles[..., 0])[..., None, :, :])
+    rz = kraus_superoperator(rz_matrix(angles[..., 1])[..., None, :, :])
+    gates = compose_superoperators([ry, *hits, rz, *hits])
     ops = []  # (superop, q) channels and (None, q, q + 1) CNOTs, in circuit order
     for layer in range(angles.shape[0]):
-        for q in range(n):
-            # Ry, noise, Rz, noise on one qubit compose into a single map
-            ry = kraus_superoperator([ry_matrix(angles[layer, q, 0])])
-            rz = kraus_superoperator([rz_matrix(angles[layer, q, 1])])
-            ops.append((compose_superoperators([ry, *hits, rz, *hits]), q))
+        ops += [(gates[layer, q], q) for q in range(n)]
         for q in range(n - 1):
             ops += [(None, q, q + 1)] + [(h, c) for c in (q, q + 1) for h in hits]
     dm._evolve(ops)

@@ -56,6 +56,11 @@ def test_bench_rejects_theta_zero(tmp_path, capsys):
     (["qubit-sweep", "--nq", "4", "--noise", "thermal", "--gamma", "-0.1"], "--gamma -0.1"),
     (["noise-sweep", "--p", "1.5"], "--p 1.5"),
     (["noise-sweep", "--noise", "noiseless,thermal", "--gamma", "-0.1"], "--gamma -0.1"),
+    # the strengths are checked under the default --noise noiseless too
+    (["qep-run", "--p", "1.5"], "--p 1.5"),
+    (["pipeline-demo", "--gamma", "-0.1"], "--gamma -0.1"),
+    (["qubit-sweep", "--nq", "4", "--p", "1.5"], "--p 1.5"),
+    (["noise-sweep", "--noise", "noiseless", "--gamma", "-0.1"], "--gamma -0.1"),
 ])
 def test_values_the_library_rejects_are_flag_errors(tmp_path, capsys, argv, named):
     out = tmp_path / "x.out"
@@ -64,6 +69,13 @@ def test_values_the_library_rejects_are_flag_errors(tmp_path, capsys, argv, name
     assert err.value.code == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_flag_error_prints_its_own_command_usage(tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        run_cli(["bench-mpc", "--k", "4", "--out", str(tmp_path / "x.csv")])
+    assert err.value.code == 2
+    assert "usage: tnmpcqep bench-mpc" in capsys.readouterr().err
 
 
 def test_bench_prints_active_passive_ratio_table(tmp_path, capsys):

@@ -4,8 +4,10 @@ scripts/golden_outputs.sh writes every deterministic output of the command line
 and the demos; the files named in golden_digests.json are the ones of those that
 run in a few seconds, one or more per layer: the plain and secure demo reports,
 the cost grid, one encode per frontend kind, a saved MERA parameter bundle (the
-kind with every entry), a 16-qubit all-pairs readout, a noisy run, a qubit sweep
-with its classical row, the invariant suite and the simulator demo.  The test
+kind with every entry), a 16-qubit all-pairs readout, three noisy runs (mixed at 8
+qubits, thermal at 10 with every pair read out, depolarizing at 2: the largest and
+smallest density matrices), a qubit sweep with its classical row, the invariant
+suite and the simulator demo.  The test
 regenerates them in a subprocess with one BLAS thread, set before numpy loads
 (the last bits of the 16-qubit readout depend on the thread count, and this
 process cannot change it once numpy is loaded), and compares digests.
@@ -44,6 +46,10 @@ _COMMANDS = {
     "params_mera.tnp": ["encode", "--kind", "mera", "--n", "2", "--out", os.devnull],
     "qep_run_nq16_all_pairs.csv": ["qep-run", "--nq", "16", "--observables", "all_pairs", "--n", "2"],
     "qep_run_mixed.csv": ["qep-run", "--noise", "mixed"],
+    "qep_run_nq10_thermal_all_pairs.csv": ["qep-run", "--nq", "10", "--noise", "thermal",
+                                           "--observables", "all_pairs", "--n", "2"],
+    "qep_run_nq2_depolarizing.csv": ["qep-run", "--nq", "2", "--noise", "depolarizing",
+                                     "--n", "4"],
     "qubit_sweep.csv": ["qubit-sweep", "--nq", "4,8,12", "--seeds", "1", "--n-train", "64",
                         "--n-test", "32"],
     "verify.txt": ["verify"],

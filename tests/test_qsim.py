@@ -3,6 +3,7 @@
 import itertools
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -656,15 +657,25 @@ def test_noisy_run_op_list_allocates_no_quarter_of_rho():
     assert peak < dm.rho.nbytes // 4
 
 
+def _kraus_families(noise):
+    """The Kraus families that land, in order, after every gate under noise."""
+    thermal = [amplitude_damping_kraus(noise.gamma_amp), phase_damping_kraus(noise.gamma_phase)]
+    return {"noiseless": [], "depolarizing": [depolarizing_kraus(noise.p)],
+            "thermal": thermal, "mixed": [depolarizing_kraus(noise.p)] + thermal}[noise.kind]
+
+
+def _zero_rho(n):
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
 def _dense_kraus_run(angles, noise):
     """run_noisy by full-size Kraus operators, one K rho K^dagger at a time: no
     superoperators, no fused maps."""
     layers, n = angles.shape[:2]
-    thermal = [amplitude_damping_kraus(noise.gamma_amp), phase_damping_kraus(noise.gamma_phase)]
-    families = {"noiseless": [], "depolarizing": [depolarizing_kraus(noise.p)],
-                "thermal": thermal, "mixed": [depolarizing_kraus(noise.p)] + thermal}[noise.kind]
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
+    families = _kraus_families(noise)
+    rho = _zero_rho(n)
 
     def gate(rho, u):
         return u @ rho @ u.conj().T
@@ -702,6 +713,156 @@ def test_run_noisy_matches_the_dense_kraus_sum(kind, n, layers):
         for q, p in factors:
             op = op @ dense_single_qubit_unitary(PAULI[p], q, n)
         assert abs(got.expectations([PauliTerm(factors)])[0] - np.trace(op @ want).real) <= 1e-12
+
+
+# --- the product-block first layer and the stacked gate build, against the per-gate path ---
+
+
+def _one_family_superoperator(kraus):
+    """kraus_superoperator for one Kraus family, as it was before it took stacks."""
+    ks = np.asarray(kraus, dtype=complex)
+    return np.einsum("iru,isv->rsuv", ks, ks.conj())
+
+
+def _one_by_one_composition(superops):
+    """compose_superoperators for single maps, as it was before it took stacks."""
+    flat = None
+    for s in superops:
+        flat = s.reshape(4, 4) if flat is None else s.reshape(4, 4) @ flat
+    return flat.reshape(2, 2, 2, 2)
+
+
+def _per_gate_ops(angles, noise):
+    """run_noisy's op list built gate by gate: Ry, noise, Rz, noise fused per gate."""
+    layers, n, _ = angles.shape
+    families = [_one_family_superoperator(k) for k in _kraus_families(noise)]
+    hits = [_one_by_one_composition(families)] if families else []
+    ops = []
+    for layer in range(layers):
+        for q in range(n):
+            ry = _one_family_superoperator([ry_matrix(angles[layer, q, 0])])
+            rz = _one_family_superoperator([rz_matrix(angles[layer, q, 1])])
+            ops.append((_one_by_one_composition([ry, *hits, rz, *hits]), q))
+        for q in range(n - 1):
+            ops += [(None, q, q + 1)] + [(h, c) for c in (q, q + 1) for h in hits]
+    return ops
+
+
+# as for the statevector, angles whose gates hold signed zeros or exact +-1 entries
+# (Ry(0) holds -sin(0) = -0.0) are drawn by name, since uniform floats almost never hit them
+_NOISY_ANGLES = st.sampled_from(
+    (0.0, -0.0, np.pi, -np.pi, np.pi / 2, -np.pi / 2, 2 * np.pi, 1e-300)
+) | st.floats(-2 * np.pi, 2 * np.pi)
+_STRENGTHS = st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _noisy_runs(draw):
+    n = draw(st.integers(1, 8))
+    layers = draw(st.integers(1, 3))
+    angles = draw(arrays(np.float64, (layers, n, 2), elements=_NOISY_ANGLES))
+    spec = NoiseSpec(kind=draw(st.sampled_from(qsim.NOISE_KINDS)), p=draw(_STRENGTHS),
+                     gamma_amp=draw(_STRENGTHS), gamma_phase=draw(_STRENGTHS))
+    return angles, spec
+
+
+@settings(max_examples=120, deadline=None)
+@given(_noisy_runs())
+def test_run_noisy_keeps_the_bytes_of_the_per_gate_full_rho_path(case):
+    angles, spec = case
+    n = angles.shape[1]
+    want = DensityMatrix(n, _zero_rho(n))
+    want._evolve(_per_gate_ops(angles, spec))
+    got = run_noisy(angles, spec).density.rho
+    assert got.shape == (2**n, 2**n) and got.flags.c_contiguous
+    assert got.tobytes() == want.rho.tobytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(_noisy_runs())
+def test_stacked_gate_maps_keep_the_bytes_of_the_per_gate_build(case):
+    angles, spec = case
+    for family in _kraus_families(spec):
+        assert kraus_superoperator(family).tobytes() == _one_family_superoperator(family).tobytes()
+    # a stack of families and a stack of maps give each member's bytes
+    stack = np.array([depolarizing_kraus(p) for p in angles.ravel() / (4 * np.pi) + 0.5])
+    maps = kraus_superoperator(stack)
+    assert maps.shape == stack.shape[:1] + (2, 2, 2, 2)
+    for family, got in zip(stack, maps):
+        assert got.tobytes() == _one_family_superoperator(family).tobytes()
+    fused = qsim.compose_superoperators([maps, maps[::-1], maps[0]])
+    for a, b, got in zip(maps, maps[::-1], fused):
+        assert got.tobytes() == _one_by_one_composition([a, b, maps[0]]).tobytes()
+    # run_noisy's own op list, gate maps and noise maps alike
+    with mock.patch.object(DensityMatrix, "_evolve", autospec=True,
+                           side_effect=DensityMatrix._evolve) as evolve:
+        run_noisy(angles, spec)
+    got_ops, want_ops = evolve.call_args.args[1], _per_gate_ops(angles, spec)
+    assert len(got_ops) == len(want_ops)
+    for (got, *got_qubits), (want, *want_qubits) in zip(got_ops, want_ops):
+        assert got_qubits == want_qubits
+        assert (got is None and want is None) or np.asarray(got).tobytes() == want.tobytes()
+
+
+@st.composite
+def _fresh_state_steps(draw):
+    """Steps on a fresh density matrix: apply_single, apply_kraus, a CNOT, or a run of
+    channels on distinct qubits, so the leading run is often shorter than n."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("single", "kraus", "cnot", "run") if n > 1
+                                    else ("single", "kraus", "run")))
+        if kind == "single":
+            gate = rz_matrix(draw(_NOISY_ANGLES)) @ ry_matrix(draw(_NOISY_ANGLES))
+            steps.append(("single", gate, draw(st.integers(0, n - 1))))
+        elif kind == "kraus":
+            family = draw(st.sampled_from((depolarizing_kraus, amplitude_damping_kraus,
+                                           phase_damping_kraus)))(draw(_STRENGTHS))
+            steps.append(("kraus", family, draw(st.integers(0, n - 1))))
+        else:
+            qubits = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+            ops = [(_random_superop(rng), q) for q in qubits]
+            if kind == "cnot" or (n > 1 and draw(st.booleans())):
+                control = draw(st.integers(0, n - 2))
+                ops.append((None, control, control + 1))
+            steps.append(("run", ops, None))
+    return n, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fresh_state_steps())
+def test_fresh_density_matrix_matches_the_explicit_zero_rho_path(case):
+    n, steps = case
+    fresh, explicit = DensityMatrix(n), DensityMatrix(n, _zero_rho(n))
+    assert fresh.rho.tobytes() == explicit.rho.tobytes()
+    for kind, what, q in steps:
+        for dm in (fresh, explicit):
+            if kind == "single":
+                dm.apply_single(what, q)
+            elif kind == "kraus":
+                dm.apply_kraus(what, q)
+            else:
+                dm._evolve(what)
+        assert fresh.rho.flags.c_contiguous
+        assert fresh.rho.tobytes() == explicit.rho.tobytes()
+
+
+def test_warm_noisy_run_peaks_at_its_two_buffer_block():
+    n = 6
+    angles = np.random.default_rng(16).uniform(-np.pi, np.pi, size=(2, n, 2))
+    spec = NoiseSpec(kind="mixed", p=0.05, gamma_amp=0.05, gamma_phase=0.05)
+    run_noisy(angles, spec)  # warm: imports, caches and the einsum paths
+    tracemalloc.start()
+    try:
+        result = run_noisy(angles, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 2 * result.density.rho.nbytes  # rho and the scratch, 128 KiB at n = 6
+    assert peak <= block + 32 * 1024
+    assert result.density._scratch.base is result.density.rho.base
 
 
 # --- statevector circuit: product-state first layer, Gray-code gather, ping-pong gates ---
