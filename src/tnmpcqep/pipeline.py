@@ -520,7 +520,7 @@ def _split(data: LabeledBatch, cfg: DemoConfig):
         n_tr = m - n_te
     if n_tr < 2:
         raise ValueError(f"batch of {m} samples is too small to split")
-    return data.take(np.arange(n_tr)), data.take(np.arange(n_tr, n_tr + n_te))
+    return data.take(slice(n_tr)), data.take(slice(n_tr, n_tr + n_te))  # views, no copies
 
 
 def _per_sample_aggregate(feats, owners, weights, acfg: bench.BenchConfig,

@@ -18,6 +18,11 @@ each matrix-vector product is a stacked one, np.matmul(W, X[..., None]),
 which computes row i as W @ X[i] does, so a stack and its rows agree byte
 for byte.  Only the circuit and its readout run per row.  No component is
 trained here; parameters are seeded draws.
+
+The gate's sigmoid is 1 / (1 + exp(-v)) per element with the C library's exp,
+through math.exp, which is the formula and the exp that scipy.special.expit
+uses, so alpha keeps expit's bytes without loading scipy.  numpy's exp is a
+SIMD routine whose last bit differs from the C library's on some inputs.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .qsim import (MAX_DENSITY_QUBITS, NOISELESS, NoiseSpec, PauliTerm, expectation, run_circuit,
                    run_noisy)
@@ -196,6 +200,18 @@ def _ensure_finite(arr, stage: str):
     return arr
 
 
+def _sigmoid(v: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)) for each t of a 1-d array; an exp that overflows is inf, giving 0."""
+    out = []
+    for t in v.tolist():
+        try:
+            e = math.exp(-t)
+        except OverflowError:
+            e = math.inf
+        out.append(1.0 / (1.0 + e))
+    return np.array(out)
+
+
 def _checked_noise(params: QepParams, noise: NoiseSpec | None) -> NoiseSpec:
     noise = NOISELESS if noise is None else noise
     if not noise.is_noiseless and params.n_q > MAX_DENSITY_QUBITS:
@@ -273,7 +289,7 @@ def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
                        "fusion")
     # alpha_w @ LN(x) is a dot per row, (1, d) @ (d, 1), not a gemv
     gate = np.matmul(_layer_norm(xs)[:, None, :], params.alpha_w[:, None])[:, 0, 0]
-    alpha = expit(gate + params.alpha_b)
+    alpha = _sigmoid(gate + params.alpha_b)
     outs = alpha[:, None] * z
     outs += (1.0 - alpha[:, None]) * xs
     _ensure_finite(outs, "output")

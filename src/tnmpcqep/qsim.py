@@ -13,9 +13,10 @@ back and a layer of n gates ends in C order.  The first layer starts from
 and the CNOT chain is one gather by the Gray code.  Readouts are exact Pauli
 permutations: X and Y swap the halves of their axis, Y and Z scale a half by
 -i, +i or -1.  P|psi> is one copy from a view with the X and Y axes reversed
-(real and imaginary parts traded for an odd number of Y's), and every sign is a
-flip of bit 63 of a real or imaginary part, XORed into the state's uint64 words
-a chunk at a time, so a Z string is one XOR pass and nothing is negated.  The
+(real and imaginary parts traded for an odd number of Y's), or one gather per
+256-amplitude tile where that view would copy runs of at most 4, and every sign
+is a flip of bit 63 of a real or imaginary part, XORed into the state's uint64
+words a chunk at a time, so a Z string is one XOR pass and nothing is negated.  The
 statevector writes P|psi> into one buffer reused by every term, the ping-pong
 buffer its circuit did not end in.  Each PauliTerm plans its readout once, when
 it is made (the reshape, the reversed axes and the signed qubits), and its sign
@@ -161,14 +162,16 @@ class _ReadoutPlan(NamedTuple):
     """How _pauli_into writes P src for one term, on any number of qubits above its last.
 
     shape splits a flat [2]*n buffer at each factor's axis, with a trailing -1 for the
-    rest; flip reverses the X and Y axes of that split (None for a Z string) and swap
-    trades real and imaginary parts (an odd number of Y's).  signed holds the Z and Y
-    qubits, whose half 1 flips the sign, and rows the _SIGN_TILES rows every term's
-    mask holds: the imaginary parts for one Y, every word for two (-i)(-i) = -1.
+    rest; flip reverses the X and Y axes of that split (None for a Z string), moved holds
+    those X and Y qubits and swap trades real and imaginary parts (an odd number of Y's).
+    signed holds the Z and Y qubits, whose half 1 flips the sign, and rows the
+    _SIGN_TILES rows every term's mask holds: the imaginary parts for one Y, every word
+    for two (-i)(-i) = -1.
     """
 
     shape: Tuple[int, ...]
     flip: Optional[tuple]
+    moved: Tuple[int, ...]
     swap: bool
     signed: Tuple[int, ...]
     rows: Tuple[int, ...]
@@ -187,8 +190,9 @@ def _readout_plan(factors) -> _ReadoutPlan:
     flip = sum(((slice(None), slice(None) if p == "Z" else slice(None, None, -1))
                 for _, p in factors), ())
     ys = sum(p == "Y" for _, p in factors)
-    return _ReadoutPlan(shape + (-1,), flip if any(p != "Z" for _, p in factors) else None,
-                        ys == 1, tuple(q for q, p in factors if p != "X"), ((), (4,), (1,))[ys])
+    moved = tuple(q for q, p in factors if p != "Z")
+    return _ReadoutPlan(shape + (-1,), flip if moved else None, moved, ys == 1,
+                        tuple(q for q, p in factors if p != "X"), ((), (4,), (1,))[ys])
 
 
 def _sign_scratch(n: int) -> np.ndarray:
@@ -253,22 +257,44 @@ def _xor_signs(out: np.ndarray, src: np.ndarray, signs) -> None:
         np.bitwise_xor(s[i], masks[(i & lead).bit_count() & 1], out=o[i])
 
 
+@functools.cache
+def _tile_perm(bits: int, swap: bool) -> np.ndarray:
+    """The gather that permutes a tile of the last _TILE_QUBITS qubits: amplitude i reads
+    i ^ bits, as float64 words with real and imaginary parts traded when swap."""
+    perm = np.arange(1 << _TILE_QUBITS) ^ bits
+    if swap:
+        perm = (2 * perm[:, None] + np.array([1, 0])).ravel()
+    perm.flags.writeable = False
+    return perm
+
+
 def _pauli_into(out: np.ndarray, src: np.ndarray, plan: _ReadoutPlan, scratch: np.ndarray) -> None:
     """out = P src on flat [2]*n complex buffers, exactly: X and Y factors permute the
     amplitudes by one copy from a view with their axes reversed, and every sign is a
     flip of bit 63 of a real or imaginary part, which is what np.negative does to
     float64 (+-0, +-inf and NaN alike), XORed in chunk by chunk (_sign_masks).  A Z
-    string is that XOR alone, straight from src."""
-    signs = _sign_masks(src.size.bit_length() - 1, plan, scratch)
+    string is that XOR alone, straight from src.  When every X and Y lies in the last
+    _TILE_QUBITS qubits and the view's contiguous runs are at most 4 amplitudes, the
+    copy is one gather per tile (_tile_perm) instead, which moves the same words."""
+    n = src.size.bit_length() - 1
+    signs = _sign_masks(n, plan, scratch)
     if plan.flip is None:
         _xor_signs(out, src, signs)
         return
-    o, s = out.reshape(plan.shape), src.reshape(plan.shape)[plan.flip]
-    if plan.swap:
-        np.copyto(o.real, s.imag)
-        np.copyto(o.imag, s.real)
+    low = n - 1 - plan.moved[-1]  # the view's contiguous runs are 2^low amplitudes
+    if n >= _TILE_QUBITS and low < 3 and plan.moved[0] >= n - _TILE_QUBITS:
+        perm = _tile_perm(sum(1 << (n - 1 - q) for q in plan.moved), plan.swap)
+        dtype = np.float64 if plan.swap else complex
+        # mode="clip" writes straight into out; the default "raise" buffers it
+        np.take(src.view(dtype).reshape(-1, perm.size), perm, axis=1,
+                out=out.view(dtype).reshape(-1, perm.size), mode="clip")
     else:
-        np.copyto(o, s)
+        o, s = out.reshape(plan.shape), src.reshape(plan.shape)[plan.flip]
+        if plan.swap:
+            np.copyto(o.real, s.imag)
+            np.copyto(o.imag, s.real)
+        else:
+            np.copyto(o, s)
     if signs is not None:
         _xor_signs(out, out, signs)
 

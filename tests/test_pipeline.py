@@ -873,6 +873,19 @@ def test_run_demo_splits_small_external_batches():
         pipeline.run_demo(DemoConfig(), data=tiny)
 
 
+@pytest.mark.parametrize("m, sizes", [(40, (24, 8)), (30, (24, 6)), (7, (6, 1))])
+def test_split_takes_views_of_the_batch(m, sizes):
+    data = synth_data(m, seed=4)
+    cfg = DemoConfig(n_train=24, n_test=8)
+    train, test = pipeline._split(data, cfg)
+    assert (len(train), len(test)) == sizes
+    for part, rows in ((train, np.arange(sizes[0])), (test, sizes[0] + np.arange(sizes[1]))):
+        assert np.shares_memory(part.images, data.images)
+        assert np.shares_memory(part.labels, data.labels)
+        assert part.images.tobytes() == data.images[rows].tobytes()
+        assert part.labels.tobytes() == data.labels[rows].tobytes()
+
+
 def test_noise_sweep_record_schema():
     cfg = DemoConfig(n_train=24, n_test=8, n_q=4)
     records = pipeline.noise_sweep(kinds=("noiseless", "mixed"), seeds=(0,),

@@ -6,7 +6,12 @@ alpha) and white-box where they are not.
 """
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +33,8 @@ from tnmpcqep.qep import (
 )
 from tnmpcqep.qsim import NOISELESS, NoiseSpec, expectation, run_circuit, run_noisy
 from tnmpcqep.tn import _rng
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # ------------------------------------------------------------ suggest_qubits
@@ -526,3 +533,40 @@ def test_observable_count_is_the_length_of_the_set():
         with pytest.raises(ValueError) as got:
             observable_count(*bad)
         assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------------------- the gate without scipy
+
+_EXPIT_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+                709.782712893384, -709.782712893384, 710.0, -710.0, 745.2, -745.2,
+                1e308, -1e308, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                       | st.floats(-40.0, 40.0)
+                       | st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+                       | st.sampled_from(_EXPIT_EDGES), max_size=40))
+def test_gate_sigmoid_keeps_the_bytes_of_scipy_expit(values):
+    # numpy's SIMD exp differs from the C library's in the last bit of about 2% of the
+    # moderate values; the grid holds 59 such values
+    v = np.concatenate([_EXPIT_EDGES, np.linspace(-40.0, 40.0, 4001), values])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = qep._sigmoid(v)
+    assert got.dtype == np.float64 and got.shape == v.shape
+    assert got.tobytes() == expit(v).tobytes()
+
+
+@pytest.mark.parametrize("code", [
+    "import tnmpcqep",
+    "import runpy; sys.argv = ['tnmpcqep', '--help']\n"
+    "try:\n    runpy.run_module('tnmpcqep', run_name='__main__')\nexcept SystemExit:\n    pass",
+], ids=["import", "help"])
+def test_the_package_loads_no_scipy(code):
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

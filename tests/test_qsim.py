@@ -486,6 +486,42 @@ def test_pauli_image_of_any_amplitudes_keeps_the_block_copy_bytes(case):
     assert got.tobytes() == want.tobytes()
 
 
+def _view_copy_image(src, term):
+    """P src through the one copy from a view with the X and Y axes reversed, then the signs."""
+    plan, n = term._plan, src.size.bit_length() - 1
+    out, view = np.empty_like(src), src.reshape(plan.shape)[plan.flip]
+    if plan.swap:
+        np.copyto(out.reshape(plan.shape).real, view.imag)
+        np.copyto(out.reshape(plan.shape).imag, view.real)
+    else:
+        np.copyto(out.reshape(plan.shape), view)
+    signs = qsim._sign_masks(n, plan, qsim._sign_scratch(n))
+    if signs is not None:
+        qsim._xor_signs(out, out, signs)
+    return out
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_tile_gather_keeps_the_bytes_of_the_view_copy(n):
+    # the gather runs where every X and Y lies in the last 8 qubits and the view's runs are
+    # at most 4 amplitudes; terms reaching one qubit above the tile take the view copy
+    rng = np.random.default_rng(300 + n)
+    src = _special_amplitudes(rng, n)
+    terms = [t for t in _every_term(n)
+             if t.factors[0][0] >= n - 9 and any(p != "Z" for _, p in t.factors)]
+    gathered = 0
+    for term in terms:
+        moved = [q for q, p in term.factors if p != "Z"]
+        tiled = min(moved) >= n - 8 and max(moved) >= n - 3
+        got = np.full(src.size, np.nan, dtype=complex)
+        with mock.patch.object(qsim, "_tile_perm", wraps=qsim._tile_perm) as perm:
+            qsim._pauli_into(got, src, term._plan, qsim._sign_scratch(n))
+        assert perm.called == tiled, term.label()
+        assert got.tobytes() == _view_copy_image(src, term).tobytes(), term.label()
+        gathered += tiled
+    assert gathered == 6 + 72 + 48  # one X or Y, two of them, one with a Z
+
+
 @st.composite
 def _hermitian_and_term(draw):
     n = draw(st.integers(1, 6))
