@@ -27,18 +27,24 @@ depolarizing(p); "thermal", a stand-in composition of amplitude damping and
 phase damping; "mixed" = depolarizing followed by thermal.  Between calls a
 density matrix is a C-ordered (2^n, 2^n) array, i.e. the same layout on 2n axes
 (rows 0..n-1, columns n..2n-1).  Channels and CNOTs run through one path that
-keeps the 2n axes in a tracked storage order: a channel on q copies rho once,
-with q's row and column axes in front, for one 4x4 matmul against the
-(4, rest) block, and a CNOT rides along the next copy, which reads the target
-axis backwards where the control is 1.  A fresh density matrix starts as a
+keeps the 2n axes in a tracked storage order.  A channel on q whose row and
+column axes already sit side by side, in front or with at least 2^8 entries
+behind them, runs where they lie: one stacked 4x4 matmul against each (4, rest)
+slice.  Otherwise it copies rho once, with q's axes in front and the pairs of
+the channels up to the next CNOT right behind them, so that those run without a
+copy.  A CNOT rides along the next copy, which reads the target axis backwards
+where the control is 1.  A fresh density matrix starts as a
 product block: until the first CNOT, the first layer's channels act on distinct
 qubits of |0...0><0...0|, so rho grows from [1] a qubit at a time, each step the
 same 4x4 matmul on the block padded with zeros, and the first CNOT's copy reads
 the finished block where it lies.  Copies are exact and each matmul column is
-the same 4x4 product in any column order, so the bytes do not depend on the
-storage orders.  rho and the scratch are the two halves of one block.
-Density-matrix evolution is exact, limited to 10 qubits, and every noisy run
-ends in C order with a check that |tr rho - 1| <= 1e-9.
+the same 4x4 product in any column order and in stacked slices of at least 2^8
+columns, so the bytes do not depend on the storage orders.  rho and the scratch
+are the two halves of one block.  A Pauli readout of rho sums a phase vector
+times the entries a flat index gathers, both planned once per term and qubit
+count.  Density-matrix evolution is exact, limited to 1..10 qubits, and every
+noisy run ends in C order with a check that |tr rho - 1| <= 1e-9, which a NaN
+trace fails.
 """
 
 from __future__ import annotations
@@ -485,6 +491,13 @@ def _cnot_axes(n: int, control: Optional[int]):
     return [] if control is None else [control, n + control, control + 1, n + control + 1]
 
 
+# A channel runs where its axes lie when at least 2^_IN_PLACE_BITS entries of rho sit
+# behind them: each of the 2^i stacked (4, 4) @ (4, B) products is then a BLAS call with
+# the bytes of the one (4, rest) product (not so at B = 1), and at 8 qubits there are at
+# most 2^6 slices, which cost about as much as a copy plus one product.
+_IN_PLACE_BITS = 8
+
+
 def _copy_folding_cnot(src: np.ndarray, dst: np.ndarray, order, new_order, control) -> None:
     """dst, with its [2]*2n axes stored in new_order, = src stored in order; a control
     that is not None applies CNOT(control, control + 1) to rows and columns on the way,
@@ -504,10 +517,29 @@ def _copy_folding_cnot(src: np.ndarray, dst: np.ndarray, order, new_order, contr
         np.copyto(out[tuple(to)], view[tuple(fro)])
 
 
+@functools.lru_cache(maxsize=256)  # 24 KiB a term at 10 qubits
+def _density_readout(term: PauliTerm, n: int):
+    """(phase, index) with tr(P rho) = sum(phase * rho.ravel()[index]) on n qubits:
+    phase[i] = P[i, i ^ flip] is P times all-ones, and rho[i ^ flip, i] is flat entry
+    (i ^ flip) 2^n + i.  Read-only; one plan per term and n, bounded in number."""
+    flip = 0
+    for q, p in term.factors:
+        _check_qubit(n, q)
+        flip |= (p != "Z") << (n - 1 - q)  # X and Y flip the bit of qubit q
+    phase = np.empty(1 << n, dtype=complex)
+    _pauli_into(phase, np.ones_like(phase), term._plan, _sign_scratch(n))
+    rows = np.arange(1 << n)
+    index = (rows ^ flip) * (1 << n) + rows
+    phase.flags.writeable = index.flags.writeable = False
+    return phase, index
+
+
 class DensityMatrix:
     """rho as a C-contiguous (2^n, 2^n) array, i.e. a [2]*2n tensor, row axes first."""
 
     def __init__(self, n_qubits: int, rho: Optional[np.ndarray] = None):
+        if n_qubits < 1:
+            raise ValueError("need at least one qubit")
         if n_qubits > MAX_DENSITY_QUBITS:
             raise ValueError(
                 f"density evolution is exact and capped at {MAX_DENSITY_QUBITS} qubits, "
@@ -534,8 +566,12 @@ class DensityMatrix:
         superoperator S[r,s,u,v], (None, control, target) a CNOT.
 
         rho's 2n axes live in a tracked storage order between ops.  A channel on q
-        copies rho once, with the row and column axis of q in front, and contracts
-        that (4, rest) block against S.  A CNOT is held and rides along the next copy.
+        whose row and column axes sit at storage positions i and i + 1, with i = 0 or
+        at least 2^_IN_PLACE_BITS entries behind them, contracts each of the 2^i
+        (4, rest) slices against S where they lie.  Any other channel copies rho once,
+        with the row and column axis of q in front and the pairs of the channels up to
+        the next CNOT right behind them, and contracts the (4, rest) block against S.
+        A CNOT is held and rides along the next copy.
         On a fresh |0...0><0...0|, the leading run of channels on distinct qubits
         q_0, q_1, ... instead grows a product block in rho's first 4^k entries, stored
         as [q_k, n+q_k, ..., q_0, n+q_0] behind the untouched qubits' axes (all 0):
@@ -568,23 +604,36 @@ class DensityMatrix:
             front = [a for q in reversed(grown) for a in (q, n + q)]
             order = [a for a in order if a not in front] + front
             self._zero = False
-        for superop, *qubits in ops[len(grown):]:
+        deepest = 2 * n - 2 - _IN_PLACE_BITS  # the last position a pair runs in place from
+        rest = ops[len(grown):]
+        for k, (superop, *qubits) in enumerate(rest):
             if superop is None and pending is None:
                 pending = qubits[0]
                 continue
-            # a channel's axes go in front and a held CNOT's right behind them, so its
-            # quarters and reversed axes leave long contiguous runs for the copy; a
-            # CNOT meeting a held one settles it by a copy with no front of its own
-            lead = [] if superop is None else [qubits[0], n + qubits[0]]
-            lead = list(dict.fromkeys(lead + _cnot_axes(n, pending)))
-            lead += [a for a in order if a not in lead]
-            if lead != order or pending is not None:
+            # i, where q's row axis sits, is kept if q's column axis is right behind it there
+            # and the pair runs in place from i
+            i = None if superop is None or pending is not None else order.index(qubits[0])
+            if i is None or (i and i > deepest) or order[i + 1] != n + qubits[0]:
+                # a channel's axes go in front and a held CNOT's right behind them, so
+                # its quarters and reversed axes leave long contiguous runs for the copy;
+                # a CNOT meeting a held one settles it by a copy with no front of its
+                # own.  The pairs of the channels up to the next CNOT follow, as far as
+                # they can run in place there, so those channels need no copy.
+                lead = [] if superop is None else [qubits[0], n + qubits[0]]
+                lead = list(dict.fromkeys(lead + _cnot_axes(n, pending)))
+                for op in rest[k + 1 :]:
+                    if op[0] is None or len(lead) > deepest:
+                        break
+                    if op[1] not in lead:
+                        lead += [op[1], n + op[1]]
+                lead += [a for a in order if a not in lead]
                 _copy_folding_cnot(cur, other, order, lead, pending)
-                cur, other, order, pending = other, cur, lead, None
+                cur, other, order, pending, i = other, cur, lead, None, 0
             if superop is None:
                 pending = qubits[0]
             else:
-                np.matmul(np.reshape(superop, (4, 4)), cur.reshape(4, -1), out=other.reshape(4, -1))
+                shape = (1 << i, 4, -1)
+                np.matmul(np.reshape(superop, (4, 4)), cur.reshape(shape), out=other.reshape(shape))
                 cur, other = other, cur
         if order != sorted(order) or pending is not None:
             _copy_folding_cnot(cur, other, order, sorted(order), pending)
@@ -595,19 +644,16 @@ class DensityMatrix:
         self._evolve([(kraus_superoperator(kraus), q)])
 
     def check_trace(self) -> None:
-        """|tr rho - 1| <= 1e-9: O(2^n), cheap enough for every run."""
-        if abs(np.trace(self.rho) - 1.0) > 1e-9:
-            raise ValueError(f"trace drifted to {np.trace(self.rho)}")
+        """|tr rho - 1| <= 1e-9, which a NaN or infinite trace fails: O(2^n), cheap enough
+        for every run."""
+        tr = np.trace(self.rho)
+        if not abs(tr - 1.0) <= 1e-9:
+            raise ValueError(f"trace drifted to {tr}")
 
     def expectation(self, term: PauliTerm) -> float:
-        # tr(P rho) = sum_i P[i, i ^ flip] rho[i ^ flip, i]; P times all-ones is that phase
-        n, flip, phase = self.n_qubits, 0, np.empty(len(self.rho), dtype=complex)
-        for q, p in term.factors:
-            _check_qubit(n, q)
-            flip |= (p != "Z") << (n - 1 - q)  # X and Y flip the bit of qubit q
-        _pauli_into(phase, np.ones_like(phase), term._plan, _sign_scratch(n))
-        rows = np.arange(len(self.rho))
-        val = np.sum(phase * self.rho[rows ^ flip, rows])
+        # tr(P rho) = sum_i P[i, i ^ flip] rho[i ^ flip, i], planned once per term and n
+        phase, index = _density_readout(term, self.n_qubits)
+        val = np.sum(phase * self.rho.reshape(-1)[index])
         if abs(val.imag) > 1e-9:
             raise ValueError("non-real expectation from density matrix")
         return _unit_clip(val.real)

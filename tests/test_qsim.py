@@ -533,12 +533,49 @@ def _hermitian_and_term(draw):
     return n, (rho + rho.conj().T) / (2 * dim), term
 
 
+def _fancy_index_density_expectation(rho, term):
+    """DensityMatrix.expectation before its readout plans: per call, the phase vector is
+    _pauli_into of all-ones and rho's entries are read by a 2-D fancy index."""
+    n = len(rho).bit_length() - 1
+    phase, flip = np.empty(len(rho), dtype=complex), 0
+    for q, p in term.factors:
+        flip |= (p != "Z") << (n - 1 - q)
+    qsim._pauli_into(phase, np.ones_like(phase), term._plan, qsim._sign_scratch(n))
+    rows = np.arange(len(rho))
+    val = np.sum(phase * rho[rows ^ flip, rows])
+    return float(np.clip(val.real, -1.0, 1.0))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_hermitian_and_term())
 def test_density_expectation_keeps_its_block_copy_values(case):
     n, rho, term = case
-    want = _block_copy_density_expectation(rho, term)
-    assert np.float64(DensityMatrix(n, rho).expectation(term)).tobytes() == np.float64(want).tobytes()
+    dm = DensityMatrix(n, rho)
+    terms = [term]
+    if n > 1:
+        terms += observable_set(n, "nearest_neighbor") + observable_set(n, "all_pairs")
+    for t in terms:
+        got = np.float64(dm.expectation(t)).tobytes()
+        assert got == np.float64(_block_copy_density_expectation(rho, t)).tobytes()
+        assert got == np.float64(_fancy_index_density_expectation(rho, t)).tobytes(), t.label()
+
+
+def test_density_readout_plans_each_term_once_per_qubit_count():
+    n = 8
+    angles = np.random.default_rng(18).uniform(-np.pi, np.pi, size=(2, n, 2))
+    dm = run_noisy(angles, NoiseSpec(kind="depolarizing", p=0.05)).density
+    terms = observable_set(n, "nearest_neighbor")
+    qsim._density_readout.cache_clear()
+    with mock.patch.object(qsim, "_pauli_into", side_effect=qsim._pauli_into) as pauli:
+        first = [dm.expectation(t) for t in terms]
+        again = [dm.expectation(t) for t in terms]
+    assert pauli.call_count == len(terms) and first == again
+    phase, index = qsim._density_readout(terms[-1], n)
+    assert not phase.flags.writeable and not index.flags.writeable
+    # the plans are bounded: a term at 10 qubits holds 4x its 8-qubit plan, 24 KiB
+    per_term = 4 * (phase.nbytes + index.nbytes)
+    assert per_term == 24 * 1024
+    assert qsim._density_readout.cache_info().maxsize * per_term <= 8 * 1024 * 1024
 
 
 def test_pauli_terms_hold_their_plan_outside_equality_and_hash():
@@ -623,7 +660,10 @@ def _random_superop(rng):
 
 @st.composite
 def _evolution_cases(draw):
-    n = draw(st.integers(1, 6))
+    """1-10 groups on 1-8 qubits, each a run of 1-3 CNOTs or of up to 2n channels,
+    and an explicit rho.  After a copy, the next channels up to a CNOT find their axes
+    side by side, and from 6 qubits on some of them run there."""
+    n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ops = []
     for _ in range(draw(st.integers(1, 10))):
@@ -632,7 +672,8 @@ def _evolution_cases(draw):
                 control = draw(st.integers(0, n - 2))
                 ops.append((None, control, control + 1))
         else:
-            ops.append((_random_superop(rng), draw(st.integers(0, n - 1))))
+            qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+            ops += [(_random_superop(rng), q) for q in qubits]
     dim = 2**n
     rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return n, rho, ops
@@ -641,16 +682,17 @@ def _evolution_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(_evolution_cases())
 def test_evolution_is_bit_identical_to_gather_scatter_and_flip_cnot(case):
-    n, rho, ops = case
-    want = _reference_evolution(rho, ops, n).tobytes()
-    whole = DensityMatrix(n, rho)
-    whole._evolve(ops)
-    one_by_one = DensityMatrix(n, rho)
-    for op in ops:
-        one_by_one._evolve([op])
-    for dm in (whole, one_by_one):
-        assert dm.rho.shape == (2**n, 2**n) and dm.rho.flags.c_contiguous
-        assert dm.rho.tobytes() == want
+    n, explicit, ops = case
+    for rho in (explicit, None):  # every op list from the drawn rho and from a fresh one
+        want = _reference_evolution(_zero_rho(n) if rho is None else rho, ops, n).tobytes()
+        whole = DensityMatrix(n, rho)
+        whole._evolve(ops)
+        one_by_one = DensityMatrix(n, rho)
+        for op in ops:
+            one_by_one._evolve([op])
+        for dm in (whole, one_by_one):
+            assert dm.rho.shape == (2**n, 2**n) and dm.rho.flags.c_contiguous
+            assert dm.rho.tobytes() == want
 
 
 def test_evolution_rejects_a_bad_op_before_rho_moves():
@@ -899,6 +941,51 @@ def test_warm_noisy_run_peaks_at_its_two_buffer_block():
     block = 2 * result.density.rho.nbytes  # rho and the scratch, 128 KiB at n = 6
     assert peak <= block + 32 * 1024
     assert result.density._scratch.base is result.density.rho.base
+
+
+# --- channels where their axes sit side by side, copies that look ahead, guards ---
+
+
+@pytest.mark.parametrize("kind", qsim.NOISE_KINDS)
+@pytest.mark.parametrize("n", [9, 10])
+def test_run_noisy_on_nine_and_ten_qubits_is_bit_identical_to_gather_scatter(n, kind):
+    angles = np.random.default_rng(900 + n).uniform(-np.pi, np.pi, size=(2, n, 2))
+    spec = NoiseSpec(kind=kind, p=0.05, gamma_amp=0.03, gamma_phase=0.02)
+    with mock.patch.object(DensityMatrix, "_evolve", autospec=True,
+                           side_effect=DensityMatrix._evolve) as evolve:
+        got = run_noisy(angles, spec).density.rho
+    want = _reference_evolution(_zero_rho(n), evolve.call_args.args[1], n)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["depolarizing", "thermal", "mixed"])
+def test_two_layer_noisy_run_copies_rho_once_per_cnot_and_twice_for_its_second_layer(kind):
+    # one fold per CNOT (14), two copies for the second layer's gates and the last copy
+    # to C order; a copy per channel that does not find its axes in front made 37
+    n = 8
+    angles = np.random.default_rng(19).uniform(-np.pi, np.pi, size=(2, n, 2))
+    with mock.patch.object(qsim, "_copy_folding_cnot",
+                           side_effect=qsim._copy_folding_cnot) as copy:
+        run_noisy(angles, NoiseSpec(kind=kind))
+    assert copy.call_count <= 17
+    assert sum(call.args[4] is not None for call in copy.call_args_list) == 2 * (n - 1)
+
+
+def test_a_non_finite_trace_fails_the_trace_check():
+    for bad in (np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(1.0, np.nan)):
+        with pytest.raises(ValueError, match="trace drifted"):
+            DensityMatrix(2, rho=np.full((4, 4), bad)).check_trace()
+    with pytest.raises(ValueError, match=r"trace drifted to \(?nan"):
+        run_noisy(np.full((1, 2, 2), np.nan), NoiseSpec(kind="depolarizing"))
+
+
+def test_the_density_path_needs_at_least_one_qubit():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            DensityMatrix(n)
+    for shape in ((1, 0, 2), (0, 0, 2)):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            run_noisy(np.zeros(shape), NoiseSpec(kind="depolarizing"))
 
 
 # --- statevector circuit: product-state first layer, Gray-code gather, ping-pong gates ---
