@@ -24,33 +24,29 @@ masks are built from a small table of tiles in scratch that the state owns.
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
-phase damping; "mixed" = depolarizing followed by thermal.  Between calls a
-density matrix is a C-ordered (2^n, 2^n) array, i.e. the same layout on 2n axes
-(rows 0..n-1, columns n..2n-1).  Channels and CNOTs run through one path that
-keeps the 2n axes in a tracked storage order.  A channel on q whose row and
-column axes already sit side by side, in front or with at least 2^8 entries
-behind them, runs where they lie: one stacked 4x4 matmul against each (4, rest)
-slice.  Otherwise it copies rho once, with q's axes in front and the pairs of
-the channels up to the next CNOT right behind them, so that those run without a
-copy.  A CNOT rides along the next copy, which reads the target axis backwards
-where the control is 1.  A fresh density matrix starts as a
-product block: until the first CNOT, the first layer's channels act on distinct
-qubits of |0...0><0...0|, so rho grows from [1] a qubit at a time, each step the
-same 4x4 matmul on the block padded with zeros, and the first CNOT's copy reads
-the finished block where it lies.  Copies are exact and each matmul column is
-the same 4x4 product in any column order and in stacked slices of at least 2^8
-columns, so the bytes do not depend on the storage orders.  rho and the scratch
-are the two halves of one block.  A Pauli readout of rho sums a phase vector
-times the entries a flat index gathers, both planned once per term and qubit
-count.  Density-matrix evolution is exact, limited to 1..10 qubits, and every
-noisy run ends in C order with a check that |tr rho - 1| <= 1e-9, which a NaN
-trace fails.
+phase damping; "mixed" = depolarizing followed by thermal.  A density matrix is
+held as its 4^n real Pauli coefficients r_P = tr(P rho), so rho = 2^-n sum_P r_P
+P: a [4]*n tensor with one base-4 axis per qubit (I, X, Y, Z).  A one-qubit
+channel is then a real 4x4 Pauli transfer matrix on its qubit's axis and a CNOT
+a signed permutation of the 16 Pauli pairs on its two axes (Chow et al., PRL
+109, 060501, 2012; Greenbaum, arXiv:1509.02921).  run_noisy builds each gate's
+Ry, noise, Rz, noise as one 4x4 map, all gates in one stack, and each CNOT with
+the noise on its two qubits as one 16x16 map.  Between maps the axes keep a
+tracked storage order: a map whose axes lead runs as one matmul that writes them
+at the back, so a layer of gates ends in the order it began, and in a CNOT chain
+each pair keeps its target in front for the next.  A fresh density matrix is a
+product, (1, 0, 0, 1) on every qubit, so the first layer acts on each qubit's 4
+coefficients and its CNOT chain grows the product into a block a qubit at a
+time.  A Pauli readout is one coefficient.  rho is built from r when it is read,
+and assigning a Hermitian rho sets r.  r and the scratch are the two halves of
+one block.  Density-matrix evolution is exact (no sampling), limited to 1..10
+qubits, and every noisy run ends in C order with a check that
+|tr rho - 1| = |r_I - 1| <= 1e-9, which NaN fails.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -469,73 +465,35 @@ def _channel_sequences(noise: NoiseSpec):
     return [depolarizing_kraus(noise.p)] + thermal
 
 
-def kraus_superoperator(kraus) -> np.ndarray:
-    """S[r,s,u,v] = sum_i K_i[r,u] conj(K_i[s,v]), so rho'_{rs} = S[r,s,u,v] rho_{uv};
-    a (..., i, 2, 2) stack of Kraus families gives a (..., 2, 2, 2, 2) stack of maps."""
+# I, X, Y, Z, and the maps between one qubit's rho entries, flat index 2 row + column, and
+# its Pauli coefficients: r_i = tr(P_i rho) = sum T[i, 2b + c] rho[b, c] and
+# rho[b, c] = sum F[2b + c, j] r_j, with F = P_j[b, c] / 2
+_PAULI4 = np.array([_I2, _X, _Y, _Z])
+_TO_PAULI = _PAULI4.transpose(0, 2, 1).reshape(4, 4)
+_FROM_PAULI = _PAULI4.reshape(4, 4).T / 2
+
+
+def kraus_ptm(kraus) -> np.ndarray:
+    """The real Pauli transfer matrix R[i, j] = tr(P_i E(P_j)) / 2 of the one-qubit channel
+    E(rho) = sum_k K_k rho K_k^dagger, so r' = R r: T S F for its superoperator
+    S[rs, uv] = sum_k K_k[r, u] conj(K_k[s, v]).  A (..., k, 2, 2) stack of Kraus families
+    gives a (..., 4, 4) stack of maps."""
     ks = np.asarray(kraus, dtype=complex)
-    return np.einsum("...iru,...isv->...rsuv", ks, ks.conj())
+    s = np.einsum("...kru,...ksv->...rsuv", ks, ks.conj()).reshape(ks.shape[:-3] + (4, 4))
+    return (_TO_PAULI @ s @ _FROM_PAULI).real
 
 
-def compose_superoperators(superops) -> Optional[np.ndarray]:
-    """Fuse channels applied left to right into one map; None when the list is empty.
-    Each entry is a (2, 2, 2, 2) map or a stack of them, and stacks broadcast."""
-    flat = None
-    for s in superops:
-        s = np.reshape(s, np.shape(s)[:-4] + (4, 4))
-        flat = s if flat is None else s @ flat
-    return None if flat is None else flat.reshape(flat.shape[:-2] + (2, 2, 2, 2))
-
-
-def _cnot_axes(n: int, control: Optional[int]):
-    """Row and column axes of CNOT(control, control + 1): none for no CNOT."""
-    return [] if control is None else [control, n + control, control + 1, n + control + 1]
-
-
-# A channel runs where its axes lie when at least 2^_IN_PLACE_BITS entries of rho sit
-# behind them: each of the 2^i stacked (4, 4) @ (4, B) products is then a BLAS call with
-# the bytes of the one (4, rest) product (not so at B = 1), and at 8 qubits there are at
-# most 2^6 slices, which cost about as much as a copy plus one product.
-_IN_PLACE_BITS = 8
-
-
-def _copy_folding_cnot(src: np.ndarray, dst: np.ndarray, order, new_order, control) -> None:
-    """dst, with its [2]*2n axes stored in new_order, = src stored in order; a control
-    that is not None applies CNOT(control, control + 1) to rows and columns on the way,
-    as four quarter copies that read the target axis backwards where its control is 1."""
-    n2 = len(order)
-    view = src.reshape((2,) * n2).transpose([order.index(a) for a in new_order])
-    out = dst.reshape((2,) * n2)
-    if control is None:
-        np.copyto(out, view)
-        return
-    rc, cc, rt, ct = (new_order.index(a) for a in _cnot_axes(n2 // 2, control))
-    for r, c in itertools.product((0, 1), repeat=2):
-        to = [slice(None)] * n2
-        to[rc], to[cc] = r, c
-        fro = list(to)
-        fro[rt], fro[ct] = slice(None, None, 1 - 2 * r), slice(None, None, 1 - 2 * c)
-        np.copyto(out[tuple(to)], view[tuple(fro)])
-
-
-@functools.lru_cache(maxsize=256)  # 24 KiB a term at 10 qubits
-def _density_readout(term: PauliTerm, n: int):
-    """(phase, index) with tr(P rho) = sum(phase * rho.ravel()[index]) on n qubits:
-    phase[i] = P[i, i ^ flip] is P times all-ones, and rho[i ^ flip, i] is flat entry
-    (i ^ flip) 2^n + i.  Read-only; one plan per term and n, bounded in number."""
-    flip = 0
-    for q, p in term.factors:
-        _check_qubit(n, q)
-        flip |= (p != "Z") << (n - 1 - q)  # X and Y flip the bit of qubit q
-    phase = np.empty(1 << n, dtype=complex)
-    _pauli_into(phase, np.ones_like(phase), term._plan, _sign_scratch(n))
-    rows = np.arange(1 << n)
-    index = (rows ^ flip) * (1 << n) + rows
-    phase.flags.writeable = index.flags.writeable = False
-    return phase, index
+# CNOT(q, q + 1) on the 16 Pauli pairs of its qubits, index 4 P_q + P_q+1, from
+# tr(P_i C P_j C) / 4: a signed permutation (IY -> ZY, XZ -> -YY, YY -> -XZ, ...), exact
+_PAULI16 = np.einsum("iab,jcd->ijacbd", _PAULI4, _PAULI4).reshape(16, 4, 4)
+_CNOT_PTM = np.einsum("iab,bc,jcd,ad->ij", _PAULI16, cnot_matrix(), _PAULI16,
+                      cnot_matrix()).real / 4
 
 
 class DensityMatrix:
-    """rho as a C-contiguous (2^n, 2^n) array, i.e. a [2]*2n tensor, row axes first."""
+    """rho on n qubits as its 4^n real Pauli coefficients r_P = tr(P rho), so that
+    rho = 2^-n sum_P r_P P; r is a C-ordered [4]*n tensor with qubit q on axis q and
+    Pauli index 0, 1, 2, 3 for I, X, Y, Z."""
 
     def __init__(self, n_qubits: int, rho: Optional[np.ndarray] = None):
         if n_qubits < 1:
@@ -546,117 +504,149 @@ class DensityMatrix:
                 f"got {n_qubits}"
             )
         self.n_qubits = n_qubits
-        dim = 2**n_qubits
-        # rho and the scratch that channels and CNOTs stage through are the halves of one
-        # block: evolution allocates no rho-sized array, and a freed block is reused whole
-        self.rho, self._scratch = np.empty((2, dim, dim), dtype=complex)
-        self._zero = rho is None  # rho is |0...0><0...0| until the first evolution
-        if rho is None:
-            self.rho.fill(0.0)
-            self.rho[0, 0] = 1.0
-        else:  # a private copy: in-place gates never write into the caller's array
-            self.rho[...] = np.reshape(rho, (dim, dim))
+        # r and the scratch that maps write through are the halves of one block: evolution
+        # allocates no array of r's size, and a freed block is reused whole
+        self._r, self._scratch = np.empty((2, 4**n_qubits))
+        self._fresh = rho is None  # r is |0...0><0...0| until the first evolution
+        if rho is None:  # |0><0| = (I + Z) / 2 on every qubit: r = (1, 0, 0, 1)^(x n)
+            self._r.fill(0.0)
+            self._r.reshape((4,) * n_qubits)[(slice(None, None, 3),) * n_qubits] = 1.0
+        else:
+            self.rho = rho
+
+    @property
+    def rho(self) -> np.ndarray:
+        """rho as a new complex (2^n, 2^n) array; assigning one sets r from it, a copy."""
+        n = self.n_qubits
+        x = self._r
+        for _ in range(n):  # the leading Pauli axis becomes a (row, column) pair at the back
+            x = x.reshape(4, -1).T @ _FROM_PAULI.T
+        rows_then_columns = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+        return x.reshape((2,) * 2 * n).transpose(rows_then_columns).reshape(2**n, 2**n)
+
+    @rho.setter
+    def rho(self, rho: np.ndarray) -> None:
+        """A Hermitian rho within 1e-9 sets r; any other finite rho is rejected before r
+        moves.  A rho with a non-finite entry has no Pauli coefficients: every r_P is NaN,
+        so check_trace fails it."""
+        n = self.n_qubits
+        rho = np.reshape(np.asarray(rho, dtype=complex), (2**n, 2**n))
+        if not np.isfinite(rho).all():
+            self._r.fill(np.nan)
+        elif np.abs(rho - rho.conj().T).max() > 1e-9:
+            raise ValueError("rho is not Hermitian")
+        else:
+            pairs = [a for q in range(n) for a in (q, n + q)]
+            x = rho.reshape((2,) * 2 * n).transpose(pairs).reshape(-1)
+            for _ in range(n):  # as in the getter, a (row, column) pair in, a Pauli axis out
+                x = x.reshape(4, -1).T @ _TO_PAULI.T
+            self._r[...] = x.real.reshape(-1)
+        self._fresh = False
 
     def apply_single(self, gate: np.ndarray, q: int) -> None:
         """gate . rho . gate^dagger, as the one-Kraus channel [gate]."""
-        self._evolve([(kraus_superoperator([gate]), q)])
-
-    def _evolve(self, ops) -> None:
-        """Apply ops in order: (superop, q) is a one-qubit channel given as a (2,2,2,2)
-        superoperator S[r,s,u,v], (None, control, target) a CNOT.
-
-        rho's 2n axes live in a tracked storage order between ops.  A channel on q
-        whose row and column axes sit at storage positions i and i + 1, with i = 0 or
-        at least 2^_IN_PLACE_BITS entries behind them, contracts each of the 2^i
-        (4, rest) slices against S where they lie.  Any other channel copies rho once,
-        with the row and column axis of q in front and the pairs of the channels up to
-        the next CNOT right behind them, and contracts the (4, rest) block against S.
-        A CNOT is held and rides along the next copy.
-        On a fresh |0...0><0...0|, the leading run of channels on distinct qubits
-        q_0, q_1, ... instead grows a product block in rho's first 4^k entries, stored
-        as [q_k, n+q_k, ..., q_0, n+q_0] behind the untouched qubits' axes (all 0):
-        each step writes the block into row 0 of a zeroed (4, 4^k) operand in the
-        scratch and applies the same 4x4 matmul back into rho.  One last copy puts rho
-        back in C order.
-        """
-        n = self.n_qubits
-        for op in ops:  # every op is checked before rho moves
-            if len(op) == 3 and op[0] is None:
-                _check_cnot(n, op[1], op[2])
-            elif len(op) == 2 and np.size(op[0]) == 16:
-                _check_qubit(n, op[1])
-            else:
-                raise ValueError(f"not a (superop, q) channel or (None, control, target) CNOT: {op!r}")
-        cur, other = self.rho, self._scratch
-        order, pending = list(range(2 * n)), None  # storage axis i holds logical axis order[i]
-        grown = []  # the qubits of the product block, oldest first
-        if self._zero:
-            block, pad = cur.reshape(-1), other.reshape(-1)
-            for superop, *qubits in ops:
-                if superop is None or qubits[0] in grown:
-                    break
-                size = 4 ** len(grown)
-                pad[:size] = block[:size]
-                pad[size : 4 * size] = 0.0
-                np.matmul(np.reshape(superop, (4, 4)), pad[: 4 * size].reshape(4, size),
-                          out=block[: 4 * size].reshape(4, size))
-                grown.append(qubits[0])
-            front = [a for q in reversed(grown) for a in (q, n + q)]
-            order = [a for a in order if a not in front] + front
-            self._zero = False
-        deepest = 2 * n - 2 - _IN_PLACE_BITS  # the last position a pair runs in place from
-        rest = ops[len(grown):]
-        for k, (superop, *qubits) in enumerate(rest):
-            if superop is None and pending is None:
-                pending = qubits[0]
-                continue
-            # i, where q's row axis sits, is kept if q's column axis is right behind it there
-            # and the pair runs in place from i
-            i = None if superop is None or pending is not None else order.index(qubits[0])
-            if i is None or (i and i > deepest) or order[i + 1] != n + qubits[0]:
-                # a channel's axes go in front and a held CNOT's right behind them, so
-                # its quarters and reversed axes leave long contiguous runs for the copy;
-                # a CNOT meeting a held one settles it by a copy with no front of its
-                # own.  The pairs of the channels up to the next CNOT follow, as far as
-                # they can run in place there, so those channels need no copy.
-                lead = [] if superop is None else [qubits[0], n + qubits[0]]
-                lead = list(dict.fromkeys(lead + _cnot_axes(n, pending)))
-                for op in rest[k + 1 :]:
-                    if op[0] is None or len(lead) > deepest:
-                        break
-                    if op[1] not in lead:
-                        lead += [op[1], n + op[1]]
-                lead += [a for a in order if a not in lead]
-                _copy_folding_cnot(cur, other, order, lead, pending)
-                cur, other, order, pending, i = other, cur, lead, None, 0
-            if superop is None:
-                pending = qubits[0]
-            else:
-                shape = (1 << i, 4, -1)
-                np.matmul(np.reshape(superop, (4, 4)), cur.reshape(shape), out=other.reshape(shape))
-                cur, other = other, cur
-        if order != sorted(order) or pending is not None:
-            _copy_folding_cnot(cur, other, order, sorted(order), pending)
-            cur, other = other, cur
-        self.rho, self._scratch = cur, other
+        self._evolve([(kraus_ptm([gate]), q)])
 
     def apply_kraus(self, kraus, q: int) -> None:
-        self._evolve([(kraus_superoperator(kraus), q)])
+        self._evolve([(kraus_ptm(kraus), q)])
+
+    def _evolve(self, ops) -> None:
+        """Apply ops in order: (R, q) is a one-qubit map, a real 4x4 PTM, (R, c, c + 1) a
+        real 16x16 map on a chain pair and (None, c, c + 1) the CNOT.
+
+        r's axes live in a tracked storage order between ops.  A map whose axes lead, in
+        its order, runs where they lie: one matmul reads the (4^w, rest) block transposed
+        and writes the map's axes at the back, so a layer of n gates ends where it began.
+        A pair map whose second qubit leads the next op keeps that qubit in front instead,
+        writing [t, rest, c] as four matmuls, so a CNOT chain runs without a copy.  A map
+        whose axes do not lead copies r once to put them in front, and one last copy puts
+        r back in C order.  On a fresh |0...0><0...0|, r is a product: one-qubit maps act
+        on a lone qubit's 4 coefficients, and a pair map on (c, c + 1) grows a C-ordered
+        block of qubits 0..c + 1 in r's first entries and runs on its two trailing axes,
+        as long as c + 1 is the block's last qubit or outside it.
+        """
+        n = self.n_qubits
+        steps = []  # (map, qubits)
+        for op in ops:  # every op is checked before r moves
+            m, *qubits = op
+            if m is None and len(qubits) == 2:
+                m = _CNOT_PTM
+            w = len(qubits)
+            if w not in (1, 2) or m is None or np.size(m) != 16**w or not np.isrealobj(m):
+                raise ValueError(f"not a (PTM, q), (PTM, c, c + 1) or (None, c, c + 1) op: {op!r}")
+            if w == 1:
+                _check_qubit(n, qubits[0])
+            else:
+                _check_cnot(n, *qubits)
+            steps.append((np.reshape(m, (4**w, 4**w)), qubits))
+        cur, other = self._r, self._scratch
+        if self._fresh:
+            lone = np.tile([1.0, 0.0, 0.0, 1.0], (n, 1))  # the qubits outside the block
+            k, done = 0, 0  # cur[:4^k] holds qubits 0..k-1
+            cur[0] = 1.0
+            for m, qubits in steps:
+                if len(qubits) == 1 and qubits[0] >= k:
+                    lone[qubits[0]] = m @ lone[qubits[0]]
+                elif len(qubits) == 2 and qubits[1] >= k - 1:
+                    cur, other = _grow_block(cur, other, lone, k, qubits[1] + 1)
+                    k = max(k, qubits[1] + 1)
+                    np.matmul(cur[: 4**k].reshape(-1, 16), m.T, out=other[: 4**k].reshape(-1, 16))
+                    cur, other = other, cur
+                else:
+                    break
+                done += 1
+            cur, other = _grow_block(cur, other, lone, k, n)
+            steps, self._fresh = steps[done:], False
+        order = list(range(n))  # storage axis i holds qubit order[i]
+        for i, (m, qubits) in enumerate(steps):
+            w = len(qubits)
+            if order[:w] != qubits:
+                new = qubits + [q for q in order if q not in qubits]
+                _permute_into(other, cur, order, new)
+                cur, other, order = other, cur, new
+            rest = cur.size >> 2 * w
+            if w == 2 and i + 1 < len(steps) and steps[i + 1][1][0] == qubits[1]:
+                np.matmul(cur.reshape(16, rest).T, m.reshape(4, 4, 16).transpose(1, 2, 0),
+                          out=other.reshape(4, rest, 4))
+                order = order[1:] + order[:1]
+            else:
+                np.matmul(cur.reshape(4**w, rest).T, m.T, out=other.reshape(rest, 4**w))
+                order = order[w:] + order[:w]
+            cur, other = other, cur
+        if order != sorted(order):
+            _permute_into(other, cur, order, sorted(order))
+            cur, other = other, cur
+        self._r, self._scratch = cur, other
 
     def check_trace(self) -> None:
-        """|tr rho - 1| <= 1e-9, which a NaN or infinite trace fails: O(2^n), cheap enough
-        for every run."""
-        tr = np.trace(self.rho)
+        """|tr rho - 1| = |r_I - 1| <= 1e-9, which a NaN or infinite trace fails."""
+        tr = self._r[0]
         if not abs(tr - 1.0) <= 1e-9:
             raise ValueError(f"trace drifted to {tr}")
 
     def expectation(self, term: PauliTerm) -> float:
-        # tr(P rho) = sum_i P[i, i ^ flip] rho[i ^ flip, i], planned once per term and n
-        phase, index = _density_readout(term, self.n_qubits)
-        val = np.sum(phase * self.rho.reshape(-1)[index])
-        if abs(val.imag) > 1e-9:
-            raise ValueError("non-real expectation from density matrix")
-        return _unit_clip(val.real)
+        """tr(P rho) = r_P, one entry of r."""
+        n, index = self.n_qubits, 0
+        for q, p in term.factors:
+            _check_qubit(n, q)
+            index += "IXYZ".index(p) << 2 * (n - 1 - q)
+        return _unit_clip(self._r[index])
+
+
+def _grow_block(cur: np.ndarray, other: np.ndarray, lone: np.ndarray, k: int, top: int):
+    """The block of qubits 0..k-1 in cur[:4^k] times the lone qubits k..top-1, one at a
+    time through other; returns (cur, other) with the block of qubits 0..top-1 in cur.
+    Each product is a matmul: a broadcast np.multiply allocates numpy's 64 KiB buffer."""
+    for j in range(k, top):
+        np.matmul(cur[: 4**j, None], lone[j, None], out=other[: 4 ** (j + 1)].reshape(-1, 4))
+        cur, other = other, cur
+    return cur, other
+
+
+def _permute_into(dst: np.ndarray, src: np.ndarray, order, new_order) -> None:
+    """dst, with its [4]*n axes stored in new_order, = src stored in order."""
+    axes = [order.index(q) for q in new_order]
+    np.copyto(dst.reshape((4,) * len(order)), src.reshape((4,) * len(order)).transpose(axes))
 
 
 @dataclass
@@ -678,19 +668,19 @@ def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
     n = angles.shape[1]
     dm = DensityMatrix(n)
     # the same channel stack lands after every gate, so fuse it once up front
-    hit_map = compose_superoperators(kraus_superoperator(k) for k in _channel_sequences(noise))
-    hits = [] if hit_map is None else [hit_map]
-    # Ry, noise, Rz, noise on one qubit compose into a single map; the maps of every
-    # gate are built at once, each gate a Kraus family of one operator
-    ry = kraus_superoperator(ry_matrix(angles[..., 0])[..., None, :, :])
-    rz = kraus_superoperator(rz_matrix(angles[..., 1])[..., None, :, :])
-    gates = compose_superoperators([ry, *hits, rz, *hits])
-    ops = []  # (superop, q) channels and (None, q, q + 1) CNOTs, in circuit order
+    hit = np.eye(4)
+    for kraus in _channel_sequences(noise):
+        hit = kraus_ptm(kraus) @ hit
+    # Ry, noise, Rz, noise on one qubit compose into a single map, every gate's built at
+    # once from one stack of Ry and Rz; a CNOT and the noise on its two qubits are one map
+    rotations = np.stack([ry_matrix(angles[..., 0]), rz_matrix(angles[..., 1])])
+    ry, rz = kraus_ptm(rotations[..., None, :, :])
+    gates = hit @ rz @ hit @ ry
+    pair = np.kron(hit, hit) @ _CNOT_PTM
+    ops = []  # (PTM, q) gates and (PTM, q, q + 1) CNOTs with their noise, in circuit order
     for layer in range(angles.shape[0]):
         ops += [(gates[layer, q], q) for q in range(n)]
-        for q in range(n - 1):
-            ops += [(None, q, q + 1)] + [(h, c) for c in (q, q + 1) for h in hits]
+        ops += [(pair, q, q + 1) for q in range(n - 1)]
     dm._evolve(ops)
     dm.check_trace()
     return NoisyResult(density=dm, noise=noise)
-

@@ -51,6 +51,33 @@ def dense_pauli_expectation(state: StateVector, factors) -> float:
     return float(np.real(np.vdot(state.amplitudes, op @ state.amplitudes)))
 
 
+def dense_noisy_density(angles: np.ndarray, noise) -> np.ndarray:
+    """Oracle of run_noisy: rho by full 2^n unitaries, and each Kraus operator of each
+    channel after a gate embedded on its qubit, rho -> sum_k K rho K^dagger."""
+    from .qsim import _channel_sequences
+
+    angles = np.asarray(angles, dtype=np.float64)
+    layers, n, _ = angles.shape
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+
+    def hit(rho, q):
+        for family in _channel_sequences(noise):
+            ks = [dense_single_qubit_unitary(k, q, n) for k in family]
+            rho = sum(k @ rho @ k.conj().T for k in ks)
+        return rho
+
+    for layer in range(layers):
+        for q in range(n):
+            for gate in (ry_matrix(angles[layer, q, 0]), rz_matrix(angles[layer, q, 1])):
+                u = dense_single_qubit_unitary(gate, q, n)
+                rho = hit(u @ rho @ u.conj().T, q)
+        for q in range(n - 1):
+            c = dense_cnot_unitary(q, n)
+            rho = hit(hit(c @ rho @ c.conj().T, q), q + 1)
+    return rho
+
+
 # --------------------------------------------------------------- check groups
 #
 # Each group returns (name, ok, detail) triples; run_all flattens them with the
@@ -179,7 +206,7 @@ def check_tn(params_path=None):
 
 
 def check_qsim():
-    from .qsim import (DensityMatrix, NoiseSpec, PauliTerm, depolarizing_kraus,
+    from .qsim import (NOISE_KINDS, DensityMatrix, NoiseSpec, PauliTerm, depolarizing_kraus,
                        expectation, run_circuit, run_noisy)
 
     checks = []
@@ -217,6 +244,16 @@ def check_qsim():
     zero = run_noisy(np.zeros((1, 2, 2)), NoiseSpec(kind="depolarizing", p=0.0))
     err = abs(zero.density.expectation(PauliTerm(factors=((0, "Z"),))) - 1.0)
     checks.append(_passfail("zero_noise_is_identity", err <= 1e-12, f"error {err:.3e}"))
+
+    worst = 0.0
+    for n in (1, 2, 3):
+        for kind in NOISE_KINDS:
+            angles = rng.uniform(-np.pi, np.pi, size=(2, n, 2))
+            spec = NoiseSpec(kind=kind, p=0.1, gamma_amp=0.08, gamma_phase=0.06)
+            got = run_noisy(angles, spec).density.rho
+            worst = max(worst, float(np.abs(got - dense_noisy_density(angles, spec)).max()))
+    checks.append(_passfail("noisy_cnots_match_dense_kraus", worst <= 1e-10,
+                            f"n = 1..3, every noise kind, max entry error {worst:.3e}"))
     return checks
 
 
