@@ -1,13 +1,14 @@
 #!/bin/sh
 # Compare two checkouts on one benchmark workload in interleaved pairs.
 #
-#   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [SECONDS]
+#   scripts/bench_pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [SECONDS [FIRST_SEED]]
 #
 # Pair i (1..PAIRS) runs `python3 perfbench/run.py --workload WORKLOAD
-# --seed 10+i --seconds SECONDS --trace 0` in each checkout, with the same
-# seed on both sides.  Odd pairs run the parent first, even pairs the change
-# first, so neither side always meets the machine in the same state.  SECONDS
-# defaults to 25, the run length BENCHMARK.json sets.
+# --seed FIRST_SEED+i-1 --seconds SECONDS --trace 0` in each checkout, with
+# the same seed on both sides.  Odd pairs run the parent first, even pairs the
+# change first, so neither side always meets the machine in the same state.
+# SECONDS defaults to 25, the run length BENCHMARK.json sets, and FIRST_SEED
+# to 11; FIRST_SEED 21 gives a held-out range beside the default one.
 #
 # Prints one line per pair with the three end-to-end metrics of both sides,
 # then each side's median and quartiles per metric and how many pairs the
@@ -15,8 +16,8 @@
 # perfbench/ and src/; nothing is written into either.
 set -eu
 
-if [ $# -lt 4 ] || [ $# -gt 5 ]; then
-    echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [SECONDS]" >&2
+if [ $# -lt 4 ] || [ $# -gt 6 ]; then
+    echo "usage: $0 PARENT_DIR CHANGE_DIR WORKLOAD PAIRS [SECONDS [FIRST_SEED]]" >&2
     exit 2
 fi
 PARENT=$(cd "$1" && pwd)
@@ -24,6 +25,13 @@ CHANGE=$(cd "$2" && pwd)
 WORKLOAD=$3
 PAIRS=$4
 SECONDS_PER_RUN=${5:-25}
+FIRST_SEED=${6:-11}
+case $FIRST_SEED in
+    '' | *[!0-9]*)
+        echo "error: FIRST_SEED must be a nonnegative integer, got '$FIRST_SEED'" >&2
+        exit 2
+        ;;
+esac
 for dir in "$PARENT" "$CHANGE"; do
     if [ ! -f "$dir/perfbench/run.py" ]; then
         echo "error: no perfbench/run.py in $dir" >&2
@@ -42,7 +50,7 @@ run_side() {  # run_side SIDE DIR SEED PAIR
 
 i=1
 while [ "$i" -le "$PAIRS" ]; do
-    seed=$((10 + i))
+    seed=$((FIRST_SEED + i - 1))
     if [ $((i % 2)) -eq 1 ]; then
         run_side parent "$PARENT" "$seed" "$i"
         run_side change "$CHANGE" "$seed" "$i"
@@ -53,25 +61,26 @@ while [ "$i" -le "$PAIRS" ]; do
     i=$((i + 1))
 done
 
-python3 - "$TMP" "$PAIRS" "$WORKLOAD" <<'EOF'
+python3 - "$TMP" "$PAIRS" "$WORKLOAD" "$FIRST_SEED" <<'EOF'
 import json
 import statistics
 import sys
 from pathlib import Path
 
 tmp, pairs, workload = Path(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+first_seed = int(sys.argv[4])
 METRICS = (("samples_per_s", "higher"), ("setup_s", "lower"), ("peak_rss_mb", "lower"))
 runs = {side: [json.loads((tmp / f"{side}-{i}.json").read_text()) for i in range(1, pairs + 1)]
         for side in ("parent", "change")}
 
-print(f"workload {workload}, {pairs} pairs, seeds 11-{10 + pairs}")
+print(f"workload {workload}, {pairs} pairs, seeds {first_seed}-{first_seed + pairs - 1}")
 print(f"{'pair':>4} {'seed':>4} {'first':>6}  "
       + "  ".join(f"{m + ' parent':>20} {m + ' change':>20}" for m, _ in METRICS))
 for i in range(pairs):
     first = "parent" if i % 2 == 0 else "change"
     cells = "  ".join(f"{runs['parent'][i]['metrics'][m]['value']:>20.4f} "
                       f"{runs['change'][i]['metrics'][m]['value']:>20.4f}" for m, _ in METRICS)
-    print(f"{i + 1:>4} {11 + i:>4} {first:>6}  {cells}")
+    print(f"{i + 1:>4} {first_seed + i:>4} {first:>6}  {cells}")
 
 def summary(values):
     if len(values) < 2:

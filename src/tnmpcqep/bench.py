@@ -120,12 +120,14 @@ def execute_scenario(
     _check_scenario(scenario)
     if scenario in (3, 6):
         raise ValueError("scenarios 3 and 6 are closed-form only")
-    rng = np.random.default_rng(seed)
     n, d = cfg.n, cfg.d
-    if features is None:
-        features = rng.uniform(0.0, 1.0, size=(n, d))
-    if weights is None:
-        weights = rng.uniform(0.5, 2.0, size=n)
+    if features is None or weights is None:
+        # a generator is seeded only when it draws a default
+        rng = np.random.default_rng(seed)
+        if features is None:
+            features = rng.uniform(0.0, 1.0, size=(n, d))
+        if weights is None:
+            weights = rng.uniform(0.5, 2.0, size=n)
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if features.shape != (n, d) or weights.shape != (n,):

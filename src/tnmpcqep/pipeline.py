@@ -25,8 +25,9 @@ from .mpc import CostReport
 from .qsim import NOISE_KINDS, NoiseSpec
 from .tn import FRONTEND_KINDS, IMAGE_SIDE
 
-# plain aggregation events are stacked this many samples at a time; at
-# n=16, d=64 a chunk is 256 KiB, where a 400-sample stack would be 3.3 MiB
+# plain aggregation events are stacked, and synthetic images finished, this
+# many samples at a time; at n=16, d=64 an event chunk is 256 KiB, where a
+# 400-sample stack would be 3.3 MiB, and an image chunk's scratch is 196 KiB
 _CHUNK_ROWS = 32
 
 # pipeline-owned seed stream labels; tn uses 1x/2x/3x, qep 4x
@@ -113,20 +114,40 @@ def synth_data(n_samples: int, seed: int = 0) -> LabeledBatch:
     Each image is a Gaussian bump at a jittered class center plus pixel
     noise, clipped to [0, 1].  Labels alternate 0, 1, 0, 1 so any contiguous
     slice stays near-balanced.
+
+    Only the draws run per sample, in the stream's order: two uniforms for
+    the jitter, then the pixel normals straight into the image.  The images
+    are then finished _CHUNK_ROWS at a time in place, with the arithmetic of
+    Generator.uniform(-1.0, 1.0) (-1.0 + 2.0 u), Generator.normal(0.0, 0.05)
+    (0.0 + 0.05 z) and one image at a time, so every byte matches a
+    per-sample loop of those calls.
     """
     if n_samples < 2:
         raise ValueError(f"need at least two samples, got {n_samples}")
-    centers = ((9.0, 14.0), (19.0, 14.0))
     rng = tn._rng(seed, _S_SYNTH)
     labels = np.arange(n_samples, dtype=np.int64) % 2
-    rows, cols = np.mgrid[0:IMAGE_SIDE, 0:IMAGE_SIDE]
+    u = np.empty((n_samples, 2))
     images = np.empty((n_samples, IMAGE_SIDE, IMAGE_SIDE))
     for i in range(n_samples):
-        cr, cc = centers[labels[i]]
-        cr += rng.uniform(-1.0, 1.0)
-        cc += rng.uniform(-1.0, 1.0)
-        bump = 0.9 * np.exp(-((rows - cr) ** 2 + (cols - cc) ** 2) / (2.0 * 5.0**2))
-        images[i] = np.clip(bump + rng.normal(0.0, 0.05, size=bump.shape), 0.0, 1.0)
+        rng.random(out=u[i])
+        rng.standard_normal(out=images[i])
+    centers = np.array(((9.0, 14.0), (19.0, 14.0)))[labels] + (-1.0 + 2.0 * u)
+    axis = np.arange(IMAGE_SIDE, dtype=np.float64)
+    bump = np.empty((min(_CHUNK_ROWS, n_samples), IMAGE_SIDE, IMAGE_SIDE))
+    for lo in range(0, n_samples, _CHUNK_ROWS):
+        noise = images[lo : lo + _CHUNK_ROWS]
+        b = bump[: len(noise)]
+        cr, cc = centers[lo : lo + _CHUNK_ROWS, :, None].transpose(1, 0, 2)
+        # (rows - cr)**2 + (cols - cc)**2 from one row and one column term per image
+        np.add(np.square(axis - cr)[:, :, None], np.square(axis - cc)[:, None, :], out=b)
+        np.negative(b, out=b)
+        np.divide(b, 2.0 * 5.0**2, out=b)
+        np.exp(b, out=b)
+        np.multiply(b, 0.9, out=b)
+        np.multiply(noise, 0.05, out=noise)
+        np.add(noise, 0.0, out=noise)
+        np.add(b, noise, out=noise)
+        np.clip(noise, 0.0, 1.0, out=noise)
     return LabeledBatch(images, labels)
 
 

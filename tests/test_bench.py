@@ -142,6 +142,36 @@ def test_execute_scenario_values_match_plaintext():
     assert abs(out1[d] - weights.sum()) <= n * 2.0**-20
 
 
+@pytest.mark.parametrize(
+    "given, seeded",
+    [((), 2), (("features",), 2), (("weights",), 2), (("features", "weights"), 1)],
+)
+def test_execute_scenario_seeds_a_generator_only_to_draw_a_default(monkeypatch, given, seeded):
+    # the session seeds one for its share masks; a second is seeded only for
+    # the defaults, which keep the draws of a generator seeded from seed
+    cfg = BenchConfig(n=3, d=4)
+    own = np.random.default_rng(99)
+    inputs = {"features": own.uniform(0.0, 1.0, size=(3, 4)), "weights": own.uniform(0.5, 2.0, size=3)}
+    kwargs = {name: inputs[name] for name in given}
+    ref = np.random.default_rng(7)
+    features = kwargs["features"] if "features" in kwargs else ref.uniform(0.0, 1.0, size=(3, 4))
+    weights = kwargs["weights"] if "weights" in kwargs else ref.uniform(0.5, 2.0, size=3)
+    expect, expect_cost = execute_scenario(cfg, 2, seed=7, features=features, weights=weights)
+
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counting(*args, **kw):
+        calls.append(args)
+        return default_rng(*args, **kw)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    x, cost = execute_scenario(cfg, 2, seed=7, **kwargs)
+    assert len(calls) == seeded
+    assert x.tobytes() == expect.tobytes()
+    assert cost == expect_cost
+
+
 @pytest.mark.parametrize("scenario, factor", [(2, 1), (5, 2)])
 def test_executed_event_traffic_per_primitive_matches_the_closed_form(monkeypatch, scenario, factor):
     sessions = []

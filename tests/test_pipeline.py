@@ -717,6 +717,44 @@ def test_synth_data_blob_halves():
     assert lower[one].mean() > upper[one].mean()
 
 
+def _per_sample_synth_data(n_samples, seed):
+    # the per-sample loop that synth_data's chunked form must match byte for byte
+    centers = ((9.0, 14.0), (19.0, 14.0))
+    rng = np.random.default_rng([seed, pipeline._S_SYNTH])
+    labels = np.arange(n_samples, dtype=np.int64) % 2
+    rows, cols = np.mgrid[0:28, 0:28]
+    images = np.empty((n_samples, 28, 28))
+    for i in range(n_samples):
+        cr, cc = centers[labels[i]]
+        cr += rng.uniform(-1.0, 1.0)
+        cc += rng.uniform(-1.0, 1.0)
+        bump = 0.9 * np.exp(-((rows - cr) ** 2 + (cols - cc) ** 2) / (2.0 * 5.0**2))
+        images[i] = np.clip(bump + rng.normal(0.0, 0.05, size=bump.shape), 0.0, 1.0)
+    return images, labels
+
+
+@pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 64, 65, 200])
+def test_synth_data_keeps_the_bytes_of_the_per_sample_loop(n):
+    for seed in (0, 1, 11, 2**31 - 1):
+        images, labels = _per_sample_synth_data(n, seed)
+        batch = synth_data(n, seed)
+        assert batch.images.tobytes() == images.tobytes(), (n, seed)
+        assert batch.labels.tobytes() == labels.tobytes()
+
+
+def test_synth_data_builds_no_full_size_temporary():
+    import tracemalloc
+
+    synth_data(500, seed=1)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        batch = synth_data(500, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= batch.images.nbytes + 2**20
+
+
 def test_labeled_batch_validation():
     with pytest.raises(ValueError, match=r"\(m, 28, 28\)"):
         LabeledBatch(np.zeros((2, 14, 14)), np.zeros(2, dtype=int))
