@@ -4,7 +4,9 @@ the dimension-dominance effect.
 Run: python3 demos/bench_costs.py
 """
 
-from tnmpcqep.bench import BenchConfig, execute_scenario, run_scenario
+import numpy as np
+
+from tnmpcqep.bench import ACTIVE_OF, BenchConfig, execute_scenario, run_scenario
 
 
 def main():
@@ -18,7 +20,10 @@ def main():
 
     cfg = BenchConfig(n=4, d=8)
     closed = run_scenario(cfg, 2)
-    x, measured = execute_scenario(cfg, 2, seed=0)
+    rng = np.random.default_rng(0)
+    features = rng.uniform(0.0, 1.0, size=(cfg.n, cfg.d))
+    weights = rng.uniform(0.5, 2.0, size=cfg.n)
+    x, measured = execute_scenario(cfg, 2, features, weights, seed=0)
     print(f"\nexecuted protocol at n=4, d=8: meter {measured.total_bits} bits, "
           f"closed form {closed.total_bits}, equal: {measured == closed}")
     print(f"aggregate head: {x[:4].round(6)}")
@@ -30,7 +35,7 @@ def main():
         print(f"  n={n:>2}: total(d=784) / total(d=64) = {hi / lo:.2f}")
 
     print("\nactive security doubles every scenario (n=16, d=64):")
-    for passive, active in ((1, 4), (2, 5), (3, 6)):
+    for active, passive in ACTIVE_OF.items():
         p = run_scenario(BenchConfig(), passive).total_bits
         a = run_scenario(BenchConfig(), active).total_bits
         print(f"  S{passive} {p:>10} bits -> S{active} {a:>10} bits (x{a / p:.0f})")

@@ -21,8 +21,8 @@ W and 1/(W + eps) is a one-element share that mpc broadcasts over the d latents.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import astuple, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ PER_ELEMENT = "per-element"
 STRATEGIES = (RECIPROCAL_ONCE, PER_ELEMENT)
 
 SCENARIO_IDS = (0, 1, 2, 3, 4, 5, 6)
-_ACTIVE_OF = {4: 1, 5: 2, 6: 3}
+ACTIVE_OF = {4: 1, 5: 2, 6: 3}  # active scenario -> its passive counterpart
 
 
 def _check_scenario(sid: int) -> None:
@@ -83,8 +83,8 @@ def run_scenario(cfg: BenchConfig, scenario: int) -> CostReport:
     n, d, k = cfg.n, cfg.d, cfg.k
     if scenario == 0:
         return CostReport(client_to_node_bits=n * (d + 1) * k)
-    if scenario in _ACTIVE_OF:
-        return run_scenario(cfg, _ACTIVE_OF[scenario]).scaled(2)
+    if scenario in ACTIVE_OF:
+        return run_scenario(cfg, ACTIVE_OF[scenario]).scaled(2)
 
     client = n * (d + 1) * 6 * k
     node = n * d * 9 * k
@@ -105,14 +105,9 @@ def run_scenario(cfg: BenchConfig, scenario: int) -> CostReport:
 # --- executed protocols ---
 
 
-def execute_scenario(
-    cfg: BenchConfig,
-    scenario: int,
-    seed: int = 0,
-    features: Optional[np.ndarray] = None,
-    weights: Optional[np.ndarray] = None,
-):
-    """Run the actual protocol for scenarios 0, 1, 2, 4, 5.
+def execute_scenario(cfg: BenchConfig, scenario: int, features, weights, seed: int = 0):
+    """Run the actual protocol for scenarios 0, 1, 2, 4, 5 on (n, d) features
+    and (n,) weights; the session draws its share masks from seed.
 
     Returns (decoded result vector, CostReport).  Scenarios 3/6 exist only in
     the closed form (the d x d layer is not part of the executable pipeline).
@@ -121,19 +116,12 @@ def execute_scenario(
     if scenario in (3, 6):
         raise ValueError("scenarios 3 and 6 are closed-form only")
     n, d = cfg.n, cfg.d
-    if features is None or weights is None:
-        # a generator is seeded only when it draws a default
-        rng = np.random.default_rng(seed)
-        if features is None:
-            features = rng.uniform(0.0, 1.0, size=(n, d))
-        if weights is None:
-            weights = rng.uniform(0.5, 2.0, size=n)
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if features.shape != (n, d) or weights.shape != (n,):
         raise ValueError("features must be (n, d) and weights (n,)")
 
-    mode = SecurityMode.ACTIVE if scenario in _ACTIVE_OF else SecurityMode.PASSIVE
+    mode = SecurityMode.ACTIVE if scenario in ACTIVE_OF else SecurityMode.PASSIVE
     session = Mpc3Session(
         k=cfg.k, fraction_bits=cfg.fraction_bits, theta=cfg.theta, mode=mode, seed=seed
     )
@@ -179,8 +167,12 @@ def execute_scenario(
 
 
 def verify_against_meter(cfg: BenchConfig, scenario: int, seed: int = 0) -> bool:
-    """True iff the executed protocol's meter matches the closed form bit for bit."""
-    _, measured = execute_scenario(cfg, scenario, seed=seed)
+    """True iff the executed protocol's meter matches the closed form bit for bit,
+    on uniform features in [0, 1) and weights in [0.5, 2) drawn from seed."""
+    rng = np.random.default_rng(seed)
+    features = rng.uniform(0.0, 1.0, size=(cfg.n, cfg.d))
+    weights = rng.uniform(0.5, 2.0, size=cfg.n)
+    _, measured = execute_scenario(cfg, scenario, features, weights, seed=seed)
     return measured == run_scenario(cfg, scenario)
 
 
@@ -216,20 +208,8 @@ def sweep(
             for d in d_values:
                 cfg = BenchConfig(n=n, d=d, k=k, theta=theta, division_strategy=division_strategy)
                 rep = run_scenario(cfg, s)
-                rows.append(
-                    {
-                        "scenario": s,
-                        "n": n,
-                        "d": d,
-                        "k": k,
-                        "theta": theta,
-                        "strategy": division_strategy,
-                        "client_to_node_bits": rep.client_to_node_bits,
-                        "node_to_node_bits": rep.node_to_node_bits,
-                        "reconstruction_bits": rep.reconstruction_bits,
-                        "total_bits": rep.total_bits,
-                    }
-                )
+                values = (s, n, d, k, theta, division_strategy, *astuple(rep), rep.total_bits)
+                rows.append(dict(zip(CSV_HEADER, values)))
     return rows
 
 

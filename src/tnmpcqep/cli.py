@@ -15,10 +15,12 @@ import sys
 from dataclasses import replace
 
 from . import bench, pipeline, qep, tn, verify
-from .qsim import MAX_DENSITY_QUBITS, NOISE_KINDS
+from .qsim import MAX_DENSITY_QUBITS, NOISE_KINDS, NoiseSpec
 from .tn import FRONTEND_KINDS
 
 _MAX_QUBITS = 16
+# flag defaults are read from the library's own configs
+_DEMO, _NOISE, _BENCH = pipeline.DemoConfig(), NoiseSpec(), bench.BenchConfig()
 
 
 def _master_seed(args) -> int:
@@ -46,16 +48,12 @@ def _int_at_least(low: int):
     return parse
 
 
-def _cell(v):
-    return repr(v) if isinstance(v, float) else v
-
-
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(row[h]) for h in header])
+            writer.writerow([row[h] for h in header])
 
 
 def _noise(args, parser, kind: str):
@@ -96,7 +94,7 @@ def _cmd_bench_mpc(args, parser) -> int:
     for row in rows:
         totals[row["scenario"]] = totals.get(row["scenario"], 0) + row["total_bits"]
     print(f"  {'pair':<10}{'passive_bits':>16}{'active_bits':>16}{'ratio':>8}")
-    for passive, active in ((1, 4), (2, 5), (3, 6)):
+    for active, passive in bench.ACTIVE_OF.items():
         pb, ab = totals.get(passive, 0), totals.get(active, 0)
         ratio = ab / pb if pb else float("nan")
         print(f"  S{passive} vs S{active:<4}{pb:>16}{ab:>16}{ratio:>8.2f}")
@@ -231,100 +229,92 @@ def _cmd_verify(args, parser) -> int:
 # --------------------------------------------------------------------- parser
 
 
+def _add_noise(p, **kinds) -> None:
+    """--noise (one kind unless kinds overrides its type and default), --p and --gamma."""
+    p.add_argument("--noise", **(kinds or {"choices": NOISE_KINDS, "default": _NOISE.kind}))
+    p.add_argument("--p", type=float, default=_NOISE.p)
+    p.add_argument("--gamma", type=float, default=_NOISE.gamma_amp)
+
+
+def _add_split(p) -> None:
+    p.add_argument("--n-train", type=_int_at_least(2), default=_DEMO.n_train)
+    p.add_argument("--n-test", type=_int_at_least(1), default=_DEMO.n_test)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tnmpcqep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_seed(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: TNMPCQEP_SEED env var, then 0)")
 
     p = sub.add_parser("bench-mpc", help="closed-form communication cost grid")
     p.add_argument("--n-min", type=int, default=1)
     p.add_argument("--n-max", type=int, default=30)
     p.add_argument("--dims", type=_int_list, default=[64, 784])
-    p.add_argument("--k", type=int, default=64)
-    p.add_argument("--theta", type=int, default=5)
-    p.add_argument("--strategy", choices=bench.STRATEGIES, default=bench.RECIPROCAL_ONCE)
+    p.add_argument("--k", type=int, default=_BENCH.k)
+    p.add_argument("--theta", type=int, default=_BENCH.theta)
+    p.add_argument("--strategy", choices=bench.STRATEGIES, default=_BENCH.division_strategy)
     p.add_argument("--out", default="bench.csv")
-    add_seed(p)
     p.set_defaults(func=_cmd_bench_mpc)
 
     p = sub.add_parser("encode", help="run a tensor-network frontend over a batch")
-    p.add_argument("--kind", choices=FRONTEND_KINDS, default="ttn")
+    p.add_argument("--kind", choices=FRONTEND_KINDS, default=_DEMO.kind)
     p.add_argument("--n", type=_int_at_least(2), default=8, help="synthetic sample count")
     p.add_argument("--images", default=None, help="IDX image file (with --labels)")
     p.add_argument("--labels", default=None, help="IDX label file (with --images)")
     p.add_argument("--params", default=None, help="load frontend parameters from a bundle")
     p.add_argument("--save-params", default=None, help="save the frontend bundle here")
     p.add_argument("--out", default="latents.csv")
-    add_seed(p)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("qep-run", help="quantum processor diagnostics over a batch")
-    p.add_argument("--kind", choices=FRONTEND_KINDS, default="ttn")
-    p.add_argument("--nq", type=int, default=8)
-    p.add_argument("--observables", choices=qep.OBSERVABLE_MODES, default="nearest_neighbor")
-    p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")
-    p.add_argument("--p", type=float, default=0.01)
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--kind", choices=FRONTEND_KINDS, default=_DEMO.kind)
+    p.add_argument("--nq", type=int, default=_DEMO.n_q)
+    p.add_argument("--observables", choices=qep.OBSERVABLE_MODES, default=_DEMO.observables)
+    _add_noise(p)
     p.add_argument("--n", type=_int_at_least(2), default=8)
     p.add_argument("--images", default=None)
     p.add_argument("--labels", default=None)
     p.add_argument("--batch-size", type=_int_at_least(1), default=16)
     p.add_argument("--out", default="qep_diagnostics.csv")
-    add_seed(p)
     p.set_defaults(func=_cmd_qep_run)
 
     p = sub.add_parser("qubit-sweep", help="demo metrics per qubit count and seed")
     p.add_argument("--nq", type=_int_list, default=[4, 6, 8, 10, 12, 14, 16])
-    p.add_argument("--frontend", choices=FRONTEND_KINDS, default="ttn")
+    p.add_argument("--frontend", choices=FRONTEND_KINDS, default=_DEMO.kind)
     p.add_argument("--seeds", type=_int_at_least(1), default=5, help="number of seeds per count")
-    p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")
-    p.add_argument("--p", type=float, default=0.01)
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n-train", type=_int_at_least(2), default=400)
-    p.add_argument("--n-test", type=_int_at_least(1), default=100)
+    _add_noise(p)
+    _add_split(p)
     p.add_argument("--out", default="qubit_sweep.csv")
-    add_seed(p)
     p.set_defaults(func=_cmd_qubit_sweep)
 
     p = sub.add_parser("noise-sweep", help="demo metrics per noise kind and seed")
-    p.add_argument("--nq", type=int, default=8)
-    p.add_argument("--noise", type=lambda s: [t.strip() for t in s.split(",")],
-                   default=list(pipeline.NOISE_SWEEP_KINDS))
-    p.add_argument("--p", type=float, default=0.01)
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--nq", type=int, default=_DEMO.n_q)
+    _add_noise(p, type=lambda s: [t.strip() for t in s.split(",")],
+               default=list(pipeline.NOISE_SWEEP_KINDS))
     p.add_argument("--seeds", type=_int_at_least(1), default=3)
-    p.add_argument("--frontend", choices=FRONTEND_KINDS, default="ttn")
-    p.add_argument("--n-train", type=_int_at_least(2), default=400)
-    p.add_argument("--n-test", type=_int_at_least(1), default=100)
+    p.add_argument("--frontend", choices=FRONTEND_KINDS, default=_DEMO.kind)
+    _add_split(p)
     p.add_argument("--out", default="noise_sweep.csv")
-    add_seed(p)
     p.set_defaults(func=_cmd_noise_sweep)
 
     p = sub.add_parser("pipeline-demo", help="one end-to-end run, JSON report")
-    p.add_argument("--kind", choices=FRONTEND_KINDS, default="ttn")
-    p.add_argument("--mode", choices=pipeline.DEMO_MODES, default="quantum")
+    p.add_argument("--kind", choices=FRONTEND_KINDS, default=_DEMO.kind)
+    p.add_argument("--mode", choices=pipeline.DEMO_MODES, default=_DEMO.mode)
     p.add_argument("--secure", action="store_true")
-    p.add_argument("--nq", type=int, default=8)
-    p.add_argument("--noise", choices=NOISE_KINDS, default="noiseless")
-    p.add_argument("--p", type=float, default=0.01)
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--n-train", type=_int_at_least(2), default=400)
-    p.add_argument("--n-test", type=_int_at_least(1), default=100)
+    p.add_argument("--nq", type=int, default=_DEMO.n_q)
+    _add_noise(p)
+    _add_split(p)
     p.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
-    add_seed(p)
     p.set_defaults(func=_cmd_pipeline_demo)
 
     p = sub.add_parser("verify", help="run the invariant suite, pass/fail per check")
     p.add_argument("--group", default=None,
                    help=f"comma-separated subset of {verify.CHECK_GROUPS}")
     p.add_argument("--params", default=None, help="also check a saved frontend bundle")
-    add_seed(p)
     p.set_defaults(func=_cmd_verify)
 
     for command in sub.choices.values():  # a flag error prints its own command's usage
+        command.add_argument("--seed", type=int, default=None,
+                             help="master seed (default: TNMPCQEP_SEED env var, then 0)")
         command.set_defaults(parser=command)
     return parser
 

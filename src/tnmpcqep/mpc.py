@@ -373,15 +373,10 @@ class Instr:
     const: Optional[int] = None
 
 
-_SCALE_RULES = {"add", "sub", "mul", "trunc", "fixed_mul", "cmul", "div"}
-
-
 def _program_scales(program: Sequence[Instr], input_names: Iterable[str]) -> dict:
     """Track each wire's fixed-point scale in multiples of F; validate the program."""
     scales = {name: 1 for name in input_names}
     for ins in program:
-        if ins.op not in _SCALE_RULES:
-            raise ProtocolError(f"unknown op {ins.op!r}")
         if ins.a not in scales:
             raise ProtocolError(f"undefined wire {ins.a!r}")
         sa = scales[ins.a]
@@ -411,6 +406,8 @@ def _program_scales(program: Sequence[Instr], input_names: Iterable[str]) -> dic
             if sa != 1 or sb != 1:
                 raise ProtocolError("div expects scale-F operands")
             scales[ins.dst] = 1
+        else:
+            raise ProtocolError(f"unknown op {ins.op!r}")
     return scales
 
 

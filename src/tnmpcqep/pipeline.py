@@ -74,7 +74,7 @@ def aggregate_secure(features, weights, cfg: bench.BenchConfig, seed: int = 0):
     np.random.default_rng accepts; the session draws its share masks from it.
     """
     _check_weights(np.asarray(weights, dtype=np.float64))
-    return bench.execute_scenario(cfg, 2, seed=seed, features=features, weights=weights)
+    return bench.execute_scenario(cfg, 2, features, weights, seed=seed)
 
 
 # ----------------------------------------------------------------------- data
@@ -484,8 +484,8 @@ class DemoConfig:
             raise ValueError(f"unknown observable mode {self.observables!r}")
         if self.noise is not None and not isinstance(self.noise, NoiseSpec):
             raise TypeError("noise must be a NoiseSpec or None")
-        if self.n_q < 1:
-            raise ValueError(f"n_q must be positive, got {self.n_q}")
+        if self.n_q < 2:
+            raise ValueError(f"the processor needs n_q >= 2 qubits, got {self.n_q}")
         if self.n_clients < 1:
             raise ValueError(f"need at least one client, got {self.n_clients}")
         if self.n_train < 2 or self.n_test < 1:
@@ -513,16 +513,8 @@ class DemoReport:
         payload = {
             "config": self.config,
             "metrics": self.metrics.to_dict(),
-            "diagnostics": {
-                "alpha_mean": self.diagnostics.alpha_mean,
-                "q_std": self.diagnostics.q_std,
-            },
-            "cost": {
-                "client_to_node_bits": self.cost.client_to_node_bits,
-                "node_to_node_bits": self.cost.node_to_node_bits,
-                "reconstruction_bits": self.cost.reconstruction_bits,
-                "total_bits": self.cost.total_bits,
-            },
+            "diagnostics": asdict(self.diagnostics),
+            "cost": {**asdict(self.cost), "total_bits": self.cost.total_bits},
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 

@@ -282,6 +282,8 @@ def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
     xs = np.atleast_2d(xs)
     if xs.ndim != 2 or xs.shape[1] != params.d:
         raise ValueError(f"expected (m, {params.d}) latents, got {np.asarray(x_agg).shape}")
+    if xs.shape[0] == 0:
+        raise ValueError("cannot process an empty batch of latents")
     _ensure_finite(xs, "input")
 
     q = _quantum_branch(xs, params, noise)

@@ -134,9 +134,11 @@ class FixedPointCodec:
         # scaling by a power of two is exact in binary floating point
         scaled = v * float(self.scale)
         magnitude = np.floor(np.abs(scaled) + 0.5)
-        if np.any(magnitude >= float(1 << (self.k - 1)) + 1):
-            raise ValueError("rounded magnitude does not fit the signed ring range")
         signed = np.where(scaled < 0, -magnitude, magnitude)
+        # a value just below max_abs can round up to 2^(k-1), which would wrap to
+        # -2^(k-1); that negative end itself stays representable
+        if np.any(signed >= float(1 << (self.k - 1))):
+            raise ValueError("rounded value does not fit the signed ring range")
         return from_signed(signed.astype(np.int64), self.k)
 
     def decode_array(self, residues: np.ndarray) -> np.ndarray:

@@ -232,47 +232,42 @@ def _safe_normalize(w, fallback=None):
     return np.where(degenerate, w if fallback is None else fallback, scaled)
 
 
-def make_frontend(config: FrontendConfig):
-    """Draw a full parameter set for the configured kind, deterministically."""
-    seed = config.seed
-    if config.kind == "mps":
-        premap = _rng(seed, _S_PREMAP)
-        w = premap.standard_normal((config.h, IMAGE_PIXELS)) / np.sqrt(IMAGE_PIXELS)
-        b = 0.1 * premap.standard_normal(config.h)
-        emb = _rng(seed, _S_EMBED)
-        e_re = emb.standard_normal((config.d_phys, config.block)) / np.sqrt(config.block)
-        e_im = emb.standard_normal((config.d_phys, config.block)) / np.sqrt(config.block)
-        core_rng = _rng(seed, _S_CORES)
-        r, dp = config.bond, config.d_phys
-        cores = np.empty((config.l_sites, r, dp, r), dtype=np.complex128)
-        for k in range(config.l_sites):
-            q = qr_isometry(_complex_gaussian(core_rng, (r * dp, r)))
-            cores[k] = q.reshape(r, dp, r)
-        proj_rng = _rng(seed, _S_PROJ)
-        proj = proj_rng.standard_normal((config.d, 2 * r)) / np.sqrt(2 * r)
-        return MpsParams(config, w, b, e_re, e_im, cores, proj)
+def _dense(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) / np.sqrt(cols)
 
-    stem_rng = _rng(seed, _S_STEM)
-    patch_dim = config.patch * config.patch
-    stem_w = stem_rng.standard_normal((config.d_p, patch_dim)) / np.sqrt(patch_dim)
-    stem_b = 0.1 * stem_rng.standard_normal(config.d_p)
-    emb = _rng(seed, _S_TREE_EMBED)
-    e_re = emb.standard_normal((config.d_loc, config.d_p)) / np.sqrt(config.d_p)
-    e_im = emb.standard_normal((config.d_loc, config.d_p)) / np.sqrt(config.d_p)
-    iso_rng = _rng(seed, _S_ISOMETRY)
-    dl = config.d_loc
-    isometries = np.empty((config.n_levels, 2 * dl, dl), dtype=np.complex128)
-    for lvl in range(config.n_levels):
-        isometries[lvl] = qr_isometry(_complex_gaussian(iso_rng, (2 * dl, dl)))
+
+def _isometries(rng, count, rows, cols):
+    """count QR-projected complex Gaussian (rows, cols) isometries, drawn in order."""
+    out = np.empty((count, rows, cols), dtype=np.complex128)
+    for i in range(count):
+        out[i] = qr_isometry(_complex_gaussian(rng, (rows, cols)))
+    return out
+
+
+def make_frontend(config: FrontendConfig):
+    """Draw a full parameter set for the configured kind, deterministically.
+
+    Each parameter comes from its own labelled stream: the input map (MPS
+    premap, or the tree stem shared across patches) and its bias, the
+    complex embedding pair, the isometry stack and the projection."""
+    seed, mps = config.seed, config.kind == "mps"
+    in_rng = _rng(seed, _S_PREMAP if mps else _S_STEM)
+    width, fan_in = (config.h, IMAGE_PIXELS) if mps else (config.d_p, config.patch * config.patch)
+    w, b = _dense(in_rng, width, fan_in), 0.1 * in_rng.standard_normal(width)
+    emb = _rng(seed, _S_EMBED if mps else _S_TREE_EMBED)
+    leaf, fan_in = (config.d_phys, config.block) if mps else (config.d_loc, config.d_p)
+    e_re, e_im = _dense(emb, leaf, fan_in), _dense(emb, leaf, fan_in)
+    r, dl = config.bond, config.d_loc
+    proj = _dense(_rng(seed, _S_PROJ), config.d, 2 * (r if mps else dl))
+    if mps:
+        cores = _isometries(_rng(seed, _S_CORES), config.l_sites, r * config.d_phys, r)
+        cores = cores.reshape(config.l_sites, r, config.d_phys, r)
+        return MpsParams(config, w, b, e_re, e_im, cores, proj)
+    isometries = _isometries(_rng(seed, _S_ISOMETRY), config.n_levels, 2 * dl, dl)
     disentanglers = None
     if config.kind == "mera":
-        dis_rng = _rng(seed, _S_DISENT)
-        disentanglers = np.empty((config.n_levels, 2 * dl, 2 * dl), dtype=np.complex128)
-        for lvl in range(config.n_levels):
-            disentanglers[lvl] = qr_isometry(_complex_gaussian(dis_rng, (2 * dl, 2 * dl)))
-    proj_rng = _rng(seed, _S_PROJ)
-    proj = proj_rng.standard_normal((config.d, 2 * dl)) / np.sqrt(2 * dl)
-    return TreeParams(config, stem_w, stem_b, e_re, e_im, isometries, disentanglers, proj)
+        disentanglers = _isometries(_rng(seed, _S_DISENT), config.n_levels, 2 * dl, 2 * dl)
+    return TreeParams(config, w, b, e_re, e_im, isometries, disentanglers, proj)
 
 
 def _site_vectors(xs, params: MpsParams) -> np.ndarray:

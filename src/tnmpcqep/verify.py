@@ -151,7 +151,7 @@ def check_mpc():
 
 
 def check_bench():
-    from .bench import BenchConfig, run_scenario, verify_against_meter
+    from .bench import ACTIVE_OF, BenchConfig, run_scenario, verify_against_meter
 
     checks = []
     ok = True
@@ -165,7 +165,7 @@ def check_bench():
     for n in (1, 5, 30):
         for d in (64, 784):
             cfg = BenchConfig(n=n, d=d)
-            for passive, active in ((1, 4), (2, 5), (3, 6)):
+            for active, passive in ACTIVE_OF.items():
                 if run_scenario(cfg, active) != run_scenario(cfg, passive).scaled(2):
                     ok = False
     checks.append(_passfail("active_exactly_doubles_passive", ok, "spot grid, all pairs"))

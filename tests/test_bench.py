@@ -101,6 +101,11 @@ def test_config_validation():
         run_scenario(BenchConfig(), -1)
 
 
+def _inputs(cfg, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, size=(cfg.n, cfg.d)), rng.uniform(0.5, 2.0, size=cfg.n)
+
+
 def test_scenario_catalog():
     cfg = BenchConfig(n=2, d=2)
     assert [row["scenario"] for row in sweep([2], [2])] == list(bench.SCENARIO_IDS)
@@ -108,7 +113,7 @@ def test_scenario_catalog():
         with pytest.raises(ValueError, match="scenario must be one of"):
             run_scenario(cfg, sid)
         with pytest.raises(ValueError, match="scenario must be one of"):
-            execute_scenario(cfg, sid)
+            execute_scenario(cfg, sid, *_inputs(cfg))
         with pytest.raises(ValueError, match="scenario must be one of"):
             sweep([2], [2], scenarios=[sid])
 
@@ -134,29 +139,19 @@ def test_execute_scenario_values_match_plaintext():
     features = rng.uniform(0, 1, size=(n, d))
     weights = rng.uniform(0.5, 2.0, size=n)
     cfg = BenchConfig(n=n, d=d, k=64, theta=5)
-    x2, _ = execute_scenario(cfg, 2, features=features, weights=weights)
+    x2, _ = execute_scenario(cfg, 2, features, weights)
     expect = (weights[:, None] * features).sum(axis=0) / (weights.sum() + cfg.epsilon)
     assert np.max(np.abs(x2 - expect)) <= n * 4 * 2.0**-20
-    out1, _ = execute_scenario(cfg, 1, features=features, weights=weights)
+    out1, _ = execute_scenario(cfg, 1, features, weights)
     assert np.max(np.abs(out1[:d] - (weights[:, None] * features).sum(axis=0))) <= n * 2.0**-18
     assert abs(out1[d] - weights.sum()) <= n * 2.0**-20
 
 
-@pytest.mark.parametrize(
-    "given, seeded",
-    [((), 2), (("features",), 2), (("weights",), 2), (("features", "weights"), 1)],
-)
-def test_execute_scenario_seeds_a_generator_only_to_draw_a_default(monkeypatch, given, seeded):
-    # the session seeds one for its share masks; a second is seeded only for
-    # the defaults, which keep the draws of a generator seeded from seed
+def test_execute_scenario_seeds_one_generator_per_event(monkeypatch):
+    # the session seeds one generator for its share masks and nothing else draws
     cfg = BenchConfig(n=3, d=4)
-    own = np.random.default_rng(99)
-    inputs = {"features": own.uniform(0.0, 1.0, size=(3, 4)), "weights": own.uniform(0.5, 2.0, size=3)}
-    kwargs = {name: inputs[name] for name in given}
-    ref = np.random.default_rng(7)
-    features = kwargs["features"] if "features" in kwargs else ref.uniform(0.0, 1.0, size=(3, 4))
-    weights = kwargs["weights"] if "weights" in kwargs else ref.uniform(0.5, 2.0, size=3)
-    expect, expect_cost = execute_scenario(cfg, 2, seed=7, features=features, weights=weights)
+    features, weights = _inputs(cfg, seed=99)
+    expect, expect_cost = execute_scenario(cfg, 2, features, weights, seed=7)
 
     calls = []
     default_rng = np.random.default_rng
@@ -166,8 +161,8 @@ def test_execute_scenario_seeds_a_generator_only_to_draw_a_default(monkeypatch, 
         return default_rng(*args, **kw)
 
     monkeypatch.setattr(np.random, "default_rng", counting)
-    x, cost = execute_scenario(cfg, 2, seed=7, **kwargs)
-    assert len(calls) == seeded
+    x, cost = execute_scenario(cfg, 2, features, weights, seed=7)
+    assert calls == [(7,)]
     assert x.tobytes() == expect.tobytes()
     assert cost == expect_cost
 
@@ -183,7 +178,7 @@ def test_executed_event_traffic_per_primitive_matches_the_closed_form(monkeypatc
     monkeypatch.setattr(bench, "Mpc3Session", session)
     cfg = BenchConfig(n=16, d=64)
     n, d, k = cfg.n, cfg.d, cfg.k
-    _, measured = execute_scenario(cfg, scenario, seed=5)
+    _, measured = execute_scenario(cfg, scenario, *_inputs(cfg), seed=5)
     traffic = sessions[0].traffic()
     assert traffic == {
         "share": factor * n * (d + 1) * 6 * k,
@@ -198,10 +193,11 @@ def test_executed_event_traffic_per_primitive_matches_the_closed_form(monkeypatc
 
 
 def test_execute_scenario_rejects_closed_form_only():
+    cfg = BenchConfig(n=2, d=2)
     with pytest.raises(ValueError):
-        execute_scenario(BenchConfig(n=2, d=2), 3)
+        execute_scenario(cfg, 3, *_inputs(cfg))
     with pytest.raises(ValueError):
-        execute_scenario(BenchConfig(n=2, d=2), 6)
+        execute_scenario(cfg, 6, *_inputs(cfg))
 
 
 def test_sweep_rows_and_csv(tmp_path):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tnmpcqep import bench, cli, pipeline, qep, tn
+from tnmpcqep import bench, cli, pipeline, qep, qsim, tn
 
 
 def run_cli(argv):
@@ -16,6 +16,30 @@ def run_cli(argv):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+_DEMO, _NOISE, _BENCH = pipeline.DemoConfig(), qsim.NoiseSpec(), bench.BenchConfig()
+_NOISE_FLAGS = {"p": _NOISE.p, "gamma": _NOISE.gamma_amp}
+_SPLIT_FLAGS = {"n_train": _DEMO.n_train, "n_test": _DEMO.n_test}
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("bench-mpc", {"k": _BENCH.k, "theta": _BENCH.theta, "strategy": _BENCH.division_strategy}),
+    ("encode", {"kind": _DEMO.kind}),
+    ("qep-run", {"kind": _DEMO.kind, "nq": _DEMO.n_q, "observables": _DEMO.observables,
+                 "noise": _NOISE.kind, **_NOISE_FLAGS}),
+    ("qubit-sweep", {"frontend": _DEMO.kind, "noise": _NOISE.kind, **_NOISE_FLAGS,
+                     **_SPLIT_FLAGS}),
+    ("noise-sweep", {"nq": _DEMO.n_q, "frontend": _DEMO.kind, **_NOISE_FLAGS, **_SPLIT_FLAGS}),
+    ("pipeline-demo", {"kind": _DEMO.kind, "mode": _DEMO.mode, "secure": _DEMO.secure,
+                       "nq": _DEMO.n_q, "noise": _NOISE.kind, **_NOISE_FLAGS, **_SPLIT_FLAGS}),
+    ("verify", {}),
+])
+def test_flag_defaults_are_the_library_defaults(command, defaults):
+    assert _NOISE.gamma_phase == _NOISE.gamma_amp  # --gamma sets both
+    args = cli.build_parser().parse_args([command])
+    assert args.seed is None
+    assert {name: getattr(args, name) for name in defaults} == defaults
 
 
 def test_bench_default_grid_has_420_rows(tmp_path):

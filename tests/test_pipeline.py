@@ -827,6 +827,14 @@ def test_demo_config_validation_and_echo():
         DemoConfig(n_clients=0)  # the client dealing needs one
 
 
+def test_demo_config_needs_the_processors_two_qubits():
+    # n_q = 1 used to pass here, and run_demo then ran every secure event
+    # before the observable set rejected it
+    with pytest.raises(ValueError, match="n_q >= 2"):
+        DemoConfig(n_q=1, secure=True)
+    assert DemoConfig(n_q=2).n_q == 2
+
+
 SMALL = dict(n_train=60, n_test=20)
 
 

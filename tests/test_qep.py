@@ -404,6 +404,15 @@ def test_qubit_sweep_reads_observables_and_noise_from_config():
     assert noisy["q_std"] != clean["q_std"]
 
 
+@pytest.mark.parametrize("noise", [None, NoiseSpec(kind="depolarizing")])
+def test_qep_forward_rejects_an_empty_batch_before_any_stage(noise):
+    params = make_qep(d=16, n_q=4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="empty batch"):
+            qep_forward(np.zeros((0, 16)), params, noise=noise)
+
+
 def test_qubit_sweep_rejects_empty_inputs():
     from tnmpcqep import pipeline
 

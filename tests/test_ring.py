@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnmpcqep.ring import (
     FixedPointCodec,
@@ -203,3 +205,35 @@ def test_ring_ops_wrap_without_an_overflow_warning(k, kind):
     for op, value in got.items():
         assert np.asarray(value).dtype == np.uint64
         assert int(np.ravel(value)[0]) == want[op], op
+
+
+@pytest.mark.parametrize("k, f, v", [(8, 1, 63.75), (16, 4, 2047.99)])
+def test_encode_rejects_a_value_that_rounds_up_to_the_top_of_the_ring(k, f, v):
+    codec = FixedPointCodec(k=k, fraction_bits=f)
+    with pytest.raises(ValueError, match="does not fit"):
+        codec.encode_array([v])
+    assert codec.decode_array(codec.encode_array([-v]))[0] == -codec.max_abs  # -2^(k-1) fits
+
+
+def _below(top, steps):
+    for _ in range(steps):
+        top = np.nextafter(top, 0.0)
+    return float(top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_encode_keeps_the_sign_or_rejects(data):
+    k = data.draw(st.integers(8, 64))
+    codec = FixedPointCodec(k=k, fraction_bits=data.draw(st.integers(1, k - 1)))
+    top = codec.max_abs
+    v = data.draw(st.one_of(
+        st.floats(-top, top, exclude_min=True, exclude_max=True),
+        st.builds(lambda steps, sign: sign * _below(top, steps),
+                  st.integers(0, 3), st.sampled_from([-1.0, 1.0]))))
+    try:
+        got = float(codec.decode_array(codec.encode_array([v]))[0])
+    except ValueError:
+        return
+    assert got == 0.0 or np.sign(got) == np.sign(v)
+    assert abs(got - v) <= max(codec.ulp / 2, float(np.spacing(abs(v))))

@@ -249,6 +249,83 @@ def test_tree_leaves_cut_tiles_of_config_patch():
     assert _encode_one(img.reshape(-1), single).shape == (64,)
 
 
+def _written_out_make_frontend(config):
+    """make_frontend's draws spelled out per kind, stream by stream (labels
+    11-13 for the MPS, 21-24 for the trees, 31 for the projection)."""
+    def rng(label):
+        return np.random.default_rng([config.seed, label])
+
+    def complex_gaussian(g, shape):
+        return (g.standard_normal(shape) + 1j * g.standard_normal(shape)) / np.sqrt(2.0)
+
+    fields = {}
+    if config.kind == "mps":
+        premap = rng(11)
+        fields["premap_w"] = premap.standard_normal((config.h, 784)) / np.sqrt(784)
+        fields["premap_b"] = 0.1 * premap.standard_normal(config.h)
+        emb = rng(12)
+        fields["embed_re"] = emb.standard_normal((config.d_phys, config.block)) / np.sqrt(config.block)
+        fields["embed_im"] = emb.standard_normal((config.d_phys, config.block)) / np.sqrt(config.block)
+        cores_rng, r, dp = rng(13), config.bond, config.d_phys
+        cores = np.empty((config.l_sites, r, dp, r), dtype=np.complex128)
+        for k in range(config.l_sites):
+            cores[k] = qr_isometry(complex_gaussian(cores_rng, (r * dp, r))).reshape(r, dp, r)
+        fields["cores"] = cores
+        fields["proj"] = rng(31).standard_normal((config.d, 2 * r)) / np.sqrt(2 * r)
+        return fields
+    stem, pd = rng(21), config.patch * config.patch
+    fields["stem_w"] = stem.standard_normal((config.d_p, pd)) / np.sqrt(pd)
+    fields["stem_b"] = 0.1 * stem.standard_normal(config.d_p)
+    emb = rng(22)
+    fields["embed_re"] = emb.standard_normal((config.d_loc, config.d_p)) / np.sqrt(config.d_p)
+    fields["embed_im"] = emb.standard_normal((config.d_loc, config.d_p)) / np.sqrt(config.d_p)
+    dl = config.d_loc
+    for name, label, cols in (("isometries", 23, dl), ("disentanglers", 24, 2 * dl)):
+        if name == "disentanglers" and config.kind != "mera":
+            fields[name] = None
+            continue
+        g = rng(label)
+        stack = np.empty((config.n_levels, 2 * dl, cols), dtype=np.complex128)
+        for lvl in range(config.n_levels):
+            stack[lvl] = qr_isometry(complex_gaussian(g, (2 * dl, cols)))
+        fields[name] = stack
+    fields["proj"] = rng(31).standard_normal((config.d, 2 * dl)) / np.sqrt(2 * dl)
+    return fields
+
+
+def _assert_draws_match(config):
+    params = make_frontend(config)
+    for name, want in _written_out_make_frontend(config).items():
+        got = getattr(params, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kind="mps"), dict(kind="ttn"), dict(kind="mera"), dict(kind="mps", l_sites=1),
+    dict(kind="ttn", n_patches=1, patch=28), dict(kind="mera", n_patches=1, patch=28),
+], ids=["mps", "ttn", "mera", "mps-one-site", "ttn-one-patch", "mera-one-patch"])
+def test_make_frontend_keeps_the_written_out_draws_at_fixed_configs(fields):
+    _assert_draws_match(FrontendConfig(seed=5, **fields))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["mps", "ttn", "mera"]),
+       tiling=st.sampled_from([(1, 28), (4, 14), (16, 7)]),
+       l_sites=st.sampled_from([1, 2, 4]), block=st.integers(1, 4),
+       d=st.integers(1, 9), d_loc=st.sampled_from([1, 2, 4]), d_phys=st.integers(1, 4),
+       bond=st.integers(1, 4), d_p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_make_frontend_keeps_the_written_out_draws(kind, tiling, l_sites, block, d, d_loc,
+                                                   d_phys, bond, d_p, seed):
+    n_patches, patch = tiling
+    _assert_draws_match(FrontendConfig(kind=kind, d=d, h=l_sites * block, l_sites=l_sites,
+                                       d_loc=d_loc, d_phys=d_phys, bond=bond,
+                                       n_patches=n_patches, patch=patch, d_p=d_p, seed=seed))
+
+
 def test_ttn_order_sensitivity():
     params = make_frontend(FrontendConfig(kind="ttn", seed=13))
     rng = np.random.default_rng(50)
