@@ -94,8 +94,9 @@ class LabeledBatch:
             raise ValueError(f"images must be (m, 28, 28), got {images.shape}")
         if labels.shape != (images.shape[0],):
             raise ValueError("one label per image")
-        if images.size and (images.min() < 0.0 or images.max() > 1.0):
-            raise ValueError("pixels must lie in [0, 1]")
+        # min and max carry a NaN through, and every comparison with NaN is False
+        if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
+            raise ValueError("pixels must be finite and lie in [0, 1]")
         if labels.size and not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "images", images)
@@ -486,8 +487,7 @@ class DemoConfig:
             raise TypeError("noise must be a NoiseSpec or None")
         if self.n_q < 2:
             raise ValueError(f"the processor needs n_q >= 2 qubits, got {self.n_q}")
-        if self.n_clients < 1:
-            raise ValueError(f"need at least one client, got {self.n_clients}")
+        self.bench_config()  # checks the clients and the ring settings before any run
         if self.n_train < 2 or self.n_test < 1:
             raise ValueError("need n_train >= 2 and n_test >= 1")
         if len(self.class_weights) != 2:
@@ -495,6 +495,11 @@ class DemoConfig:
         if self.threshold_metric not in ("youden", "f1"):
             raise ValueError(f"unknown threshold metric {self.threshold_metric!r}")
         object.__setattr__(self, "class_weights", tuple(float(v) for v in self.class_weights))
+
+    def bench_config(self) -> bench.BenchConfig:
+        """The aggregation's configuration: clients, latent width and ring settings."""
+        return bench.BenchConfig(n=self.n_clients, d=self.d, k=self.k, theta=self.theta,
+                                 fraction_bits=self.fraction_bits, epsilon=self.epsilon)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -584,8 +589,7 @@ def run_demo(cfg: DemoConfig, data: Optional[LabeledBatch] = None,
     # client weights are train sample counts; test events reuse them
     owners_train = _owners(train.labels, cfg.n_clients)
     weights = np.bincount(owners_train, minlength=cfg.n_clients).astype(np.float64)
-    acfg = bench.BenchConfig(n=cfg.n_clients, d=cfg.d, k=cfg.k, theta=cfg.theta,
-                             fraction_bits=cfg.fraction_bits, epsilon=cfg.epsilon)
+    acfg = cfg.bench_config()
     x_train, cost_tr = _per_sample_aggregate(
         feats_train, owners_train, weights, acfg, cfg.secure, cfg.seed, 0)
     x_test, cost_te = _per_sample_aggregate(
@@ -625,8 +629,8 @@ def noise_spec(kind: str, p: float, gamma: float) -> Optional[NoiseSpec]:
     return None if spec.is_noiseless else spec
 
 
-def noise_sweep(kinds=NOISE_SWEEP_KINDS, seeds=(0, 1, 2), n_q: int = 8,
-                p: float = 0.01, gamma: float = 0.01,
+def noise_sweep(kinds=NOISE_SWEEP_KINDS, seeds=(0, 1, 2), n_q: int = DemoConfig.n_q,
+                p: float = NoiseSpec.p, gamma: float = NoiseSpec.gamma_amp,
                 config: Optional[DemoConfig] = None,
                 data: Optional[LabeledBatch] = None):
     """One demo run per (noise kind, seed); records mirror the qubit sweep."""

@@ -16,11 +16,21 @@ permutations: X and Y swap the halves of their axis, Y and Z scale a half by
 (real and imaginary parts traded for an odd number of Y's), or one gather per
 256-amplitude tile where that view would copy runs of at most 4, and every sign
 is a flip of bit 63 of a real or imaginary part, XORed into the state's uint64
-words a chunk at a time, so a Z string is one XOR pass and nothing is negated.  The
-statevector writes P|psi> into one buffer reused by every term, the ping-pong
-buffer its circuit did not end in.  Each PauliTerm plans its readout once, when
-it is made (the reshape, the reversed axes and the signed qubits), and its sign
-masks are built from a small table of tiles in scratch that the state owns.
+words a chunk at a time (all chunks at once where they share a mask), so a Z
+string is one XOR pass and nothing is negated.  The statevector writes P|psi>
+into one buffer reused by every term, the ping-pong buffer its circuit did not
+end in.  Each PauliTerm plans its readout once, when it is made (the reshape,
+the reversed axes and the signed qubits), and its sign masks are built from a
+small table of tiles in scratch that the state owns.
+
+On 16 or more qubits a layer after the first runs its gates in groups of 8 leading
+qubits, a block of 2^14 amplitudes at a time, instead of streaming the whole state
+through memory once per gate.  After g gates of a group, the amplitudes of one column
+below the group's qubits depend on that column alone, so a block of columns is copied
+out once and runs its g gates through two buffers that stay in cache, the last gate
+writing into the block's slot of the other ping-pong buffer.  Every amplitude pair still
+gets the same multiply, multiply, add, with the gates in the same order, so every byte
+is kept, and the block buffers are carved from the circuit's half-size temporary.
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
@@ -127,6 +137,36 @@ def _mix_to_back(a0: np.ndarray, a1: np.ndarray, m: np.ndarray, out: np.ndarray,
         np.add(o, t, out=o)
 
 
+# A layer after the first on a state of at least four blocks of 2^_BLOCK_QUBITS amplitudes
+# runs its gates in groups of _GROUP_QUBITS leading qubits, a block at a time, so that a
+# block's gates stay in cache instead of streaming the whole state once per gate.
+_GROUP_QUBITS, _BLOCK_QUBITS = 8, 14
+
+
+def _mix_group(cur: np.ndarray, other: np.ndarray, ms: np.ndarray, t: np.ndarray) -> None:
+    """other = the gates ms applied in turn to the leading qubit of cur, each moving it to
+    the back, as many _mix_to_back passes over the whole state would leave it; t is cur's
+    half-size temporary and holds at least 1.5 blocks.
+
+    After g gates, amplitude (b, c) of cur, with b on the g leading qubits, sits at (c, b'),
+    so each column c is a 2^g-amplitude problem of its own.  A block of w columns is copied
+    out of cur, rows of w amplitudes, and ping-pongs through two block buffers, its slot
+    in other and a spare carved from t, in the order that leaves gate g-1 writing the slot.
+    """
+    n, g, size = cur.size.bit_length() - 1, len(ms), 1 << _BLOCK_QUBITS
+    cols, w = 1 << (n - g), size >> g
+    tmp, spare = t[: size >> 1], t[size >> 1 : (size >> 1) + size]
+    src, dst = cur.reshape(-1, cols), other.reshape(cols, -1)
+    for c in range(0, cols, w):
+        bufs = (dst[c : c + w].reshape(-1), spare)
+        into = bufs[g & 1]
+        np.copyto(into.reshape(-1, w), src[:, c : c + w])
+        for j, m in enumerate(ms):
+            a0, a1 = into.reshape(2, -1)
+            into = bufs[(g - 1 - j) & 1]
+            _mix_to_back(a0, a1, m, into.reshape(-1, 2), tmp)
+
+
 @functools.cache
 def _gray_gather(n: int) -> np.ndarray:
     """The CNOT chain CNOT(0, 1) ... CNOT(n-2, n-1) as one gather: new[j] = old[j ^ (j >> 1)]."""
@@ -139,12 +179,14 @@ def _gray_gather(n: int) -> np.ndarray:
 # Signs as bits.  Negating a float64 flips its bit 63, so P|psi> is read out on the
 # state's uint64 words (real, imaginary, real, ...), where a term's signs are the
 # parity of some bits of the word index: bit 0 picks the imaginary part and bit j + 1
-# is bit j of the amplitude index, qubit n - 1 - j.  Every XOR is a one-dimensional
-# ufunc call: numpy runs a call over more dimensions through its buffered iterator,
-# which allocates 8192 elements (64 KiB here) each time.  A mask is built a tile of 2^9
-# words (the last 8 qubits) at a time and XORed a chunk of 2^13 words (the last 12
-# qubits) per call.  _SIGN_TILES rows 0-3 are [0, S, S, 0], the parity of one or two
-# bits, and row 4 + k has S = 2^63 on the words whose index has bit k set.
+# is bit j of the amplitude index, qubit n - 1 - j.  Every XOR reads contiguous rows:
+# numpy runs a strided call over more dimensions through its buffered iterator, which
+# allocates 8192 elements (64 KiB here) each time, while contiguous chunks against one
+# broadcast mask need no buffer.  A mask is built a tile of 2^9 words (the last 8
+# qubits) at a time and XORed a chunk of 2^13 words (the last 12 qubits) per call, or
+# over every chunk in one call when they all take the same mask.  _SIGN_TILES rows 0-3
+# are [0, S, S, 0], the parity of one or two bits, and row 4 + k has S = 2^63 on the
+# words whose index has bit k set.
 _TILE_QUBITS, _CHUNK_QUBITS = 8, 12
 
 
@@ -255,6 +297,9 @@ def _xor_signs(out: np.ndarray, src: np.ndarray, signs) -> None:
         np.bitwise_xor(s, masks[0], out=o)
         return
     o, s = o.reshape(-1, masks.shape[1]), s.reshape(-1, masks.shape[1])
+    if not lead:  # every chunk takes masks[0]: one broadcast call
+        np.bitwise_xor(s, masks[0], out=o)
+        return
     for i in range(len(o)):
         np.bitwise_xor(s[i], masks[(i & lead).bit_count() & 1], out=o[i])
 
@@ -347,10 +392,14 @@ def run_circuit(angles: np.ndarray) -> StateVector:
         cur, other = other, cur
     gray = _gray_gather(n)
     for layer in range(len(angles)):
-        if layer:
+        if layer and n < _BLOCK_QUBITS + 2:
             for q in range(n):
                 a0, a1 = cur.reshape(2, -1)  # qubit q leads after the q gates before it
                 _mix_to_back(a0, a1, fused[layer, q], other.reshape(-1, 2), t)
+                cur, other = other, cur
+        elif layer:
+            for q in range(0, n, _GROUP_QUBITS):
+                _mix_group(cur, other, fused[layer, q : q + _GROUP_QUBITS], t)
                 cur, other = other, cur
         # mode="clip" writes straight into out; the default "raise" buffers it
         np.take(cur, gray, out=other, mode="clip")

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, CSV shapes, determinism."""
 
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -40,6 +41,13 @@ def test_flag_defaults_are_the_library_defaults(command, defaults):
     args = cli.build_parser().parse_args([command])
     assert args.seed is None
     assert {name: getattr(args, name) for name in defaults} == defaults
+
+
+def test_noise_sweep_defaults_are_the_library_defaults():
+    defaults = inspect.signature(pipeline.noise_sweep).parameters
+    assert defaults["n_q"].default == _DEMO.n_q
+    assert defaults["p"].default == _NOISE.p
+    assert defaults["gamma"].default == _NOISE.gamma_amp == _NOISE.gamma_phase
 
 
 def test_bench_default_grid_has_420_rows(tmp_path):
@@ -338,6 +346,21 @@ def test_verify_flags_corrupted_bundle(tmp_path, capsys):
     assert run_cli(["verify", "--group", "tn", "--params", str(bundle)]) == 1
     text = capsys.readouterr().out
     assert "FAIL" in text and "bundle" in text
+
+
+def test_verify_fails_a_malformed_bundle_header_in_its_row(tmp_path, capsys):
+    # a header entry without a name used to abort verify with error: 'name'
+    bundle = tmp_path / "fe.tnp"
+    blob = json.dumps({"version": 1, "kind": "ttn", "config": {},
+                       "entries": [{"shape": [1], "dtype": "real"}]}).encode()
+    bundle.write_bytes(len(blob).to_bytes(4, "little") + blob + bytes(16))
+    assert run_cli(["verify", "--params", str(bundle)]) == 1
+    text = capsys.readouterr().out
+    assert [line.split()[1] for line in text.splitlines() if line.startswith("FAIL")] == [
+        "tn:bundle_loads"]
+    assert "is not a string" in text
+    for group in ("ring:", "mpc:", "bench:", "tn:", "qsim:", "qep:"):
+        assert f"PASS  {group}" in text
 
 
 def test_verify_accepts_good_bundle(tmp_path, capsys):

@@ -766,6 +766,16 @@ def test_labeled_batch_validation():
         LabeledBatch(np.zeros((1, 28, 28)), np.array([2]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf, -np.inf])
+def test_labeled_batch_rejects_non_finite_pixels(bad):
+    # NaN fails every comparison, so a range check written as "min < 0 or max > 1" let
+    # an all-NaN batch through; one NaN among valid pixels is caught as well
+    for images in (np.full((2, 28, 28), bad), np.full((2, 28, 28), 0.5)):
+        images[-1, -1, -1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LabeledBatch(images, np.zeros(2, dtype=int))
+
+
 def _bucket_owners(labels, n_clients):
     """The dealing written out: one bucket per client, each label's indices dealt
     round-robin into the buckets, then each bucket's indices marked with its client."""
@@ -825,6 +835,23 @@ def test_demo_config_validation_and_echo():
         DemoConfig(threshold_metric="auc")
     with pytest.raises(ValueError, match="at least one client"):
         DemoConfig(n_clients=0)  # the client dealing needs one
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("k", 4, "ring width"),
+    ("theta", 0, "theta"),
+    ("fraction_bits", 70, "fraction_bits"),
+    ("epsilon", 0.0, "epsilon"),
+])
+def test_demo_config_rejects_ring_settings_before_any_run(field, value, match):
+    # these used to pass here, and run_demo raised only after encoding both splits
+    with pytest.raises(ValueError, match=match):
+        DemoConfig(**{field: value})
+
+
+def test_demo_config_aggregates_with_its_own_ring_settings():
+    ring = dict(d=5, k=32, theta=2, fraction_bits=10, epsilon=1e-3)
+    assert DemoConfig(n_clients=3, **ring).bench_config() == BenchConfig(n=3, **ring)
 
 
 def test_demo_config_needs_the_processors_two_qubits():

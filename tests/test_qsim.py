@@ -1133,10 +1133,10 @@ def _sequential_circuit(angles):
 
 # the first layer mixes signed zeros: theta_y = +-2pi gives cos(theta_y / 2) = -1, so
 # products with zeros come out -0.0, and the later gates' zeros depend on those signs;
-# uniform floats almost never hit these angles, so they are also drawn by name
-_ANGLES = st.sampled_from((0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300)) | st.floats(
-    -2 * np.pi, 2 * np.pi
-)
+# uniform floats almost never hit these angles, so they are also drawn by name, with
+# 1e300 for an angle far outside one period
+_ANGLES = st.sampled_from(
+    (0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300, 1e300)) | st.floats(-2 * np.pi, 2 * np.pi)
 
 
 @st.composite
@@ -1198,14 +1198,89 @@ def test_random_layered_circuits_match_the_dense_oracle(case):
 
 
 def test_run_circuit_peaks_below_four_states():
-    # two state buffers plus a half-size temporary; no iterator buffers on top
-    n = 12
-    angles = np.random.default_rng(12).uniform(-np.pi, np.pi, size=(2, n, 2))
-    run_circuit(angles)  # warm-up: the Gray-code index array is cached per n
-    tracemalloc.start()
-    try:
-        state = run_circuit(angles)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.6 * state.amplitudes.nbytes
+    # its one block: two state buffers plus a half-size temporary, 2.5 states, and no
+    # iterator buffers on top; at n = 16 the blocked layers work inside the temporary
+    for n in (12, 16):
+        angles = np.random.default_rng(n).uniform(-np.pi, np.pi, size=(3, n, 2))
+        state = run_circuit(angles)  # warm-up: the Gray-code index array is cached per n
+        tracemalloc.start()
+        try:
+            run_circuit(angles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.6 * state.amplitudes.nbytes
+        # np.take copies a read-only index array, half a state; with a writeable one
+        # the gather allocates nothing and the block is all that is left
+        gray = qsim._gray_gather(n).copy()
+        with mock.patch.object(qsim, "_gray_gather", lambda _: gray):
+            tracemalloc.start()
+            try:
+                run_circuit(angles)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2.5 * state.amplitudes.nbytes + 8192
+
+
+def _per_gate_circuit(angles):
+    """run_circuit with every layer after the first run gate by gate over the whole
+    state, as before blocked layers: gate q mixes the halves of the leading qubit into
+    the other buffer, pairs interleaved, then the Gray-code gather."""
+    state = run_circuit(angles[:1])
+    cur = state.amplitudes.copy()
+    other, t = np.empty_like(cur), np.empty(cur.size // 2, dtype=complex)
+    fused = rz_matrix(angles[..., 1]) @ ry_matrix(angles[..., 0])
+    for layer in range(1, len(angles)):
+        for q in range(angles.shape[1]):
+            a0, a1 = cur.reshape(2, -1)
+            out = other.reshape(-1, 2)
+            for r in (0, 1):
+                np.multiply(fused[layer, q, r, 0], a0, out=out[:, r])
+                np.multiply(fused[layer, q, r, 1], a1, out=t)
+                np.add(out[:, r], t, out=out[:, r])
+            cur, other = other, cur
+        np.take(cur, qsim._gray_gather(angles.shape[1]), out=other)
+        cur, other = other, cur
+    return cur
+
+
+@pytest.mark.parametrize("n", range(1, 18))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_blocked_layers_are_bit_identical_to_the_per_gate_loop(n, data):
+    # from n = 16 a layer after the first runs in groups of 8 gates over 2^14-amplitude
+    # blocks (n = 17 ends in a group of one); below, gate by gate as in the oracle
+    layers = data.draw(st.integers(1, 3))
+    angles = data.draw(arrays(np.float64, (layers, n, 2), elements=_ANGLES))
+    got = run_circuit(angles).amplitudes
+    assert np.array_equal(got.view(np.uint64), _per_gate_circuit(angles).view(np.uint64))
+
+
+def _chunk_loop_xor_signs(out, src, signs):
+    """_xor_signs with one call per chunk whatever the signs, as before the broadcast."""
+    masks, lead = signs
+    o, s = out.view(np.uint64), src.view(np.uint64)
+    if masks.shape[1] == o.size:
+        np.bitwise_xor(s, masks[0], out=o)
+        return
+    o, s = o.reshape(-1, masks.shape[1]), s.reshape(-1, masks.shape[1])
+    for i in range(len(o)):
+        np.bitwise_xor(s[i], masks[(i & lead).bit_count() & 1], out=o[i])
+
+
+@pytest.mark.parametrize("n", range(13, 18))
+def test_readout_is_bit_identical_to_the_chunk_loop_xor(n, monkeypatch):
+    # all pairs hold the nearest neighbours; a signed qubit among the first n - 12 sits
+    # above the 12-qubit chunk (lead != 0), every other term XORs one mask (lead == 0)
+    state = run_circuit(np.random.default_rng(300 + n).uniform(-np.pi, np.pi, size=(2, n, 2)))
+    terms = observable_set(n, "all_pairs")
+    terms += [PauliTerm(((q, "Y"), (q + 1, a))) for q in range(n - 1) for a in "XYZ"]
+    leads = {qsim._sign_masks(n, t._plan, qsim._sign_scratch(n))[1]
+             for t in terms if t._plan.signed}
+    assert 0 in leads and len(leads) > 1
+    got = [(expectation(state, term), state._readout.copy()) for term in terms]
+    monkeypatch.setattr(qsim, "_xor_signs", _chunk_loop_xor_signs)
+    for term, (value, image) in zip(terms, got):
+        assert np.float64(value).tobytes() == np.float64(expectation(state, term)).tobytes()
+        assert np.array_equal(image.view(np.uint64), state._readout.view(np.uint64)), term.label()

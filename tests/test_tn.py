@@ -652,6 +652,45 @@ def test_bundle_garbage_header_raises(tmp_path):
         load_params(path)
 
 
+_GOOD_ENTRY = {"name": "w", "shape": [2, 1], "dtype": "real"}
+_MALFORMED_HEADERS = {
+    "list_header": [_GOOD_ENTRY],
+    "entries_not_a_list": {"version": 1, "entries": _GOOD_ENTRY},
+    "entry_not_an_object": {"version": 1, "entries": [_GOOD_ENTRY, ["w2", [1], "real"]]},
+    "entry_without_name": {"version": 1, "entries": [{"shape": [1], "dtype": "real"}]},
+    "name_not_a_string": {"version": 1, "entries": [{**_GOOD_ENTRY, "name": 3}]},
+    "repeated_name": {"version": 1, "entries": [_GOOD_ENTRY, _GOOD_ENTRY]},
+    "string_shape": {"version": 1, "entries": [{**_GOOD_ENTRY, "shape": "2x1"}]},
+    "negative_dimension": {"version": 1, "entries": [{**_GOOD_ENTRY, "shape": [-2, -1]}]},
+    "float_dimension": {"version": 1, "entries": [{**_GOOD_ENTRY, "shape": [2.0, 1]}]},
+    "bool_dimension": {"version": 1, "entries": [{**_GOOD_ENTRY, "shape": [True, 2]}]},
+    "entry_without_shape": {"version": 1, "entries": [{"name": "w", "dtype": "real"}]},
+    "unknown_dtype": {"version": 1, "entries": [{**_GOOD_ENTRY, "dtype": "int"}]},
+    "entry_without_dtype": {"version": 1, "entries": [{"name": "w", "shape": [2, 1]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_HEADERS))
+def test_container_rejects_a_malformed_header_with_value_error(tmp_path, case):
+    # each of these raised KeyError, TypeError, AttributeError or a numpy error before;
+    # the payload fits two elements, so only the header's structure can be at fault
+    import json as _json
+
+    from tnmpcqep.container import read_container
+
+    path = tmp_path / "h.tnp"
+    blob = _json.dumps(_MALFORMED_HEADERS[case]).encode()
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + bytes(32))
+    with pytest.raises(ValueError):
+        read_container(path)
+    with pytest.raises(ValueError):
+        load_params(path)
+    good = {"version": 1, "entries": [_GOOD_ENTRY]}
+    blob = _json.dumps(good).encode()
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + bytes(32))
+    assert read_container(path)[1]["w"].tobytes() == bytes(16)
+
+
 def test_bundle_corrupted_real_entry_detected(tmp_path):
     params = make_frontend(FrontendConfig(kind="mps", seed=24))
     path = tmp_path / "c.tnp"
