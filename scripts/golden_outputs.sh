@@ -68,6 +68,7 @@ python3 demos/mpc_protocol.py >"$OUT/demo_mpc_protocol.txt"
 python3 demos/bench_costs.py >"$OUT/demo_bench_costs.txt"
 python3 demos/ring_fixed_point.py >"$OUT/demo_ring_fixed_point.txt"
 python3 demos/qep_processor.py >"$OUT/demo_qep_processor.txt"
+python3 demos/tn_frontends.py >"$OUT/demo_tn_frontends.txt"
 python3 demos/pipeline_end_to_end.py | sed -E 's/\([0-9]+\.[0-9]+s\)/(T s)/g' \
     >"$OUT/demo_pipeline_end_to_end.txt"
 echo "wrote $(ls "$OUT" | wc -l) outputs to $OUT"

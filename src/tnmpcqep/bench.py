@@ -13,7 +13,7 @@ Scenarios:
   3  passive: scenario 2 + a d x d shared linear layer
   4/5/6  active counterparts of 1/2/3
 
-verify_against_meter executes the real protocol for scenarios 0, 1, 2, 4, 5
+verify_against_meter executes the real protocol for scenarios 1, 2, 4, 5
 and compares the session's meter to the closed form bit for bit.  Each weight,
 W and 1/(W + eps) is a one-element share that mpc broadcasts over the d latents.
 """
@@ -21,12 +21,13 @@ W and 1/(W + eps) is a one-element share that mpc broadcasts over the d latents.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import astuple, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mpc import CLIENT_TO_NODE, CostReport, Mpc3Session, SecurityMode
+from .mpc import CostReport, Mpc3Session, SecurityMode
 
 RECIPROCAL_ONCE = "reciprocal-once"
 PER_ELEMENT = "per-element"
@@ -106,15 +107,16 @@ def run_scenario(cfg: BenchConfig, scenario: int) -> CostReport:
 
 
 def execute_scenario(cfg: BenchConfig, scenario: int, features, weights, seed: int = 0):
-    """Run the actual protocol for scenarios 0, 1, 2, 4, 5 on (n, d) features
+    """Run the actual protocol for scenarios 1, 2, 4, 5 on (n, d) features
     and (n,) weights; the session draws its share masks from seed.
 
-    Returns (decoded result vector, CostReport).  Scenarios 3/6 exist only in
-    the closed form (the d x d layer is not part of the executable pipeline).
+    Returns (decoded result vector, CostReport).  Scenarios 0/3/6 exist only in
+    the closed form (the plaintext upload and the d x d layer are not part of
+    the executable pipeline).
     """
     _check_scenario(scenario)
-    if scenario in (3, 6):
-        raise ValueError("scenarios 3 and 6 are closed-form only")
+    if scenario in (0, 3, 6):
+        raise ValueError("scenarios 0, 3 and 6 are closed-form only")
     n, d = cfg.n, cfg.d
     features = np.asarray(features, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -126,34 +128,16 @@ def execute_scenario(cfg: BenchConfig, scenario: int, features, weights, seed: i
         k=cfg.k, fraction_bits=cfg.fraction_bits, theta=cfg.theta, mode=mode, seed=seed
     )
     codec = session.codec
-
-    if scenario == 0:
-        # plaintext: each client ships its d latents and weight as k-bit words;
-        # encoding them checks that they fit the ring
-        codec.encode_array(features)
-        codec.encode_array(weights)
-        session.charge(CLIENT_TO_NODE, n * (d + 1) * cfg.k, "plain")
-        x = (weights[:, None] * features).sum(axis=0) / (weights.sum() + cfg.epsilon)
-        return x, session.report()
-
-    base = 1 if scenario in (1, 4) else 2
     # encode_array works element by element, so one call per event gives each row's bytes
     encoded_w = codec.encode_array(weights)
     f_shares = [session.share(row) for row in codec.encode_array(features)]
     w_shares = [session.share(encoded_w[i : i + 1]) for i in range(n)]
+    wf = functools.reduce(session.add, map(session.fixed_mul, f_shares, w_shares))
+    w_total = functools.reduce(session.add, w_shares)
 
-    wf = None
-    for i in range(n):
-        term = session.fixed_mul(f_shares[i], w_shares[i])
-        wf = term if wf is None else session.add(wf, term)
-    w_total = w_shares[0]
-    for i in range(1, n):
-        w_total = session.add(w_total, w_shares[i])
-
-    if base == 1:
-        wf_open = codec.decode_array(session.open(wf))
-        w_open = codec.decode_array(session.open(w_total))
-        return np.concatenate([wf_open, w_open]), session.report()
+    if scenario in (1, 4):
+        opened = [session.open_decoded(wf), session.open_decoded(w_total)]
+        return np.concatenate(opened), session.report()
 
     den = session.add_public(w_total, codec.encode_array(cfg.epsilon))
     if cfg.division_strategy == RECIPROCAL_ONCE:
@@ -162,8 +146,7 @@ def execute_scenario(cfg: BenchConfig, scenario: int, features, weights, seed: i
         x_sh = session.fixed_mul(wf, recip)
     else:
         x_sh = session.divide(wf, den)
-    x = codec.decode_array(session.open(x_sh))
-    return x, session.report()
+    return session.open_decoded(x_sh), session.report()
 
 
 def verify_against_meter(cfg: BenchConfig, scenario: int, seed: int = 0) -> bool:

@@ -160,15 +160,14 @@ def _cmd_qubit_sweep(args, parser) -> int:
     base = pipeline.DemoConfig(kind=args.frontend, n_train=args.n_train,
                                n_test=args.n_test, seed=master, noise=noise)
     header = ["mode", "n_q", "d_q", "seed", "accuracy", "f1", "alpha_mean", "q_std"]
+    first = pipeline.synth_data(args.n_train + args.n_test, seed=master)
     rows = []
     for i in range(args.seeds):
         seed = master + i  # per-point seeds derive from the master by index
-        batch = pipeline.synth_data(args.n_train + args.n_test, seed=seed)
+        batch = pipeline.synth_data(args.n_train + args.n_test, seed=seed) if i else first
         records = qep.qubit_sweep(batch, args.nq, config=replace(base, seed=seed))
         rows += [{"mode": "quantum", **{h: rec[h] for h in header[1:]}} for rec in records]
-    baseline = pipeline.run_demo(
-        replace(base, mode="classical"),
-        data=pipeline.synth_data(args.n_train + args.n_test, seed=master))
+    baseline = pipeline.run_demo(replace(base, mode="classical"), data=first)
     rows.append({"mode": "classical", "n_q": 0, "d_q": 0, "seed": master, **baseline.summary()})
     _write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} rows ({len(rows) - 1} quantum + 1 classical baseline) to {args.out}")

@@ -199,8 +199,7 @@ class Mpc3Session:
     def traffic(self) -> dict:
         """Bits per primitive tag in first-charged order, summing to report().total_bits.
 
-        The session's ops tag share, mul, trunc, div and open; a plaintext
-        upload is tagged plain.
+        The session's ops tag share, mul, trunc, div and open.
         """
         return dict(self._primitive_bits)
 

@@ -25,7 +25,7 @@ from .mpc import CostReport
 from .qsim import NOISE_KINDS, NoiseSpec
 from .tn import FRONTEND_KINDS, IMAGE_SIDE
 
-# plain aggregation events are stacked, and synthetic images finished, this
+# aggregation events are stacked, and synthetic images finished, this
 # many samples at a time; at n=16, d=64 an event chunk is 256 KiB, where a
 # 400-sample stack would be 3.3 MiB, and an image chunk's scratch is 196 KiB
 _CHUNK_ROWS = 32
@@ -545,26 +545,25 @@ def _per_sample_aggregate(feats, owners, weights, acfg: bench.BenchConfig,
                           secure: bool, seed: int, split: int):
     """One aggregation event per sample; returns (x_agg rows, total cost).
 
-    Plain events go to aggregate_plain as one (rows, n, d) stack per chunk
-    of _CHUNK_ROWS samples.  Secure events run one protocol round each, and
-    secure event s of a split draws its share masks from the stream
-    [seed, split, s], so no two events reuse a mask.
+    Each chunk of _CHUNK_ROWS samples builds one zero-padded (rows, n, d)
+    stack of events.  Plain events go to aggregate_plain as the stack.
+    Secure events run one protocol round each, and secure event s of a
+    split draws its share masks from the stream [seed, split, s], so no two
+    events reuse a mask.
     """
     m, d = feats.shape
     out = np.empty_like(feats)
     total = CostReport()
-    if not secure:
-        for lo in range(0, m, _CHUNK_ROWS):
-            rows = min(_CHUNK_ROWS, m - lo)
-            events = np.zeros((rows, acfg.n, d))
-            events[np.arange(rows), owners[lo:lo + rows]] = feats[lo:lo + rows]
+    for lo in range(0, m, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, m - lo)
+        events = np.zeros((rows, acfg.n, d))
+        events[np.arange(rows), owners[lo:lo + rows]] = feats[lo:lo + rows]
+        if secure:
+            for s, event in enumerate(events, lo):
+                out[s], rep = aggregate_secure(event, weights, acfg, seed=[seed, split, s])
+                total = total + rep
+        else:
             out[lo:lo + rows] = aggregate_plain(events, weights, acfg.epsilon)
-        return out, total
-    for s in range(m):
-        event = np.zeros((acfg.n, d))
-        event[owners[s]] = feats[s]
-        out[s], rep = aggregate_secure(event, weights, acfg, seed=[seed, split, s])
-        total = total + rep
     return out, total
 
 

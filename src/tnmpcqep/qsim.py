@@ -169,11 +169,10 @@ def _mix_group(cur: np.ndarray, other: np.ndarray, ms: np.ndarray, t: np.ndarray
 
 @functools.cache
 def _gray_gather(n: int) -> np.ndarray:
-    """The CNOT chain CNOT(0, 1) ... CNOT(n-2, n-1) as one gather: new[j] = old[j ^ (j >> 1)]."""
+    """The CNOT chain CNOT(0, 1) ... CNOT(n-2, n-1) as one gather: new[j] = old[j ^ (j >> 1)].
+    Left writeable, as np.take copies a read-only index on every call; nothing writes it."""
     j = np.arange(1 << n)
-    gray = j ^ (j >> 1)
-    gray.flags.writeable = False
-    return gray
+    return j ^ (j >> 1)
 
 
 # Signs as bits.  Negating a float64 flips its bit 63, so P|psi> is read out on the
@@ -544,7 +543,7 @@ class DensityMatrix:
     rho = 2^-n sum_P r_P P; r is a C-ordered [4]*n tensor with qubit q on axis q and
     Pauli index 0, 1, 2, 3 for I, X, Y, Z."""
 
-    def __init__(self, n_qubits: int, rho: Optional[np.ndarray] = None):
+    def __init__(self, n_qubits: int):
         if n_qubits < 1:
             raise ValueError("need at least one qubit")
         if n_qubits > MAX_DENSITY_QUBITS:
@@ -556,12 +555,10 @@ class DensityMatrix:
         # r and the scratch that maps write through are the halves of one block: evolution
         # allocates no array of r's size, and a freed block is reused whole
         self._r, self._scratch = np.empty((2, 4**n_qubits))
-        self._fresh = rho is None  # r is |0...0><0...0| until the first evolution
-        if rho is None:  # |0><0| = (I + Z) / 2 on every qubit: r = (1, 0, 0, 1)^(x n)
-            self._r.fill(0.0)
-            self._r.reshape((4,) * n_qubits)[(slice(None, None, 3),) * n_qubits] = 1.0
-        else:
-            self.rho = rho
+        self._fresh = True  # r is |0...0><0...0| until the first evolution or assignment
+        # |0><0| = (I + Z) / 2 on every qubit: r = (1, 0, 0, 1)^(x n)
+        self._r.fill(0.0)
+        self._r.reshape((4,) * n_qubits)[(slice(None, None, 3),) * n_qubits] = 1.0
 
     @property
     def rho(self) -> np.ndarray:
@@ -600,8 +597,8 @@ class DensityMatrix:
         self._evolve([(kraus_ptm(kraus), q)])
 
     def _evolve(self, ops) -> None:
-        """Apply ops in order: (R, q) is a one-qubit map, a real 4x4 PTM, (R, c, c + 1) a
-        real 16x16 map on a chain pair and (None, c, c + 1) the CNOT.
+        """Apply ops in order: (R, q) is a one-qubit map, a real 4x4 PTM, and (R, c, c + 1)
+        a real 16x16 map on a chain pair.
 
         r's axes live in a tracked storage order between ops.  A map whose axes lead, in
         its order, runs where they lie: one matmul reads the (4^w, rest) block transposed
@@ -618,11 +615,9 @@ class DensityMatrix:
         steps = []  # (map, qubits)
         for op in ops:  # every op is checked before r moves
             m, *qubits = op
-            if m is None and len(qubits) == 2:
-                m = _CNOT_PTM
             w = len(qubits)
-            if w not in (1, 2) or m is None or np.size(m) != 16**w or not np.isrealobj(m):
-                raise ValueError(f"not a (PTM, q), (PTM, c, c + 1) or (None, c, c + 1) op: {op!r}")
+            if w not in (1, 2) or np.size(m) != 16**w or not np.isrealobj(m):
+                raise ValueError(f"not a (PTM, q) or (PTM, c, c + 1) op: {op!r}")
             if w == 1:
                 _check_qubit(n, qubits[0])
             else:
@@ -700,10 +695,9 @@ def _permute_into(dst: np.ndarray, src: np.ndarray, order, new_order) -> None:
 
 @dataclass
 class NoisyResult:
-    """Final density matrix plus the NoiseSpec that produced it."""
+    """Final density matrix of a noisy run."""
 
     density: DensityMatrix
-    noise: NoiseSpec
 
     def expectations(self, terms: Sequence[PauliTerm]) -> np.ndarray:
         return np.array([self.density.expectation(t) for t in terms])
@@ -732,4 +726,4 @@ def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
         ops += [(pair, q, q + 1) for q in range(n - 1)]
     dm._evolve(ops)
     dm.check_trace()
-    return NoisyResult(density=dm, noise=noise)
+    return NoisyResult(density=dm)

@@ -387,10 +387,16 @@ def load_params(path):
     for the bundle's config.
     """
     header, arrays = read_container(path)
-    cfg = FrontendConfig(**header["config"])
+    config = header.get("config")
+    if not isinstance(config, dict):
+        raise ValueError(f"bundle config {config!r} is not a JSON object")
+    try:  # an unknown key, or a value of the wrong type
+        cfg = FrontendConfig(**config)
+        ref = make_frontend(cfg)
+    except TypeError as exc:
+        raise ValueError(f"bundle config does not fit FrontendConfig: {exc}") from None
     if header.get("kind") != cfg.kind:
         raise ValueError("bundle kind disagrees with its config")
-    ref = make_frontend(cfg)
     expected = {name: arr.shape for name, arr in _entries(ref).items()}
     if set(arrays) != set(expected):
         raise ValueError("bundle entry names do not match the frontend kind")

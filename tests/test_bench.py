@@ -118,7 +118,7 @@ def test_scenario_catalog():
             sweep([2], [2], scenarios=[sid])
 
 
-@pytest.mark.parametrize("scenario", [0, 1, 2, 4, 5])
+@pytest.mark.parametrize("scenario", [1, 2, 4, 5])
 @pytest.mark.parametrize("k,f", [(64, 20), (32, 10)])
 def test_verify_against_meter_small_grid(scenario, k, f):
     for n in (1, 2, 4):
@@ -194,10 +194,9 @@ def test_executed_event_traffic_per_primitive_matches_the_closed_form(monkeypatc
 
 def test_execute_scenario_rejects_closed_form_only():
     cfg = BenchConfig(n=2, d=2)
-    with pytest.raises(ValueError):
-        execute_scenario(cfg, 3, *_inputs(cfg))
-    with pytest.raises(ValueError):
-        execute_scenario(cfg, 6, *_inputs(cfg))
+    for sid in (0, 3, 6):
+        with pytest.raises(ValueError, match="closed-form only"):
+            execute_scenario(cfg, sid, *_inputs(cfg))
 
 
 def test_sweep_rows_and_csv(tmp_path):

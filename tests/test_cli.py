@@ -363,6 +363,18 @@ def test_verify_fails_a_malformed_bundle_header_in_its_row(tmp_path, capsys):
         assert f"PASS  {group}" in text
 
 
+def test_verify_fails_a_bundle_without_a_config_in_its_row(tmp_path, capsys):
+    # a header with no config used to abort verify with error: 'config'
+    bundle = tmp_path / "fe.tnp"
+    blob = json.dumps({"version": 1, "kind": "ttn", "entries": []}).encode()
+    bundle.write_bytes(len(blob).to_bytes(4, "little") + blob)
+    assert run_cli(["verify", "--group", "tn", "--params", str(bundle)]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "tn:bundle_loads"]
+    assert "error:" not in err
+
+
 def test_verify_accepts_good_bundle(tmp_path, capsys):
     bundle = tmp_path / "fe.npz"
     tn.save_params(tn.make_frontend(tn.FrontendConfig(kind="mps", seed=3)), bundle)

@@ -148,6 +148,30 @@ def test_plain_aggregation_calls_aggregate_plain_once_per_chunk(monkeypatch):
     assert sizes == [32, 32, 6]
 
 
+def test_secure_events_are_the_per_sample_zero_padded_rows(monkeypatch):
+    # each secure event is one row of its chunk's stack: byte for byte the (n, d) event
+    # that a per-sample build gives, handed over with the seed stream [seed, split, s]
+    calls = []
+    orig = pipeline.aggregate_secure
+
+    def spy(features, weights, cfg, seed=0):
+        calls.append((np.array(features), seed))
+        return orig(features, weights, cfg, seed=seed)
+
+    monkeypatch.setattr(pipeline, "aggregate_secure", spy)
+    rng = np.random.default_rng(4)
+    feats, owners, _ = _events(rng, 70, 4, 8)  # three chunks, the last one partial
+    acfg = BenchConfig(n=4, d=8)
+    _, cost = pipeline._per_sample_aggregate(feats, owners, np.ones(4), acfg,
+                                             secure=True, seed=9, split=1)
+    assert [seed for _, seed in calls] == [[9, 1, s] for s in range(70)]
+    for s, (event, _) in enumerate(calls):
+        want = np.zeros((4, 8))
+        want[owners[s]] = feats[s]
+        assert event.tobytes() == want.tobytes()
+    assert cost == bench.run_scenario(acfg, 2).scaled(70)
+
+
 def test_aggregation_config_validation():
     with pytest.raises(ValueError, match="at least one client"):
         BenchConfig(n=0)

@@ -40,6 +40,14 @@ from tnmpcqep.verify import (
 )
 
 
+def _loaded(n, rho):
+    """A DensityMatrix on n qubits with rho assigned to it; a fresh one for None."""
+    dm = DensityMatrix(n)
+    if rho is not None:
+        dm.rho = rho
+    return dm
+
+
 # The in-place gate kernels of the first simulator, kept here as the reference that
 # the circuit, the readout and the density-matrix evolution are pinned against bit for
 # bit: _mix_axis applies one gate (or Pauli) to a qubit, _flip_cnot one chain CNOT.
@@ -84,16 +92,16 @@ def test_cnot_msb_convention():
         amps = np.array(before, dtype=complex)
         _flip_cnot(amps, 0, np.empty_like(amps))
         assert np.allclose(amps, after)
-        dm = DensityMatrix(2, np.outer(before, before))
-        dm._evolve([(None, 0, 1)])
+        dm = _loaded(2, np.outer(before, before))
+        dm._evolve([(qsim._CNOT_PTM, 0, 1)])
         assert np.allclose(dm.rho, np.outer(after, after))
 
 
 def test_cnot_rejects_non_chain_pairs():
     with pytest.raises(ValueError):
-        DensityMatrix(3)._evolve([(None, 0, 2)])
+        DensityMatrix(3)._evolve([(qsim._CNOT_PTM, 0, 2)])
     with pytest.raises(ValueError):
-        DensityMatrix(3)._evolve([(None, 2, 1)])
+        DensityMatrix(3)._evolve([(qsim._CNOT_PTM, 2, 1)])
 
 
 def test_random_circuits_match_dense_oracle():
@@ -252,9 +260,9 @@ def test_density_matrix_never_writes_into_the_callers_rho():
     amps = run_circuit(np.random.default_rng(9).uniform(-np.pi, np.pi, size=(1, 3, 2))).amplitudes
     rho = np.outer(amps, amps.conj())
     before = rho.copy()
-    dm = DensityMatrix(3, rho)
+    dm = _loaded(3, rho)
     dm.apply_single(ry_matrix(0.7), 0)
-    dm._evolve([(None, 1, 2)])
+    dm._evolve([(qsim._CNOT_PTM, 1, 2)])
     dm.apply_kraus(depolarizing_kraus(0.1), 2)
     dm.expectation(PauliTerm(((1, "Z"),)))
     assert np.array_equal(rho, before)
@@ -269,20 +277,20 @@ def test_density_cnot_matches_dense_conjugation():
         a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = a @ a.conj().T / np.trace(a @ a.conj().T)
         for control in range(n - 1):  # every chain pair, the last one included
-            dm = DensityMatrix(n, rho)
-            dm._evolve([(None, control, control + 1)])
+            dm = _loaded(n, rho)
+            dm._evolve([(qsim._CNOT_PTM, control, control + 1)])
             c = dense_cnot_unitary(control, n)
             assert np.max(np.abs(dm.rho - c @ rho @ c.conj().T)) <= 1e-15
         for q in range(n):
             gate = rz_matrix(rng.uniform(-np.pi, np.pi)) @ ry_matrix(rng.uniform(-np.pi, np.pi))
-            dm = DensityMatrix(n, rho)
+            dm = _loaded(n, rho)
             dm.apply_single(gate, q)
             u = dense_single_qubit_unitary(gate, q, n)
             assert np.max(np.abs(dm.rho - u @ rho @ u.conj().T)) <= 1e-15
     with pytest.raises(ValueError):
-        DensityMatrix(4)._evolve([(None, 3, 4)])
+        DensityMatrix(4)._evolve([(qsim._CNOT_PTM, 3, 4)])
     with pytest.raises(ValueError):
-        DensityMatrix(4)._evolve([(None, 0, 2)])
+        DensityMatrix(4)._evolve([(qsim._CNOT_PTM, 0, 2)])
 
 
 def test_verify_fails_a_density_gate_applied_transposed(monkeypatch):
@@ -311,7 +319,7 @@ def test_density_expectation_matches_dense_trace_for_every_term():
         op = np.eye(2**n, dtype=complex)
         for q, p in factors:
             op = op @ dense_single_qubit_unitary(PAULI[p], q, n)
-        got = DensityMatrix(n, rho).expectation(PauliTerm(factors))
+        got = _loaded(n, rho).expectation(PauliTerm(factors))
         assert abs(got - np.trace(op @ rho).real) <= 1e-12
 
 
@@ -324,7 +332,7 @@ def test_density_evolution_allocates_no_full_size_array():
     try:
         for q in range(n - 1):
             dm._evolve([(hit, q)])
-            dm._evolve([(None, q, q + 1)])
+            dm._evolve([(qsim._CNOT_PTM, q, q + 1)])
         for t in terms:
             dm.expectation(t)
         peak = tracemalloc.get_traced_memory()[1]
@@ -561,7 +569,7 @@ def _fancy_index_density_expectation(rho, term):
 def test_density_expectation_keeps_its_block_copy_values(case):
     # the two readouts of the complex path, kept as the oracle, to 1e-12
     n, rho, term = case
-    dm = DensityMatrix(n, rho)
+    dm = _loaded(n, rho)
     terms = [term]
     if n > 1:
         terms += observable_set(n, "nearest_neighbor") + observable_set(n, "all_pairs")
@@ -716,7 +724,7 @@ def _evolution_cases(draw):
         if kind == "cnots":
             for _ in range(draw(st.integers(1, 3))):
                 control = draw(st.integers(0, n - 2))
-                ops.append((None, control, control + 1))
+                ops.append((qsim._CNOT_PTM, control, control + 1))
                 oracle_ops.append((None, control, control + 1))
         elif kind == "chain":
             start = draw(st.integers(0, n - 2))
@@ -738,9 +746,9 @@ def test_evolution_matches_gather_scatter_and_flip_cnot(case):
     n, explicit, ops, oracle_ops = case
     for rho in (explicit, None):  # every op list from the drawn rho and from a fresh one
         want = _reference_evolution(_zero_rho(n) if rho is None else rho, oracle_ops, n)
-        whole = DensityMatrix(n, rho)
+        whole = _loaded(n, rho)
         whole._evolve(ops)
-        one_by_one = DensityMatrix(n, rho)
+        one_by_one = _loaded(n, rho)
         for op in ops:
             one_by_one._evolve([op])
         for dm in (whole, one_by_one):
@@ -757,21 +765,22 @@ def test_evolution_rejects_a_bad_op_before_rho_moves():
         return kraus_ptm(_random_kraus(rng))
 
     pair = _pair_map(rng, 1)[0][0]
-    good = [(channel(), 2), (None, 0, 1), (pair, 1, 2), (channel(), 0)]
+    good = [(channel(), 2), (qsim._CNOT_PTM, 0, 1), (pair, 1, 2), (channel(), 0)]
     bad_ops = [
         (channel(), n),  # qubit out of range
         (channel(), -1),
-        (None, 0, 2),  # not the chain pattern
-        (None, n - 1, n),
+        (qsim._CNOT_PTM, 0, 2),  # not the chain pattern
+        (qsim._CNOT_PTM, n - 1, n),
         (pair, 0, 2),
         (np.eye(2), 0),  # not a one-qubit PTM
         (pair, 0),  # a pair map on one qubit
         (channel(), 0, 1),  # a one-qubit map on a pair
         (channel() + 0j, 0),  # PTMs are real
-        (None, 0),
+        (None, 0),  # a map is an array: no bare CNOT form
+        (None, 0, 1),
     ]
     for bad in bad_ops:
-        dm = DensityMatrix(n, _hermitian(rng, n))
+        dm = _loaded(n, _hermitian(rng, n))
         before = dm._r
         want = before.copy()
         with pytest.raises(ValueError):
@@ -956,7 +965,8 @@ def _fresh_state_steps(draw):
             if kind == "cnot" or (n > 1 and draw(st.booleans())):
                 start = draw(st.integers(0, n - 2))
                 for c in range(start, draw(st.integers(start + 1, n - 1))):
-                    ops.append((None, c, c + 1) if draw(st.booleans()) else _pair_map(rng, c)[0])
+                    ops.append((qsim._CNOT_PTM, c, c + 1) if draw(st.booleans())
+                               else _pair_map(rng, c)[0])
             steps.append(("run", ops, None))
     return n, steps
 
@@ -965,7 +975,7 @@ def _fresh_state_steps(draw):
 @given(_fresh_state_steps())
 def test_fresh_density_matrix_matches_the_explicit_zero_rho_path(case):
     n, steps = case
-    fresh, explicit = DensityMatrix(n), DensityMatrix(n, _zero_rho(n))
+    fresh, explicit = DensityMatrix(n), _loaded(n, _zero_rho(n))
     assert np.array_equal(fresh._r, explicit._r)
     for kind, what, q in steps:
         for dm in (fresh, explicit):
@@ -1041,7 +1051,7 @@ def test_two_layer_noisy_run_copies_rho_once_per_cnot_and_twice_for_its_second_l
 def test_a_non_finite_trace_fails_the_trace_check():
     for bad in (np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(1.0, np.nan)):
         with pytest.raises(ValueError, match="trace drifted"):
-            DensityMatrix(2, rho=np.full((4, 4), bad)).check_trace()
+            _loaded(2, np.full((4, 4), bad)).check_trace()
     with pytest.raises(ValueError, match=r"trace drifted to \(?nan"):
         run_noisy(np.full((1, 2, 2), np.nan), NoiseSpec(kind="depolarizing"))
 
@@ -1064,21 +1074,21 @@ def test_a_non_hermitian_rho_is_rejected_and_a_non_finite_one_has_nan_coefficien
     skew = rho.copy()
     skew[0, 1] += 1e-6
     with pytest.raises(ValueError, match="not Hermitian"):
-        DensityMatrix(n, skew)
-    dm = DensityMatrix(n, rho)
+        _loaded(n, skew)
+    dm = _loaded(n, rho)
     before = dm._r.copy()
     with pytest.raises(ValueError, match="not Hermitian"):
         dm.rho = skew
     assert np.array_equal(dm._r, before)
     near = rho.copy()
     near[0, 1] += 5e-10  # within the 1e-9 that a computed rho may miss by
-    DensityMatrix(n, near)
+    _loaded(n, near)
     # a non-finite entry, on or off the diagonal, leaves no coefficient finite
     for at in ((1, 2), (3, 3)):
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             broken = rho.copy()
             broken[at] = bad
-            dm = DensityMatrix(n, broken)
+            dm = _loaded(n, broken)
             assert np.isnan(dm._r).all()
             assert np.isnan(dm.expectation(PauliTerm(((0, "X"), (2, "Z")))))
             with pytest.raises(ValueError, match="trace drifted to nan"):
@@ -1089,7 +1099,7 @@ def test_a_non_hermitian_rho_is_rejected_and_a_non_finite_one_has_nan_coefficien
 def test_rho_getter_and_setter_round_trip(n):
     rng = np.random.default_rng(40 + n)
     rho = _hermitian(rng, n)
-    dm = DensityMatrix(n, rho)
+    dm = _loaded(n, rho)
     for term in _every_term(n):  # r_P = tr(P rho), written out densely
         op = np.eye(2**n, dtype=complex)
         for q, p in term.factors:
@@ -1199,7 +1209,8 @@ def test_random_layered_circuits_match_the_dense_oracle(case):
 
 def test_run_circuit_peaks_below_four_states():
     # its one block: two state buffers plus a half-size temporary, 2.5 states, and no
-    # iterator buffers on top; at n = 16 the blocked layers work inside the temporary
+    # iterator buffers on top; at n = 16 the blocked layers work inside the temporary,
+    # and the gather takes the cached writeable index without copying it
     for n in (12, 16):
         angles = np.random.default_rng(n).uniform(-np.pi, np.pi, size=(3, n, 2))
         state = run_circuit(angles)  # warm-up: the Gray-code index array is cached per n
@@ -1209,18 +1220,9 @@ def test_run_circuit_peaks_below_four_states():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.6 * state.amplitudes.nbytes
-        # np.take copies a read-only index array, half a state; with a writeable one
-        # the gather allocates nothing and the block is all that is left
-        gray = qsim._gray_gather(n).copy()
-        with mock.patch.object(qsim, "_gray_gather", lambda _: gray):
-            tracemalloc.start()
-            try:
-                run_circuit(angles)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
         assert peak <= 2.5 * state.amplitudes.nbytes + 8192
+        j = np.arange(2**n)
+        assert np.array_equal(qsim._gray_gather(n), j ^ (j >> 1))
 
 
 def _per_gate_circuit(angles):

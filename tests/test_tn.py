@@ -691,6 +691,31 @@ def test_container_rejects_a_malformed_header_with_value_error(tmp_path, case):
     assert read_container(path)[1]["w"].tobytes() == bytes(16)
 
 
+_MALFORMED_CONFIGS = {
+    "no_config": None,  # the key is left out
+    "list_config": [1, 2],
+    "unknown_key": {"kind": "mps", "bogus": 1},
+    "string_value": {"kind": "mps", "d": "64"},
+    "float_seed": {"kind": "mps", "seed": 1.5},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CONFIGS))
+def test_bundle_rejects_a_malformed_config_with_value_error(tmp_path, case):
+    # a well-formed container header whose config is missing, not an object or not a
+    # FrontendConfig raised KeyError or TypeError before
+    import json as _json
+
+    header = {"version": 1, "kind": "mps", "entries": [_GOOD_ENTRY]}
+    if _MALFORMED_CONFIGS[case] is not None:
+        header["config"] = _MALFORMED_CONFIGS[case]
+    path = tmp_path / "c.tnp"
+    blob = _json.dumps(header).encode()
+    path.write_bytes(struct.pack("<I", len(blob)) + blob + bytes(32))
+    with pytest.raises(ValueError, match="bundle config"):
+        load_params(path)
+
+
 def test_bundle_corrupted_real_entry_detected(tmp_path):
     params = make_frontend(FrontendConfig(kind="mps", seed=24))
     path = tmp_path / "c.tnp"
