@@ -12,10 +12,11 @@
 # Wall-clock figures printed by demos/pipeline_end_to_end.py are replaced by
 # "(T s)", since they are the only non-deterministic part of that output.
 #
-# BLAS runs on one thread.  The statevector readout sums with np.vdot, and
-# OpenBLAS splits a long sum across threads, so the last bits of an expectation
-# depend on the thread count (qep_run_nq16_all_pairs.csv differs between one
-# and two threads).  With the count pinned, two checkouts compare byte for byte.
+# BLAS runs on one thread.  OpenBLAS splits a long dot product across threads,
+# which changes its last bits.  The statevector readout takes no such dot
+# (tests/test_golden_digests.py checks that qep_run_nq16_all_pairs.csv has the
+# same bytes under one and two threads), but with the count pinned, two
+# checkouts compare byte for byte whatever BLAS calls they make.
 set -eu
 
 if [ $# -ne 1 ]; then

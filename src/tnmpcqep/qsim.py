@@ -10,18 +10,16 @@ between two buffers: each fused Rz.Ry gate mixes the two contiguous halves of
 the leading qubit and writes the pairs interleaved, so that qubit moves to the
 back and a layer of n gates ends in C order.  The first layer starts from
 |0...0>, so it grows a product state qubit by qubit instead of mixing zeros,
-and the CNOT chain is one gather by the Gray code.  Readouts are exact Pauli
-permutations: X and Y swap the halves of their axis, Y and Z scale a half by
--i, +i or -1.  P|psi> is one copy from a view with the X and Y axes reversed
-(real and imaginary parts traded for an odd number of Y's), or one gather per
-256-amplitude tile where that view would copy runs of at most 4, and every sign
-is a flip of bit 63 of a real or imaginary part, XORed into the state's uint64
-words a chunk at a time (all chunks at once where they share a mask), so a Z
-string is one XOR pass and nothing is negated.  The statevector writes P|psi>
-into one buffer reused by every term, the ping-pong buffer its circuit did not
-end in.  Each PauliTerm plans its readout once, when it is made (the reshape,
-the reversed axes and the signed qubits), and its sign masks are built from a
-small table of tiles in scratch that the state owns.
+and the CNOT chain is one gather by the Gray code.  The QEP's observables, X_q,
+Z_q and Z_i Z_j, fall into two qubit-wise commuting groups, and neither is read
+by writing P|psi> out.  A Z string is a sum over p = |psi|^2 held as a (2^h,
+2^(n-h)) matrix P of the high h = n // 2 qubits by the low ones: w_hi . P . w_lo
+with +-1 Walsh vectors, or one dot with P's row or column sums when every Z lies
+in one half.  X_q is 2 Re <psi_{q=0}|psi_{q=1}>, the two halves of qubit q's
+axis, summed on the float view.  A run_circuit state's amplitudes are read-only,
+so it reads p once, into the circuit's half-size temporary, and keeps it with
+its row and column sums.  Any other term (Y, or X beside another factor) is
+Re <psi|P psi> with P psi built a factor at a time.
 
 On 16 or more qubits a layer after the first runs its gates in groups of 8 leading
 qubits, a block of 2^14 amplitudes at a time, instead of streaming the whole state
@@ -58,7 +56,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,14 +94,19 @@ def cnot_matrix() -> np.ndarray:
 
 @dataclass
 class StateVector:
-    """Pure state on n_qubits; amplitudes indexed with qubit 0 as the MSB."""
+    """Pure state on n_qubits; amplitudes indexed with qubit 0 as the MSB.
+
+    run_circuit's amplitudes are read-only, so the |psi|^2 marginals that Z readouts
+    take are read once and kept for as long as the same array is the amplitudes; a
+    state with writeable amplitudes reads them afresh every time.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
-    # P|psi> of the term being read out (run_circuit's second buffer, else allocated by
-    # the first readout) and the room its sign masks are built in (the first readout's)
-    _readout: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _signs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    # room for |psi|^2 (run_circuit's half-size temporary, else allocated by the first
+    # Z readout) and the kept (amplitudes, P, row sums, column sums) of _marginals
+    _probs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
@@ -112,6 +115,20 @@ class StateVector:
                 f"state on {self.n_qubits} qubits needs {2**self.n_qubits} amplitudes, "
                 f"got {self.amplitudes.size}"
             )
+
+    def _marginals(self):
+        """(P, P's row sums, P's column sums), with P = |psi|^2 as a (2^h, 2^(n-h))
+        matrix of the high h = n // 2 qubits by the low ones."""
+        amps = self.amplitudes
+        if self._kept is not None and self._kept[0] is amps:
+            return self._kept[1:]
+        if self._probs is None:
+            self._probs = np.empty(amps.size)
+        p = np.square(np.abs(amps, out=self._probs), out=self._probs)
+        P = p.reshape(1 << self.n_qubits // 2, -1)
+        got = (P, P.sum(axis=1), P.sum(axis=0))
+        self._kept = None if amps.flags.writeable else (amps,) + got
+        return got
 
 
 def zero_state(n_qubits: int) -> StateVector:
@@ -175,176 +192,6 @@ def _gray_gather(n: int) -> np.ndarray:
     return j ^ (j >> 1)
 
 
-# Signs as bits.  Negating a float64 flips its bit 63, so P|psi> is read out on the
-# state's uint64 words (real, imaginary, real, ...), where a term's signs are the
-# parity of some bits of the word index: bit 0 picks the imaginary part and bit j + 1
-# is bit j of the amplitude index, qubit n - 1 - j.  Every XOR reads contiguous rows:
-# numpy runs a strided call over more dimensions through its buffered iterator, which
-# allocates 8192 elements (64 KiB here) each time, while contiguous chunks against one
-# broadcast mask need no buffer.  A mask is built a tile of 2^9 words (the last 8
-# qubits) at a time and XORed a chunk of 2^13 words (the last 12 qubits) per call, or
-# over every chunk in one call when they all take the same mask.  _SIGN_TILES rows 0-3
-# are [0, S, S, 0], the parity of one or two bits, and row 4 + k has S = 2^63 on the
-# words whose index has bit k set.
-_TILE_QUBITS, _CHUNK_QUBITS = 8, 12
-
-
-def _sign_tiles() -> np.ndarray:
-    tiles = np.zeros((13, 2 << _TILE_QUBITS), dtype=np.uint64)
-    tiles[1:3] = 1 << 63
-    for k in range(_TILE_QUBITS + 1):  # bit k is set in every second run of 2^k words
-        tiles[4 + k].reshape(-1, 2, 1 << k)[:, 1] = 1 << 63
-    tiles.flags.writeable = False
-    return tiles
-
-
-_SIGN_TILES = _sign_tiles()
-
-
-class _ReadoutPlan(NamedTuple):
-    """How _pauli_into writes P src for one term, on any number of qubits above its last.
-
-    shape splits a flat [2]*n buffer at each factor's axis, with a trailing -1 for the
-    rest; flip reverses the X and Y axes of that split (None for a Z string), moved holds
-    those X and Y qubits and swap trades real and imaginary parts (an odd number of Y's).
-    signed holds the Z and Y qubits, whose half 1 flips the sign, and rows the
-    _SIGN_TILES rows every term's mask holds: the imaginary parts for one Y, every word
-    for two (-i)(-i) = -1.
-    """
-
-    shape: Tuple[int, ...]
-    flip: Optional[tuple]
-    moved: Tuple[int, ...]
-    swap: bool
-    signed: Tuple[int, ...]
-    rows: Tuple[int, ...]
-
-
-def _readout_plan(factors) -> _ReadoutPlan:
-    """The plan for factors on ascending qubits.
-
-    P = prod (-i)^[Y] (-1)^b over the Y and Z factors, with b the factor's bit of the
-    output index, so after the swap a word's sign flips iff the parity of those bits,
-    plus its imaginary-part bit for one Y, plus 1 for two, is odd.
-    """
-    shape, start = (), 0
-    for q, _ in factors:
-        shape, start = shape + (1 << (q - start), 2), q + 1
-    flip = sum(((slice(None), slice(None) if p == "Z" else slice(None, None, -1))
-                for _, p in factors), ())
-    ys = sum(p == "Y" for _, p in factors)
-    moved = tuple(q for q, p in factors if p != "Z")
-    return _ReadoutPlan(shape + (-1,), flip if moved else None, moved, ys == 1,
-                        tuple(q for q, p in factors if p != "X"), ((), (4,), (1,))[ys])
-
-
-def _sign_scratch(n: int) -> np.ndarray:
-    """Room to build a mask on n qubits in, as rows of a tile: four parity tiles, a base
-    tile and, when a chunk spans several tiles, a chunk mask per parity of the signed
-    bits above the chunk (one when there are none)."""
-    t, c = min(n, _TILE_QUBITS), min(n, _CHUNK_QUBITS)
-    lanes = 2 if n > c else 1
-    return np.empty((5 + (lanes << (c - t) if c > t else 0), 2 << t), dtype=np.uint64)
-
-
-def _sign_masks(n: int, plan: _ReadoutPlan, scratch: np.ndarray):
-    """(masks, lead): the term's signs on n qubits, where chunk i of the words XORs
-    masks[parity of i & lead]; None when no sign flips.
-
-    The signed bits inside a tile give its base, the XOR of their rows; the others turn
-    the base into parity tiles (base, base ^ S, ...), one per pattern of the bits, and
-    one broadcast copy lays those out along the bits inside a chunk.  Signed bits above
-    the chunk only pick which of the two chunk masks a chunk takes.
-    """
-    t, c = min(n, _TILE_QUBITS), min(n, _CHUNK_QUBITS)
-    tile, rows, lead = 2 << t, plan.rows, 0
-    dst, src, prev = (), (), c - t  # axes over the chunk's tiles, most significant first
-    for q in plan.signed:
-        j = n - 1 - q
-        if j < t:
-            rows += (5 + j,)
-        elif j < c:
-            dst, src, prev = dst + (1 << (prev - 1 - (j - t)), 2), src + (1, 2), j - t
-        else:
-            lead |= 1 << (j - c)
-    if not rows and not dst and not lead:
-        return None
-    base = _SIGN_TILES[rows[0] if rows else 0, :tile]
-    if len(rows) > 1:
-        base = np.bitwise_xor(base, _SIGN_TILES[rows[1], :tile], out=scratch[4])
-        for r in rows[2:]:
-            np.bitwise_xor(base, _SIGN_TILES[r, :tile], out=base)
-    if t == c:  # n <= 8: the tile is the whole state
-        return base[None], 0
-    k, tiles = len(dst) // 2 + (lead != 0), base[None]
-    if k:
-        tiles = scratch[: 1 << k]
-        for r in range(1 << k):
-            np.bitwise_xor(base, _SIGN_TILES[r, :tile], out=tiles[r])
-    masks = scratch[5:].reshape(-1, 2 << c)
-    lanes = 2 if lead else 1
-    np.copyto(masks[:lanes].reshape((lanes,) + dst + (1 << prev, tile)),
-              tiles.reshape((lanes,) + src + (1, tile)))
-    return masks, lead
-
-
-def _xor_signs(out: np.ndarray, src: np.ndarray, signs) -> None:
-    """out = src with the sign bits of signs = _sign_masks(...) flipped, chunk by chunk."""
-    masks, lead = signs
-    o, s = out.view(np.uint64), src.view(np.uint64)
-    if masks.shape[1] == o.size:  # a state of up to 12 qubits is one chunk
-        np.bitwise_xor(s, masks[0], out=o)
-        return
-    o, s = o.reshape(-1, masks.shape[1]), s.reshape(-1, masks.shape[1])
-    if not lead:  # every chunk takes masks[0]: one broadcast call
-        np.bitwise_xor(s, masks[0], out=o)
-        return
-    for i in range(len(o)):
-        np.bitwise_xor(s[i], masks[(i & lead).bit_count() & 1], out=o[i])
-
-
-@functools.cache
-def _tile_perm(bits: int, swap: bool) -> np.ndarray:
-    """The gather that permutes a tile of the last _TILE_QUBITS qubits: amplitude i reads
-    i ^ bits, as float64 words with real and imaginary parts traded when swap."""
-    perm = np.arange(1 << _TILE_QUBITS) ^ bits
-    if swap:
-        perm = (2 * perm[:, None] + np.array([1, 0])).ravel()
-    perm.flags.writeable = False
-    return perm
-
-
-def _pauli_into(out: np.ndarray, src: np.ndarray, plan: _ReadoutPlan, scratch: np.ndarray) -> None:
-    """out = P src on flat [2]*n complex buffers, exactly: X and Y factors permute the
-    amplitudes by one copy from a view with their axes reversed, and every sign is a
-    flip of bit 63 of a real or imaginary part, which is what np.negative does to
-    float64 (+-0, +-inf and NaN alike), XORed in chunk by chunk (_sign_masks).  A Z
-    string is that XOR alone, straight from src.  When every X and Y lies in the last
-    _TILE_QUBITS qubits and the view's contiguous runs are at most 4 amplitudes, the
-    copy is one gather per tile (_tile_perm) instead, which moves the same words."""
-    n = src.size.bit_length() - 1
-    signs = _sign_masks(n, plan, scratch)
-    if plan.flip is None:
-        _xor_signs(out, src, signs)
-        return
-    low = n - 1 - plan.moved[-1]  # the view's contiguous runs are 2^low amplitudes
-    if n >= _TILE_QUBITS and low < 3 and plan.moved[0] >= n - _TILE_QUBITS:
-        perm = _tile_perm(sum(1 << (n - 1 - q) for q in plan.moved), plan.swap)
-        dtype = np.float64 if plan.swap else complex
-        # mode="clip" writes straight into out; the default "raise" buffers it
-        np.take(src.view(dtype).reshape(-1, perm.size), perm, axis=1,
-                out=out.view(dtype).reshape(-1, perm.size), mode="clip")
-    else:
-        o, s = out.reshape(plan.shape), src.reshape(plan.shape)[plan.flip]
-        if plan.swap:
-            np.copyto(o.real, s.imag)
-            np.copyto(o.imag, s.real)
-        else:
-            np.copyto(o, s)
-    if signs is not None:
-        _xor_signs(out, out, signs)
-
-
 def _unit_clip(v) -> float:
     """float(np.clip(v, -1.0, 1.0)) for a real scalar, NaN kept, without a ufunc call."""
     return float(min(max(v, -1.0), 1.0))
@@ -375,7 +222,7 @@ def run_circuit(angles: np.ndarray) -> StateVector:
         return zero_state(n)  # raises for no qubits; no layers leave |0...0>
     fused = rz_matrix(angles[..., 1]) @ ry_matrix(angles[..., 0])
     # one block holds the two ping-pong buffers and the half-size temporary t, and the
-    # state keeps it: the buffer cur does not end in is its readout buffer.  A freed
+    # state keeps it: t is where its readout reads |psi|^2 into.  A freed
     # state is one block the next circuit reuses whole; with separate buffers, glibc
     # trimmed and refaulted about 4 MiB per 16-qubit sample.
     block = np.empty(5 << (n - 1), dtype=complex)
@@ -403,21 +250,17 @@ def run_circuit(angles: np.ndarray) -> StateVector:
         # mode="clip" writes straight into out; the default "raise" buffers it
         np.take(cur, gray, out=other, mode="clip")
         cur, other = other, cur
+    cur.flags.writeable = False
     state = StateVector(n, cur)
-    state._readout = other
+    state._probs = t.view(np.float64)
     return state
 
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """Tensor product of X/Y/Z factors on distinct qubits; weight 1 or 2.
-
-    Holds its readout plan, built once here; a readout adds only its sign masks, which
-    depend on the state's qubit count.
-    """
+    """Tensor product of X/Y/Z factors on distinct qubits; weight 1 or 2."""
 
     factors: Tuple[Tuple[int, str], ...]
-    _plan: _ReadoutPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= len(self.factors) <= 2:
@@ -430,24 +273,50 @@ class PauliTerm:
                 raise ValueError("repeated qubit in a Pauli term")
             seen.add(q)
         object.__setattr__(self, "factors", tuple(sorted(self.factors)))
-        object.__setattr__(self, "_plan", _readout_plan(self.factors))
 
     def label(self) -> str:
         return "*".join(f"{p}{q}" for q, p in self.factors)
 
 
+@functools.cache
+def _walsh(bits: int, mask: int) -> np.ndarray:
+    """The read-only +-1 vector w[k] = (-1)^popcount(k & mask), k < 2^bits."""
+    w = np.ones(1 << bits)
+    for b in range(bits):
+        if mask >> b & 1:
+            w.reshape(-1, 2, 1 << b)[:, 1] *= -1.0
+    w.flags.writeable = False
+    return w
+
+
 def expectation(state: StateVector, term: PauliTerm) -> float:
+    """<psi|P|psi>: a Z string sum_i p_i (-1)^popcount(i & S) from the marginals of
+    p = |psi|^2, X_q from the halves of qubit q's axis, any other term as
+    Re <psi|P psi> (module docstring)."""
+    n = state.n_qubits
     for q, _ in term.factors:
-        _check_qubit(state.n_qubits, q)
-    if state._readout is None:
-        state._readout = np.empty_like(state.amplitudes)
-    if state._signs is None:
-        state._signs = _sign_scratch(state.n_qubits)
-    _pauli_into(state._readout, state.amplitudes, term._plan, state._signs)
-    val = np.vdot(state.amplitudes, state._readout)
-    if abs(val.imag) > 1e-9:
-        raise ValueError(f"non-real Pauli expectation ({val}); state is inconsistent")
-    return _unit_clip(val.real)
+        _check_qubit(n, q)
+    paulis = "".join(p for _, p in term.factors)
+    if paulis in ("Z", "ZZ"):
+        h = n // 2
+        hi = sum(1 << (h - 1 - q) for q, _ in term.factors if q < h)
+        lo = sum(1 << (n - 1 - q) for q, _ in term.factors if q >= h)
+        P, rows, cols = state._marginals()
+        if not lo:
+            val = np.dot(rows, _walsh(h, hi))
+        elif not hi:
+            val = np.dot(cols, _walsh(n - h, lo))
+        else:
+            val = np.dot(_walsh(h, hi), P @ _walsh(n - h, lo))
+    elif paulis == "X":
+        f = state.amplitudes.view(np.float64).reshape(1 << term.factors[0][0], 2, -1)
+        val = 2.0 * np.einsum("ij,ij->", f[:, 0], f[:, 1])
+    else:
+        phi = state.amplitudes
+        for q, p in term.factors:
+            phi = (PAULI[p] @ phi.reshape(1 << q, 2, -1)).ravel()
+        val = np.vdot(state.amplitudes, phi).real
+    return _unit_clip(val)
 
 
 # --- noise channels and density-matrix evolution ---

@@ -8,6 +8,8 @@ and the protocol oracle is plain-integer fixed point (see mpc.eval_plaintext).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .qsim import PAULI, StateVector, cnot_matrix, ry_matrix, rz_matrix
@@ -211,19 +213,31 @@ def check_qsim():
 
     checks = []
     rng = np.random.default_rng(0x51A)
-    z0 = PauliTerm(factors=((0, "Z"),))
-    worst_amp, worst_exp = 0.0, 0.0
+    worst_amp = 0.0
     for _ in range(10):
         n = int(rng.integers(1, 4))
         angles = rng.uniform(-np.pi, np.pi, size=(2, n, 2))
         got = run_circuit(angles)
         want = dense_circuit_state(angles)
         worst_amp = max(worst_amp, float(np.abs(got.amplitudes - want.amplitudes).max()))
-        worst_exp = max(worst_exp, abs(expectation(got, z0)
-                                       - dense_pauli_expectation(want, z0.factors)))
     checks.append(_passfail("statevector_matches_dense_oracle", worst_amp <= 1e-10,
                             f"max amplitude error {worst_amp:.3e}"))
+
+    # every weight-1 and weight-2 term in every X/Y/Z combination, one circuit per n, on
+    # a stream of its own so that the rows below keep their draws
+    term_rng, worst_exp, count = np.random.default_rng(0x51B), 0.0, 0
+    for n in range(2, 6):
+        angles = term_rng.uniform(-np.pi, np.pi, size=(2, n, 2))
+        got, want = run_circuit(angles), dense_circuit_state(angles)
+        for k in (1, 2):
+            for qubits in itertools.combinations(range(n), k):
+                for paulis in itertools.product("XYZ", repeat=k):
+                    term = PauliTerm(tuple(zip(qubits, paulis)))
+                    worst_exp = max(worst_exp, abs(expectation(got, term)
+                                                   - dense_pauli_expectation(want, term.factors)))
+                    count += 1
     checks.append(_passfail("expectation_matches_dense_oracle", worst_exp <= 1e-10,
+                            f"n = 2..5, all {count} weight-1 and weight-2 terms, "
                             f"max expectation error {worst_exp:.3e}"))
 
     state = run_circuit(rng.uniform(-np.pi, np.pi, size=(2, 8, 2)))

@@ -9,8 +9,10 @@ qubits, thermal at 10 with every pair read out, depolarizing at 2: the largest a
 smallest density matrices), a qubit sweep with its classical row, the invariant
 suite and the simulator demo.  The test
 regenerates them in a subprocess with one BLAS thread, set before numpy loads
-(the last bits of the 16-qubit readout depend on the thread count, and this
-process cannot change it once numpy is loaded), and compares digests.
+(OpenBLAS splits a long dot product across threads, which moves its last bits,
+and this process cannot change the count once numpy is loaded), and compares
+digests.  The 16-qubit all-pairs readout is also run under two threads, to show
+that no dot of that kind reaches the statevector readout.
 
 A change that moves these bytes on purpose refreshes the digests in its own diff:
 
@@ -92,6 +94,22 @@ def test_fast_golden_outputs_keep_their_digests(tmp_path):
     moved = [f for f in want["sha256"] if got["sha256"].get(f) != want["sha256"][f]]
     assert not moved, f"outputs changed their bytes: {moved}"
     assert got == want
+
+
+def test_sixteen_qubit_readout_has_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
+    # the readout's long sums are numpy reductions and einsum, which run on one thread;
+    # its BLAS calls are dots of at most 2^8 entries and 2^8 x 2^8 gemvs
+    argv = _COMMANDS["qep_run_nq16_all_pairs.csv"]
+    written = []
+    for threads in ("1", "2"):
+        env = {k: v for k, v in os.environ.items() if k != "TNMPCQEP_SEED"}
+        env.update(_ONE_THREAD, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
+        out = tmp_path / f"threads_{threads}.csv"
+        proc = subprocess.run([sys.executable, "-m", "tnmpcqep", *argv, "--out", str(out)],
+                              env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 if __name__ == "__main__":

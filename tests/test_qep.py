@@ -532,6 +532,24 @@ def test_stage_errors_name_the_same_stage_as_the_per_row_form(stage):
                 forward(xs, params)
 
 
+def test_a_nan_amplitude_fails_the_readout_stage(monkeypatch):
+    # finite angles, one amplitude of one row's state made NaN after its circuit
+    params = make_qep(d=16, n_q=5, seed=23)
+    xs = np.random.default_rng(74).standard_normal((3, 16))
+
+    def poisoned(angles):
+        state = run_circuit(angles)
+        amps = state.amplitudes.copy()
+        amps[7] = complex(np.nan, 0.0)
+        return type(state)(state.n_qubits, amps)
+
+    monkeypatch.setattr(qep, "run_circuit", poisoned)
+    with pytest.raises(ValueError, match="stage 'readout'"):
+        qep_forward(xs, params)
+    with pytest.raises(ValueError, match="stage 'readout'"):
+        qep.quantum_features(xs[0], params)
+
+
 def test_observable_count_is_the_length_of_the_set():
     for n_q in range(2, 25):
         for mode in ("nearest_neighbor", "all_pairs"):

@@ -49,8 +49,9 @@ def _loaded(n, rho):
 
 
 # The in-place gate kernels of the first simulator, kept here as the reference that
-# the circuit, the readout and the density-matrix evolution are pinned against bit for
-# bit: _mix_axis applies one gate (or Pauli) to a qubit, _flip_cnot one chain CNOT.
+# the circuit and the density-matrix evolution are pinned against bit for bit, and the
+# readout to 1e-12: _mix_axis applies one gate (or Pauli) to a qubit, _flip_cnot one
+# chain CNOT.
 
 
 def _mix_axis(amps, m, axis):
@@ -307,6 +308,22 @@ def test_verify_fails_a_density_gate_applied_transposed(monkeypatch):
     assert rows()["depolarizing_closed_form"] is False
 
 
+@pytest.mark.parametrize("kind", ["Y", "XZ", "ZX"])
+def test_verify_fails_a_statevector_readout_wrong_in_one_term_kind(kind, monkeypatch):
+    # the dense-oracle row reads every weight-1 and weight-2 term, not only Z_0
+    from tnmpcqep import verify
+
+    orig = qsim.expectation
+
+    def wrong(state, term):
+        value = orig(state, term)
+        return -value if "".join(p for _, p in term.factors) == kind else value
+
+    monkeypatch.setattr(qsim, "expectation", wrong)
+    rows = {name: ok for _, name, ok, _ in verify.run_all(["qsim"])}
+    assert rows["expectation_matches_dense_oracle"] is False
+
+
 def test_density_expectation_matches_dense_trace_for_every_term():
     n = 3
     angles = np.random.default_rng(11).uniform(-np.pi, np.pi, size=(2, n, 2))
@@ -341,11 +358,12 @@ def test_density_evolution_allocates_no_full_size_array():
     assert peak < dm._r.nbytes // 4
 
 
-# --- readout by exact Pauli permutation ---
+# --- statevector readout ---
 
 
-def _mix_axis_readout(state, term):
-    """The readout before exact permutations: copy, one 2x2 mix per factor, vdot."""
+def _vdot_readout(state, term):
+    """The readout written out as the oracle: Re vdot(psi, P psi), clipped to [-1, 1],
+    with P psi a copy of psi mixed by each factor's 2x2 matrix in turn."""
     phi = state.amplitudes.copy()
     for q, p in term.factors:
         _mix_axis(phi, PAULI[p], q)
@@ -353,35 +371,30 @@ def _mix_axis_readout(state, term):
 
 
 @st.composite
-def _circuit_and_terms(draw):
-    n = draw(st.integers(2, 8))
+def _small_circuits(draw):
+    n = draw(st.integers(1, 6))
     layers = draw(st.integers(1, 3))
-    angles = draw(arrays(np.float64, (layers, n, 2), elements=st.floats(-np.pi, np.pi)))
-    terms = []
-    for _ in range(draw(st.integers(1, 6))):
-        qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
-        terms.append(PauliTerm(tuple((q, draw(st.sampled_from("XYZ"))) for q in qubits)))
-    return angles, terms
+    return draw(arrays(np.float64, (layers, n, 2), elements=st.floats(-np.pi, np.pi)))
 
 
-@settings(max_examples=80, deadline=None)
-@given(_circuit_and_terms())
-def test_expectation_is_bit_identical_to_the_mix_axis_readout(case):
-    # several terms read from one state, so the reused buffer is overwritten in between
-    angles, terms = case
-    state = run_circuit(angles)
-    for term in terms:
+@settings(max_examples=60, deadline=None)
+@given(_small_circuits())
+def test_every_low_weight_term_matches_the_dense_oracle(angles):
+    # every X, Y and Z factor on one qubit and on every pair, all read from one state
+    state, dense = run_circuit(angles), dense_circuit_state(angles)
+    for term in _every_term(angles.shape[1]):
         got = expectation(state, term)
-        assert np.float64(got).tobytes() == np.float64(_mix_axis_readout(state, term)).tobytes()
-        assert abs(got - dense_pauli_expectation(state, term.factors)) <= 1e-12
+        assert abs(got - dense_pauli_expectation(dense, term.factors)) <= 1e-12, term.label()
+        assert abs(got - _vdot_readout(state, term)) <= 1e-12, term.label()
 
 
-_OLD_PAULI_PHASE = {"X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
+_PAULI_PHASE = {"X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
 
 
-def _unplanned_pauli_into(out, src, neg, factors):
-    """_pauli_into before readout plans and sign bits: block copies of src and of its
-    negation, neg, with the shape and blocks rebuilt from the factors per call."""
+def _block_copy_pauli_into(out, src, neg, factors):
+    """out = P src for a weight-1 or weight-2 term by block copies: each block of out
+    takes a block of src, or of its negation neg, with real and imaginary parts traded
+    for a factor of +-i."""
     if any(p != "X" for _, p in factors):
         np.negative(src.view(np.float64), out=neg.view(np.float64))
     shape, start = [], 0
@@ -391,7 +404,7 @@ def _unplanned_pauli_into(out, src, neg, factors):
     for bits in itertools.product((0, 1), repeat=len(factors)):
         phase, to, fro = 1, (), ()
         for (_, p), b in zip(factors, bits):
-            phase *= _OLD_PAULI_PHASE[p][b]
+            phase *= _PAULI_PHASE[p][b]
             to, fro = to + (slice(None), b), fro + (slice(None), b ^ (p != "Z"))
         o, s, m = dst[to], src[fro], neg[fro]
         if phase in (1, -1):
@@ -409,55 +422,53 @@ def _every_term(n):
     return terms
 
 
-# every special value an amplitude's real or imaginary part can take, NaNs with their sign
-# and payload bits set included: a sign flip must be np.negative's, bit for bit
-_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -1.0]
-                     + list(np.array([0x7FF0000000000001, 0xFFF4000000000123], np.uint64)
-                            .view(np.float64)))
+@pytest.mark.parametrize("mode", ["nearest_neighbor", "all_pairs"])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_every_qep_observable_is_within_1e_12_of_the_vdot_readout(n, mode):
+    # |psi|^2 splits into n // 2 high and n - n // 2 low qubits: the pairs hold Z strings
+    # inside either half and across them, and X on every qubit from the first to the last
+    state = run_circuit(np.random.default_rng(100 + n).uniform(-np.pi, np.pi, size=(2, n, 2)))
+    for term in observable_set(n, mode):
+        assert abs(expectation(state, term) - _vdot_readout(state, term)) <= 1e-12, term.label()
 
 
-def _special_amplitudes(rng, n):
-    src = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    parts = src.view(np.float64)
-    hit = rng.random(parts.size) < 0.25
-    parts[hit] = rng.choice(_SPECIALS, size=int(hit.sum()))
-    return src
+def test_a_nan_amplitude_reads_nan_for_every_qep_observable():
+    # a NaN real or imaginary part anywhere reaches every X, Z and ZZ readout, so the
+    # QEP's finiteness check after its readout stage fails on it
+    n = 6
+    amps = run_circuit(np.random.default_rng(6).uniform(-np.pi, np.pi, size=(2, n, 2))).amplitudes
+    for i in (0, 37, (1 << n) - 1):
+        bad = amps.copy()
+        bad.view(np.float64)[2 * i + i % 2] = np.nan
+        state = qsim.StateVector(n, bad)
+        for term in observable_set(n, "all_pairs"):
+            assert np.isnan(expectation(state, term)), (i, term.label())
 
 
-def _image_and_block_copy_image(src, term):
-    n = src.size.bit_length() - 1
-    got, want = np.full(src.size, np.nan, dtype=complex), np.empty((2, src.size), dtype=complex)
-    qsim._pauli_into(got, src, term._plan, qsim._sign_scratch(n))
-    _unplanned_pauli_into(want[0], src, want[1], term.factors)
-    return got, want[0]
-
-
-@pytest.mark.parametrize("n", list(range(1, 13)) + [16])
-def test_planned_readout_is_bit_identical_to_the_mix_axis_readout(n):
-    # adjacent and distant pairs at every position, nearest neighbours at n = 16; from
-    # n = 9 the sign tile holds the last 8 qubits only, so pairs straddle its edge and
-    # a factor can sit above it, and from n = 13 above the 12-qubit chunk; q = n - 4
-    # has the 8-element stride at which numpy 2.4's strided np.negative goes wrong
-    rng = np.random.default_rng(100 + n)
-    state = run_circuit(rng.uniform(-np.pi, np.pi, size=(2, n, 2)))
-    src = _special_amplitudes(rng, n)
-    if n < 16:
-        terms = _every_term(n)
-    else:
-        terms = [PauliTerm(((q, p),)) for q in range(n) for p in "XYZ"]
-        terms += [PauliTerm(((q, a), (q + 1, b))) for q in range(n - 1) for a in "XYZ" for b in "XYZ"]
-    for term in terms:
-        value = expectation(state, term)
-        assert np.float64(value).tobytes() == np.float64(_mix_axis_readout(state, term)).tobytes()
-        got, want = _image_and_block_copy_image(src, term)
-        assert got.tobytes() == want.tobytes(), term.label()
+def test_run_circuit_amplitudes_are_read_only_and_new_amplitudes_are_read_anew():
+    # Z readouts keep |psi|^2 for the amplitudes array they read, which run_circuit makes
+    # read-only; another array assigned, or a writeable state's own array changed in
+    # place, is read anew
+    angles = np.random.default_rng(5).uniform(-np.pi, np.pi, size=(2, 4, 2))
+    state, other = run_circuit(angles), run_circuit(angles[::-1])
+    z = PauliTerm(((1, "Z"), (3, "Z")))
+    before = expectation(state, z)
+    with pytest.raises(ValueError, match="read-only"):
+        state.amplitudes[0] = 1.0
+    state.amplitudes = other.amplitudes
+    assert expectation(state, z) == expectation(other, z) != before
+    mine = qsim.StateVector(4, other.amplitudes.copy())
+    assert expectation(mine, z) == expectation(other, z)
+    mine.amplitudes[:] = 0.0
+    mine.amplitudes[0] = 1.0
+    assert expectation(mine, z) == 1.0
 
 
 def _block_copy_density_expectation(rho, term):
     """DensityMatrix.expectation with the block-copy image of all-ones as its phases."""
     n = len(rho).bit_length() - 1
     phase, flip = np.empty(len(rho), dtype=complex), 0
-    _unplanned_pauli_into(phase, np.ones_like(phase), np.empty_like(phase), term.factors)
+    _block_copy_pauli_into(phase, np.ones_like(phase), np.empty_like(phase), term.factors)
     for q, p in term.factors:
         flip |= (p != "Z") << (n - 1 - q)
     rows = np.arange(len(rho))
@@ -484,62 +495,6 @@ def test_density_readout_reads_the_plan(n):
         assert abs(got - _block_copy_density_expectation(rho, term)) <= 1e-12
 
 
-_any_part = st.sampled_from(list(_SPECIALS)) | st.floats(allow_nan=True, allow_infinity=True)
-
-
-@st.composite
-def _amplitudes_and_term(draw):
-    n = draw(st.integers(1, 12))
-    qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
-    term = PauliTerm(tuple((q, draw(st.sampled_from("XYZ"))) for q in qubits))
-    parts = draw(arrays(np.float64, 2 << n, elements=_any_part, fill=_any_part))
-    return parts.view(complex), term
-
-
-@settings(max_examples=150, deadline=None)
-@given(_amplitudes_and_term())
-def test_pauli_image_of_any_amplitudes_keeps_the_block_copy_bytes(case):
-    src, term = case
-    got, want = _image_and_block_copy_image(src, term)
-    assert got.tobytes() == want.tobytes()
-
-
-def _view_copy_image(src, term):
-    """P src through the one copy from a view with the X and Y axes reversed, then the signs."""
-    plan, n = term._plan, src.size.bit_length() - 1
-    out, view = np.empty_like(src), src.reshape(plan.shape)[plan.flip]
-    if plan.swap:
-        np.copyto(out.reshape(plan.shape).real, view.imag)
-        np.copyto(out.reshape(plan.shape).imag, view.real)
-    else:
-        np.copyto(out.reshape(plan.shape), view)
-    signs = qsim._sign_masks(n, plan, qsim._sign_scratch(n))
-    if signs is not None:
-        qsim._xor_signs(out, out, signs)
-    return out
-
-
-@pytest.mark.parametrize("n", range(9, 17))
-def test_tile_gather_keeps_the_bytes_of_the_view_copy(n):
-    # the gather runs where every X and Y lies in the last 8 qubits and the view's runs are
-    # at most 4 amplitudes; terms reaching one qubit above the tile take the view copy
-    rng = np.random.default_rng(300 + n)
-    src = _special_amplitudes(rng, n)
-    terms = [t for t in _every_term(n)
-             if t.factors[0][0] >= n - 9 and any(p != "Z" for _, p in t.factors)]
-    gathered = 0
-    for term in terms:
-        moved = [q for q, p in term.factors if p != "Z"]
-        tiled = min(moved) >= n - 8 and max(moved) >= n - 3
-        got = np.full(src.size, np.nan, dtype=complex)
-        with mock.patch.object(qsim, "_tile_perm", wraps=qsim._tile_perm) as perm:
-            qsim._pauli_into(got, src, term._plan, qsim._sign_scratch(n))
-        assert perm.called == tiled, term.label()
-        assert got.tobytes() == _view_copy_image(src, term).tobytes(), term.label()
-        gathered += tiled
-    assert gathered == 6 + 72 + 48  # one X or Y, two of them, one with a Z
-
-
 @st.composite
 def _hermitian_and_term(draw):
     n = draw(st.integers(1, 6))
@@ -551,23 +506,10 @@ def _hermitian_and_term(draw):
     return n, (rho + rho.conj().T) / (2 * dim), term
 
 
-def _fancy_index_density_expectation(rho, term):
-    """DensityMatrix.expectation before its readout plans: per call, the phase vector is
-    _pauli_into of all-ones and rho's entries are read by a 2-D fancy index."""
-    n = len(rho).bit_length() - 1
-    phase, flip = np.empty(len(rho), dtype=complex), 0
-    for q, p in term.factors:
-        flip |= (p != "Z") << (n - 1 - q)
-    qsim._pauli_into(phase, np.ones_like(phase), term._plan, qsim._sign_scratch(n))
-    rows = np.arange(len(rho))
-    val = np.sum(phase * rho[rows ^ flip, rows])
-    return float(np.clip(val.real, -1.0, 1.0))
-
-
 @settings(max_examples=80, deadline=None)
 @given(_hermitian_and_term())
 def test_density_expectation_keeps_its_block_copy_values(case):
-    # the two readouts of the complex path, kept as the oracle, to 1e-12
+    # the block-copy readout of the complex path, kept as the oracle, to 1e-12
     n, rho, term = case
     dm = _loaded(n, rho)
     terms = [term]
@@ -575,8 +517,7 @@ def test_density_expectation_keeps_its_block_copy_values(case):
         terms += observable_set(n, "nearest_neighbor") + observable_set(n, "all_pairs")
     for t in terms:
         got = dm.expectation(t)
-        assert abs(got - _block_copy_density_expectation(rho, t)) <= 1e-12
-        assert abs(got - _fancy_index_density_expectation(rho, t)) <= 1e-12, t.label()
+        assert abs(got - _block_copy_density_expectation(rho, t)) <= 1e-12, t.label()
 
 
 def test_density_readout_is_one_coefficient_read_without_allocation():
@@ -585,31 +526,31 @@ def test_density_readout_is_one_coefficient_read_without_allocation():
     dm = run_noisy(angles, NoiseSpec(kind="depolarizing", p=0.05)).density
     terms = observable_set(n, "all_pairs")
     dm.expectation(terms[0])
-    with mock.patch.object(qsim, "_pauli_into") as pauli:
-        tracemalloc.start()
-        try:
-            got = [dm.expectation(t) for t in terms]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert not pauli.called and peak < dm._r.nbytes // 16
+    tracemalloc.start()
+    try:
+        got = [dm.expectation(t) for t in terms]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dm._r.nbytes // 16
     assert got == [float(dm._r[_pauli_index(t, n)]) for t in terms]
 
 
-def test_pauli_terms_hold_their_plan_outside_equality_and_hash():
+def test_pauli_terms_sort_their_factors_for_equality_and_hash():
     a, b = PauliTerm(((3, "Z"), (1, "Y"))), PauliTerm(((1, "Y"), (3, "Z")))
-    assert a == b and hash(a) == hash(b) and "_plan" not in repr(a)
-    assert a._plan.shape == (2, 2, 2, 2, -1) and a._plan.signed == (1, 3)
-    assert not PauliTerm(((0, "X"),))._plan.signed
-    assert a._plan.swap and a._plan.rows == (4,) and a._plan.flip[1] == slice(None, None, -1)
-    assert PauliTerm(((0, "Z"), (2, "Z")))._plan.flip is None
+    assert a == b and hash(a) == hash(b) and a.factors == ((1, "Y"), (3, "Z"))
+    assert a != PauliTerm(((1, "Y"), (3, "X")))
 
 
 def test_statevector_readout_allocates_no_state_sized_array():
+    # the Walsh vectors are cached per size and mask, so one state warms them up; the
+    # next state's |psi|^2 goes into its circuit's temporary
     n = 12
-    state = run_circuit(np.random.default_rng(12).uniform(-np.pi, np.pi, size=(2, n, 2)))
-    terms = observable_set(n, "all_pairs")
-    expectation(state, terms[0])  # warm-up: the first readout allocates the buffer
+    angles = np.random.default_rng(12).uniform(-np.pi, np.pi, size=(2, n, 2))
+    terms, warm = observable_set(n, "all_pairs"), run_circuit(angles)
+    for t in terms:
+        expectation(warm, t)
+    state = run_circuit(angles[::-1])
     tracemalloc.start()
     try:
         for t in terms:
@@ -620,12 +561,15 @@ def test_statevector_readout_allocates_no_state_sized_array():
     assert peak < state.amplitudes.nbytes // 4
 
 
-def test_run_circuit_state_reads_out_into_its_second_ping_pong_buffer():
-    # one block holds both buffers, so even the first readout allocates only sign scratch
+def test_run_circuit_state_reads_its_probabilities_into_the_circuit_temporary():
+    # one block holds the ping-pong buffers and the temporary, and |psi|^2 fills the
+    # temporary: its 2^n float64 are half a state, so a first Z readout allocates only
+    # the marginals' row and column sums
     n = 16
     state = run_circuit(np.random.default_rng(16).uniform(-np.pi, np.pi, size=(1, n, 2)))
-    assert np.shares_memory(state._readout, state.amplitudes.base)
-    assert not np.shares_memory(state._readout, state.amplitudes)
+    assert np.shares_memory(state._probs, state.amplitudes.base)
+    assert not np.shares_memory(state._probs, state.amplitudes)
+    assert state._probs.nbytes == state.amplitudes.nbytes // 2
     tracemalloc.start()
     try:
         expectation(state, PauliTerm(((0, "Z"), (n - 1, "Z"))))
@@ -1257,32 +1201,3 @@ def test_blocked_layers_are_bit_identical_to_the_per_gate_loop(n, data):
     angles = data.draw(arrays(np.float64, (layers, n, 2), elements=_ANGLES))
     got = run_circuit(angles).amplitudes
     assert np.array_equal(got.view(np.uint64), _per_gate_circuit(angles).view(np.uint64))
-
-
-def _chunk_loop_xor_signs(out, src, signs):
-    """_xor_signs with one call per chunk whatever the signs, as before the broadcast."""
-    masks, lead = signs
-    o, s = out.view(np.uint64), src.view(np.uint64)
-    if masks.shape[1] == o.size:
-        np.bitwise_xor(s, masks[0], out=o)
-        return
-    o, s = o.reshape(-1, masks.shape[1]), s.reshape(-1, masks.shape[1])
-    for i in range(len(o)):
-        np.bitwise_xor(s[i], masks[(i & lead).bit_count() & 1], out=o[i])
-
-
-@pytest.mark.parametrize("n", range(13, 18))
-def test_readout_is_bit_identical_to_the_chunk_loop_xor(n, monkeypatch):
-    # all pairs hold the nearest neighbours; a signed qubit among the first n - 12 sits
-    # above the 12-qubit chunk (lead != 0), every other term XORs one mask (lead == 0)
-    state = run_circuit(np.random.default_rng(300 + n).uniform(-np.pi, np.pi, size=(2, n, 2)))
-    terms = observable_set(n, "all_pairs")
-    terms += [PauliTerm(((q, "Y"), (q + 1, a))) for q in range(n - 1) for a in "XYZ"]
-    leads = {qsim._sign_masks(n, t._plan, qsim._sign_scratch(n))[1]
-             for t in terms if t._plan.signed}
-    assert 0 in leads and len(leads) > 1
-    got = [(expectation(state, term), state._readout.copy()) for term in terms]
-    monkeypatch.setattr(qsim, "_xor_signs", _chunk_loop_xor_signs)
-    for term, (value, image) in zip(terms, got):
-        assert np.float64(value).tobytes() == np.float64(expectation(state, term)).tobytes()
-        assert np.array_equal(image.view(np.uint64), state._readout.view(np.uint64)), term.label()
