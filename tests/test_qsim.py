@@ -432,6 +432,57 @@ def test_every_qep_observable_is_within_1e_12_of_the_vdot_readout(n, mode):
         assert abs(expectation(state, term) - _vdot_readout(state, term)) <= 1e-12, term.label()
 
 
+def _writes_p_psi_out(term):
+    """Whether the readout builds P|psi>: any term but X_q, Z_q and Z_i Z_j."""
+    return "".join(p for _, p in term.factors) not in ("X", "Z", "ZZ")
+
+
+@st.composite
+def _circuit_and_terms(draw):
+    # terms read as Re vdot(psi, P psi): Y alone, or any pair of factors but Z Z
+    n = draw(st.integers(2, 8))
+    layers = draw(st.integers(1, 3))
+    angles = draw(arrays(np.float64, (layers, n, 2), elements=st.floats(-np.pi, np.pi)))
+    terms = []
+    for _ in range(draw(st.integers(1, 6))):
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
+        paulis = draw(st.sampled_from(
+            ["Y"] if len(qubits) == 1 else [a + b for a in "XYZ" for b in "XYZ" if a + b != "ZZ"]))
+        terms.append(PauliTerm(tuple(zip(qubits, paulis))))
+    return angles, terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(_circuit_and_terms())
+def test_expectation_is_bit_identical_to_the_mix_axis_readout(case):
+    # several terms read from one state: each builds P|psi> a factor at a time, as the
+    # oracle's 2x2 mixes do, and the entries of Paulis multiply exactly
+    angles, terms = case
+    state = run_circuit(angles)
+    for term in terms:
+        got = expectation(state, term)
+        assert np.float64(got).tobytes() == np.float64(_vdot_readout(state, term)).tobytes()
+        assert abs(got - dense_pauli_expectation(state, term.factors)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", list(range(1, 13)) + [16])
+def test_planned_readout_is_bit_identical_to_the_mix_axis_readout(n):
+    # every term the readout writes P|psi> out for, adjacent and distant pairs at every
+    # position, nearest neighbours at n = 16
+    state = run_circuit(np.random.default_rng(100 + n).uniform(-np.pi, np.pi, size=(2, n, 2)))
+    if n < 16:
+        terms = _every_term(n)
+    else:
+        terms = [PauliTerm(((q, p),)) for q in range(n) for p in "XYZ"]
+        terms += [PauliTerm(((q, a), (q + 1, b))) for q in range(n - 1) for a in "XYZ" for b in "XYZ"]
+    terms = [t for t in terms if _writes_p_psi_out(t)]
+    pairs = n * (n - 1) // 2 if n < 16 else n - 1
+    assert len(terms) == n + 8 * pairs  # each Y, and each pair under all products but Z Z
+    for term in terms:
+        value = expectation(state, term)
+        assert np.float64(value).tobytes() == np.float64(_vdot_readout(state, term)).tobytes(), term.label()
+
+
 def test_a_nan_amplitude_reads_nan_for_every_qep_observable():
     # a NaN real or imaginary part anywhere reaches every X, Z and ZZ readout, so the
     # QEP's finiteness check after its readout stage fails on it
