@@ -6,29 +6,24 @@ index, so reshaping amplitudes to [2]*n puts qubit q on axis q.  Gates are
 Ry(t) = exp(-i t Y / 2), Rz(t) = exp(-i t Z / 2), and nearest-neighbor
 CNOT(q, q+1).  One hardware-efficient layer applies Ry then Rz on every qubit
 followed by the CNOT chain q = 0 .. n-2.  The statevector circuit ping-pongs
-between two buffers: each fused Rz.Ry gate mixes the two contiguous halves of
-the leading qubit and writes the pairs interleaved, so that qubit moves to the
-back and a layer of n gates ends in C order.  The first layer starts from
-|0...0>, so it grows a product state qubit by qubit instead of mixing zeros,
-and the CNOT chain is one gather by the Gray code.  The QEP's observables, X_q,
-Z_q and Z_i Z_j, fall into two qubit-wise commuting groups, and neither is read
-by writing P|psi> out.  A Z string is a sum over p = |psi|^2 held as a (2^h,
-2^(n-h)) matrix P of the high h = n // 2 qubits by the low ones: w_hi . P . w_lo
-with +-1 Walsh vectors, or one dot with P's row or column sums when every Z lies
-in one half.  X_q is 2 Re <psi_{q=0}|psi_{q=1}>, the two halves of qubit q's
-axis, summed on the float view.  A run_circuit state's amplitudes are read-only,
-so it reads p once, into the circuit's half-size temporary, and keeps it with
-its row and column sums.  Any other term (Y, or X beside another factor) is
+between two buffers.  The first layer starts from |0...0>, so its gates leave the
+product of the columns m_q|0>, grown a qubit at a time.  Every later layer applies
+its fused Rz.Ry gates a qubit pair at a time, as the 4x4 map kron(m_q, m_q+1), with
+a lone 2x2 on the last qubit when n is odd: with the pair leading, the state is a
+(4, 2^(n-2)) matrix, and one complex matmul of its transpose writes the pair at the
+back, so a layer ends in C order, as in the density path below.  Each matmul takes
+at most 2048 rows, which OpenBLAS runs on the calling thread; it splits a longer
+zgemm across threads, and a starved worker thread then stalls every such call.  The
+CNOT chain is one gather by the Gray code.  The QEP's observables, X_q, Z_q and
+Z_i Z_j, fall into two qubit-wise commuting groups, and neither is read by writing
+P|psi> out.  A Z string is a sum over p = |psi|^2 held as a (2^h, 2^(n-h)) matrix P
+of the high h = n // 2 qubits by the low ones: w_hi . P . w_lo with +-1 Walsh
+vectors, or one dot with P's row or column sums when every Z lies in one half.  X_q
+is 2 Re <psi_{q=0}|psi_{q=1}>, the two halves of qubit q's axis, summed on the float
+view.  A run_circuit state's amplitudes are read-only, so it reads p once, into the
+circuit's half-size temporary, and keeps it with its row and column sums and each
+P . w_lo it has taken.  Any other term (Y, or X beside another factor) is
 Re <psi|P psi> with P psi built a factor at a time.
-
-On 16 or more qubits a layer after the first runs its gates in groups of 8 leading
-qubits, a block of 2^14 amplitudes at a time, instead of streaming the whole state
-through memory once per gate.  After g gates of a group, the amplitudes of one column
-below the group's qubits depend on that column alone, so a block of columns is copied
-out once and runs its g gates through two buffers that stay in cache, the last gate
-writing into the block's slot of the other ping-pong buffer.  Every amplitude pair still
-gets the same multiply, multiply, add, with the gates in the same order, so every byte
-is kept, and the block buffers are carved from the circuit's half-size temporary.
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
@@ -97,14 +92,16 @@ class StateVector:
     """Pure state on n_qubits; amplitudes indexed with qubit 0 as the MSB.
 
     run_circuit's amplitudes are read-only, so the |psi|^2 marginals that Z readouts
-    take are read once and kept for as long as the same array is the amplitudes; a
-    state with writeable amplitudes reads them afresh every time.
+    take, and each P . w_lo they take, are read once and kept for as long as the same
+    array is the amplitudes; a state with writeable amplitudes reads them afresh every
+    time.
     """
 
     n_qubits: int
     amplitudes: np.ndarray
     # room for |psi|^2 (run_circuit's half-size temporary, else allocated by the first
-    # Z readout) and the kept (amplitudes, P, row sums, column sums) of _marginals
+    # Z readout) and the kept (amplitudes, P, row sums, column sums, {lo: P . w_lo}) of
+    # _marginals
     _probs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
     _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
@@ -117,8 +114,9 @@ class StateVector:
             )
 
     def _marginals(self):
-        """(P, P's row sums, P's column sums), with P = |psi|^2 as a (2^h, 2^(n-h))
-        matrix of the high h = n // 2 qubits by the low ones."""
+        """(P, P's row sums, P's column sums, {lo: P . w_lo}), with P = |psi|^2 as a
+        (2^h, 2^(n-h)) matrix of the high h = n // 2 qubits by the low ones, and the
+        products with low-half Walsh vectors filled in by the readouts that take them."""
         amps = self.amplitudes
         if self._kept is not None and self._kept[0] is amps:
             return self._kept[1:]
@@ -126,7 +124,7 @@ class StateVector:
             self._probs = np.empty(amps.size)
         p = np.square(np.abs(amps, out=self._probs), out=self._probs)
         P = p.reshape(1 << self.n_qubits // 2, -1)
-        got = (P, P.sum(axis=1), P.sum(axis=0))
+        got = (P, P.sum(axis=1), P.sum(axis=0), {})
         self._kept = None if amps.flags.writeable else (amps,) + got
         return got
 
@@ -144,44 +142,9 @@ def _check_qubit(n: int, q: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {n} qubits")
 
 
-def _mix_to_back(a0: np.ndarray, a1: np.ndarray, m: np.ndarray, out: np.ndarray, t: np.ndarray) -> None:
-    """out[:, r] = m[r, 0] a0 + m[r, 1] a1 for r = 0, 1: the pairs (a0[i], a1[i]) mixed by m
-    and written interleaved into out, shape (len(a0), 2), through t, a temporary of a0's size."""
-    for r in (0, 1):
-        o = out[:, r]
-        np.multiply(m[r, 0], a0, out=o)
-        np.multiply(m[r, 1], a1, out=t)
-        np.add(o, t, out=o)
-
-
-# A layer after the first on a state of at least four blocks of 2^_BLOCK_QUBITS amplitudes
-# runs its gates in groups of _GROUP_QUBITS leading qubits, a block at a time, so that a
-# block's gates stay in cache instead of streaming the whole state once per gate.
-_GROUP_QUBITS, _BLOCK_QUBITS = 8, 14
-
-
-def _mix_group(cur: np.ndarray, other: np.ndarray, ms: np.ndarray, t: np.ndarray) -> None:
-    """other = the gates ms applied in turn to the leading qubit of cur, each moving it to
-    the back, as many _mix_to_back passes over the whole state would leave it; t is cur's
-    half-size temporary and holds at least 1.5 blocks.
-
-    After g gates, amplitude (b, c) of cur, with b on the g leading qubits, sits at (c, b'),
-    so each column c is a 2^g-amplitude problem of its own.  A block of w columns is copied
-    out of cur, rows of w amplitudes, and ping-pongs through two block buffers, its slot
-    in other and a spare carved from t, in the order that leaves gate g-1 writing the slot.
-    """
-    n, g, size = cur.size.bit_length() - 1, len(ms), 1 << _BLOCK_QUBITS
-    cols, w = 1 << (n - g), size >> g
-    tmp, spare = t[: size >> 1], t[size >> 1 : (size >> 1) + size]
-    src, dst = cur.reshape(-1, cols), other.reshape(cols, -1)
-    for c in range(0, cols, w):
-        bufs = (dst[c : c + w].reshape(-1), spare)
-        into = bufs[g & 1]
-        np.copyto(into.reshape(-1, w), src[:, c : c + w])
-        for j, m in enumerate(ms):
-            a0, a1 = into.reshape(2, -1)
-            into = bufs[(g - 1 - j) & 1]
-            _mix_to_back(a0, a1, m, into.reshape(-1, 2), tmp)
+# OpenBLAS (0.3.31) runs a complex matmul of 2048 rows of 4 on the calling thread, and
+# splits one of 4096 or more across its threads
+_GEMM_ROWS = 2048
 
 
 @functools.cache
@@ -204,15 +167,30 @@ def _check_cnot(n: int, control: int, target: int) -> None:
         raise ValueError("CNOT is restricted to the chain pattern target = control + 1")
 
 
+def _layer_maps(angles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(columns, maps) for the fused gates m = Rz(theta_z) . Ry(theta_y) of angles: the
+    (n, 2) columns m_q|0> of layer 0, and an (L - 1, (n + 1) // 2, 4, 4) stack holding
+    each later layer's pair maps kron(m_q, m_q+1), then, for odd n, m_n-1 alone in the
+    top-left 2x2 of a last map."""
+    n = angles.shape[1]
+    fused = rz_matrix(angles[..., 1]) @ ry_matrix(angles[..., 0])
+    h = n // 2
+    maps = np.zeros((len(angles) - 1, (n + 1) // 2, 4, 4), dtype=complex)
+    # kron(a, b)[2 i + k, 2 j + l] = a[i, j] b[k, l]
+    np.multiply(fused[1:, 0 : 2 * h : 2, :, None, :, None],
+                fused[1:, 1 : 2 * h : 2, None, :, None, :],
+                out=maps[:, :h].reshape(len(maps), h, 2, 2, 2, 2))
+    maps[:, h:, :2, :2] = fused[1:, 2 * h :]
+    return fused[0, :, :, 0].copy(), maps
+
+
 def run_circuit(angles: np.ndarray) -> StateVector:
     """Evolve |0...0> through the layered ansatz; angles has shape (L, n, 2)
     holding (theta_y, theta_z) per layer and qubit.
 
-    The amplitudes have the bytes of applying each fused gate m = Rz(theta_z) . Ry(theta_y)
-    in place, pair by pair as m[r, 0] a0 + m[r, 1] a1.  In layer 0, before gate q,
-    amplitude (p, c) with p on qubits 0..q-1 is a[p] for c = 0 and one signed zero z[p]
-    for every other c; gate q grows a <- [m[b,0] a + m[b,1] z for b = 0, 1] and z
-    likewise from (z, z), so the zeros keep the signs that mixing in place gives them.
+    Each gate is the fused m = Rz(theta_z) . Ry(theta_y).  Layer 0 is the product state
+    whose qubit q is m[:, 0]; every later layer applies kron(m_q, m_q+1) to each qubit
+    pair (module docstring).
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 3 or angles.shape[2] != 2:
@@ -220,33 +198,28 @@ def run_circuit(angles: np.ndarray) -> StateVector:
     n = angles.shape[1]
     if n < 1 or not len(angles):
         return zero_state(n)  # raises for no qubits; no layers leave |0...0>
-    fused = rz_matrix(angles[..., 1]) @ ry_matrix(angles[..., 0])
+    columns, maps = _layer_maps(angles)  # before the block, so only they outlive the build
     # one block holds the two ping-pong buffers and the half-size temporary t, and the
     # state keeps it: t is where its readout reads |psi|^2 into.  A freed
     # state is one block the next circuit reuses whole; with separate buffers, glibc
     # trimmed and refaulted about 4 MiB per 16-qubit sample.
     block = np.empty(5 << (n - 1), dtype=complex)
     cur, other, t = block[: 1 << n], block[1 << n : 2 << n], block[2 << n :]
-    # cur holds [a; z; z]: rows (a; z) and (z; z) are the pairs that gate q mixes
-    cur[0], cur[1:3] = 1.0, 0.0
-    for q in range(n):
-        s, rows = 1 << q, 1 if q == n - 1 else 2  # the last gate needs no zeros after it
-        _mix_to_back(cur[: rows * s], cur[s : (rows + 1) * s], fused[0, q],
-                     other[: 2 * rows * s].reshape(-1, 2), t[: rows * s])
-        if q < n - 2:  # the new [a; z; z]
-            other[4 * s : 6 * s] = other[2 * s : 4 * s]
+    cur[:2] = columns[0]
+    for q in range(1, n):  # qubit q joins at the back
+        grown = other[: 2 << q].reshape(-1, 2)
+        for b in (0, 1):
+            np.multiply(cur[: 1 << q], columns[q, b], out=grown[:, b])
         cur, other = other, cur
     gray = _gray_gather(n)
     for layer in range(len(angles)):
-        if layer and n < _BLOCK_QUBITS + 2:
-            for q in range(n):
-                a0, a1 = cur.reshape(2, -1)  # qubit q leads after the q gates before it
-                _mix_to_back(a0, a1, fused[layer, q], other.reshape(-1, 2), t)
-                cur, other = other, cur
-        elif layer:
-            for q in range(0, n, _GROUP_QUBITS):
-                _mix_group(cur, other, fused[layer, q : q + _GROUP_QUBITS], t)
-                cur, other = other, cur
+        for q in range(0, n, 2) if layer else ():  # pair (q, q + 1) leads after the maps before it
+            w = 4 if q + 1 < n else 2
+            m = maps[layer - 1, q // 2, :w, :w]
+            src, dst = cur.reshape(w, -1).T, other.reshape(-1, w)
+            for r in range(0, len(dst), _GEMM_ROWS):
+                np.matmul(src[r : r + _GEMM_ROWS], m.T, out=dst[r : r + _GEMM_ROWS])
+            cur, other = other, cur
         # mode="clip" writes straight into out; the default "raise" buffers it
         np.take(cur, gray, out=other, mode="clip")
         cur, other = other, cur
@@ -301,13 +274,15 @@ def expectation(state: StateVector, term: PauliTerm) -> float:
         h = n // 2
         hi = sum(1 << (h - 1 - q) for q, _ in term.factors if q < h)
         lo = sum(1 << (n - 1 - q) for q, _ in term.factors if q >= h)
-        P, rows, cols = state._marginals()
+        P, rows, cols, by_lo = state._marginals()
         if not lo:
             val = np.dot(rows, _walsh(h, hi))
         elif not hi:
             val = np.dot(cols, _walsh(n - h, lo))
         else:
-            val = np.dot(_walsh(h, hi), P @ _walsh(n - h, lo))
+            if lo not in by_lo:
+                by_lo[lo] = P @ _walsh(n - h, lo)
+            val = np.dot(_walsh(h, hi), by_lo[lo])
     elif paulis == "X":
         f = state.amplitudes.view(np.float64).reshape(1 << term.factors[0][0], 2, -1)
         val = 2.0 * np.einsum("ij,ij->", f[:, 0], f[:, 1])

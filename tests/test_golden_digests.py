@@ -11,8 +11,8 @@ suite and the simulator demo.  The test
 regenerates them in a subprocess with one BLAS thread, set before numpy loads
 (OpenBLAS splits a long dot product across threads, which moves its last bits,
 and this process cannot change the count once numpy is loaded), and compares
-digests.  The 16-qubit all-pairs readout is also run under two threads, to show
-that no dot of that kind reaches the statevector readout.
+digests.  The 16-qubit and 9-qubit all-pairs runs are also made under two
+threads, to show that no BLAS call of the statevector path is split across them.
 
 A change that moves these bytes on purpose refreshes the digests in its own diff:
 
@@ -97,19 +97,25 @@ def test_fast_golden_outputs_keep_their_digests(tmp_path):
 
 
 def test_sixteen_qubit_readout_has_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
-    # the readout's long sums are numpy reductions and einsum, which run on one thread;
-    # its BLAS calls are dots of at most 2^8 entries and 2^8 x 2^8 gemvs
-    argv = _COMMANDS["qep_run_nq16_all_pairs.csv"]
-    written = []
-    for threads in ("1", "2"):
-        env = {k: v for k, v in os.environ.items() if k != "TNMPCQEP_SEED"}
-        env.update(_ONE_THREAD, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
-        out = tmp_path / f"threads_{threads}.csv"
-        proc = subprocess.run([sys.executable, "-m", "tnmpcqep", *argv, "--out", str(out)],
-                              env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        written.append(out.read_bytes())
-    assert written[0] == written[1]
+    # the circuit's pair maps are zgemms of at most 2048 rows, which OpenBLAS runs on
+    # the calling thread: 8 per map at 16 qubits, one per map at 9, where the last
+    # qubit's lone 2x2 runs too; the readout's long sums are numpy reductions and
+    # einsum, which run on one thread, and its BLAS calls are dots of at most 2^8
+    # entries and 2^8 x 2^8 gemvs
+    runs = {"qep_run_nq16_all_pairs.csv": _COMMANDS["qep_run_nq16_all_pairs.csv"],
+            "qep_run_nq9_all_pairs.csv": ["qep-run", "--nq", "9", "--observables", "all_pairs",
+                                          "--n", "3"]}
+    for name, argv in runs.items():
+        written = []
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items() if k != "TNMPCQEP_SEED"}
+            env.update(_ONE_THREAD, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(ROOT / "src"))
+            out = tmp_path / f"threads_{threads}_{name}"
+            proc = subprocess.run([sys.executable, "-m", "tnmpcqep", *argv, "--out", str(out)],
+                                  env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            written.append(out.read_bytes())
+        assert written[0] == written[1], name
 
 
 if __name__ == "__main__":
