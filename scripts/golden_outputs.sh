@@ -13,11 +13,13 @@
 # "(T s)", since they are the only non-deterministic part of that output.
 #
 # BLAS runs on one thread.  OpenBLAS splits a long dot product across threads,
-# which changes its last bits.  The statevector path keeps every BLAS call short
-# enough to run on one thread: its pair maps go in zgemms of at most 2048 rows,
-# and its readout takes dots of at most 2^8 entries and 2^8 x 2^8 gemvs
-# (tests/test_golden_digests.py checks that qep_run_nq16_all_pairs.csv and
-# qep_run_nq9_all_pairs.csv have the same bytes under one and two threads).
+# which changes its last bits.  The simulators keep every BLAS call short enough
+# to run on one thread: the statevector's pair maps go in zgemms of at most 2048
+# rows, its readout takes dots of at most 2^8 entries and 2^8 x 2^8 gemvs, and
+# the density path's maps go in dgemms of at most 2^18 rows x inner x outer
+# (tests/test_golden_digests.py checks that qep_run_nq16_all_pairs.csv,
+# qep_run_nq9_all_pairs.csv and qep_run_nq10_thermal_all_pairs.csv have the same
+# bytes under one and two threads).
 # With the count pinned, two checkouts compare byte for byte whatever BLAS
 # calls they make.
 set -eu

@@ -33,18 +33,26 @@ P: a [4]*n tensor with one base-4 axis per qubit (I, X, Y, Z).  A one-qubit
 channel is then a real 4x4 Pauli transfer matrix on its qubit's axis and a CNOT
 a signed permutation of the 16 Pauli pairs on its two axes (Chow et al., PRL
 109, 060501, 2012; Greenbaum, arXiv:1509.02921).  run_noisy builds each gate's
-Ry, noise, Rz, noise as one 4x4 map, all gates in one stack, and each CNOT with
-the noise on its two qubits as one 16x16 map.  Between maps the axes keep a
-tracked storage order: a map whose axes lead runs as one matmul that writes them
-at the back, so a layer of gates ends in the order it began, and in a CNOT chain
-each pair keeps its target in front for the next.  A fresh density matrix is a
-product, (1, 0, 0, 1) on every qubit, so the first layer acts on each qubit's 4
-coefficients and its CNOT chain grows the product into a block a qubit at a
-time.  A Pauli readout is one coefficient.  rho is built from r when it is read,
+Ry, noise, Rz, noise as one 4x4 map g_q, all gates in one stack, and folds them
+into the CNOTs: with n >= 2 a layer is n - 1 real 16x16 maps, pair . kron(g_0, g_1)
+on (0, 1) and pair . kron(I, g_q+1) on (q, q + 1), where pair is the CNOT followed
+by the noise on its two qubits, built once per NoiseSpec.  g_q+1 commutes with the
+CNOTs before it, so a layer is n - 1 passes over r.  One qubit keeps its gate
+maps.  Between maps the axes keep a tracked storage order: a map whose axes lead
+runs as one matmul that writes them at the back, and in a CNOT chain each pair
+keeps its target in front for the next, so a layer ends in the order it began.  A
+fresh density matrix is a product, (1, 0, 0, 1) on every qubit: a one-qubit map
+acts on a lone qubit's 4 coefficients, and a pair map whose target is the first
+lone qubit takes that qubit's coefficients into itself, a (16, 4) map on the
+block's last qubit that grows the block by one.  OpenBLAS splits a long real
+matmul across its threads, so every map runs in row chunks of at most 2^18 rows
+x inner x outer, which stay on the calling thread.  A Pauli readout is one
+coefficient, and a list of them one gather.  rho is built from r when it is read,
 and assigning a Hermitian rho sets r.  r and the scratch are the two halves of
 one block.  Density-matrix evolution is exact (no sampling), limited to 1..10
-qubits, and every noisy run ends in C order with a check that
-|tr rho - 1| = |r_I - 1| <= 1e-9, which NaN fails.
+qubits, and every noisy run ends in C order with three checks, each failed by NaN:
+|tr rho - 1| = |r_I - 1| <= 1e-9, and two necessary conditions of positivity, every
+|r_P| <= 1 and the purity 2^-n sum_P r_P^2 <= 1, each within 1e-9.
 """
 
 from __future__ import annotations
@@ -371,8 +379,10 @@ def kraus_ptm(kraus) -> np.ndarray:
     S[rs, uv] = sum_k K_k[r, u] conj(K_k[s, v]).  A (..., k, 2, 2) stack of Kraus families
     gives a (..., 4, 4) stack of maps."""
     ks = np.asarray(kraus, dtype=complex)
-    s = np.einsum("...kru,...ksv->...rsuv", ks, ks.conj()).reshape(ks.shape[:-3] + (4, 4))
-    return (_TO_PAULI @ s @ _FROM_PAULI).real
+    s = np.einsum("...kru,...ksv->...rsuv", ks, ks.conj()).reshape(-1, 4, 4)
+    # T S F for the whole stack in two matmuls, where a broadcast makes two per map
+    ts = (_TO_PAULI @ s.transpose(1, 0, 2).reshape(4, -1)).reshape(4, -1, 4).transpose(1, 0, 2)
+    return (ts.reshape(-1, 4) @ _FROM_PAULI).real.reshape(ks.shape[:-3] + (4, 4))
 
 
 # CNOT(q, q + 1) on the 16 Pauli pairs of its qubits, index 4 P_q + P_q+1, from
@@ -451,9 +461,13 @@ class DensityMatrix:
         writing [t, rest, c] as four matmuls, so a CNOT chain runs without a copy.  A map
         whose axes do not lead copies r once to put them in front, and one last copy puts
         r back in C order.  On a fresh |0...0><0...0|, r is a product: one-qubit maps act
-        on a lone qubit's 4 coefficients, and a pair map on (c, c + 1) grows a C-ordered
-        block of qubits 0..c + 1 in r's first entries and runs on its two trailing axes,
-        as long as c + 1 is the block's last qubit or outside it.
+        on a lone qubit's 4 coefficients, and a C-ordered block of qubits 0..k - 1 grows
+        in r's first entries.  A pair map on (c, c + 1) with c + 1 = k - 1 runs on the
+        block's two trailing axes.  With c + 1 >= k, the block grows through c, and the
+        map with c + 1's 4 coefficients folded in, m.reshape(16, 4, 4) @ lone as a
+        (16, 4) map on c, runs as one (rest, 4) @ (4, 16) matmul that writes (c, c + 1)
+        at the back.  Every matmul runs in row chunks that stay on the calling thread
+        (_matmul_rows).
         """
         n = self.n_qubits
         steps = []  # (map, qubits)
@@ -475,10 +489,18 @@ class DensityMatrix:
             for m, qubits in steps:
                 if len(qubits) == 1 and qubits[0] >= k:
                     lone[qubits[0]] = m @ lone[qubits[0]]
-                elif len(qubits) == 2 and qubits[1] >= k - 1:
-                    cur, other = _grow_block(cur, other, lone, k, qubits[1] + 1)
-                    k = max(k, qubits[1] + 1)
-                    np.matmul(cur[: 4**k].reshape(-1, 16), m.T, out=other[: 4**k].reshape(-1, 16))
+                elif len(qubits) == 2 and qubits[1] == k - 1:
+                    _matmul_rows(cur[: 4**k].reshape(-1, 16), m.T, other[: 4**k].reshape(-1, 16))
+                    cur, other = other, cur
+                elif len(qubits) == 2 and qubits[1] >= k:
+                    t = qubits[1]
+                    cur, other = _grow_block(cur, other, lone, k, t)
+                    k = t + 1
+                    # the block of qubits 0..c ends in c, and t's 4 coefficients fold
+                    # into the map: a (16, 4) map on c that writes (c, t) at the back
+                    folded = (m.reshape(64, 4) @ lone[t]).reshape(16, 4)
+                    _matmul_rows(cur[: 4**t].reshape(-1, 4), folded.T,
+                                 other[: 4**k].reshape(-1, 16))
                     cur, other = other, cur
                 else:
                     break
@@ -494,11 +516,11 @@ class DensityMatrix:
                 cur, other, order = other, cur, new
             rest = cur.size >> 2 * w
             if w == 2 and i + 1 < len(steps) and steps[i + 1][1][0] == qubits[1]:
-                np.matmul(cur.reshape(16, rest).T, m.reshape(4, 4, 16).transpose(1, 2, 0),
-                          out=other.reshape(4, rest, 4))
+                _matmul_rows(cur.reshape(16, rest).T, m.reshape(4, 4, 16).transpose(1, 2, 0),
+                             other.reshape(4, rest, 4))
                 order = order[1:] + order[:1]
             else:
-                np.matmul(cur.reshape(4**w, rest).T, m.T, out=other.reshape(rest, 4**w))
+                _matmul_rows(cur.reshape(4**w, rest).T, m.T, other.reshape(rest, 4**w))
                 order = order[w:] + order[:w]
             cur, other = other, cur
         if order != sorted(order):
@@ -512,13 +534,37 @@ class DensityMatrix:
         if not abs(tr - 1.0) <= 1e-9:
             raise ValueError(f"trace drifted to {tr}")
 
+    def check_bounds(self) -> None:
+        """Two necessary conditions of a positive rho: every |r_P| = |tr(P rho)| <= 1 and the
+        purity tr rho^2 = 2^-n sum_P r_P^2 <= 1, each within 1e-9; NaN fails both."""
+        r = self._r
+        top = max(r.max(), -r.min())
+        if not top <= 1.0 + 1e-9:
+            raise ValueError(f"a Pauli coefficient reached {top}")
+        purity = np.einsum("i,i->", r, r) / (1 << self.n_qubits)  # no BLAS dot: one thread
+        if not purity <= 1.0 + 1e-9:
+            raise ValueError(f"purity reached {purity}")
+
     def expectation(self, term: PauliTerm) -> float:
         """tr(P rho) = r_P, one entry of r."""
-        n, index = self.n_qubits, 0
-        for q, p in term.factors:
-            _check_qubit(n, q)
-            index += "IXYZ".index(p) << 2 * (n - 1 - q)
-        return _unit_clip(self._r[index])
+        return _unit_clip(self._r[_coefficient_index(self.n_qubits, term)])
+
+
+def _coefficient_index(n: int, term: PauliTerm) -> int:
+    """r's flat index of the term's coefficient; a qubit out of range raises ValueError."""
+    index = 0
+    for q, p in term.factors:
+        _check_qubit(n, q)
+        index += "IXYZ".index(p) << 2 * (n - 1 - q)
+    return index
+
+
+@functools.lru_cache(maxsize=32)
+def _coefficient_indices(n: int, terms: Tuple[PauliTerm, ...]) -> np.ndarray:
+    """The read-only flat indices of the terms' coefficients in r."""
+    index = np.array([_coefficient_index(n, t) for t in terms], dtype=np.intp)
+    index.flags.writeable = False
+    return index
 
 
 def _grow_block(cur: np.ndarray, other: np.ndarray, lone: np.ndarray, k: int, top: int):
@@ -526,9 +572,23 @@ def _grow_block(cur: np.ndarray, other: np.ndarray, lone: np.ndarray, k: int, to
     time through other; returns (cur, other) with the block of qubits 0..top-1 in cur.
     Each product is a matmul: a broadcast np.multiply allocates numpy's 64 KiB buffer."""
     for j in range(k, top):
-        np.matmul(cur[: 4**j, None], lone[j, None], out=other[: 4 ** (j + 1)].reshape(-1, 4))
+        _matmul_rows(cur[: 4**j, None], lone[j, None], other[: 4 ** (j + 1)].reshape(-1, 4))
         cur, other = other, cur
     return cur, other
+
+
+# OpenBLAS (0.3.31) splits a real matmul of 2^20 rows x inner x outer, an 8-qubit pair
+# map on 4096 rows, across its threads, and ran every one of up to 3 x 2^18 on the
+# calling thread; 2^18 keeps a margin
+_DGEMM_SIZE = 1 << 18
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """np.matmul(a, b, out=out), in calls of at most 2^18 / (b's last two sizes) rows
+    of a and out, on their second-to-last axes."""
+    rows = _DGEMM_SIZE // (b.shape[-2] * b.shape[-1])
+    for r in range(0, a.shape[-2], rows):
+        np.matmul(a[..., r : r + rows, :], b, out=out[..., r : r + rows, :])
 
 
 def _permute_into(dst: np.ndarray, src: np.ndarray, order, new_order) -> None:
@@ -544,30 +604,55 @@ class NoisyResult:
     density: DensityMatrix
 
     def expectations(self, terms: Sequence[PauliTerm]) -> np.ndarray:
-        return np.array([self.density.expectation(t) for t in terms])
+        """Each term's coefficient, clipped to [-1, 1] with NaN kept: one gather of r."""
+        dm = self.density
+        values = dm._r.take(_coefficient_indices(dm.n_qubits, tuple(terms)))
+        return np.clip(values, -1.0, 1.0, out=values)
 
 
-def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
-    """Density-matrix evolution of the layered ansatz with per-gate channels."""
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.ndim != 3 or angles.shape[2] != 2:
-        raise ValueError(f"angles must have shape (layers, n_qubits, 2), got {angles.shape}")
-    n = angles.shape[1]
-    dm = DensityMatrix(n)
-    # the same channel stack lands after every gate, so fuse it once up front
+@functools.lru_cache(maxsize=32)
+def _noise_maps(noise: NoiseSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """(hit, pair), read-only: the channel stack that lands after every gate on each of
+    its qubits as one 4x4 map, and CNOT(q, q + 1) followed by it on both qubits as one
+    16x16 map."""
     hit = np.eye(4)
     for kraus in _channel_sequences(noise):
         hit = kraus_ptm(kraus) @ hit
-    # Ry, noise, Rz, noise on one qubit compose into a single map, every gate's built at
-    # once from one stack of Ry and Rz; a CNOT and the noise on its two qubits are one map
+    pair = np.kron(hit, hit) @ _CNOT_PTM
+    hit.flags.writeable = pair.flags.writeable = False
+    return hit, pair
+
+
+def _layer_ops(angles: np.ndarray, noise: NoiseSpec) -> list:
+    """run_noisy's op list: every gate map g_q built in one stack, then, with n >= 2,
+    folded into its layer's CNOT maps (module docstring)."""
+    layers, n, _ = angles.shape
+    hit, pair = _noise_maps(noise)
     rotations = np.stack([ry_matrix(angles[..., 0]), rz_matrix(angles[..., 1])])
     ry, rz = kraus_ptm(rotations[..., None, :, :])
     gates = hit @ rz @ hit @ ry
-    pair = np.kron(hit, hit) @ _CNOT_PTM
-    ops = []  # (PTM, q) gates and (PTM, q, q + 1) CNOTs with their noise, in circuit order
-    for layer in range(angles.shape[0]):
-        ops += [(gates[layer, q], q) for q in range(n)]
-        ops += [(pair, q, q + 1) for q in range(n - 1)]
+    if n < 2:
+        return [(gates[layer, q], q) for layer in range(layers) for q in range(n)]
+    # pair . kron(I, g) is pair[a, 4 b + j] g[j, c], a matmul of pair's (16, 4, 4) view;
+    # kron(g_0, g_1)[4 i + j, 4 b + c] = g_0[i, b] g_1[j, c]
+    maps = np.empty((layers, n - 1, 16, 16))
+    np.matmul(pair.reshape(16, 4, 4), gates[:, 2:, None],
+              out=maps[:, 1:].reshape(layers, n - 2, 16, 4, 4))
+    first = np.multiply(gates[:, 0, :, None, :, None], gates[:, 1, None, :, None, :])
+    np.matmul(pair, first.reshape(layers, 16, 16), out=maps[:, 0])
+    return [(maps[layer, q], q, q + 1) for layer in range(layers) for q in range(n - 1)]
+
+
+def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
+    """Density-matrix evolution of the layered ansatz with per-gate channels, as one
+    16x16 map per CNOT that carries its noise and the gates (_layer_ops).  The result
+    passes check_trace and check_bounds."""
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.ndim != 3 or angles.shape[2] != 2:
+        raise ValueError(f"angles must have shape (layers, n_qubits, 2), got {angles.shape}")
+    ops = _layer_ops(angles, noise)  # before the block, so only the maps outlive their build
+    dm = DensityMatrix(angles.shape[1])
     dm._evolve(ops)
     dm.check_trace()
+    dm.check_bounds()
     return NoisyResult(density=dm)

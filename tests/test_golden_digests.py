@@ -11,8 +11,9 @@ suite and the simulator demo.  The test
 regenerates them in a subprocess with one BLAS thread, set before numpy loads
 (OpenBLAS splits a long dot product across threads, which moves its last bits,
 and this process cannot change the count once numpy is loaded), and compares
-digests.  The 16-qubit and 9-qubit all-pairs runs are also made under two
-threads, to show that no BLAS call of the statevector path is split across them.
+digests.  The 16-qubit and 9-qubit all-pairs runs and the 10-qubit thermal run are
+also made under two threads, to show that no BLAS call of the statevector or the
+density path is split across them.
 
 A change that moves these bytes on purpose refreshes the digests in its own diff:
 
@@ -101,10 +102,13 @@ def test_sixteen_qubit_readout_has_the_same_bytes_under_one_and_two_blas_threads
     # the calling thread: 8 per map at 16 qubits, one per map at 9, where the last
     # qubit's lone 2x2 runs too; the readout's long sums are numpy reductions and
     # einsum, which run on one thread, and its BLAS calls are dots of at most 2^8
-    # entries and 2^8 x 2^8 gemvs
+    # entries and 2^8 x 2^8 gemvs.  The density path's maps are dgemms of at most 2^18
+    # rows x inner x outer, which OpenBLAS also runs on the calling thread, and its
+    # purity check is an einsum
     runs = {"qep_run_nq16_all_pairs.csv": _COMMANDS["qep_run_nq16_all_pairs.csv"],
             "qep_run_nq9_all_pairs.csv": ["qep-run", "--nq", "9", "--observables", "all_pairs",
-                                          "--n", "3"]}
+                                          "--n", "3"],
+            "qep_run_nq10_thermal_all_pairs.csv": _COMMANDS["qep_run_nq10_thermal_all_pairs.csv"]}
     for name, argv in runs.items():
         written = []
         for threads in ("1", "2"):

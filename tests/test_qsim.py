@@ -669,10 +669,50 @@ def test_run_noisy_raises_when_the_trace_drifts(monkeypatch):
     spec = NoiseSpec(kind="depolarizing", p=0.05)
     ptm = qsim.kraus_ptm
     monkeypatch.setattr(qsim, "kraus_ptm", lambda kraus: 1.01 * ptm(kraus))
+    qsim._noise_maps.cache_clear()  # the noise-only maps are kept per NoiseSpec
     with pytest.raises(ValueError, match=r"trace drifted to 1\.\d*[1-9]"):
         run_noisy(angles, spec)
     monkeypatch.undo()
+    qsim._noise_maps.cache_clear()
     assert abs(np.trace(run_noisy(angles, spec).density.rho) - 1.0) <= 1e-12
+
+
+def test_run_noisy_checks_two_necessary_conditions_of_positivity(monkeypatch):
+    angles = np.random.default_rng(13).uniform(-np.pi, np.pi, size=(1, 3, 2))
+    spec = NoiseSpec(kind="depolarizing", p=0.05)
+    ptm = qsim.kraus_ptm
+    # every map scaled out of CP but still trace preserving: rows X, Y, Z times 1.5
+    monkeypatch.setattr(qsim, "kraus_ptm", lambda kraus: ptm(kraus) * [[1.0], [1.5], [1.5], [1.5]])
+    qsim._noise_maps.cache_clear()
+    with pytest.raises(ValueError, match=r"a Pauli coefficient reached [1-9]"):
+        run_noisy(angles, spec)
+    monkeypatch.undo()
+    qsim._noise_maps.cache_clear()
+    run_noisy(angles, spec)
+    # a NaN angle fails them too, past a trace check that would fail it first
+    monkeypatch.setattr(DensityMatrix, "check_trace", lambda self: None)
+    with pytest.raises(ValueError, match="a Pauli coefficient reached nan"):
+        run_noisy(np.where(angles == angles[0, 1, 0], np.nan, angles), spec)
+
+
+def test_bounds_check_reads_every_coefficient_and_the_purity():
+    # (I + s (X + Y + Z)) / 2 at s = 0.9: every |r_P| <= 1 but purity (1 + 3 s^2) / 2 > 1
+    bloch = _loaded(1, (PAULI["I"] + 0.9 * (PAULI["X"] + PAULI["Y"] + PAULI["Z"])) / 2)
+    bloch.check_trace()
+    with pytest.raises(ValueError, match=r"purity reached 1\.71"):
+        bloch.check_bounds()
+    run_noisy(np.zeros((1, 3, 2)), NOISELESS).density.check_bounds()  # |000>: all at 1
+    dm = _loaded(3, np.eye(8) / 8)  # purity 1/8, so one coefficient moves only the first
+    for at in (1, 37, 63):
+        for bad, ok in ((1.0 + 2e-9, False), (-1.0 - 2e-9, False), (np.nan, False),
+                        (1.0 + 5e-10, True), (-1.0, True)):
+            dm._r[1:] = 0.0
+            dm._r[at] = bad
+            if ok:
+                dm.check_bounds()
+            else:
+                with pytest.raises(ValueError, match="a Pauli coefficient reached"):
+                    dm.check_bounds()
 
 
 # --- the complex density path, written out as the oracle of the Pauli-coefficient one ---
@@ -826,18 +866,21 @@ def test_noisy_run_op_list_allocates_no_quarter_of_rho():
     rng = np.random.default_rng(15)
     hit = kraus_ptm(depolarizing_kraus(0.05))
     pair = np.kron(hit, hit) @ qsim._CNOT_PTM
-    ops = []
-    for _ in range(2):  # the shape of a two-layer run_noisy
-        ops += [(kraus_ptm(_random_kraus(rng)), q) for q in range(n)]
-        ops += [(pair, q, q + 1) for q in range(n - 1)]
-    dm = DensityMatrix(n)
-    tracemalloc.start()
-    try:
-        dm._evolve(ops)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < dm._r.nbytes // 4
+    gated, folded = [], []
+    for _ in range(2):  # two layers, with the gates apart and folded into the pairs
+        gated += [(kraus_ptm(_random_kraus(rng)), q) for q in range(n)]
+        gated += [(pair, q, q + 1) for q in range(n - 1)]
+        folded += [(pair @ np.kron(np.eye(4), kraus_ptm(_random_kraus(rng))), q, q + 1)
+                   for q in range(n - 1)]
+    for ops in (gated, folded):
+        dm = DensityMatrix(n)
+        tracemalloc.start()
+        try:
+            dm._evolve(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dm._r.nbytes // 4
 
 
 def _kraus_families(noise):
@@ -910,6 +953,21 @@ def _per_gate_ptm_ops(angles, noise):
     return ops
 
 
+def _written_out_fold(ops, n):
+    """Per-gate ops, n gate maps then n - 1 pair maps a layer, with each layer's gates
+    folded into its pair maps: pair . kron(g_0, g_1) on (0, 1) and pair . kron(I, g_q+1)
+    on (q, q + 1).  One qubit keeps its gate maps."""
+    if n == 1:
+        return ops
+    folded = []
+    for start in range(0, len(ops), 2 * n - 1):
+        gates = [m for m, _ in ops[start : start + n]]
+        for q, (pair, c, t) in enumerate(ops[start + n : start + 2 * n - 1]):
+            left = gates[0] if q == 0 else np.eye(4)
+            folded.append((pair @ np.kron(left, gates[q + 1]), c, t))
+    return folded
+
+
 def _written_out_ptm(kraus):
     """R[i, j] = tr(P_i sum_k K_k P_j K_k^dagger) / 2, entry by entry."""
     paulis = [PAULI[p] for p in "IXYZ"]
@@ -959,15 +1017,21 @@ def test_stacked_gate_maps_keep_the_bytes_of_the_per_gate_build(case):
     for family, got in zip(stack, maps):
         assert got.tobytes() == kraus_ptm(family).tobytes()
         assert np.abs(got - _written_out_ptm(family)).max() <= 1e-15
-    # run_noisy's own op list, gate maps and pair maps alike
+    # run_noisy's own op list: each folded map within 1e-15 of the per-gate ops folded
+    # written out, and r within an ulp per gate of the per-gate ops run through _evolve
     with mock.patch.object(DensityMatrix, "_evolve", autospec=True,
                            side_effect=DensityMatrix._evolve) as evolve:
-        run_noisy(angles, spec)
+        got_r = run_noisy(angles, spec).density._r
+    layers, n, _ = angles.shape
     got_ops, want_ops = evolve.call_args.args[1], _per_gate_ptm_ops(angles, spec)
-    assert len(got_ops) == len(want_ops)
-    for (got, *got_qubits), (want, *want_qubits) in zip(got_ops, want_ops):
+    folded = _written_out_fold(want_ops, n)
+    assert len(got_ops) == len(folded)
+    for (got, *got_qubits), (want, *want_qubits) in zip(got_ops, folded):
         assert got_qubits == want_qubits
-        assert np.asarray(got).tobytes() == want.tobytes()
+        assert np.abs(got - want).max() <= 1e-15
+    per_gate = DensityMatrix(n)
+    per_gate._evolve(want_ops)
+    assert np.abs(got_r - per_gate._r).max() <= layers * n * np.finfo(float).eps
 
 
 @st.composite
@@ -1017,6 +1081,97 @@ def test_fresh_density_matrix_matches_the_explicit_zero_rho_path(case):
         assert np.abs(fresh._r - explicit._r).max() <= 1e-12
 
 
+def _grow_then_map(n, ops):
+    """r after ops on a fresh |0...0><0...0|, written out: one-qubit maps act on each
+    qubit's 4 coefficients until the first pair map, the product of all n is grown, and
+    every later map runs on its axes of the [4]*n tensor."""
+    lone = [np.array([1.0, 0.0, 0.0, 1.0]) for _ in range(n)]
+    first = next((i for i, op in enumerate(ops) if len(op) == 3), len(ops))
+    for m, q in ops[:first]:
+        lone[q] = m @ lone[q]
+    r = lone[0]
+    for v in lone[1:]:
+        r = np.multiply.outer(r, v)
+    for m, *qubits in ops[first:]:
+        w = len(qubits)
+        front = np.moveaxis(r.reshape((4,) * n), qubits, range(w))
+        mapped = (np.reshape(m, (4**w, 4**w)) @ front.reshape(4**w, -1)).reshape(front.shape)
+        r = np.moveaxis(mapped, range(w), qubits)
+    return np.ravel(r)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_lone_fold_on_a_fresh_state_matches_grow_then_map_and_the_dense_kraus_sum(n):
+    # a pair map whose target is the block's first lone qubit takes that qubit's 4
+    # coefficients into the map; here after lone gates, after a gap the block grows
+    # across, and as run_noisy's layers
+    rng = np.random.default_rng(60 + n)
+    for trial in range(6):
+        lead = list(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
+        kraus = [_random_kraus(rng) for _ in lead]
+        start = int(rng.integers(0, n - 1))
+        chain = [_pair_map(rng, c) for c in range(start, int(rng.integers(start + 1, n)))]
+        ops = [(kraus_ptm(k), q) for k, q in zip(kraus, lead)] + [f for f, _ in chain]
+        oracle_ops = [(_one_family_superoperator(k), q) for k, q in zip(kraus, lead)]
+        oracle_ops += [op for _, separate in chain for op in separate]
+        fresh = DensityMatrix(n)
+        fresh._evolve(ops)
+        assert np.abs(fresh._r - _grow_then_map(n, ops)).max() <= 1e-14
+        want = _reference_evolution(_zero_rho(n), oracle_ops, n)
+        assert np.abs(fresh.rho - want).max() <= 1e-12
+    for kind in ("depolarizing", "thermal", "mixed"):
+        angles = rng.uniform(-np.pi, np.pi, size=(2, n, 2))
+        spec = NoiseSpec(kind=kind, p=0.1, gamma_amp=0.08, gamma_phase=0.06)
+        got = run_noisy(angles, spec).density
+        assert np.abs(got._r - _grow_then_map(n, qsim._layer_ops(angles, spec))).max() <= 1e-14
+        assert np.abs(got.rho - dense_noisy_density(angles, spec)).max() <= 1e-12
+
+
+def test_noisy_expectations_are_one_gather_with_the_per_term_bytes():
+    n = 5
+    angles = np.random.default_rng(17).uniform(-np.pi, np.pi, size=(2, n, 2))
+    result = run_noisy(angles, NoiseSpec(kind="mixed", p=0.05, gamma_amp=0.03,
+                                         gamma_phase=0.02))
+    terms = _every_term(n)
+
+    def per_term():  # one clipped coefficient per term, NaN kept
+        return np.array([float(min(max(result.density._r[_pauli_index(t, n)], -1.0), 1.0))
+                         for t in terms])
+
+    assert result.expectations(terms).tobytes() == per_term().tobytes()
+    # out of range, signed zeros, tiny and NaN coefficients, in every term's slot
+    special = np.array([1.5, -1.5, 1.0 + 1e-12, -0.0, 0.0, 1e-300, -np.inf, np.inf, np.nan])
+    result.density._r[1:] = np.resize(special, result.density._r.size - 1)
+    got = result.expectations(terms)
+    assert got.tobytes() == per_term().tobytes()
+    assert np.isnan(got).any() and set(np.abs(got[np.isfinite(got)])) >= {1.0, 0.0, 1e-300}
+    assert result.expectations(tuple(terms)).tobytes() == per_term().tobytes()
+    assert result.expectations([]).shape == (0,)
+    # the flat indices are kept read-only per (n, terms)
+    index = qsim._coefficient_indices(n, tuple(terms))
+    assert qsim._coefficient_indices(n, tuple(list(terms))) is index
+    assert not index.flags.writeable
+    # a qubit out of range raises as the per-term readout did, for the first such term
+    for bad in (n, -1):
+        with pytest.raises(ValueError, match=f"qubit index {bad} out of range for {n} qubits"):
+            result.expectations(terms[:3] + [PauliTerm(((0, "Z"), (bad, "X"))),
+                                             PauliTerm(((n + 1, "Y"),))])
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_every_noisy_matmul_fits_one_blas_thread(n):
+    # OpenBLAS splits a real matmul of 2^20 rows x inner x outer (an 8-qubit 16x16 map
+    # on 4096 rows) across its threads, so the density path makes none above 2^18: not
+    # in the map build, the folds, the pair maps or the growth
+    real = np.matmul
+    angles = np.random.default_rng(20).uniform(-np.pi, np.pi, size=(2, n, 2))
+    with mock.patch.object(np, "matmul", side_effect=real) as matmul:
+        run_noisy(angles, NoiseSpec(kind="thermal"))
+        DensityMatrix(n)._evolve([])  # a fresh state grown whole, with no map
+    sizes = [a.shape[-2] * a.shape[-1] * b.shape[-1] for (a, b), _ in matmul.call_args_list]
+    assert len(sizes) > 2 * n and max(sizes) <= 1 << 18
+
+
 def test_warm_noisy_run_peaks_at_its_two_buffer_block():
     n = 6
     angles = np.random.default_rng(16).uniform(-np.pi, np.pi, size=(2, n, 2))
@@ -1060,16 +1215,15 @@ def test_noisy_expectations_match_the_complex_path(n, kind):
 
 @pytest.mark.parametrize("kind", qsim.NOISE_KINDS)
 @pytest.mark.parametrize("n", [9, 10])
-def test_run_noisy_on_nine_and_ten_qubits_is_bit_identical_to_gather_scatter(n, kind):
-    # the 9- and 10-qubit cases of the test above: within 1e-12 of the gather-scatter
-    # oracle, since Pauli coefficients do not round as the complex path did
+def test_run_noisy_on_nine_and_ten_qubits_is_within_1e_12_of_gather_scatter(n, kind):
+    # the 9- and 10-qubit cases of the test above
     _check_against_the_complex_path(n, kind, 900 + n)
 
 
 @pytest.mark.parametrize("kind", ["depolarizing", "thermal", "mixed"])
-def test_two_layer_noisy_run_copies_rho_once_per_cnot_and_twice_for_its_second_layer(kind):
-    # the bound the name gives (17 copies at 8 qubits) is now 0: the first layer and its
-    # CNOT chain grow a product block, and every later map finds its axes in front
+def test_two_layer_noisy_run_never_copies_rho(kind):
+    # the first layer's CNOT chain grows a product block, and every later map finds its
+    # axes in front
     n = 8
     angles = np.random.default_rng(19).uniform(-np.pi, np.pi, size=(2, n, 2))
     with mock.patch.object(qsim, "_permute_into", side_effect=qsim._permute_into) as copy:
