@@ -24,10 +24,14 @@ _DEMO, _NOISE, _BENCH = pipeline.DemoConfig(), NoiseSpec(), bench.BenchConfig()
 
 
 def _master_seed(args) -> int:
+    """--seed, else TNMPCQEP_SEED, else 0; a bad environment value is a flag error."""
     if args.seed is not None:
-        return int(args.seed)
+        return args.seed
     env = os.environ.get("TNMPCQEP_SEED")
-    return int(env) if env else 0
+    try:
+        return _int_at_least(0)(env) if env else 0
+    except argparse.ArgumentTypeError as exc:
+        args.parser.error(f"TNMPCQEP_SEED: {exc}")
 
 
 def _int_list(text: str):
@@ -312,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     for command in sub.choices.values():  # a flag error prints its own command's usage
-        command.add_argument("--seed", type=int, default=None,
+        command.add_argument("--seed", type=_int_at_least(0), default=None,
                              help="master seed (default: TNMPCQEP_SEED env var, then 0)")
         command.set_defaults(parser=command)
     return parser

@@ -80,7 +80,8 @@ def observable_set(n_q: int, mode: str = "nearest_neighbor"):
 
 @functools.cache
 def _observable_terms(n_q: int, mode: str) -> tuple:
-    """observable_set(n_q, mode) as a tuple built once, plans and all, for the readout."""
+    """observable_set(n_q, mode) as a tuple built once for the readout; the noisy
+    readout keeps its coefficient indices per tuple."""
     return tuple(observable_set(n_q, mode))
 
 

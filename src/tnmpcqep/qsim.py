@@ -38,21 +38,22 @@ into the CNOTs: with n >= 2 a layer is n - 1 real 16x16 maps, pair . kron(g_0, g
 on (0, 1) and pair . kron(I, g_q+1) on (q, q + 1), where pair is the CNOT followed
 by the noise on its two qubits, built once per NoiseSpec.  g_q+1 commutes with the
 CNOTs before it, so a layer is n - 1 passes over r.  One qubit keeps its gate
-maps.  Between maps the axes keep a tracked storage order: a map whose axes lead
-runs as one matmul that writes them at the back, and in a CNOT chain each pair
-keeps its target in front for the next, so a layer ends in the order it began.  A
-fresh density matrix is a product, (1, 0, 0, 1) on every qubit: a one-qubit map
-acts on a lone qubit's 4 coefficients, and a pair map whose target is the first
-lone qubit takes that qubit's coefficients into itself, a (16, 4) map on the
-block's last qubit that grows the block by one.  OpenBLAS splits a long real
-matmul across its threads, so every map runs in row chunks of at most 2^18 rows
-x inner x outer, which stay on the calling thread.  A Pauli readout is one
-coefficient, and a list of them one gather.  rho is built from r when it is read,
-and assigning a Hermitian rho sets r.  r and the scratch are the two halves of
-one block.  Density-matrix evolution is exact (no sampling), limited to 1..10
-qubits, and every noisy run ends in C order with three checks, each failed by NaN:
-|tr rho - 1| = |r_I - 1| <= 1e-9, and two necessary conditions of positivity, every
-|r_P| <= 1 and the purity 2^-n sum_P r_P^2 <= 1, each within 1e-9.
+maps.  The chain is one fixed program.  A new density matrix is a product, (1, 0,
+0, 1) on every qubit, so layer 0 grows a C-ordered block of qubits 0..t - 1 in r's
+first entries: the map on (t - 1, t) takes t's 4 coefficients into itself, a (16,
+4) map on the block's last qubit.  In every later layer each map finds its pair in
+front and reads it as the (16, rest) block transposed: all but the last write their
+target in front for the next, and the last writes its pair at the back, so a layer
+ends in C order.  apply_single and apply_kraus run a 4x4 map on one qubit's axis of
+the C-ordered r.  OpenBLAS splits a long real matmul across its threads, so every
+map runs in row chunks of at most 2^18 rows x inner x outer, which stay on the
+calling thread.  A Pauli readout is one coefficient, and a list of them one gather.
+rho is built from r when it is read, and assigning a Hermitian rho sets r.  r and
+the scratch are the two halves of one block.  Density-matrix evolution is exact (no
+sampling), limited to 1..10 qubits, and every noisy run ends with three checks,
+each failed by NaN: |tr rho - 1| = |r_I - 1| <= 1e-9, and two necessary conditions
+of positivity, every |r_P| <= 1 and the purity 2^-n sum_P r_P^2 <= 1, each within
+1e-9.
 """
 
 from __future__ import annotations
@@ -166,13 +167,6 @@ def _gray_gather(n: int) -> np.ndarray:
 def _unit_clip(v) -> float:
     """float(np.clip(v, -1.0, 1.0)) for a real scalar, NaN kept, without a ufunc call."""
     return float(min(max(v, -1.0), 1.0))
-
-
-def _check_cnot(n: int, control: int, target: int) -> None:
-    _check_qubit(n, control)
-    _check_qubit(n, target)
-    if target != control + 1:
-        raise ValueError("CNOT is restricted to the chain pattern target = control + 1")
 
 
 def _layer_maps(angles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -371,6 +365,8 @@ def _channel_sequences(noise: NoiseSpec):
 _PAULI4 = np.array([_I2, _X, _Y, _Z])
 _TO_PAULI = _PAULI4.transpose(0, 2, 1).reshape(4, 4)
 _FROM_PAULI = _PAULI4.reshape(4, 4).T / 2
+# |0><0| = (I + Z) / 2 as Pauli coefficients
+_ZERO = np.array([1.0, 0.0, 0.0, 1.0])
 
 
 def kraus_ptm(kraus) -> np.ndarray:
@@ -409,7 +405,6 @@ class DensityMatrix:
         # r and the scratch that maps write through are the halves of one block: evolution
         # allocates no array of r's size, and a freed block is reused whole
         self._r, self._scratch = np.empty((2, 4**n_qubits))
-        self._fresh = True  # r is |0...0><0...0| until the first evolution or assignment
         # |0><0| = (I + Z) / 2 on every qubit: r = (1, 0, 0, 1)^(x n)
         self._r.fill(0.0)
         self._r.reshape((4,) * n_qubits)[(slice(None, None, 3),) * n_qubits] = 1.0
@@ -441,90 +436,41 @@ class DensityMatrix:
             for _ in range(n):  # as in the getter, a (row, column) pair in, a Pauli axis out
                 x = x.reshape(4, -1).T @ _TO_PAULI.T
             self._r[...] = x.real.reshape(-1)
-        self._fresh = False
 
     def apply_single(self, gate: np.ndarray, q: int) -> None:
         """gate . rho . gate^dagger, as the one-Kraus channel [gate]."""
-        self._evolve([(kraus_ptm([gate]), q)])
+        self._apply(kraus_ptm([gate]), q)
 
     def apply_kraus(self, kraus, q: int) -> None:
-        self._evolve([(kraus_ptm(kraus), q)])
+        self._apply(kraus_ptm(kraus), q)
 
-    def _evolve(self, ops) -> None:
-        """Apply ops in order: (R, q) is a one-qubit map, a real 4x4 PTM, and (R, c, c + 1)
-        a real 16x16 map on a chain pair.
+    def _apply(self, m: np.ndarray, q: int) -> None:
+        """The one-qubit map m, a real 4x4 PTM, on qubit q: with r as (4^q, 4, rest), each
+        (4, rest) block goes to m . block, run as its rest rows times m^T (_matmul_rows)."""
+        _check_qubit(self.n_qubits, q)
+        src = self._r.reshape(4**q, 4, -1).transpose(0, 2, 1)
+        _matmul_rows(src, m.T, self._scratch.reshape(4**q, 4, -1).transpose(0, 2, 1))
+        self._r, self._scratch = self._scratch, self._r
 
-        r's axes live in a tracked storage order between ops.  A map whose axes lead, in
-        its order, runs where they lie: one matmul reads the (4^w, rest) block transposed
-        and writes the map's axes at the back, so a layer of n gates ends where it began.
-        A pair map whose second qubit leads the next op keeps that qubit in front instead,
-        writing [t, rest, c] as four matmuls, so a CNOT chain runs without a copy.  A map
-        whose axes do not lead copies r once to put them in front, and one last copy puts
-        r back in C order.  On a fresh |0...0><0...0|, r is a product: one-qubit maps act
-        on a lone qubit's 4 coefficients, and a C-ordered block of qubits 0..k - 1 grows
-        in r's first entries.  A pair map on (c, c + 1) with c + 1 = k - 1 runs on the
-        block's two trailing axes.  With c + 1 >= k, the block grows through c, and the
-        map with c + 1's 4 coefficients folded in, m.reshape(16, 4, 4) @ lone as a
-        (16, 4) map on c, runs as one (rest, 4) @ (4, 16) matmul that writes (c, c + 1)
-        at the back.  Every matmul runs in row chunks that stay on the calling thread
-        (_matmul_rows).
-        """
-        n = self.n_qubits
-        steps = []  # (map, qubits)
-        for op in ops:  # every op is checked before r moves
-            m, *qubits = op
-            w = len(qubits)
-            if w not in (1, 2) or np.size(m) != 16**w or not np.isrealobj(m):
-                raise ValueError(f"not a (PTM, q) or (PTM, c, c + 1) op: {op!r}")
-            if w == 1:
-                _check_qubit(n, qubits[0])
-            else:
-                _check_cnot(n, *qubits)
-            steps.append((np.reshape(m, (4**w, 4**w)), qubits))
+    def _run_chain(self, maps: np.ndarray) -> None:
+        """Run an (L, n - 1, 16, 16) stack of pair maps, L >= 1, on a new DensityMatrix's
+        |0...0><0...0|, each layer's map q on (q, q + 1) (module docstring): in layer 0 the
+        map on (t - 1, t) takes t's (1, 0, 0, 1) into itself, and each later map but a
+        layer's last writes [t, rest, t - 1], so t leads for the next."""
+        # the block of qubit 0 is r's first 4 entries, (1, 0, 0, 1) like every qubit's
         cur, other = self._r, self._scratch
-        if self._fresh:
-            lone = np.tile([1.0, 0.0, 0.0, 1.0], (n, 1))  # the qubits outside the block
-            k, done = 0, 0  # cur[:4^k] holds qubits 0..k-1
-            cur[0] = 1.0
-            for m, qubits in steps:
-                if len(qubits) == 1 and qubits[0] >= k:
-                    lone[qubits[0]] = m @ lone[qubits[0]]
-                elif len(qubits) == 2 and qubits[1] == k - 1:
-                    _matmul_rows(cur[: 4**k].reshape(-1, 16), m.T, other[: 4**k].reshape(-1, 16))
-                    cur, other = other, cur
-                elif len(qubits) == 2 and qubits[1] >= k:
-                    t = qubits[1]
-                    cur, other = _grow_block(cur, other, lone, k, t)
-                    k = t + 1
-                    # the block of qubits 0..c ends in c, and t's 4 coefficients fold
-                    # into the map: a (16, 4) map on c that writes (c, t) at the back
-                    folded = (m.reshape(64, 4) @ lone[t]).reshape(16, 4)
-                    _matmul_rows(cur[: 4**t].reshape(-1, 4), folded.T,
-                                 other[: 4**k].reshape(-1, 16))
-                    cur, other = other, cur
-                else:
-                    break
-                done += 1
-            cur, other = _grow_block(cur, other, lone, k, n)
-            steps, self._fresh = steps[done:], False
-        order = list(range(n))  # storage axis i holds qubit order[i]
-        for i, (m, qubits) in enumerate(steps):
-            w = len(qubits)
-            if order[:w] != qubits:
-                new = qubits + [q for q in order if q not in qubits]
-                _permute_into(other, cur, order, new)
-                cur, other, order = other, cur, new
-            rest = cur.size >> 2 * w
-            if w == 2 and i + 1 < len(steps) and steps[i + 1][1][0] == qubits[1]:
+        for t, m in enumerate(maps[0], 1):
+            folded = (m.reshape(64, 4) @ _ZERO).reshape(16, 4)
+            _matmul_rows(cur[: 4**t].reshape(-1, 4), folded.T,
+                         other[: 4 ** (t + 1)].reshape(-1, 16))
+            cur, other = other, cur
+        rest = cur.size >> 4
+        for layer in maps[1:]:
+            for m in layer[:-1]:
                 _matmul_rows(cur.reshape(16, rest).T, m.reshape(4, 4, 16).transpose(1, 2, 0),
                              other.reshape(4, rest, 4))
-                order = order[1:] + order[:1]
-            else:
-                _matmul_rows(cur.reshape(4**w, rest).T, m.T, other.reshape(rest, 4**w))
-                order = order[w:] + order[:w]
-            cur, other = other, cur
-        if order != sorted(order):
-            _permute_into(other, cur, order, sorted(order))
+                cur, other = other, cur
+            _matmul_rows(cur.reshape(16, rest).T, layer[-1].T, other.reshape(rest, 16))
             cur, other = other, cur
         self._r, self._scratch = cur, other
 
@@ -567,16 +513,6 @@ def _coefficient_indices(n: int, terms: Tuple[PauliTerm, ...]) -> np.ndarray:
     return index
 
 
-def _grow_block(cur: np.ndarray, other: np.ndarray, lone: np.ndarray, k: int, top: int):
-    """The block of qubits 0..k-1 in cur[:4^k] times the lone qubits k..top-1, one at a
-    time through other; returns (cur, other) with the block of qubits 0..top-1 in cur.
-    Each product is a matmul: a broadcast np.multiply allocates numpy's 64 KiB buffer."""
-    for j in range(k, top):
-        _matmul_rows(cur[: 4**j, None], lone[j, None], other[: 4 ** (j + 1)].reshape(-1, 4))
-        cur, other = other, cur
-    return cur, other
-
-
 # OpenBLAS (0.3.31) splits a real matmul of 2^20 rows x inner x outer, an 8-qubit pair
 # map on 4096 rows, across its threads, and ran every one of up to 3 x 2^18 on the
 # calling thread; 2^18 keeps a margin
@@ -589,12 +525,6 @@ def _matmul_rows(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     rows = _DGEMM_SIZE // (b.shape[-2] * b.shape[-1])
     for r in range(0, a.shape[-2], rows):
         np.matmul(a[..., r : r + rows, :], b, out=out[..., r : r + rows, :])
-
-
-def _permute_into(dst: np.ndarray, src: np.ndarray, order, new_order) -> None:
-    """dst, with its [4]*n axes stored in new_order, = src stored in order."""
-    axes = [order.index(q) for q in new_order]
-    np.copyto(dst.reshape((4,) * len(order)), src.reshape((4,) * len(order)).transpose(axes))
 
 
 @dataclass
@@ -623,16 +553,17 @@ def _noise_maps(noise: NoiseSpec) -> Tuple[np.ndarray, np.ndarray]:
     return hit, pair
 
 
-def _layer_ops(angles: np.ndarray, noise: NoiseSpec) -> list:
-    """run_noisy's op list: every gate map g_q built in one stack, then, with n >= 2,
-    folded into its layer's CNOT maps (module docstring)."""
+def _layer_ops(angles: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """run_noisy's maps: every gate map g_q built in one stack, the (L, 1, 4, 4) gates at
+    n = 1, else folded into its layer's CNOT maps, an (L, n - 1, 16, 16) stack (module
+    docstring)."""
     layers, n, _ = angles.shape
     hit, pair = _noise_maps(noise)
     rotations = np.stack([ry_matrix(angles[..., 0]), rz_matrix(angles[..., 1])])
     ry, rz = kraus_ptm(rotations[..., None, :, :])
     gates = hit @ rz @ hit @ ry
     if n < 2:
-        return [(gates[layer, q], q) for layer in range(layers) for q in range(n)]
+        return gates
     # pair . kron(I, g) is pair[a, 4 b + j] g[j, c], a matmul of pair's (16, 4, 4) view;
     # kron(g_0, g_1)[4 i + j, 4 b + c] = g_0[i, b] g_1[j, c]
     maps = np.empty((layers, n - 1, 16, 16))
@@ -640,7 +571,7 @@ def _layer_ops(angles: np.ndarray, noise: NoiseSpec) -> list:
               out=maps[:, 1:].reshape(layers, n - 2, 16, 4, 4))
     first = np.multiply(gates[:, 0, :, None, :, None], gates[:, 1, None, :, None, :])
     np.matmul(pair, first.reshape(layers, 16, 16), out=maps[:, 0])
-    return [(maps[layer, q], q, q + 1) for layer in range(layers) for q in range(n - 1)]
+    return maps
 
 
 def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
@@ -650,9 +581,13 @@ def run_noisy(angles: np.ndarray, noise: NoiseSpec = NOISELESS) -> NoisyResult:
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 3 or angles.shape[2] != 2:
         raise ValueError(f"angles must have shape (layers, n_qubits, 2), got {angles.shape}")
-    ops = _layer_ops(angles, noise)  # before the block, so only the maps outlive their build
+    maps = _layer_ops(angles, noise)  # before the block, so only the maps outlive their build
     dm = DensityMatrix(angles.shape[1])
-    dm._evolve(ops)
+    if dm.n_qubits == 1:
+        for m in maps[:, 0]:
+            dm._apply(m, 0)
+    elif len(maps):
+        dm._run_chain(maps)
     dm.check_trace()
     dm.check_bounds()
     return NoisyResult(density=dm)

@@ -397,6 +397,25 @@ def test_seed_env_var_is_the_fallback(tmp_path, monkeypatch):
     assert env_out.read_bytes() == flag_out.read_bytes()
 
 
+@pytest.mark.parametrize("argv, env, said", [
+    (["--seed", "-3"], None, "argument --seed: expected an integer >= 0, got '-3'"),
+    ([], "-2", "TNMPCQEP_SEED: expected an integer >= 0, got '-2'"),
+    ([], "abc", "TNMPCQEP_SEED: expected an integer >= 0, got 'abc'"),
+])
+def test_a_bad_seed_is_a_flag_error(tmp_path, capsys, monkeypatch, argv, env, said):
+    # from the flag or the environment, before any work is done
+    out = tmp_path / "x.csv"
+    monkeypatch.delenv("TNMPCQEP_SEED", raising=False)
+    if env is not None:
+        monkeypatch.setenv("TNMPCQEP_SEED", env)
+    with pytest.raises(SystemExit) as err:
+        run_cli(["encode", "--n", "3", "--out", str(out)] + argv)
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert "usage: tnmpcqep encode" in err_text and said in err_text
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_one(tmp_path, capsys):
     missing = tmp_path / "nope.idx"
     code = run_cli(["encode", "--images", str(missing), "--labels", str(missing),

@@ -88,21 +88,16 @@ def test_rz_changes_only_phases():
 
 def test_cnot_msb_convention():
     # |10>: qubit 0 (MSB) set -> CNOT(0,1) flips qubit 1, giving |11>, in both the
-    # reference kernel and the density matrix; control clear: |01> stays |01>
-    for before, after in (([0, 0, 1, 0], [0, 0, 0, 1]), ([0, 1, 0, 0], [0, 1, 0, 0])):
+    # reference kernel and run_noisy, whose Ry(pi) sets the qubit; control clear: |01>
+    # stays |01>
+    for before, after, set_qubit in (([0, 0, 1, 0], [0, 0, 0, 1], 0),
+                                     ([0, 1, 0, 0], [0, 1, 0, 0], 1)):
         amps = np.array(before, dtype=complex)
         _flip_cnot(amps, 0, np.empty_like(amps))
         assert np.allclose(amps, after)
-        dm = _loaded(2, np.outer(before, before))
-        dm._evolve([(qsim._CNOT_PTM, 0, 1)])
-        assert np.allclose(dm.rho, np.outer(after, after))
-
-
-def test_cnot_rejects_non_chain_pairs():
-    with pytest.raises(ValueError):
-        DensityMatrix(3)._evolve([(qsim._CNOT_PTM, 0, 2)])
-    with pytest.raises(ValueError):
-        DensityMatrix(3)._evolve([(qsim._CNOT_PTM, 2, 1)])
+        angles = np.zeros((1, 2, 2))
+        angles[0, set_qubit, 0] = np.pi
+        assert np.allclose(run_noisy(angles).density.rho, np.outer(after, after))
 
 
 def test_random_circuits_match_dense_oracle():
@@ -238,6 +233,33 @@ def test_mixed_noise_expectations_match_manual_composition():
     assert np.max(np.abs(got.density.rho - dm.rho)) <= 1e-12
 
 
+@pytest.mark.parametrize("kind", qsim.NOISE_KINDS)
+def test_one_qubit_paths_keep_the_bytes_of_a_matvec_per_map(kind):
+    # no golden output prints these to more than 8 digits: one qubit's 4 coefficients,
+    # from (1, 0, 0, 1), go through each map m as m @ v, in run_noisy's gate maps
+    # Ry, noise, Rz, noise and in apply_single -> apply_kraus -> apply_single
+    spec = NoiseSpec(kind=kind, p=0.05, gamma_amp=0.03, gamma_phase=0.02)
+    angles = np.random.default_rng(22).uniform(-np.pi, np.pi, size=(3, 1, 2))
+    hit = np.eye(4)
+    for family in _kraus_families(spec):
+        hit = kraus_ptm(family) @ hit
+    v = np.array([1.0, 0.0, 0.0, 1.0])
+    for theta_y, theta_z in angles[:, 0]:
+        ry, rz = kraus_ptm([ry_matrix(theta_y)]), kraus_ptm([rz_matrix(theta_z)])
+        v = (hit @ rz @ hit @ ry) @ v
+    assert run_noisy(angles, spec).density._r.tobytes() == v.tobytes()
+    dm = DensityMatrix(1)
+    first, last = rz_matrix(0.3) @ ry_matrix(1.1), ry_matrix(-0.4)
+    dm.apply_single(first, 0)
+    v = kraus_ptm([first]) @ np.array([1.0, 0.0, 0.0, 1.0])
+    for family in _kraus_families(spec):
+        dm.apply_kraus(family, 0)
+        v = kraus_ptm(family) @ v
+    dm.apply_single(last, 0)
+    v = kraus_ptm([last]) @ v
+    assert dm._r.tobytes() == v.tobytes()
+
+
 def test_run_circuit_validates_shape():
     with pytest.raises(ValueError):
         run_circuit(np.zeros((2, 3)))
@@ -263,7 +285,6 @@ def test_density_matrix_never_writes_into_the_callers_rho():
     before = rho.copy()
     dm = _loaded(3, rho)
     dm.apply_single(ry_matrix(0.7), 0)
-    dm._evolve([(qsim._CNOT_PTM, 1, 2)])
     dm.apply_kraus(depolarizing_kraus(0.1), 2)
     dm.expectation(PauliTerm(((1, "Z"),)))
     assert np.array_equal(rho, before)
@@ -271,15 +292,16 @@ def test_density_matrix_never_writes_into_the_callers_rho():
 
 
 def test_density_cnot_matches_dense_conjugation():
-    # every chain CNOT, and a random gate on every qubit through apply_single, on
-    # random mixed states at n = 1..4, against the dense U rho U^dagger
+    # every chain CNOT's map on r, a random gate on every qubit through apply_single and
+    # a random channel on every qubit through apply_kraus, on random mixed states at
+    # n = 1..4, against the dense U rho U^dagger and the dense Kraus sum
     rng = np.random.default_rng(10)
     for n in range(1, 5):
         a = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
         rho = a @ a.conj().T / np.trace(a @ a.conj().T)
         for control in range(n - 1):  # every chain pair, the last one included
             dm = _loaded(n, rho)
-            dm._evolve([(qsim._CNOT_PTM, control, control + 1)])
+            dm._r[...] = _map_on_axes(dm._r, qsim._CNOT_PTM, [control, control + 1], n)
             c = dense_cnot_unitary(control, n)
             assert np.max(np.abs(dm.rho - c @ rho @ c.conj().T)) <= 1e-15
         for q in range(n):
@@ -288,10 +310,20 @@ def test_density_cnot_matches_dense_conjugation():
             dm.apply_single(gate, q)
             u = dense_single_qubit_unitary(gate, q, n)
             assert np.max(np.abs(dm.rho - u @ rho @ u.conj().T)) <= 1e-15
-    with pytest.raises(ValueError):
-        DensityMatrix(4)._evolve([(qsim._CNOT_PTM, 3, 4)])
-    with pytest.raises(ValueError):
-        DensityMatrix(4)._evolve([(qsim._CNOT_PTM, 0, 2)])
+            kraus = _random_kraus(rng)
+            dm = _loaded(n, rho)
+            dm.apply_kraus(kraus, q)
+            dense = [dense_single_qubit_unitary(k, q, n) for k in kraus]
+            assert np.max(np.abs(dm.rho - sum(k @ rho @ k.conj().T for k in dense))) <= 1e-15
+    # a qubit out of range raises before r moves
+    dm = _loaded(4, rho)
+    before = dm._r.copy()
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match=f"qubit index {bad} out of range for 4 qubits"):
+            dm.apply_single(gate, bad)
+        with pytest.raises(ValueError, match=f"qubit index {bad} out of range for 4 qubits"):
+            dm.apply_kraus(kraus, bad)
+    assert np.array_equal(dm._r, before)
 
 
 def test_verify_fails_a_density_gate_applied_transposed(monkeypatch):
@@ -343,13 +375,11 @@ def test_density_expectation_matches_dense_trace_for_every_term():
 def test_density_evolution_allocates_no_full_size_array():
     n = 6
     dm = DensityMatrix(n)
-    hit = kraus_ptm(depolarizing_kraus(0.05))
     terms = [PauliTerm(((0, "X"), (1, "Y"))), PauliTerm(((n - 1, "Z"),))]
     tracemalloc.start()
     try:
-        for q in range(n - 1):
-            dm._evolve([(hit, q)])
-            dm._evolve([(qsim._CNOT_PTM, q, q + 1)])
+        for q in range(n):
+            dm.apply_kraus(depolarizing_kraus(0.05), q)
         for t in terms:
             dm.expectation(t)
         peak = tracemalloc.get_traced_memory()[1]
@@ -772,115 +802,84 @@ def _hermitian(rng, n):
 
 
 def _pair_map(rng, c):
-    """CNOT(c, c + 1) and a random channel on each of its qubits: the fused 16x16 op that
-    _evolve takes, and the same as the oracle's ops."""
+    """CNOT(c, c + 1) and a random channel on each of its qubits: the fused 16x16 op on
+    (c, c + 1), and the same as the oracle's ops."""
     kc, kt = _random_kraus(rng), _random_kraus(rng)
     fused = (np.kron(kraus_ptm(kc), kraus_ptm(kt)) @ qsim._CNOT_PTM, c, c + 1)
     return fused, [(None, c, c + 1), (_one_family_superoperator(kc), c),
                    (_one_family_superoperator(kt), c + 1)]
 
 
+def _random_chain(rng, n, layers):
+    """An (layers, n - 1, 16, 16) stack of random fused pair maps, as _run_chain takes it,
+    and the oracle's ops for it, layer by layer."""
+    pairs = [[_pair_map(rng, c) for c in range(n - 1)] for _ in range(layers)]
+    maps = np.array([[fused[0] for fused, _ in layer] for layer in pairs])
+    oracle_ops = [op for layer in pairs for _, separate in layer for op in separate]
+    return maps.reshape(layers, n - 1, 16, 16), oracle_ops
+
+
+def _stack_ops(maps):
+    """The ops of a run_noisy map stack, layer by layer: (g, 0) for each of one qubit's
+    (L, 1, 4, 4) gates, else (m, q, q + 1) for an (L, n - 1, 16, 16) stack."""
+    if maps.shape[-1] == 4:
+        return [(m, 0) for m in maps[:, 0]]
+    return [(m, q, q + 1) for layer in maps for q, m in enumerate(layer)]
+
+
 @st.composite
 def _evolution_cases(draw):
-    """1-10 groups on 1-8 qubits, each a run of 1-3 CNOTs, a chain of fused CNOT-and-noise
-    maps on (c, c + 1), (c + 1, c + 2), ..., or a run of 1 to 2n channels, and a
-    Hermitian rho; the ops as _evolve takes them and as the oracle does."""
+    """1-8 qubits, a Hermitian rho, a stack of 0-3 layers of random fused CNOT-and-noise
+    maps (none on one qubit) with the oracle's ops, and a run of 0 to 2n random channels."""
     n = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    ops, oracle_ops = [], []
-    for _ in range(draw(st.integers(1, 10))):
-        kind = draw(st.sampled_from(("cnots", "chain", "channels") if n > 1 else ("channels",)))
-        if kind == "cnots":
-            for _ in range(draw(st.integers(1, 3))):
-                control = draw(st.integers(0, n - 2))
-                ops.append((qsim._CNOT_PTM, control, control + 1))
-                oracle_ops.append((None, control, control + 1))
-        elif kind == "chain":
-            start = draw(st.integers(0, n - 2))
-            for c in range(start, draw(st.integers(start + 1, n - 1))):
-                fused, separate = _pair_map(rng, c)
-                ops.append(fused)
-                oracle_ops += separate
-        else:
-            for q in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)):
-                kraus = _random_kraus(rng)
-                ops.append((kraus_ptm(kraus), q))
-                oracle_ops.append((_one_family_superoperator(kraus), q))
-    return n, _hermitian(rng, n), ops, oracle_ops
+    maps, chain_ops = _random_chain(rng, n, draw(st.integers(0, 3)) if n > 1 else 0)
+    qubits = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return n, _hermitian(rng, n), maps, chain_ops, [(_random_kraus(rng), q) for q in qubits]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_evolution_cases())
 def test_evolution_matches_gather_scatter_and_flip_cnot(case):
-    n, explicit, ops, oracle_ops = case
-    for rho in (explicit, None):  # every op list from the drawn rho and from a fresh one
-        want = _reference_evolution(_zero_rho(n) if rho is None else rho, oracle_ops, n)
-        whole = _loaded(n, rho)
-        whole._evolve(ops)
-        one_by_one = _loaded(n, rho)
-        for op in ops:
-            one_by_one._evolve([op])
-        for dm in (whole, one_by_one):
-            got = dm.rho
-            assert got.shape == (2**n, 2**n) and got.flags.c_contiguous
-            assert np.abs(got - want).max() <= 1e-12
-
-
-def test_evolution_rejects_a_bad_op_before_rho_moves():
-    n = 3
-    rng = np.random.default_rng(14)
-
-    def channel():
-        return kraus_ptm(_random_kraus(rng))
-
-    pair = _pair_map(rng, 1)[0][0]
-    good = [(channel(), 2), (qsim._CNOT_PTM, 0, 1), (pair, 1, 2), (channel(), 0)]
-    bad_ops = [
-        (channel(), n),  # qubit out of range
-        (channel(), -1),
-        (qsim._CNOT_PTM, 0, 2),  # not the chain pattern
-        (qsim._CNOT_PTM, n - 1, n),
-        (pair, 0, 2),
-        (np.eye(2), 0),  # not a one-qubit PTM
-        (pair, 0),  # a pair map on one qubit
-        (channel(), 0, 1),  # a one-qubit map on a pair
-        (channel() + 0j, 0),  # PTMs are real
-        (None, 0),  # a map is an array: no bare CNOT form
-        (None, 0, 1),
-    ]
-    for bad in bad_ops:
-        dm = _loaded(n, _hermitian(rng, n))
-        before = dm._r
-        want = before.copy()
-        with pytest.raises(ValueError):
-            dm._evolve(good + [bad] + good)
-        assert dm._r is before and np.array_equal(dm._r, want)
-    fresh = DensityMatrix(n)
-    with pytest.raises(ValueError):
-        fresh._evolve(good + [bad_ops[0]])
-    assert fresh._fresh and np.array_equal(fresh.rho, _zero_rho(n))
+    # the chain of fused maps from |0...0><0...0| and then the channels, and the
+    # channels alone from the drawn rho
+    n, explicit, maps, chain_ops, channels = case
+    channel_ops = [(_one_family_superoperator(kraus), q) for kraus, q in channels]
+    for rho in (None, explicit):
+        dm = _loaded(n, rho)
+        if rho is None and len(maps):
+            dm._run_chain(maps)
+        for kraus, q in channels:
+            dm.apply_kraus(kraus, q)
+        if rho is None:
+            want = _reference_evolution(_zero_rho(n), chain_ops + channel_ops, n)
+        else:
+            want = _reference_evolution(rho, channel_ops, n)
+        got = dm.rho
+        assert got.shape == (2**n, 2**n) and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_noisy_run_op_list_allocates_no_quarter_of_rho():
+    # two layers of pair maps with gates folded in through the chain, then a gate map on
+    # every qubit
     n = 6
     rng = np.random.default_rng(15)
     hit = kraus_ptm(depolarizing_kraus(0.05))
     pair = np.kron(hit, hit) @ qsim._CNOT_PTM
-    gated, folded = [], []
-    for _ in range(2):  # two layers, with the gates apart and folded into the pairs
-        gated += [(kraus_ptm(_random_kraus(rng)), q) for q in range(n)]
-        gated += [(pair, q, q + 1) for q in range(n - 1)]
-        folded += [(pair @ np.kron(np.eye(4), kraus_ptm(_random_kraus(rng))), q, q + 1)
-                   for q in range(n - 1)]
-    for ops in (gated, folded):
-        dm = DensityMatrix(n)
-        tracemalloc.start()
-        try:
-            dm._evolve(ops)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < dm._r.nbytes // 4
+    maps = np.array([[pair @ np.kron(np.eye(4), kraus_ptm(_random_kraus(rng)))
+                      for _ in range(n - 1)] for _ in range(2)])
+    gates = [kraus_ptm(_random_kraus(rng)) for _ in range(n)]
+    dm = DensityMatrix(n)
+    tracemalloc.start()
+    try:
+        dm._run_chain(maps)
+        for q, g in enumerate(gates):
+            dm._apply(g, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dm._r.nbytes // 4
 
 
 def _kraus_families(noise):
@@ -1017,68 +1016,55 @@ def test_stacked_gate_maps_keep_the_bytes_of_the_per_gate_build(case):
     for family, got in zip(stack, maps):
         assert got.tobytes() == kraus_ptm(family).tobytes()
         assert np.abs(got - _written_out_ptm(family)).max() <= 1e-15
-    # run_noisy's own op list: each folded map within 1e-15 of the per-gate ops folded
-    # written out, and r within an ulp per gate of the per-gate ops run through _evolve
-    with mock.patch.object(DensityMatrix, "_evolve", autospec=True,
-                           side_effect=DensityMatrix._evolve) as evolve:
-        got_r = run_noisy(angles, spec).density._r
+    # run_noisy's own maps: each folded map within 1e-15 of the per-gate ops folded
+    # written out, and r within an ulp per gate of the per-gate ops run written out
     layers, n, _ = angles.shape
-    got_ops, want_ops = evolve.call_args.args[1], _per_gate_ptm_ops(angles, spec)
+    got_ops, want_ops = _stack_ops(qsim._layer_ops(angles, spec)), _per_gate_ptm_ops(angles, spec)
     folded = _written_out_fold(want_ops, n)
     assert len(got_ops) == len(folded)
     for (got, *got_qubits), (want, *want_qubits) in zip(got_ops, folded):
         assert got_qubits == want_qubits
         assert np.abs(got - want).max() <= 1e-15
-    per_gate = DensityMatrix(n)
-    per_gate._evolve(want_ops)
-    assert np.abs(got_r - per_gate._r).max() <= layers * n * np.finfo(float).eps
+    got_r = run_noisy(angles, spec).density._r
+    assert np.abs(got_r - _grow_then_map(n, want_ops)).max() <= layers * n * np.finfo(float).eps
 
 
 @st.composite
 def _fresh_state_steps(draw):
-    """Steps on a fresh density matrix: apply_single, apply_kraus, a CNOT, or a run of
-    channels on distinct qubits, often followed by a chain of CNOTs and fused pair maps,
-    so the leading run is often shorter than n."""
+    """A stack of 0-2 layers of random fused pair maps, then 1-4 apply_single or
+    apply_kraus steps."""
     n = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps, _ = _random_chain(rng, n, draw(st.integers(0, 2)) if n > 1 else 0)
     steps = []
     for _ in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(("single", "kraus", "cnot", "run") if n > 1
-                                    else ("single", "kraus", "run")))
-        if kind == "single":
+        if draw(st.booleans()):
             gate = rz_matrix(draw(_NOISY_ANGLES)) @ ry_matrix(draw(_NOISY_ANGLES))
             steps.append(("single", gate, draw(st.integers(0, n - 1))))
-        elif kind == "kraus":
+        else:
             family = draw(st.sampled_from((depolarizing_kraus, amplitude_damping_kraus,
                                            phase_damping_kraus)))(draw(_STRENGTHS))
             steps.append(("kraus", family, draw(st.integers(0, n - 1))))
-        else:
-            qubits = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
-            ops = [(kraus_ptm(_random_kraus(rng)), q) for q in qubits]
-            if kind == "cnot" or (n > 1 and draw(st.booleans())):
-                start = draw(st.integers(0, n - 2))
-                for c in range(start, draw(st.integers(start + 1, n - 1))):
-                    ops.append((qsim._CNOT_PTM, c, c + 1) if draw(st.booleans())
-                               else _pair_map(rng, c)[0])
-            steps.append(("run", ops, None))
-    return n, steps
+    return n, maps, steps
 
 
 @settings(max_examples=150, deadline=None)
 @given(_fresh_state_steps())
 def test_fresh_density_matrix_matches_the_explicit_zero_rho_path(case):
-    n, steps = case
+    # a new DensityMatrix holds the r that assigning |0...0><0...0| sets, so the chain,
+    # which starts from it, runs the same on both
+    n, maps, steps = case
     fresh, explicit = DensityMatrix(n), _loaded(n, _zero_rho(n))
     assert np.array_equal(fresh._r, explicit._r)
-    for kind, what, q in steps:
-        for dm in (fresh, explicit):
+    for dm in (fresh, explicit):
+        if len(maps):
+            dm._run_chain(maps)
+        for kind, what, q in steps:
             if kind == "single":
                 dm.apply_single(what, q)
-            elif kind == "kraus":
-                dm.apply_kraus(what, q)
             else:
-                dm._evolve(what)
-        assert np.abs(fresh._r - explicit._r).max() <= 1e-12
+                dm.apply_kraus(what, q)
+    assert np.abs(fresh._r - explicit._r).max() <= 1e-12
 
 
 def _grow_then_map(n, ops):
@@ -1093,37 +1079,36 @@ def _grow_then_map(n, ops):
     for v in lone[1:]:
         r = np.multiply.outer(r, v)
     for m, *qubits in ops[first:]:
-        w = len(qubits)
-        front = np.moveaxis(r.reshape((4,) * n), qubits, range(w))
-        mapped = (np.reshape(m, (4**w, 4**w)) @ front.reshape(4**w, -1)).reshape(front.shape)
-        r = np.moveaxis(mapped, range(w), qubits)
+        r = _map_on_axes(r, m, qubits, n)
     return np.ravel(r)
+
+
+def _map_on_axes(r, m, qubits, n):
+    """The flat r of a [4]*n tensor with the map m on its qubits' axes, written out."""
+    w = len(qubits)
+    front = np.moveaxis(np.reshape(r, (4,) * n), qubits, range(w))
+    mapped = (np.reshape(m, (4**w, 4**w)) @ front.reshape(4**w, -1)).reshape(front.shape)
+    return np.moveaxis(mapped, range(w), qubits).ravel()
 
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_lone_fold_on_a_fresh_state_matches_grow_then_map_and_the_dense_kraus_sum(n):
-    # a pair map whose target is the block's first lone qubit takes that qubit's 4
-    # coefficients into the map; here after lone gates, after a gap the block grows
-    # across, and as run_noisy's layers
+    # layer 0's pair map on (t - 1, t) takes qubit t's 4 coefficients into the map, for
+    # random pair maps on 1-3 layers and as run_noisy's layers
     rng = np.random.default_rng(60 + n)
-    for trial in range(6):
-        lead = list(rng.choice(n, size=rng.integers(0, n + 1), replace=False))
-        kraus = [_random_kraus(rng) for _ in lead]
-        start = int(rng.integers(0, n - 1))
-        chain = [_pair_map(rng, c) for c in range(start, int(rng.integers(start + 1, n)))]
-        ops = [(kraus_ptm(k), q) for k, q in zip(kraus, lead)] + [f for f, _ in chain]
-        oracle_ops = [(_one_family_superoperator(k), q) for k, q in zip(kraus, lead)]
-        oracle_ops += [op for _, separate in chain for op in separate]
+    for layers in (1, 2, 3, 1, 2, 3):
+        maps, oracle_ops = _random_chain(rng, n, layers)
         fresh = DensityMatrix(n)
-        fresh._evolve(ops)
-        assert np.abs(fresh._r - _grow_then_map(n, ops)).max() <= 1e-14
+        fresh._run_chain(maps)
+        assert np.abs(fresh._r - _grow_then_map(n, _stack_ops(maps))).max() <= 1e-14
         want = _reference_evolution(_zero_rho(n), oracle_ops, n)
         assert np.abs(fresh.rho - want).max() <= 1e-12
     for kind in ("depolarizing", "thermal", "mixed"):
         angles = rng.uniform(-np.pi, np.pi, size=(2, n, 2))
         spec = NoiseSpec(kind=kind, p=0.1, gamma_amp=0.08, gamma_phase=0.06)
         got = run_noisy(angles, spec).density
-        assert np.abs(got._r - _grow_then_map(n, qsim._layer_ops(angles, spec))).max() <= 1e-14
+        want_r = _grow_then_map(n, _stack_ops(qsim._layer_ops(angles, spec)))
+        assert np.abs(got._r - want_r).max() <= 1e-14
         assert np.abs(got.rho - dense_noisy_density(angles, spec)).max() <= 1e-12
 
 
@@ -1162,12 +1147,15 @@ def test_noisy_expectations_are_one_gather_with_the_per_term_bytes():
 def test_every_noisy_matmul_fits_one_blas_thread(n):
     # OpenBLAS splits a real matmul of 2^20 rows x inner x outer (an 8-qubit 16x16 map
     # on 4096 rows) across its threads, so the density path makes none above 2^18: not
-    # in the map build, the folds, the pair maps or the growth
+    # in the map build, the folds, the pair maps, or a one-qubit map on the first or the
+    # last qubit
     real = np.matmul
     angles = np.random.default_rng(20).uniform(-np.pi, np.pi, size=(2, n, 2))
     with mock.patch.object(np, "matmul", side_effect=real) as matmul:
         run_noisy(angles, NoiseSpec(kind="thermal"))
-        DensityMatrix(n)._evolve([])  # a fresh state grown whole, with no map
+        dm = DensityMatrix(n)
+        for q in (0, n - 1):
+            dm.apply_single(rz_matrix(0.3) @ ry_matrix(1.1), q)
     sizes = [a.shape[-2] * a.shape[-1] * b.shape[-1] for (a, b), _ in matmul.call_args_list]
     assert len(sizes) > 2 * n and max(sizes) <= 1 << 18
 
@@ -1223,12 +1211,23 @@ def test_run_noisy_on_nine_and_ten_qubits_is_within_1e_12_of_gather_scatter(n, k
 @pytest.mark.parametrize("kind", ["depolarizing", "thermal", "mixed"])
 def test_two_layer_noisy_run_never_copies_rho(kind):
     # the first layer's CNOT chain grows a product block, and every later map finds its
-    # axes in front
+    # pair in front: every pass over r is a matmul from one half of the block into the
+    # other, and nothing is copied
     n = 8
     angles = np.random.default_rng(19).uniform(-np.pi, np.pi, size=(2, n, 2))
-    with mock.patch.object(qsim, "_permute_into", side_effect=qsim._permute_into) as copy:
-        run_noisy(angles, NoiseSpec(kind=kind))
+    real, copyto = np.matmul, np.copyto
+    with mock.patch.object(np, "matmul", side_effect=real) as matmul, \
+            mock.patch.object(np, "copyto", side_effect=copyto) as copy:
+        dm = run_noisy(angles, NoiseSpec(kind=kind)).density
     assert copy.call_count == 0
+    halves = (dm._r, dm._scratch)
+    passes = [(a, kw["out"]) for (a, _), kw in matmul.call_args_list
+              if np.shares_memory(kw["out"], dm._r.base)]
+    assert len(passes) >= 2 * (n - 1)
+    for a, out in passes:
+        reads = [np.shares_memory(a, h) for h in halves]
+        assert sorted(reads) == [False, True]
+        assert [np.shares_memory(out, h) for h in halves] == reads[::-1]
 
 
 def test_a_non_finite_trace_fails_the_trace_check():
@@ -1295,7 +1294,7 @@ def test_rho_getter_and_setter_round_trip(n):
     assert np.abs(dm.rho - rho).max() <= 1e-15
     again = DensityMatrix(n)
     again.rho = dm.rho
-    assert np.abs(again._r - dm._r).max() <= 1e-15 and not again._fresh
+    assert np.abs(again._r - dm._r).max() <= 1e-15
 
 
 def test_the_density_path_needs_at_least_one_qubit():
