@@ -8,22 +8,26 @@ CNOT(q, q+1).  One hardware-efficient layer applies Ry then Rz on every qubit
 followed by the CNOT chain q = 0 .. n-2.  The statevector circuit ping-pongs
 between two buffers.  The first layer starts from |0...0>, so its gates leave the
 product of the columns m_q|0>, grown a qubit at a time.  Every later layer applies
-its fused Rz.Ry gates a qubit pair at a time, as the 4x4 map kron(m_q, m_q+1), with
-a lone 2x2 on the last qubit when n is odd: with the pair leading, the state is a
-(4, 2^(n-2)) matrix, and one complex matmul of its transpose writes the pair at the
-back, so a layer ends in C order, as in the density path below.  Each matmul takes
-at most 2048 rows, which OpenBLAS runs on the calling thread; it splits a longer
-zgemm across threads, and a starved worker thread then stalls every such call.  The
-CNOT chain is one gather by the Gray code.  The QEP's observables, X_q, Z_q and
-Z_i Z_j, fall into two qubit-wise commuting groups, and neither is read by writing
-P|psi> out.  A Z string is a sum over p = |psi|^2 held as a (2^h, 2^(n-h)) matrix P
-of the high h = n // 2 qubits by the low ones: w_hi . P . w_lo with +-1 Walsh
-vectors, or one dot with P's row or column sums when every Z lies in one half.  X_q
-is 2 Re <psi_{q=0}|psi_{q=1}>, the two halves of qubit q's axis, summed on the float
-view.  A run_circuit state's amplitudes are read-only, so it reads p once, into the
-circuit's half-size temporary, and keeps it with its row and column sums and each
-P . w_lo it has taken.  Any other term (Y, or X beside another factor) is
-Re <psi|P psi> with P psi built a factor at a time.
+its fused Rz.Ry gates as 4-qubit group maps, kron(m_q, ..., m_q+3) as one 16x16
+complex map, the first group taking the 1-4 qubits left over from groups of 4 as a
+smaller W x W map: with the group leading, the state is a (W, 2^n / W) matrix, and
+one stacked complex matmul of its transpose, in row blocks of blk rows with
+blk x W^2 <= 2^15, writes the group at the back, so a layer ends in C order, as in
+the density path below.  numpy loops over the blocks in C, and OpenBLAS runs each
+block's zgemm on the calling thread; it splits a larger one across threads, and a
+starved worker thread then stalls every such call.  The CNOT chain is one gather by
+the Gray code.  The QEP's observables, X_q, Z_q and Z_i Z_j, fall into two
+qubit-wise commuting groups, and neither is read by writing P|psi> out.  A Z string
+is a sum over p = |psi|^2 held as a (2^h, 2^(n-h)) matrix P of the high h = n // 2
+qubits by the low ones: w_hi . P . w_lo with +-1 Walsh vectors, or one dot with P's
+row or column sums when every Z lies in one half.  X_q is 2 Re <psi_{q=0}|psi_{q=1}>,
+the two halves of qubit q's axis, summed on the float view: one einsum, or, where
+einsum would loop over more than 2^8 rows of L <= 8 floats one by one (the last
+three of 12 or more qubits), the traces of one stacked matmul of the halves' (L, 2^8)
+blocks by their (2^8, L) partners, which OpenBLAS runs on the calling thread.  A run_circuit state's amplitudes are read-only,
+so it reads p once, into the circuit's half-size temporary, and keeps it with its
+row and column sums and each P . w_lo it has taken.  Any other term (Y, or X beside
+another factor) is Re <psi|P psi> with P psi built a factor at a time.
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
@@ -71,6 +75,7 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
+_ZERO_PROJECTOR = np.array([[1, 0], [0, 0]], dtype=complex)
 
 
 def ry_matrix(theta) -> np.ndarray:
@@ -151,9 +156,10 @@ def _check_qubit(n: int, q: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {n} qubits")
 
 
-# OpenBLAS (0.3.31) runs a complex matmul of 2048 rows of 4 on the calling thread, and
-# splits one of 4096 or more across its threads
-_GEMM_ROWS = 2048
+# OpenBLAS (0.3.31) runs a complex matmul of blk rows of W x W maps with blk x W^2 <= 2^15
+# (128 rows of 16, 512 of 8, 2048 of 4, 8192 of 2) on the calling thread, and splits
+# one of 2^16 or more across its threads
+_GEMM_SIZE = 1 << 15
 
 
 @functools.cache
@@ -171,19 +177,20 @@ def _unit_clip(v) -> float:
 
 def _layer_maps(angles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(columns, maps) for the fused gates m = Rz(theta_z) . Ry(theta_y) of angles: the
-    (n, 2) columns m_q|0> of layer 0, and an (L - 1, (n + 1) // 2, 4, 4) stack holding
-    each later layer's pair maps kron(m_q, m_q+1), then, for odd n, m_n-1 alone in the
-    top-left 2x2 of a last map."""
-    n = angles.shape[1]
-    fused = rz_matrix(angles[..., 1]) @ ry_matrix(angles[..., 0])
-    h = n // 2
-    maps = np.zeros((len(angles) - 1, (n + 1) // 2, 4, 4), dtype=complex)
-    # kron(a, b)[2 i + k, 2 j + l] = a[i, j] b[k, l]
-    np.multiply(fused[1:, 0 : 2 * h : 2, :, None, :, None],
-                fused[1:, 1 : 2 * h : 2, None, :, None, :],
-                out=maps[:, :h].reshape(len(maps), h, 2, 2, 2, 2))
-    maps[:, h:, :2, :2] = fused[1:, 2 * h :]
-    return fused[0, :, :, 0].copy(), maps
+    (n, 2) columns m_q|0> of layer 0, and an (L - 1, ceil(n / 4), 16, 16) stack of each
+    later layer's 4-qubit group maps kron(m_q, ..., m_q+3), the first map holding the
+    qubits 0 .. n - 4 (ceil(n / 4) - 1) - 1 left over in its top-left block."""
+    layers, n, _ = angles.shape
+    pad = -n % 4
+    # |0><0| gates ahead of qubit 0 fill the first group: kron(|0><0|, a) = [[a, 0], [0, 0]]
+    fused = np.empty((layers, n + pad, 2, 2), dtype=complex)
+    fused[:, :pad] = _ZERO_PROJECTOR
+    np.matmul(rz_matrix(angles[..., 1]), ry_matrix(angles[..., 0]), out=fused[:, pad:])
+    # kron(a, b)[2 i + k, 2 j + l] = a[i, j] b[k, l], of adjacent gates, then of adjacent pairs
+    pairs = np.multiply(fused[1:, 0::2, :, None, :, None], fused[1:, 1::2, None, :, None, :])
+    pairs = pairs.reshape(layers - 1, (n + pad) // 2, 4, 4)
+    maps = np.multiply(pairs[:, 0::2, :, None, :, None], pairs[:, 1::2, None, :, None, :])
+    return fused[0, pad:, :, 0].copy(), maps.reshape(layers - 1, (n + pad) // 4, 16, 16)
 
 
 def run_circuit(angles: np.ndarray) -> StateVector:
@@ -191,8 +198,8 @@ def run_circuit(angles: np.ndarray) -> StateVector:
     holding (theta_y, theta_z) per layer and qubit.
 
     Each gate is the fused m = Rz(theta_z) . Ry(theta_y).  Layer 0 is the product state
-    whose qubit q is m[:, 0]; every later layer applies kron(m_q, m_q+1) to each qubit
-    pair (module docstring).
+    whose qubit q is m[:, 0]; every later layer applies kron(m_q, ..., m_q+3) to each
+    group of 4 qubits (module docstring).
     """
     angles = np.asarray(angles, dtype=np.float64)
     if angles.ndim != 3 or angles.shape[2] != 2:
@@ -214,13 +221,13 @@ def run_circuit(angles: np.ndarray) -> StateVector:
             np.multiply(cur[: 1 << q], columns[q, b], out=grown[:, b])
         cur, other = other, cur
     gray = _gray_gather(n)
+    first = 16 >> -n % 4  # the first group's width, 2^(its 1-4 qubits)
     for layer in range(len(angles)):
-        for q in range(0, n, 2) if layer else ():  # pair (q, q + 1) leads after the maps before it
-            w = 4 if q + 1 < n else 2
-            m = maps[layer - 1, q // 2, :w, :w]
-            src, dst = cur.reshape(w, -1).T, other.reshape(-1, w)
-            for r in range(0, len(dst), _GEMM_ROWS):
-                np.matmul(src[r : r + _GEMM_ROWS], m.T, out=dst[r : r + _GEMM_ROWS])
+        for g, m in enumerate(maps[layer - 1] if layer else ()):  # group g leads after those before it
+            w = 16 if g else first
+            blk = min(cur.size // w, _GEMM_SIZE // (w * w))
+            np.matmul(cur.reshape(w, -1).T.reshape(-1, blk, w), m[:w, :w].T,
+                      out=other.reshape(-1, blk, w))
             cur, other = other, cur
         # mode="clip" writes straight into out; the default "raise" buffers it
         np.take(cur, gray, out=other, mode="clip")
@@ -286,8 +293,13 @@ def expectation(state: StateVector, term: PauliTerm) -> float:
                 by_lo[lo] = P @ _walsh(n - h, lo)
             val = np.dot(_walsh(h, hi), by_lo[lo])
     elif paulis == "X":
-        f = state.amplitudes.view(np.float64).reshape(1 << term.factors[0][0], 2, -1)
-        val = 2.0 * np.einsum("ij,ij->", f[:, 0], f[:, 1])
+        q = term.factors[0][0]
+        f = state.amplitudes.view(np.float64).reshape(1 << q, 2, -1)
+        if f.shape[2] > 8 or q <= 8:
+            val = 2.0 * np.einsum("ij,ij->", f[:, 0], f[:, 1])
+        else:  # einsum would loop over 2^q rows of <= 8 floats: per 2^8 rows, a trace
+            f = f.reshape(-1, 256, 2, f.shape[2])
+            val = 2.0 * np.einsum("aii->", np.matmul(f[:, :, 0].transpose(0, 2, 1), f[:, :, 1]))
     else:
         phi = state.amplitudes
         for q, p in term.factors:

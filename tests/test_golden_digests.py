@@ -98,13 +98,14 @@ def test_fast_golden_outputs_keep_their_digests(tmp_path):
 
 
 def test_sixteen_qubit_readout_has_the_same_bytes_under_one_and_two_blas_threads(tmp_path):
-    # the circuit's pair maps are zgemms of at most 2048 rows, which OpenBLAS runs on
-    # the calling thread: 8 per map at 16 qubits, one per map at 9, where the last
-    # qubit's lone 2x2 runs too; the readout's long sums are numpy reductions and
-    # einsum, which run on one thread, and its BLAS calls are dots of at most 2^8
-    # entries and 2^8 x 2^8 gemvs.  The density path's maps are dgemms of at most 2^18
-    # rows x inner x outer, which OpenBLAS also runs on the calling thread, and its
-    # purity check is an einsum
+    # the circuit's 4-qubit group maps are zgemms of blk rows of a W x W map with
+    # blk x W^2 <= 2^15, which OpenBLAS runs on the calling thread: 32 blocks of 128
+    # rows per 16x16 map at 16 qubits, one block of 32 rows at 9, where the first
+    # qubit's 2x2 runs too; the readout's long sums are numpy reductions and einsum,
+    # which run on one thread, and its BLAS calls are dots of at most 2^8 entries and
+    # 2^8 x 2^8 gemvs.  The density path's maps are dgemms of at most 2^18 rows x inner
+    # x outer, which OpenBLAS also runs on the calling thread, and its purity check is
+    # an einsum
     runs = {"qep_run_nq16_all_pairs.csv": _COMMANDS["qep_run_nq16_all_pairs.csv"],
             "qep_run_nq9_all_pairs.csv": ["qep-run", "--nq", "9", "--observables", "all_pairs",
                                           "--n", "3"],

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -1003,8 +1003,37 @@ def test_run_noisy_matches_the_per_gate_complex_path(case):
     assert np.abs(got - want).max() <= 1e-12
 
 
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), u = eps / 2: a sum of k products, in any order and
+    fused or not, errs by at most gamma_k |a| . |b|, plus half the smallest subnormal for
+    each product that underflows (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, sections 2.1 and 3.1)."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+# eta, the underflow bound of one product: half the smallest subnormal is not a float,
+# so a whole one
+_ETA = np.finfo(float).smallest_subnormal
+
+
+def _rounding_bound(n, steps):
+    """A first-order bound, entry by entry, on how far r after steps, run from a new
+    DensityMatrix's |0...0><0...0|, lies from the same maps in exact arithmetic.  Each
+    step (m, local, k, qubits) maps its qubits' axes by m, its own roundings err by at
+    most local . |x| + k eta on the x it reads, and the error it reads is carried on as
+    |m| . e."""
+    a, e = np.abs(DensityMatrix(n)._r), np.zeros(4**n)
+    for m, local, k, qubits in steps:
+        e = _map_on_axes(e, np.abs(m), qubits, n) + _map_on_axes(a, local, qubits, n) + k * _ETA
+        a = _map_on_axes(a, np.abs(m), qubits, n)
+    return e
+
+
 @settings(max_examples=120, deadline=None)
 @given(_noisy_runs())
+# an all-zero-angle thermal run whose r erred by 10 ulp of 1, above layers * n = 9
+@example((np.zeros((3, 3, 2)), NoiseSpec("thermal", p=0.0, gamma_amp=0.0, gamma_phase=0.75)))
 def test_stacked_gate_maps_keep_the_bytes_of_the_per_gate_build(case):
     angles, spec = case
     for family in _kraus_families(spec):
@@ -1017,16 +1046,37 @@ def test_stacked_gate_maps_keep_the_bytes_of_the_per_gate_build(case):
         assert got.tobytes() == kraus_ptm(family).tobytes()
         assert np.abs(got - _written_out_ptm(family)).max() <= 1e-15
     # run_noisy's own maps: each folded map within 1e-15 of the per-gate ops folded
-    # written out, and r within an ulp per gate of the per-gate ops run written out
-    layers, n, _ = angles.shape
+    # written out, and r within the roundings of both runs of the per-gate ops
+    n = angles.shape[1]
     got_ops, want_ops = _stack_ops(qsim._layer_ops(angles, spec)), _per_gate_ptm_ops(angles, spec)
     folded = _written_out_fold(want_ops, n)
     assert len(got_ops) == len(folded)
     for (got, *got_qubits), (want, *want_qubits) in zip(got_ops, folded):
         assert got_qubits == want_qubits
         assert np.abs(got - want).max() <= 1e-15
+    # Both runs start from the same exact |0...0><0...0| and the same bytes of the gate
+    # maps g and of pair (the CNOT and its noise), whose entries are at most 1, and each
+    # is bounded against the per-gate ops in exact arithmetic (_gamma):
+    # - the per-gate run (_grow_then_map) applies each g as sums of 4 products,
+    #   gamma_4 |g|; grows layer 0's product with n - 1 rounded products per entry,
+    #   gamma_(n-1) relative; and applies each pair as sums of 16 products, gamma_16 |pair|
+    # - run_noisy applies each folded F = pair . kron(left, g) as sums of 16 products,
+    #   gamma_16 |F| (layer 0's fold of a qubit's (1, 0, 0, 1) and its 4-product sums on
+    #   the block stay within it); F's build, one rounded product per kron entry and
+    #   sums of 16 products, leaves each entry within gamma_17 |pair| . kron(|left|, |g|)
+    #   + 32 eta of the exact fold, and that error reaches r through the 16 entries of x
+    # - at n = 1 both runs apply each g as sums of 4 products
+    want_steps = [(m, _gamma(4 ** len(q)) * np.abs(m), 4 ** len(q), tuple(q)) for m, *q in want_ops]
+    if n == 1:
+        got_steps = want_steps
+    else:
+        want_steps.insert(n, (np.eye(4), _gamma(n - 1) * np.eye(4), n - 1, (0,)))
+        kron_bounds = _written_out_fold([(np.abs(m), *q) for m, *q in want_ops], n)
+        got_steps = [(m, _gamma(16) * np.abs(m) + _gamma(17) * b + 32 * _ETA, 16, tuple(q))
+                     for (m, *q), (b, *_) in zip(got_ops, kron_bounds)]
+    bound = _rounding_bound(n, got_steps) + _rounding_bound(n, want_steps)
     got_r = run_noisy(angles, spec).density._r
-    assert np.abs(got_r - _grow_then_map(n, want_ops)).max() <= layers * n * np.finfo(float).eps
+    assert (np.abs(got_r - _grow_then_map(n, want_ops)) <= bound).all()
 
 
 @st.composite
@@ -1306,7 +1356,7 @@ def test_the_density_path_needs_at_least_one_qubit():
             run_noisy(np.zeros(shape), NoiseSpec(kind="depolarizing"))
 
 
-# --- statevector circuit: product-state first layer, pair maps, Gray-code gather ---
+# --- statevector circuit: product-state first layer, group maps, Gray-code gather ---
 
 
 def _sequential_circuit(angles):
@@ -1339,10 +1389,10 @@ def _layered_angles(draw, max_qubits):
 
 
 def _assert_run_circuit_within_an_ulp_per_gate(angles, want):
-    # the pair maps sum each amplitude in another order than 2x2 mixes, one gate at a
-    # time, and each gate rounds amplitudes of the unit-norm state; angles that keep it
-    # near one basis state (every theta +-2pi) add their rounding up, to at most 0.25
-    # ulp of 1 per gate in the draws tried
+    # the 4-qubit group maps sum each amplitude in another order than 2x2 mixes, one
+    # gate at a time, and each gate rounds amplitudes of the unit-norm state; angles that
+    # keep it near one basis state (every theta +-2pi) add their rounding up, to at most
+    # 0.25 ulp of 1 per gate in the draws tried
     got = run_circuit(angles).amplitudes
     layers, n, _ = angles.shape
     assert got.shape == want.shape
@@ -1401,19 +1451,21 @@ def test_random_layered_circuits_match_the_dense_oracle(case):
 
 
 def test_run_circuit_peaks_below_four_states():
-    # its one block: two state buffers plus a half-size temporary, 2.5 states, and no
-    # iterator buffers on top; the pair maps are built before the block, and the gather
+    # its one block: two state buffers plus a half-size temporary, 2.5 states, and the
+    # group maps (24 KiB at n = 12 with 3 layers), built before the block, with no
+    # iterator buffers or copies of the state's transposed views on top; the gather
     # takes the cached writeable index without copying it
     for n in (12, 16):
         angles = np.random.default_rng(n).uniform(-np.pi, np.pi, size=(3, n, 2))
         state = run_circuit(angles)  # warm-up: the Gray-code index array is cached per n
+        maps = qsim._layer_maps(angles)[1]
         tracemalloc.start()
         try:
             run_circuit(angles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * state.amplitudes.nbytes + 8192
+        assert peak <= 2.5 * state.amplitudes.nbytes + maps.nbytes + 8192
         j = np.arange(2**n)
         assert np.array_equal(qsim._gray_gather(n), j ^ (j >> 1))
 
@@ -1443,8 +1495,95 @@ def _per_gate_circuit(angles):
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_pair_map_layers_are_within_an_ulp_per_gate_of_the_per_gate_loop(n, data):
-    # odd n ends each layer in a lone 2x2 map, and from n = 14 each map runs as
-    # matmuls of 2048 rows
+    # n % 4 = 1, 2, 3 start each layer with a 2x2, 4x4 or 8x8 map, and from n = 12 a
+    # 16x16 map runs as more than one block of 128 rows
     layers = data.draw(st.integers(1, 3))
     angles = data.draw(arrays(np.float64, (layers, n, 2), elements=_ANGLES))
     _assert_run_circuit_within_an_ulp_per_gate(angles, _per_gate_circuit(angles))
+
+
+def _gathered_product(angles):
+    """A one-layer circuit written out: the product of the columns (Rz . Ry)|0>, grown
+    qubit by qubit at the back, then the CNOT chain as the Gray-code gather."""
+    amps = np.ones(1, dtype=complex)
+    for theta_y, theta_z in angles[0]:
+        amps = np.multiply.outer(amps, (rz_matrix(theta_z) @ ry_matrix(theta_y))[:, 0]).ravel()
+    j = np.arange(amps.size)
+    return amps[j ^ (j >> 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_one_layer_circuit_is_the_gathered_product_state_bit_for_bit(n):
+    angles = np.random.default_rng(700 + n).uniform(-np.pi, np.pi, size=(1, n, 2))
+    assert run_circuit(angles).amplitudes.tobytes() == _gathered_product(angles).tobytes()
+
+
+def _pair_map_circuit(angles):
+    """The circuit as pair maps ran it: the gathered product, then each later layer's
+    kron(m_q, m_q+1) on each qubit pair (a lone 2x2 on the last qubit at odd n), as
+    complex matmuls of at most 2048 rows, and the gather."""
+    layers, n, _ = angles.shape
+    cur = _gathered_product(angles)
+    other = np.empty_like(cur)
+    fused = rz_matrix(angles[..., 1]) @ ry_matrix(angles[..., 0])
+    for layer in range(1, layers):
+        for q in range(0, n, 2):
+            m = np.kron(fused[layer, q], fused[layer, q + 1]) if q + 1 < n else fused[layer, q]
+            src, dst = cur.reshape(len(m), -1).T, other.reshape(-1, len(m))
+            for r in range(0, len(dst), 2048):
+                np.matmul(src[r : r + 2048], m.T, out=dst[r : r + 2048])
+            cur, other = other, cur
+        cur = cur[qsim._gray_gather(n)]
+        other = np.empty_like(cur)
+    return cur
+
+
+def _pair_map_readout(amps, term):
+    """The readout as pair maps were read: X_q as one einsum over the halves of qubit
+    q's axis, Z strings from the marginals of |psi|^2, one term at a time."""
+    n = amps.size.bit_length() - 1
+    if term.factors[0][1] == "X":
+        f = amps.view(np.float64).reshape(1 << term.factors[0][0], 2, -1)
+        return float(np.clip(2.0 * np.einsum("ij,ij->", f[:, 0], f[:, 1]), -1.0, 1.0))
+    return _per_term_z_readout(qsim.StateVector(n, amps), term)
+
+
+@pytest.mark.parametrize("mode", ["nearest_neighbor", "all_pairs"])
+@pytest.mark.parametrize("n", range(2, 17))
+def test_every_qep_observable_is_within_1e_12_of_the_pair_map_readout(n, mode):
+    # the group maps and the short-row X readout against the circuit and readout they
+    # replaced, written out, on two and three layers
+    for layers in (2, 3):
+        angles = np.random.default_rng(40 * n + layers).uniform(-np.pi, np.pi, size=(layers, n, 2))
+        state, before = run_circuit(angles), _pair_map_circuit(angles)
+        for term in observable_set(n, mode):
+            assert abs(expectation(state, term) - _pair_map_readout(before, term)) <= 1e-12, term.label()
+
+
+@pytest.mark.parametrize("n", [9, 12, 16])
+def test_every_statevector_matmul_fits_one_blas_thread(n):
+    # OpenBLAS splits a complex matmul of blk rows of a W x W map across its threads once
+    # blk x W^2 exceeds 2^15 (256 rows of 16x16), so run_circuit makes none above it:
+    # the gates' build, then each group map as exactly one stacked matmul over the whole
+    # state, the first group 2^(n - 4 (groups - 1)) wide; the X readout's matmuls sum
+    # at most 2^8 products per entry
+    real = np.matmul
+    layers, groups = 3, (n + 3) // 4
+    angles = np.random.default_rng(30 + n).uniform(-np.pi, np.pi, size=(layers, n, 2))
+    with mock.patch.object(np, "matmul", side_effect=real) as matmul:
+        state = run_circuit(angles)
+    calls = [args for args, _ in matmul.call_args_list]
+    assert len(calls) == 1 + (layers - 1) * groups
+    for a, b in calls:
+        assert a.shape[-2] * a.shape[-1] * b.shape[-1] <= 1 << 15
+    for i, (a, b) in enumerate(calls[1:]):
+        w = 16 if i % groups else 1 << (n - 4 * (groups - 1))
+        assert a.ndim == 3 and a.shape[-1] == b.shape[-2] == b.shape[-1] == w
+        assert a.size == 2**n
+    with mock.patch.object(np, "matmul", side_effect=real) as matmul:
+        for q in range(n):
+            expectation(state, PauliTerm(((q, "X"),)))
+    # rows of <= 8 floats, more than 2^8 of them: the last three of 12 or more qubits
+    assert len(matmul.call_args_list) == (3 if n >= 12 else 0)
+    for (a, b), _ in matmul.call_args_list:
+        assert a.shape[-1] == b.shape[-2] <= 1 << 8 and a.shape[-2] == b.shape[-1] <= 8
