@@ -1,4 +1,4 @@
-"""Exact simulation: statevector vs density matrix, and what each noise
+"""Exact simulation: the noiseless MPS vs the density matrix, and what each noise
 channel does to a simple expectation value.
 
 Run: python3 demos/qsim_noise.py

@@ -14,9 +14,8 @@
 #
 # BLAS runs on one thread.  OpenBLAS splits a long dot product across threads,
 # which changes its last bits.  The simulators keep every BLAS call short enough
-# to run on one thread: the statevector's 4-qubit group maps go in zgemms of blk
-# rows of a W x W map with blk x W^2 <= 2^15, its readout takes dots of at most 2^8
-# entries and 2^8 x 2^8 gemvs, and the density path's maps go in dgemms of at most
+# to run on one thread: the noiseless MPS's products take at most 2^15
+# multiply-adds at 16 qubits, and the density path's maps go in dgemms of at most
 # 2^18 rows x inner x outer
 # (tests/test_golden_digests.py checks that qep_run_nq16_all_pairs.csv,
 # qep_run_nq9_all_pairs.csv and qep_run_nq10_thermal_all_pairs.csv have the same

@@ -1,5 +1,5 @@
 """Tensor-network latent encoding, metered three-party secure aggregation,
-and an exact-statevector quantum post-processor, with a desk-scale pipeline
+and an exactly simulated quantum post-processor, with a desk-scale pipeline
 tying them together."""
 
 __version__ = "0.1.0"

@@ -247,7 +247,6 @@ def _readout(theta, params: QepParams, noise: NoiseSpec):
         if noise.is_noiseless:
             state = run_circuit(angles)
             q_raw[i] = [expectation(state, t) for t in terms]
-            del state  # freed before the next row's circuit allocates its own
         else:
             q_raw[i] = run_noisy(angles, noise).expectations(terms)
     return _ensure_finite(q_raw, "readout")
@@ -274,7 +273,7 @@ def quantum_features(x_agg, params: QepParams, noise: NoiseSpec | None = None) -
 def qep_forward(x_agg, params: QepParams, noise: NoiseSpec | None = None):
     """Process one latent or a batch; returns (f_out, QepDiagnostics).
 
-    Noiseless specs run on the statevector simulator; any other NoiseSpec
+    Noiseless specs run on the exact MPS simulator; any other NoiseSpec
     switches to density-matrix evolution (n_q <= MAX_DENSITY_QUBITS).
     """
     noise = _checked_noise(params, noise)

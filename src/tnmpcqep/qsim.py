@@ -1,33 +1,22 @@
-"""Exact quantum circuit simulation: statevector for noiseless runs, density
-matrix for noisy ones.
+"""Exact quantum circuit simulation: a matrix product state for noiseless runs, a
+density matrix for noisy ones.
 
-Bit convention (frozen): qubit 0 is the most significant bit of the basis
-index, so reshaping amplitudes to [2]*n puts qubit q on axis q.  Gates are
-Ry(t) = exp(-i t Y / 2), Rz(t) = exp(-i t Z / 2), and nearest-neighbor
-CNOT(q, q+1).  One hardware-efficient layer applies Ry then Rz on every qubit
-followed by the CNOT chain q = 0 .. n-2.  The statevector circuit ping-pongs
-between two buffers.  The first layer starts from |0...0>, so its gates leave the
-product of the columns m_q|0>, grown a qubit at a time.  Every later layer applies
-its fused Rz.Ry gates as 4-qubit group maps, kron(m_q, ..., m_q+3) as one 16x16
-complex map, the first group taking the 1-4 qubits left over from groups of 4 as a
-smaller W x W map: with the group leading, the state is a (W, 2^n / W) matrix, and
-one stacked complex matmul of its transpose, in row blocks of blk rows with
-blk x W^2 <= 2^15, writes the group at the back, so a layer ends in C order, as in
-the density path below.  numpy loops over the blocks in C, and OpenBLAS runs each
-block's zgemm on the calling thread; it splits a larger one across threads, and a
-starved worker thread then stalls every such call.  The CNOT chain is one gather by
-the Gray code.  The QEP's observables, X_q, Z_q and Z_i Z_j, fall into two
-qubit-wise commuting groups, and neither is read by writing P|psi> out.  A Z string
-is a sum over p = |psi|^2 held as a (2^h, 2^(n-h)) matrix P of the high h = n // 2
-qubits by the low ones: w_hi . P . w_lo with +-1 Walsh vectors, or one dot with P's
-row or column sums when every Z lies in one half.  X_q is 2 Re <psi_{q=0}|psi_{q=1}>,
-the two halves of qubit q's axis, summed on the float view: one einsum, or, where
-einsum would loop over more than 2^8 rows of L <= 8 floats one by one (the last
-three of 12 or more qubits), the traces of one stacked matmul of the halves' (L, 2^8)
-blocks by their (2^8, L) partners, which OpenBLAS runs on the calling thread.  A run_circuit state's amplitudes are read-only,
-so it reads p once, into the circuit's half-size temporary, and keeps it with its
-row and column sums and each P . w_lo it has taken.  Any other term (Y, or X beside
-another factor) is Re <psi|P psi> with P psi built a factor at a time.
+Bit convention (frozen): qubit 0 is the most significant bit of the basis index, so
+reshaping amplitudes to [2]*n puts qubit q on axis q.  Gates are Ry(t) = exp(-i t Y /
+2), Rz(t) = exp(-i t Z / 2), and nearest-neighbor CNOT(q, q+1).  One
+hardware-efficient layer applies Ry then Rz on every qubit followed by the CNOT chain
+q = 0 .. n-2.  A noiseless state is an exact matrix product state (MPS), psi(x) =
+e_0^T A_0^{x_0} ... A_{n-1}^{x_{n-1}} (1, ..., 1), its site tensors one (n, D, 2, D)
+stack.  A fused gate m = Rz.Ry acts on one site, and the chain is psi'(y) = psi(x) with
+x_k = y_k xor y_{k-1}, one CNOT across each cut, which on the MPS is a reindex: B_k^y[(a,
+p), (b, y')] = A_k^{y xor p}[a, b] delta(y', y), the new bond bit p carrying the last
+qubit's y.  So L layers give an exact MPS of bond D = 2^L, with no SVD and no truncation
+(Vidal, PRL 91, 147902, 2003; Markov & Shi, SIAM J. Comput. 38, 963, 2008).  The readout
+keeps, for P = X, Y and Z, L_q T^P_q, T^P_q R_{q+1} and <P_q>, from the D x D left and
+right environments and the transfer maps T_k = sum_s A_k^s (x) conj(A_k^s), applied as
+small matmuls and never formed (at L = 3 the T_k of 16 sites hold 2^16 entries, as many
+as the state vector).  A single-site term is one kept value, a nearest-neighbour pair
+one dot, and a longer pair carries L_i T^P_i through the T_k between, all i at once.
 
 Noise is channel application after every gate on the gate's support qubits:
 depolarizing(p); "thermal", a stand-in composition of amplitude damping and
@@ -75,7 +64,6 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
-_ZERO_PROJECTOR = np.array([[1, 0], [0, 0]], dtype=complex)
 
 
 def ry_matrix(theta) -> np.ndarray:
@@ -101,141 +89,14 @@ def cnot_matrix() -> np.ndarray:
     return m
 
 
-@dataclass
-class StateVector:
-    """Pure state on n_qubits; amplitudes indexed with qubit 0 as the MSB.
-
-    run_circuit's amplitudes are read-only, so the |psi|^2 marginals that Z readouts
-    take, and each P . w_lo they take, are read once and kept for as long as the same
-    array is the amplitudes; a state with writeable amplitudes reads them afresh every
-    time.
-    """
-
-    n_qubits: int
-    amplitudes: np.ndarray
-    # room for |psi|^2 (run_circuit's half-size temporary, else allocated by the first
-    # Z readout) and the kept (amplitudes, P, row sums, column sums, {lo: P . w_lo}) of
-    # _marginals
-    _probs: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
-    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if self.amplitudes.size != 2**self.n_qubits:
-            raise ValueError(
-                f"state on {self.n_qubits} qubits needs {2**self.n_qubits} amplitudes, "
-                f"got {self.amplitudes.size}"
-            )
-
-    def _marginals(self):
-        """(P, P's row sums, P's column sums, {lo: P . w_lo}), with P = |psi|^2 as a
-        (2^h, 2^(n-h)) matrix of the high h = n // 2 qubits by the low ones, and the
-        products with low-half Walsh vectors filled in by the readouts that take them."""
-        amps = self.amplitudes
-        if self._kept is not None and self._kept[0] is amps:
-            return self._kept[1:]
-        if self._probs is None:
-            self._probs = np.empty(amps.size)
-        p = np.square(np.abs(amps, out=self._probs), out=self._probs)
-        P = p.reshape(1 << self.n_qubits // 2, -1)
-        got = (P, P.sum(axis=1), P.sum(axis=0), {})
-        self._kept = None if amps.flags.writeable else (amps,) + got
-        return got
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def _check_qubit(n: int, q: int) -> None:
     if not 0 <= q < n:
         raise ValueError(f"qubit index {q} out of range for {n} qubits")
 
 
-# OpenBLAS (0.3.31) runs a complex matmul of blk rows of W x W maps with blk x W^2 <= 2^15
-# (128 rows of 16, 512 of 8, 2048 of 4, 8192 of 2) on the calling thread, and splits
-# one of 2^16 or more across its threads
-_GEMM_SIZE = 1 << 15
-
-
-@functools.cache
-def _gray_gather(n: int) -> np.ndarray:
-    """The CNOT chain CNOT(0, 1) ... CNOT(n-2, n-1) as one gather: new[j] = old[j ^ (j >> 1)].
-    Left writeable, as np.take copies a read-only index on every call; nothing writes it."""
-    j = np.arange(1 << n)
-    return j ^ (j >> 1)
-
-
 def _unit_clip(v) -> float:
     """float(np.clip(v, -1.0, 1.0)) for a real scalar, NaN kept, without a ufunc call."""
     return float(min(max(v, -1.0), 1.0))
-
-
-def _layer_maps(angles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(columns, maps) for the fused gates m = Rz(theta_z) . Ry(theta_y) of angles: the
-    (n, 2) columns m_q|0> of layer 0, and an (L - 1, ceil(n / 4), 16, 16) stack of each
-    later layer's 4-qubit group maps kron(m_q, ..., m_q+3), the first map holding the
-    qubits 0 .. n - 4 (ceil(n / 4) - 1) - 1 left over in its top-left block."""
-    layers, n, _ = angles.shape
-    pad = -n % 4
-    # |0><0| gates ahead of qubit 0 fill the first group: kron(|0><0|, a) = [[a, 0], [0, 0]]
-    fused = np.empty((layers, n + pad, 2, 2), dtype=complex)
-    fused[:, :pad] = _ZERO_PROJECTOR
-    np.matmul(rz_matrix(angles[..., 1]), ry_matrix(angles[..., 0]), out=fused[:, pad:])
-    # kron(a, b)[2 i + k, 2 j + l] = a[i, j] b[k, l], of adjacent gates, then of adjacent pairs
-    pairs = np.multiply(fused[1:, 0::2, :, None, :, None], fused[1:, 1::2, None, :, None, :])
-    pairs = pairs.reshape(layers - 1, (n + pad) // 2, 4, 4)
-    maps = np.multiply(pairs[:, 0::2, :, None, :, None], pairs[:, 1::2, None, :, None, :])
-    return fused[0, pad:, :, 0].copy(), maps.reshape(layers - 1, (n + pad) // 4, 16, 16)
-
-
-def run_circuit(angles: np.ndarray) -> StateVector:
-    """Evolve |0...0> through the layered ansatz; angles has shape (L, n, 2)
-    holding (theta_y, theta_z) per layer and qubit.
-
-    Each gate is the fused m = Rz(theta_z) . Ry(theta_y).  Layer 0 is the product state
-    whose qubit q is m[:, 0]; every later layer applies kron(m_q, ..., m_q+3) to each
-    group of 4 qubits (module docstring).
-    """
-    angles = np.asarray(angles, dtype=np.float64)
-    if angles.ndim != 3 or angles.shape[2] != 2:
-        raise ValueError(f"angles must have shape (layers, n_qubits, 2), got {angles.shape}")
-    n = angles.shape[1]
-    if n < 1 or not len(angles):
-        return zero_state(n)  # raises for no qubits; no layers leave |0...0>
-    columns, maps = _layer_maps(angles)  # before the block, so only they outlive the build
-    # one block holds the two ping-pong buffers and the half-size temporary t, and the
-    # state keeps it: t is where its readout reads |psi|^2 into.  A freed
-    # state is one block the next circuit reuses whole; with separate buffers, glibc
-    # trimmed and refaulted about 4 MiB per 16-qubit sample.
-    block = np.empty(5 << (n - 1), dtype=complex)
-    cur, other, t = block[: 1 << n], block[1 << n : 2 << n], block[2 << n :]
-    cur[:2] = columns[0]
-    for q in range(1, n):  # qubit q joins at the back
-        grown = other[: 2 << q].reshape(-1, 2)
-        for b in (0, 1):
-            np.multiply(cur[: 1 << q], columns[q, b], out=grown[:, b])
-        cur, other = other, cur
-    gray = _gray_gather(n)
-    first = 16 >> -n % 4  # the first group's width, 2^(its 1-4 qubits)
-    for layer in range(len(angles)):
-        for g, m in enumerate(maps[layer - 1] if layer else ()):  # group g leads after those before it
-            w = 16 if g else first
-            blk = min(cur.size // w, _GEMM_SIZE // (w * w))
-            np.matmul(cur.reshape(w, -1).T.reshape(-1, blk, w), m[:w, :w].T,
-                      out=other.reshape(-1, blk, w))
-            cur, other = other, cur
-        # mode="clip" writes straight into out; the default "raise" buffers it
-        np.take(cur, gray, out=other, mode="clip")
-        cur, other = other, cur
-    cur.flags.writeable = False
-    state = StateVector(n, cur)
-    state._probs = t.view(np.float64)
-    return state
 
 
 @dataclass(frozen=True)
@@ -247,65 +108,136 @@ class PauliTerm:
     def __post_init__(self):
         if not 1 <= len(self.factors) <= 2:
             raise ValueError("observables here are weight-1 or weight-2 Pauli terms")
-        seen = set()
-        for q, p in self.factors:
+        for _, p in self.factors:
             if p not in ("X", "Y", "Z"):
                 raise ValueError(f"unknown Pauli factor {p!r}")
-            if q in seen:
-                raise ValueError("repeated qubit in a Pauli term")
-            seen.add(q)
+        if len({q for q, _ in self.factors}) < len(self.factors):
+            raise ValueError("repeated qubit in a Pauli term")
         object.__setattr__(self, "factors", tuple(sorted(self.factors)))
 
     def label(self) -> str:
         return "*".join(f"{p}{q}" for q, p in self.factors)
 
 
+# [P, (t, s)] = P[s, t] for P = X, Y, Z: the weights of (A^t)^T L conj(A^s) in L T^P
+_PAULI_WEIGHTS = np.array([_X, _Y, _Z]).transpose(0, 2, 1).reshape(3, 4)
+
+
+@dataclass
+class MpsState:
+    """A pure state as the complex (n, D, 2, D) stack of site tensors A_k[a, x, b] of an
+    exact MPS.  The first readout keeps what every later one reads (module docstring), so
+    the tensors must not change after it; run_circuit's are read-only."""
+
+    tensors: np.ndarray
+    # (L_q T^P_q and T^P_q R_q+1 as (3, n, D^2), {P: [<P_q>]}, conj(A_k), {p: _carried(p)})
+    _kept: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.tensors)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """psi as a new (2^n,) array, psi[x, a] A[a] summed over a elementwise site by site:
+        a one-layer state's amplitudes are products of gate entries, as a dense product's."""
+        psi = self.tensors[0, 0]  # l = e_0 reads row 0
+        for site in self.tensors[1:]:
+            psi = (psi[:, :, None, None] * site).sum(axis=1).reshape(-1, len(site))
+        return psi.sum(axis=1)  # r = (1, ..., 1)
+
+    def _environments(self) -> tuple:
+        """_kept, read on the first call.  R_k are the L_k of the chain mirrored (sites in
+        reverse, a and b swapped), so one sweep runs both: L_k conj(A_k), kept, and L_k+1 =
+        sum_s (A_k^s)^T L_k conj(A_k^s), each a stacked matmul.  The kept products make the
+        stack [t, s] of (A_k^t)^T L_k conj(A_k^s), which each P weighs by P[s, t]."""
+        if self._kept is None:
+            a = self.tensors
+            n, bond = a.shape[:2]
+            ends = np.stack([a, a[::-1].transpose(0, 3, 2, 1)], axis=1)
+            rows = ends.reshape(n, 2, 2 * bond, bond).swapaxes(2, 3)  # A_k as [b, (a, s)]
+            cols = ends.conj().reshape(n, 2, bond, 2 * bond)  # conj(A_k) as [a', (s, b')]
+            kept = np.empty((n, 2, bond, 2 * bond), dtype=complex)
+            envs = np.zeros((n + 1, 2, bond, bond), dtype=complex)
+            envs[0, 0, 0, 0] = envs[0, 1] = 1.0  # L_0 = e_0 e_0^T, R_n = 1 1^T
+            for k in range(n):
+                np.matmul(envs[k], cols[k], out=kept[k])
+                np.matmul(rows[k], kept[k].reshape(2, 2 * bond, bond), out=envs[k + 1])
+            ts = np.matmul(ends.transpose(3, 0, 1, 4, 2)[:, None],
+                           kept.reshape(n, 2, bond, 2, bond).transpose(3, 0, 1, 2, 4))
+            weighed = np.matmul(_PAULI_WEIGHTS, ts.reshape(4, -1)).reshape(3, n, 2, -1)
+            lp, pr = weighed[:, :, 0], weighed[:, ::-1, 1]
+            values = np.einsum("pki,ki->pk", lp, envs[-2::-1, 1].reshape(n, -1)).real
+            self._kept = lp, pr, dict(zip("XYZ", values.tolist())), cols[:, 0], {}
+        return self._kept
+
+    def _carried(self, p: int) -> list:
+        """[d][i] = L_i T^P_i T_i+1 ... T_i+d-1 as (D, D) for the p-th of X, Y, Z, read on the
+        first call: every i carried a site further per step, two stacked matmuls."""
+        lp, _, _, cols, carries = self._environments()
+        if p not in carries:
+            n, bond = self.tensors.shape[:2]
+            rows = self.tensors.reshape(n, 2 * bond, bond).swapaxes(1, 2)
+            v = lp[p].reshape(n, bond, bond)[:-1]
+            carries[p] = [None, v]
+            for d in range(2, n):  # v[i] = sum_s (A_k^s)^T v[i] conj(A_k^s), k = i + d - 1
+                sites = slice(d - 1, n - 1)
+                w = np.matmul(v[:-1], cols[sites]).reshape(n - d, 2 * bond, bond)
+                v = np.matmul(rows[sites], w)
+                carries[p].append(v)
+        return carries[p]
+
+
 @functools.cache
-def _walsh(bits: int, mask: int) -> np.ndarray:
-    """The read-only +-1 vector w[k] = (-1)^popcount(k & mask), k < 2^bits."""
-    w = np.ones(1 << bits)
-    for b in range(bits):
-        if mask >> b & 1:
-            w.reshape(-1, 2, 1 << b)[:, 1] *= -1.0
-    w.flags.writeable = False
-    return w
+def _chain_gather(n: int, bond: int) -> np.ndarray:
+    """The CNOT chain as a gather from the (n, bond, 2, bond) site tensors, flat and one zero
+    after: B[k, (a, p), y, (b, y')] = A[k, a, y ^ p, b] where y' = y, else the zero.  Left
+    writeable, as np.take copies a read-only index on every call; nothing writes it."""
+    k, a, p, y, b, y2 = np.indices((n, bond, 2, 2, bond, 2), sparse=True)
+    index = ((k * bond + a) * 2 + (y ^ p)) * bond + b
+    return np.where(y2 == y, index, n * bond * 2 * bond).ravel()
 
 
-def expectation(state: StateVector, term: PauliTerm) -> float:
-    """<psi|P|psi>: a Z string sum_i p_i (-1)^popcount(i & S) from the marginals of
-    p = |psi|^2, X_q from the halves of qubit q's axis, any other term as
-    Re <psi|P psi> (module docstring)."""
-    n = state.n_qubits
+def run_circuit(angles: np.ndarray) -> MpsState:
+    """The exact MPS of bond 2^L that the layered ansatz makes of |0...0>; angles has shape
+    (L, n, 2), (theta_y, theta_z) per layer and qubit.  Layer 0's fused gates m = Rz . Ry
+    leave the columns m_q|0>, every later layer's are one stacked matmul, and each layer
+    ends in the chain's gather (module docstring)."""
+    angles = np.asarray(angles, dtype=np.float64)
+    if angles.ndim != 3 or angles.shape[2] != 2:
+        raise ValueError(f"angles must have shape (layers, n_qubits, 2), got {angles.shape}")
+    n = angles.shape[1]
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    # Rz is diagonal, so m = Rz . Ry is Ry with its rows scaled
+    gates = ry_matrix(angles[..., 0])
+    gates *= np.exp(np.multiply.outer(angles[..., 1], [-0.5j, 0.5j]))[..., None]
+    sites = np.zeros((n, 1, 2, 1), dtype=complex)  # |0...0> at bond 1
+    sites[:, 0, 0, 0] = 1.0
+    for layer, m in enumerate(gates):
+        flat = np.zeros(sites.size + 1, dtype=complex)  # the sites, then the chain's zero
+        if layer:
+            np.matmul(m[:, None], sites, out=flat[:-1].reshape(sites.shape))
+        else:  # the columns m_q|0>
+            flat[:-1] = m[:, :, 0].ravel()
+        bond = sites.shape[1]
+        sites = flat.take(_chain_gather(n, bond)).reshape(n, 2 * bond, 2, 2 * bond)
+    sites.flags.writeable = False
+    return MpsState(sites)
+
+
+def expectation(state: MpsState, term: PauliTerm) -> float:
+    """<psi|P|psi>: a kept value or one dot of the state's kept products (module docstring)."""
     for q, _ in term.factors:
-        _check_qubit(n, q)
-    paulis = "".join(p for _, p in term.factors)
-    if paulis in ("Z", "ZZ"):
-        h = n // 2
-        hi = sum(1 << (h - 1 - q) for q, _ in term.factors if q < h)
-        lo = sum(1 << (n - 1 - q) for q, _ in term.factors if q >= h)
-        P, rows, cols, by_lo = state._marginals()
-        if not lo:
-            val = np.dot(rows, _walsh(h, hi))
-        elif not hi:
-            val = np.dot(cols, _walsh(n - h, lo))
-        else:
-            if lo not in by_lo:
-                by_lo[lo] = P @ _walsh(n - h, lo)
-            val = np.dot(_walsh(h, hi), by_lo[lo])
-    elif paulis == "X":
-        q = term.factors[0][0]
-        f = state.amplitudes.view(np.float64).reshape(1 << q, 2, -1)
-        if f.shape[2] > 8 or q <= 8:
-            val = 2.0 * np.einsum("ij,ij->", f[:, 0], f[:, 1])
-        else:  # einsum would loop over 2^q rows of <= 8 floats: per 2^8 rows, a trace
-            f = f.reshape(-1, 256, 2, f.shape[2])
-            val = 2.0 * np.einsum("aii->", np.matmul(f[:, :, 0].transpose(0, 2, 1), f[:, :, 1]))
-    else:
-        phi = state.amplitudes
-        for q, p in term.factors:
-            phi = (PAULI[p] @ phi.reshape(1 << q, 2, -1)).ravel()
-        val = np.vdot(state.amplitudes, phi).real
-    return _unit_clip(val)
+        _check_qubit(state.n_qubits, q)
+    (i, a), *rest = term.factors
+    if not rest:
+        return _unit_clip(state._environments()[2][a][i])
+    ((j, b),) = rest
+    lp, pr = state._environments()[:2]
+    p = "XYZ".index(a)
+    v = lp[p, i] if j == i + 1 else state._carried(p)[j - i][i].ravel()
+    return _unit_clip(np.dot(v, pr["XYZ".index(b), j]).real)
 
 
 # --- noise channels and density-matrix evolution ---
@@ -458,10 +390,14 @@ class DensityMatrix:
 
     def _apply(self, m: np.ndarray, q: int) -> None:
         """The one-qubit map m, a real 4x4 PTM, on qubit q: with r as (4^q, 4, rest), each
-        (4, rest) block goes to m . block, run as its rest rows times m^T (_matmul_rows)."""
+        (4, rest) block goes to m . block, run as its rest rows times m^T (_matmul_rows).
+        On the last qubit the blocks are single rows, run as one (4^q, 4) matrix."""
         _check_qubit(self.n_qubits, q)
         src = self._r.reshape(4**q, 4, -1).transpose(0, 2, 1)
-        _matmul_rows(src, m.T, self._scratch.reshape(4**q, 4, -1).transpose(0, 2, 1))
+        dst = self._scratch.reshape(4**q, 4, -1).transpose(0, 2, 1)
+        if src.shape[1] == 1:
+            src, dst = src.reshape(1, -1, 4), dst.reshape(1, -1, 4)
+        _matmul_rows(src, m.T, dst)
         self._r, self._scratch = self._scratch, self._r
 
     def _run_chain(self, maps: np.ndarray) -> None:

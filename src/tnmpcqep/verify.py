@@ -9,10 +9,14 @@ and the protocol oracle is plain-integer fixed point (see mpc.eval_plaintext).
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 
 import numpy as np
 
-from .qsim import PAULI, StateVector, cnot_matrix, ry_matrix, rz_matrix
+from .qsim import PAULI, cnot_matrix, ry_matrix, rz_matrix
+
+# the circuit oracle's state: all 2^n amplitudes, qubit 0 the MSB
+DenseState = namedtuple("DenseState", ["n_qubits", "amplitudes"])
 
 
 def dense_single_qubit_unitary(gate: np.ndarray, q: int, n: int) -> np.ndarray:
@@ -29,7 +33,7 @@ def dense_cnot_unitary(control: int, n: int) -> np.ndarray:
     return np.kron(np.kron(before, cnot_matrix()), after)
 
 
-def dense_circuit_state(angles: np.ndarray) -> StateVector:
+def dense_circuit_state(angles: np.ndarray) -> DenseState:
     """Oracle evolution of |0...0> by explicit matrix products."""
     angles = np.asarray(angles, dtype=np.float64)
     layers, n, _ = angles.shape
@@ -41,11 +45,11 @@ def dense_circuit_state(angles: np.ndarray) -> StateVector:
             psi = dense_single_qubit_unitary(rz_matrix(angles[layer, q, 1]), q, n) @ psi
         for q in range(n - 1):
             psi = dense_cnot_unitary(q, n) @ psi
-    return StateVector(n, psi)
+    return DenseState(n, psi)
 
 
-def dense_pauli_expectation(state: StateVector, factors) -> float:
-    """Oracle expectation via the full observable matrix."""
+def dense_pauli_expectation(state, factors) -> float:
+    """Oracle expectation via the full observable matrix of any state with amplitudes."""
     n = state.n_qubits
     op = np.eye(2**n, dtype=complex)
     for q, p in factors:

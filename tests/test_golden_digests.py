@@ -12,7 +12,7 @@ regenerates them in a subprocess with one BLAS thread, set before numpy loads
 (OpenBLAS splits a long dot product across threads, which moves its last bits,
 and this process cannot change the count once numpy is loaded), and compares
 digests.  The 16-qubit and 9-qubit all-pairs runs and the 10-qubit thermal run are
-also made under two threads, to show that no BLAS call of the statevector or the
+also made under two threads, to show that no BLAS call of the noiseless MPS or the
 density path is split across them.
 
 A change that moves these bytes on purpose refreshes the digests in its own diff:

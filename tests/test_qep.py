@@ -533,15 +533,16 @@ def test_stage_errors_name_the_same_stage_as_the_per_row_form(stage):
 
 
 def test_a_nan_amplitude_fails_the_readout_stage(monkeypatch):
-    # finite angles, one amplitude of one row's state made NaN after its circuit
+    # finite angles, one entry of one site tensor of one row's state made NaN after its
+    # circuit, which makes its amplitudes NaN
     params = make_qep(d=16, n_q=5, seed=23)
     xs = np.random.default_rng(74).standard_normal((3, 16))
 
     def poisoned(angles):
         state = run_circuit(angles)
-        amps = state.amplitudes.copy()
-        amps[7] = complex(np.nan, 0.0)
-        return type(state)(state.n_qubits, amps)
+        tensors = state.tensors.copy()
+        tensors[2, 1, 0, 3] = complex(np.nan, 0.0)
+        return type(state)(tensors)
 
     monkeypatch.setattr(qep, "run_circuit", poisoned)
     with pytest.raises(ValueError, match="stage 'readout'"):

@@ -18,6 +18,7 @@ from tnmpcqep.qsim import (
     NOISELESS,
     PAULI,
     DensityMatrix,
+    MpsState,
     NoiseSpec,
     PauliTerm,
     amplitude_damping_kraus,
@@ -29,9 +30,9 @@ from tnmpcqep.qsim import (
     run_noisy,
     ry_matrix,
     rz_matrix,
-    zero_state,
 )
 from tnmpcqep.verify import (
+    DenseState,
     dense_circuit_state,
     dense_cnot_unitary,
     dense_noisy_density,
@@ -71,8 +72,20 @@ def _flip_cnot(amps, control, scratch):
     one[...] = staged
 
 
+def _zero_amplitudes(n):
+    amps = np.zeros(2**n, dtype=complex)
+    amps[0] = 1.0
+    return amps
+
+
+def _gray(n):
+    """The CNOT chain CNOT(0, 1) ... CNOT(n-2, n-1) as a gather: new[j] = old[j ^ (j >> 1)]."""
+    j = np.arange(1 << n)
+    return j ^ (j >> 1)
+
+
 def test_ry_pi_flips_zero_to_one():
-    amps = zero_state(1).amplitudes
+    amps = _zero_amplitudes(1)
     _mix_axis(amps, ry_matrix(np.pi), 0)
     assert np.allclose(amps, [0.0, 1.0], atol=1e-15)
 
@@ -391,13 +404,13 @@ def test_density_evolution_allocates_no_full_size_array():
 # --- statevector readout ---
 
 
-def _vdot_readout(state, term):
+def _vdot_readout(amps, term):
     """The readout written out as the oracle: Re vdot(psi, P psi), clipped to [-1, 1],
-    with P psi a copy of psi mixed by each factor's 2x2 matrix in turn."""
-    phi = state.amplitudes.copy()
+    with P psi a copy of the amplitudes psi mixed by each factor's 2x2 matrix in turn."""
+    phi = amps.copy()
     for q, p in term.factors:
         _mix_axis(phi, PAULI[p], q)
-    return float(np.clip(np.vdot(state.amplitudes, phi).real, -1.0, 1.0))
+    return float(np.clip(np.vdot(amps, phi).real, -1.0, 1.0))
 
 
 @st.composite
@@ -412,10 +425,11 @@ def _small_circuits(draw):
 def test_every_low_weight_term_matches_the_dense_oracle(angles):
     # every X, Y and Z factor on one qubit and on every pair, all read from one state
     state, dense = run_circuit(angles), dense_circuit_state(angles)
+    amps = state.amplitudes
     for term in _every_term(angles.shape[1]):
         got = expectation(state, term)
         assert abs(got - dense_pauli_expectation(dense, term.factors)) <= 1e-12, term.label()
-        assert abs(got - _vdot_readout(state, term)) <= 1e-12, term.label()
+        assert abs(got - _vdot_readout(amps, term)) <= 1e-12, term.label()
 
 
 _PAULI_PHASE = {"X": (1, 1), "Y": (-1j, 1j), "Z": (1, -1)}
@@ -455,11 +469,12 @@ def _every_term(n):
 @pytest.mark.parametrize("mode", ["nearest_neighbor", "all_pairs"])
 @pytest.mark.parametrize("n", range(2, 17))
 def test_every_qep_observable_is_within_1e_12_of_the_vdot_readout(n, mode):
-    # |psi|^2 splits into n // 2 high and n - n // 2 low qubits: the pairs hold Z strings
-    # inside either half and across them, and X on every qubit from the first to the last
+    # X and Z on every site from the first to the last, and Z Z on neighbours and on pairs
+    # as far apart as the chain allows
     state = run_circuit(np.random.default_rng(100 + n).uniform(-np.pi, np.pi, size=(2, n, 2)))
+    amps = state.amplitudes
     for term in observable_set(n, mode):
-        assert abs(expectation(state, term) - _vdot_readout(state, term)) <= 1e-12, term.label()
+        assert abs(expectation(state, term) - _vdot_readout(amps, term)) <= 1e-12, term.label()
 
 
 def _per_term_z_readout(state, term):
@@ -483,21 +498,19 @@ def _per_term_z_readout(state, term):
 
 
 @pytest.mark.parametrize("n", [12, 16])
-def test_all_pairs_z_readout_is_bit_identical_to_the_per_term_form(n):
-    # the state keeps P . w_lo per low-half mask, so the Z_i Z_j that cross the halves
-    # take one gemv per low qubit between them, not one each
+def test_all_pairs_z_readout_is_within_1e_12_of_the_per_term_form(n):
+    # the marginal readout of the statevector kernel, written out, against the carries of
+    # every pair: Z strings inside either half of the qubits and across them
     state = run_circuit(np.random.default_rng(300 + n).uniform(-np.pi, np.pi, size=(2, n, 2)))
+    dense = DenseState(n, state.amplitudes)
     terms = [t for t in observable_set(n, "all_pairs") if {p for _, p in t.factors} == {"Z"}]
     assert len(terms) == n + n * (n - 1) // 2
     for term in terms:
-        got = expectation(state, term)
-        want = _per_term_z_readout(state, term)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes(), term.label()
-    assert len(state._marginals()[3]) == n - n // 2
+        assert abs(expectation(state, term) - _per_term_z_readout(dense, term)) <= 1e-12, term.label()
 
 
-def _writes_p_psi_out(term):
-    """Whether the readout builds P|psi>: any term but X_q, Z_q and Z_i Z_j."""
+def _y_or_mixed(term):
+    """Whether a term is other than X_q, Z_q and Z_i Z_j: Y alone, or a mixed pair."""
     return "".join(p for _, p in term.factors) not in ("X", "Z", "ZZ")
 
 
@@ -518,65 +531,77 @@ def _circuit_and_terms(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_circuit_and_terms())
-def test_expectation_is_bit_identical_to_the_mix_axis_readout(case):
-    # several terms read from one state: each builds P|psi> a factor at a time, as the
-    # oracle's 2x2 mixes do, and the entries of Paulis multiply exactly
+def test_expectation_is_within_1e_12_of_the_mix_axis_readout(case):
+    # several terms read from one state, in any order: Y alone, and pairs of any two
+    # factors but Z Z, near and far apart
     angles, terms = case
     state = run_circuit(angles)
+    amps = state.amplitudes
     for term in terms:
         got = expectation(state, term)
-        assert np.float64(got).tobytes() == np.float64(_vdot_readout(state, term)).tobytes()
+        assert abs(got - _vdot_readout(amps, term)) <= 1e-12
         assert abs(got - dense_pauli_expectation(state, term.factors)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", list(range(1, 13)) + [16])
-def test_planned_readout_is_bit_identical_to_the_mix_axis_readout(n):
-    # every term the readout writes P|psi> out for, adjacent and distant pairs at every
-    # position, nearest neighbours at n = 16
+def test_y_and_mixed_pair_terms_are_within_1e_12_of_the_mix_axis_readout(n):
+    # every term that is not X, Z or Z Z, adjacent and distant pairs at every position,
+    # nearest neighbours at n = 16
     state = run_circuit(np.random.default_rng(100 + n).uniform(-np.pi, np.pi, size=(2, n, 2)))
+    amps = state.amplitudes
     if n < 16:
         terms = _every_term(n)
     else:
         terms = [PauliTerm(((q, p),)) for q in range(n) for p in "XYZ"]
         terms += [PauliTerm(((q, a), (q + 1, b))) for q in range(n - 1) for a in "XYZ" for b in "XYZ"]
-    terms = [t for t in terms if _writes_p_psi_out(t)]
+    terms = [t for t in terms if _y_or_mixed(t)]
     pairs = n * (n - 1) // 2 if n < 16 else n - 1
     assert len(terms) == n + 8 * pairs  # each Y, and each pair under all products but Z Z
     for term in terms:
-        value = expectation(state, term)
-        assert np.float64(value).tobytes() == np.float64(_vdot_readout(state, term)).tobytes(), term.label()
+        assert abs(expectation(state, term) - _vdot_readout(amps, term)) <= 1e-12, term.label()
 
 
 def test_a_nan_amplitude_reads_nan_for_every_qep_observable():
-    # a NaN real or imaginary part anywhere reaches every X, Z and ZZ readout, so the
-    # QEP's finiteness check after its readout stage fails on it
+    # a NaN real or imaginary part in any entry of any site tensor, the zeros of the
+    # chain's reindex among them, makes amplitudes NaN and reaches every X, Z and ZZ
+    # readout, so the QEP's finiteness check after its readout stage fails on it
     n = 6
-    amps = run_circuit(np.random.default_rng(6).uniform(-np.pi, np.pi, size=(2, n, 2))).amplitudes
-    for i in (0, 37, (1 << n) - 1):
-        bad = amps.copy()
-        bad.view(np.float64)[2 * i + i % 2] = np.nan
-        state = qsim.StateVector(n, bad)
+    tensors = run_circuit(np.random.default_rng(6).uniform(-np.pi, np.pi, size=(2, n, 2))).tensors
+    for i in (0, 37, 129, tensors.size - 1):
+        bad = tensors.copy()
+        bad.reshape(-1).view(np.float64)[2 * i + i % 2] = np.nan
+        state = MpsState(bad)
+        assert np.isnan(state.amplitudes).any()
         for term in observable_set(n, "all_pairs"):
             assert np.isnan(expectation(state, term)), (i, term.label())
 
 
-def test_run_circuit_amplitudes_are_read_only_and_new_amplitudes_are_read_anew():
-    # Z readouts keep |psi|^2 for the amplitudes array they read, which run_circuit makes
-    # read-only; another array assigned, or a writeable state's own array changed in
-    # place, is read anew
+def test_run_circuit_tensors_are_read_only_and_a_state_reads_its_environments_once():
+    # the first readout keeps the environments, and every later term reads them; a new
+    # state, of a copy of another's tensors, reads its own
     angles = np.random.default_rng(5).uniform(-np.pi, np.pi, size=(2, 4, 2))
     state, other = run_circuit(angles), run_circuit(angles[::-1])
+    with pytest.raises(ValueError, match="read-only"):
+        state.tensors[0, 0, 0, 0] = 1.0
     z = PauliTerm(((1, "Z"), (3, "Z")))
     before = expectation(state, z)
-    with pytest.raises(ValueError, match="read-only"):
-        state.amplitudes[0] = 1.0
-    state.amplitudes = other.amplitudes
-    assert expectation(state, z) == expectation(other, z) != before
-    mine = qsim.StateVector(4, other.amplitudes.copy())
-    assert expectation(mine, z) == expectation(other, z)
-    mine.amplitudes[:] = 0.0
-    mine.amplitudes[0] = 1.0
-    assert expectation(mine, z) == 1.0
+    kept = state._kept
+    expectation(state, PauliTerm(((0, "X"),)))
+    assert state._kept is kept and expectation(state, z) == before
+    mine = MpsState(other.tensors.copy())
+    assert mine.n_qubits == 4 and expectation(mine, z) == expectation(other, z) != before
+
+
+@pytest.mark.parametrize("layers", range(4))
+def test_run_circuit_is_an_mps_of_bond_two_to_the_layers(layers):
+    # one stacked (n, 2^L, 2, 2^L) array, exact: its norm is 1 and its amplitudes are the
+    # dense oracle's
+    n = 5
+    angles = np.random.default_rng(50 + layers).uniform(-np.pi, np.pi, size=(layers, n, 2))
+    state = run_circuit(angles)
+    assert state.tensors.shape == (n, 2**layers, 2, 2**layers)
+    assert np.abs(state.amplitudes - dense_circuit_state(angles).amplitudes).max() <= 1e-12
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
 
 
 def _block_copy_density_expectation(rho, term):
@@ -657,41 +682,24 @@ def test_pauli_terms_sort_their_factors_for_equality_and_hash():
     assert a != PauliTerm(((1, "Y"), (3, "X")))
 
 
-def test_statevector_readout_allocates_no_state_sized_array():
-    # the Walsh vectors are cached per size and mask, so one state warms them up; the
-    # next state's |psi|^2 goes into its circuit's temporary
-    n = 12
-    angles = np.random.default_rng(12).uniform(-np.pi, np.pi, size=(2, n, 2))
-    terms, warm = observable_set(n, "all_pairs"), run_circuit(angles)
-    for t in terms:
-        expectation(warm, t)
-    state = run_circuit(angles[::-1])
+def test_sixteen_qubit_three_layer_circuit_and_readouts_allocate_no_state_sized_array():
+    # the bond-8 MPS and all that its 47 nearest-neighbour readouts keep stay below one
+    # array of 2^16 amplitudes, the state vector they replace
+    n = 16
+    angles = np.random.default_rng(1603).uniform(-np.pi, np.pi, size=(3, n, 2))
+    terms = observable_set(n, "nearest_neighbor")
+    assert len(terms) == 47
+    run_circuit(angles)  # warm-up: the chain's gather index is cached per (n, bond)
     tracemalloc.start()
     try:
+        state = run_circuit(angles)
         for t in terms:
             expectation(state, t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < state.amplitudes.nbytes // 4
-
-
-def test_run_circuit_state_reads_its_probabilities_into_the_circuit_temporary():
-    # one block holds the ping-pong buffers and the temporary, and |psi|^2 fills the
-    # temporary: its 2^n float64 are half a state, so a first Z readout allocates only
-    # the marginals' row and column sums
-    n = 16
-    state = run_circuit(np.random.default_rng(16).uniform(-np.pi, np.pi, size=(1, n, 2)))
-    assert np.shares_memory(state._probs, state.amplitudes.base)
-    assert not np.shares_memory(state._probs, state.amplitudes)
-    assert state._probs.nbytes == state.amplitudes.nbytes // 2
-    tracemalloc.start()
-    try:
-        expectation(state, PauliTerm(((0, "Z"), (n - 1, "Z"))))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < state.amplitudes.nbytes // 4
+    assert state.tensors.shape == (n, 8, 2, 8)
+    assert peak < (1 << n) * np.dtype(complex).itemsize
 
 
 def test_run_noisy_raises_when_the_trace_drifts(monkeypatch):
@@ -1363,7 +1371,7 @@ def _sequential_circuit(angles):
     """The circuit before the ping-pong kernel: |0...0>, one in-place _mix_axis of the
     fused gate per qubit, then the _flip_cnot chain, layer by layer."""
     layers, n, _ = angles.shape
-    amps = zero_state(n).amplitudes
+    amps = _zero_amplitudes(n)
     scratch = np.empty(amps.size // 2, dtype=complex)
     for layer in range(layers):
         for q in range(n):
@@ -1411,21 +1419,30 @@ def test_sixteen_qubit_depth_two_circuit_is_within_an_ulp_per_gate_of_the_sequen
 
 
 def test_run_circuit_with_no_layers_is_the_zero_state_and_needs_a_qubit():
-    assert np.array_equal(run_circuit(np.zeros((0, 3, 2))).amplitudes, zero_state(3).amplitudes)
+    state = run_circuit(np.zeros((0, 3, 2)))
+    assert state.tensors.shape == (3, 1, 2, 1)
+    assert np.array_equal(state.amplitudes, _zero_amplitudes(3))
     with pytest.raises(ValueError, match="at least one qubit"):
         run_circuit(np.zeros((1, 0, 2)))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_cnot_chain_is_the_gray_code_permutation(n):
+    # the written-out chain permutes amplitudes by the Gray code, and the chain's gather
+    # on the site tensors of a random MPS at bond 1, 2 and 4 gathers its amplitudes so
     rng = np.random.default_rng(100 + n)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     chained = amps.copy()
     for q in range(n - 1):
         _flip_cnot(chained, q, np.empty_like(chained))
-    j = np.arange(2**n)
-    assert chained.tobytes() == amps[j ^ (j >> 1)].tobytes()
-    assert chained.tobytes() == amps[qsim._gray_gather(n)].tobytes()
+    assert chained.tobytes() == amps[_gray(n)].tobytes()
+    for bond in (1, 2, 4):
+        shape = (n, bond, 2, bond)
+        sites = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / (2 * bond)
+        flat = np.append(sites.ravel(), 0.0)
+        gathered = flat[qsim._chain_gather(n, bond)].reshape(n, 2 * bond, 2, 2 * bond)
+        want = MpsState(sites).amplitudes[_gray(n)]
+        assert np.abs(MpsState(gathered).amplitudes - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @st.composite
@@ -1451,23 +1468,20 @@ def test_random_layered_circuits_match_the_dense_oracle(case):
 
 
 def test_run_circuit_peaks_below_four_states():
-    # its one block: two state buffers plus a half-size temporary, 2.5 states, and the
-    # group maps (24 KiB at n = 12 with 3 layers), built before the block, with no
-    # iterator buffers or copies of the state's transposed views on top; the gather
-    # takes the cached writeable index without copying it
+    # the MPS holds its site tensors, the gates and one layer's gather at a time, and
+    # peaks at under three copies of its (n, 8, 2, 8) tensors at 3 layers, far below one
+    # state
     for n in (12, 16):
         angles = np.random.default_rng(n).uniform(-np.pi, np.pi, size=(3, n, 2))
-        state = run_circuit(angles)  # warm-up: the Gray-code index array is cached per n
-        maps = qsim._layer_maps(angles)[1]
+        state = run_circuit(angles)  # warm-up: the chain's gather index is cached per (n, bond)
         tracemalloc.start()
         try:
             run_circuit(angles)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * state.amplitudes.nbytes + maps.nbytes + 8192
-        j = np.arange(2**n)
-        assert np.array_equal(qsim._gray_gather(n), j ^ (j >> 1))
+        assert peak <= 3 * state.tensors.nbytes + 8192
+        assert 3 * state.tensors.nbytes + 8192 < 4 * 2**n * np.dtype(complex).itemsize
 
 
 def _per_gate_circuit(angles):
@@ -1486,7 +1500,7 @@ def _per_gate_circuit(angles):
                 np.multiply(fused[layer, q, r, 1], a1, out=t)
                 np.add(out[:, r], t, out=out[:, r])
             cur, other = other, cur
-        np.take(cur, qsim._gray_gather(angles.shape[1]), out=other)
+        np.take(cur, _gray(angles.shape[1]), out=other)
         cur, other = other, cur
     return cur
 
@@ -1533,7 +1547,7 @@ def _pair_map_circuit(angles):
             for r in range(0, len(dst), 2048):
                 np.matmul(src[r : r + 2048], m.T, out=dst[r : r + 2048])
             cur, other = other, cur
-        cur = cur[qsim._gray_gather(n)]
+        cur = cur[_gray(n)]
         other = np.empty_like(cur)
     return cur
 
@@ -1545,15 +1559,15 @@ def _pair_map_readout(amps, term):
     if term.factors[0][1] == "X":
         f = amps.view(np.float64).reshape(1 << term.factors[0][0], 2, -1)
         return float(np.clip(2.0 * np.einsum("ij,ij->", f[:, 0], f[:, 1]), -1.0, 1.0))
-    return _per_term_z_readout(qsim.StateVector(n, amps), term)
+    return _per_term_z_readout(DenseState(n, amps), term)
 
 
 @pytest.mark.parametrize("mode", ["nearest_neighbor", "all_pairs"])
 @pytest.mark.parametrize("n", range(2, 17))
 def test_every_qep_observable_is_within_1e_12_of_the_pair_map_readout(n, mode):
-    # the group maps and the short-row X readout against the circuit and readout they
-    # replaced, written out, on two and three layers
-    for layers in (2, 3):
+    # the MPS and its readout against the statevector kernel's pair maps and readout,
+    # written out, on one to three layers
+    for layers in (1, 2, 3):
         angles = np.random.default_rng(40 * n + layers).uniform(-np.pi, np.pi, size=(layers, n, 2))
         state, before = run_circuit(angles), _pair_map_circuit(angles)
         for term in observable_set(n, mode):
@@ -1562,28 +1576,18 @@ def test_every_qep_observable_is_within_1e_12_of_the_pair_map_readout(n, mode):
 
 @pytest.mark.parametrize("n", [9, 12, 16])
 def test_every_statevector_matmul_fits_one_blas_thread(n):
-    # OpenBLAS splits a complex matmul of blk rows of a W x W map across its threads once
-    # blk x W^2 exceeds 2^15 (256 rows of 16x16), so run_circuit makes none above it:
-    # the gates' build, then each group map as exactly one stacked matmul over the whole
-    # state, the first group 2^(n - 4 (groups - 1)) wide; the X readout's matmuls sum
-    # at most 2^8 products per entry
-    real = np.matmul
-    layers, groups = 3, (n + 3) // 4
-    angles = np.random.default_rng(30 + n).uniform(-np.pi, np.pi, size=(layers, n, 2))
-    with mock.patch.object(np, "matmul", side_effect=real) as matmul:
+    # OpenBLAS splits a complex product across its threads from 2^16 multiply-adds (256
+    # rows of a 16x16 map), so the noiseless path makes none above 2^15: not in
+    # run_circuit at 3 layers, nor in its environments, nor in the carries of every pair
+    real_matmul, real_dot = np.matmul, np.dot
+    angles = np.random.default_rng(30 + n).uniform(-np.pi, np.pi, size=(3, n, 2))
+    with mock.patch.object(np, "matmul", side_effect=real_matmul) as matmul, \
+            mock.patch.object(np, "dot", side_effect=real_dot) as dot:
         state = run_circuit(angles)
-    calls = [args for args, _ in matmul.call_args_list]
-    assert len(calls) == 1 + (layers - 1) * groups
-    for a, b in calls:
-        assert a.shape[-2] * a.shape[-1] * b.shape[-1] <= 1 << 15
-    for i, (a, b) in enumerate(calls[1:]):
-        w = 16 if i % groups else 1 << (n - 4 * (groups - 1))
-        assert a.ndim == 3 and a.shape[-1] == b.shape[-2] == b.shape[-1] == w
-        assert a.size == 2**n
-    with mock.patch.object(np, "matmul", side_effect=real) as matmul:
-        for q in range(n):
-            expectation(state, PauliTerm(((q, "X"),)))
-    # rows of <= 8 floats, more than 2^8 of them: the last three of 12 or more qubits
-    assert len(matmul.call_args_list) == (3 if n >= 12 else 0)
-    for (a, b), _ in matmul.call_args_list:
-        assert a.shape[-1] == b.shape[-2] <= 1 << 8 and a.shape[-2] == b.shape[-1] <= 8
+        for term in observable_set(n, "all_pairs"):
+            expectation(state, term)
+    calls = [args for args, _ in matmul.call_args_list + dot.call_args_list]
+    assert len(calls) > 4 * n
+    for a, b in calls:  # multiply-adds per matrix of a stack
+        rows, cols = (a.shape[-2] if a.ndim > 1 else 1), (b.shape[-1] if b.ndim > 1 else 1)
+        assert rows * a.shape[-1] * cols <= 1 << 15
